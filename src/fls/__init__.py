@@ -56,6 +56,7 @@ _EXPORTS = {
         "LandmarkConfig",
         "select_landmarks",
         "best_fit_flat",
+        "best_fit_flats",
         "default_sigma",
         "build_subspace_spec",
         "landmark_flat_pool",

@@ -439,7 +439,7 @@ def cmd_cluster(opts) -> int:
         "d": config.flat_dim,
         "landmarks": config.n_landmarks,
         "method": config.method,
-        "sigma": "auto" if config.sigma is None else config.sigma,
+        "sigma": result.sigma,
         "drop_first": bool(opts["drop_first"]),
         "normalize_sphere": bool(opts["normalize_sphere"]),
         "svd": opts["svd"],

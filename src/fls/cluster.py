@@ -25,7 +25,7 @@ from .errors import (
     PipelineError,
 )
 from .kernels import EmbeddingMatrix, SubspaceKernel, embed
-from .landmarks import LandmarkConfig, best_fit_flat, default_sigma, select_landmarks
+from .landmarks import LandmarkConfig, best_fit_flats, default_sigma, select_landmarks
 from .linalg import (
     check_finite,
     flip_signs,
@@ -41,15 +41,18 @@ class ClusterResult:
     """Labels plus the spectral embedding that produced them.
 
     singular_values are those of Psi D^-1/2; the dense oracle path stores
-    sqrt(max(eigenvalue, 0)) so the two are directly comparable.  timings
-    holds per-stage wall-clock seconds and is the only nondeterministic
-    field.
+    sqrt(max(eigenvalue, 0)) so the two are directly comparable.  sigma
+    is the kernel bandwidth the embedding used, resolved when the config
+    left it to the data (None on the dense path, which takes a kernel
+    matrix).  timings holds per-stage wall-clock seconds and is the only
+    nondeterministic field.
     """
 
     labels: np.ndarray
     embedding: np.ndarray
     singular_values: np.ndarray
     timings: dict = field(default_factory=dict)
+    sigma: float | None = None
 
     def to_json(self) -> dict:
         return {
@@ -157,12 +160,9 @@ def fls_cluster(
     )
 
     def fit_flats():
-        flats = [
-            best_fit_flat(
-                pts, c, config.flat_dim, max_scales, init_neighbors, linear=config.linear
-            )
-            for c in centers
-        ]
+        flats = best_fit_flats(
+            pts, centers, config.flat_dim, max_scales, init_neighbors, linear=config.linear
+        )
         sigma = config.sigma
         if sigma is None:
             sigma = default_sigma(pts, flats, seed=sigma_seed)
@@ -181,7 +181,11 @@ def fls_cluster(
         lambda: kmeans(rows, n_clusters, seed=kmeans_seed, restarts=kmeans_restarts)[0],
     )
     return ClusterResult(
-        labels=labels, embedding=rows, singular_values=svals, timings=timings
+        labels=labels,
+        embedding=rows,
+        singular_values=svals,
+        timings=timings,
+        sigma=spec.sigma,
     )
 
 

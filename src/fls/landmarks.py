@@ -2,9 +2,13 @@
 
 Landmarks are either points sampled from the data or k-means centroids.
 Around each landmark a best-fit flat is chosen over a ladder of k-NN
-neighborhood sizes S, 2S, 4S, ...: each candidate is fitted by PCA and
-scored by the fraction of variance it fails to explain; the lowest score
-wins, with ties going to the smallest neighborhood.
+neighborhood sizes S, 2S, 4S, ...  The sizes are nested prefixes of one
+distance-sorted neighborhood, so their second moments are accumulated
+block by block in O(m_max d^2), and one batched ``eigvalsh`` scores every
+size by the fraction of variance its best l-flat fails to explain.  The
+lowest score wins, with scores within roundoff (about d * eps) of it tied
+and ties going to the smallest neighborhood; only the winner is
+eigendecomposed for its basis.
 """
 
 from __future__ import annotations
@@ -17,10 +21,14 @@ import numpy as np
 
 from .errors import DegenerateInput, InvalidParam
 from .kernels import AffineFlat, SubspaceKernel, flat_distance_matrix
-from .linalg import check_finite, kmeans, moment_spectrum, pca_spectrum
+from .linalg import check_finite, flip_signs, kmeans
 from .rng import make_rng, split
 
 log = logging.getLogger(__name__)
+
+# eigvalsh resolves a residual share only to about d * eps; shares within
+# _TIE_TOL * d of the lowest are ties
+_TIE_TOL = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -95,34 +103,97 @@ def select_landmarks(points: np.ndarray, count: int, method: str = "random", see
     raise InvalidParam(f"unknown landmark method {method!r}")
 
 
-def best_fit_flat(
+def _fit_ladder(pts, x_sq, center, sizes, flat_dim, linear):
+    """Score every ladder size around one center from nested second moments.
+
+    Returns (scores, win, base, scatter): per-size scores (0 where the
+    neighborhood has zero total variance), the index of the chosen size,
+    the chosen flat's base and its (d, d) scatter, or None for base and
+    scatter when the chosen neighborhood has zero variance.
+    """
+    n, d = pts.shape
+    # |x|^2 - 2 x.c orders points as |x - c|^2 does; the constant |c|^2 is left out
+    dists = pts @ center
+    dists *= -2.0
+    dists += x_sq
+    largest = sizes[-1]
+    if largest < n:
+        nearest = np.argpartition(dists, largest - 1)[:largest]
+        order = nearest[np.argsort(dists[nearest], kind="stable")]
+    else:
+        order = np.argsort(dists, kind="stable")
+    hood = pts[order]
+    if not linear:
+        # relative to the nearest point, so a neighborhood of identical
+        # points has exactly zero scatter and the centering cancels little
+        origin = hood[0].copy()
+        hood -= origin
+
+    # the sizes are nested prefixes of one order: one block product per step
+    moments = np.empty((len(sizes), d, d))
+    sums = np.empty((len(sizes), d))
+    second, first, start = np.zeros((d, d)), np.zeros(d), 0
+    for t, size in enumerate(sizes):
+        blk = hood[start:size]
+        second = second + blk.T @ blk
+        first = first + blk.sum(axis=0)
+        moments[t], sums[t], start = second, first, size
+    if not linear:
+        counts = np.asarray(sizes, dtype=float)
+        moments -= sums[:, :, None] * sums[:, None, :] / counts[:, None, None]
+
+    totals = np.trace(moments, axis1=1, axis2=2)
+    residuals = np.linalg.eigvalsh(moments)[:, : d - flat_dim].sum(axis=1)
+    positive = totals > 0.0
+    scores = np.zeros(len(sizes))
+    np.divide(residuals, totals, out=scores, where=positive)
+    win = int(np.flatnonzero(scores <= scores.min() + _TIE_TOL * d)[0])
+    if not positive[win]:
+        return scores, win, None, None
+    base = np.zeros(d) if linear else origin + sums[win] / sizes[win]
+    return scores, win, base, moments[win]
+
+
+def best_fit_flats(
     points: np.ndarray,
-    center: np.ndarray,
+    centers: np.ndarray,
     flat_dim: int,
     max_scales: int,
     init_neighbors: int,
     linear: bool = False,
-) -> AffineFlat:
-    """Best local flat at ``center`` over multi-scale k-NN neighborhoods.
+) -> list:
+    """Best local flat at each row of ``centers``; one AffineFlat per center.
 
     Candidate neighborhood sizes are min(round(S * 2^j), n) for
-    j = 0..T-1.  Each is fitted by PCA; the score is the trailing
-    (d - l) share of the eigenvalue mass.  Strictly smaller score wins,
-    so ties fall to the smallest neighborhood.  A neighborhood with zero
-    total variance scores 0 and yields a coordinate-axis flat through
-    ``center`` (logged, since the basis carries no information).
+    j = 0..T-1, the k nearest points of the center.  They are nested
+    prefixes of one sorted order, so their second moments accumulate
+    block by block, and one batched ``eigvalsh`` scores them all: the
+    score is the trailing (d - l) share of the scatter's eigenvalue
+    mass.  Scores within about d * eps of the lowest are roundoff ties
+    and go to the smallest neighborhood.  The winner's basis is the top
+    l eigenvectors of its scatter (``flip_signs`` convention) and its
+    base the neighborhood centroid.  A neighborhood with zero total
+    variance scores 0 and yields a coordinate-axis flat through the
+    center (logged, since the basis carries no information).
 
     With ``linear`` the fit is the best linear subspace instead: the
-    spectrum is that of the uncentered second moment and the returned
-    flat passes through the origin.  Centered fitting would waste one
-    basis direction re-deriving the radial component that sphere-mapped
-    subspace data already contains.
+    moments are uncentered and the returned flat passes through the
+    origin.  Centered fitting would waste one basis direction
+    re-deriving the radial component that sphere-mapped subspace data
+    already contains.
+
+    Each center is fitted on its own, so a flat does not depend on
+    which other centers share the call.
     """
     pts = check_finite(points, "points")
-    center = check_finite(center, "center")
+    if pts.ndim != 2:
+        raise InvalidParam("points must be 2-D")
     n, d = pts.shape
-    if center.shape != (d,):
-        raise InvalidParam(f"center shape {center.shape} does not match data in R^{d}")
+    centers = np.ascontiguousarray(check_finite(centers, "centers"))
+    if centers.ndim != 2 or centers.shape[1] != d:
+        raise InvalidParam(
+            f"centers shape {centers.shape} does not match data in R^{d}"
+        )
     if not 1 <= flat_dim <= d:
         raise InvalidParam(f"flat_dim={flat_dim} not in [1, {d}]")
     if init_neighbors < flat_dim + 1:
@@ -131,37 +202,42 @@ def best_fit_flat(
         raise DegenerateInput(f"need at least {init_neighbors} points, got {n}")
 
     sizes = sorted({min(int(round(init_neighbors * 2**j)), n) for j in range(max_scales)})
-    dists = ((pts - center) ** 2).sum(axis=1)
-    largest = sizes[-1]
-    if largest < n:
-        nearest = np.argpartition(dists, largest - 1)[:largest]
-        order = nearest[np.argsort(dists[nearest], kind="stable")]
-    else:
-        order = np.argsort(dists, kind="stable")
+    x_sq = np.einsum("ij,ij->i", pts, pts)
+    flats = []
+    for center in centers:
+        _, _, base, scatter = _fit_ladder(pts, x_sq, center, sizes, flat_dim, linear)
+        if scatter is None:
+            log.warning(
+                "neighborhood around %s has zero variance; returning axis-aligned flat",
+                np.array2string(center, precision=3),
+            )
+            base = np.zeros(d) if linear else center.copy()
+            flats.append(AffineFlat(base=base, basis=np.eye(d)[:, :flat_dim]))
+            continue
+        eigvecs = np.linalg.eigh(scatter)[1]
+        basis = flip_signs(eigvecs[:, ::-1][:, :flat_dim])
+        flats.append(AffineFlat(base=base, basis=basis))
+    return flats
 
-    best = None  # (score, base, eigvecs, degenerate)
-    for size in sizes:
-        if linear:
-            eigvals, eigvecs = moment_spectrum(pts[order[:size]])
-            base = np.zeros(d)
-        else:
-            base, eigvals, eigvecs = pca_spectrum(pts[order[:size]])
-        total = float(eigvals.sum())
-        if total > 0.0:
-            score = float(eigvals[flat_dim:].sum()) / total
-            candidate = (score, base, eigvecs, False)
-        else:
-            candidate = (0.0, base, eigvecs, True)
-        if best is None or candidate[0] < best[0]:
-            best = candidate
-    score, base, eigvecs, degenerate = best
-    if degenerate:
-        log.warning(
-            "neighborhood around %s has zero variance; returning axis-aligned flat",
-            np.array2string(center, precision=3),
-        )
-        return AffineFlat(base=base if linear else center, basis=np.eye(d)[:, :flat_dim])
-    return AffineFlat(base=base, basis=eigvecs[:, :flat_dim])
+
+def best_fit_flat(
+    points: np.ndarray,
+    center: np.ndarray,
+    flat_dim: int,
+    max_scales: int,
+    init_neighbors: int,
+    linear: bool = False,
+) -> AffineFlat:
+    """Best local flat at one ``center``: ``best_fit_flats`` on a single row.
+
+    Bit-identical to the corresponding entry of a batched call.
+    """
+    center = check_finite(center, "center")
+    if center.ndim != 1:
+        raise InvalidParam(f"center shape {center.shape} must be 1-D")
+    return best_fit_flats(
+        points, center[None], flat_dim, max_scales, init_neighbors, linear=linear
+    )[0]
 
 
 def default_sigma(points: np.ndarray, flats, seed=0, max_pairs: int = 10_000) -> float:
@@ -198,12 +274,9 @@ def build_subspace_spec(points: np.ndarray, config: LandmarkConfig, seed=0) -> S
     init_neighbors, max_scales = config.resolve_scales(pts.shape[0])
     select_seed, sigma_seed = split(seed, 2)
     centers = select_landmarks(pts, config.n_landmarks, config.method, select_seed)
-    flats = [
-        best_fit_flat(
-            pts, c, config.flat_dim, max_scales, init_neighbors, linear=config.linear
-        )
-        for c in centers
-    ]
+    flats = best_fit_flats(
+        pts, centers, config.flat_dim, max_scales, init_neighbors, linear=config.linear
+    )
     sigma = config.sigma
     if sigma is None:
         sigma = default_sigma(pts, flats, seed=sigma_seed)
@@ -222,6 +295,5 @@ def landmark_flat_pool(points: np.ndarray, flat_dim: int, config: LandmarkConfig
     cfg = config or LandmarkConfig(n_landmarks=1, flat_dim=flat_dim)
     init_neighbors, max_scales = cfg.resolve_scales(pts.shape[0])
     return tuple(
-        best_fit_flat(pts, p, flat_dim, max_scales, init_neighbors, linear=cfg.linear)
-        for p in pts
+        best_fit_flats(pts, pts, flat_dim, max_scales, init_neighbors, linear=cfg.linear)
     )

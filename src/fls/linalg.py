@@ -167,6 +167,10 @@ def truncated_svd(a: np.ndarray, k: int) -> SvdResult:
     For a D x n input, eigendecomposes A @ A.T (cost O(n D^2 + D^3)) and
     recovers right vectors as A.T @ u / s.  Intended for D << n; for the
     O(k n D) iterative alternative see truncated_svd_power.
+
+    Gram eigenvalues are resolved only to about D * eps * s_1^2, below
+    which A.T @ u / s is noise; raises RankDeficient when s_k^2 falls
+    under that floor.
     """
     a = check_finite(a, "matrix")
     if a.ndim != 2:
@@ -180,10 +184,11 @@ def truncated_svd(a: np.ndarray, k: int) -> SvdResult:
     order = np.argsort(eigvals)[::-1][:k]
     svals = np.sqrt(np.clip(eigvals[order], 0.0, None))
     left = eigvecs[:, order]
-    if svals[0] <= 0.0 or svals[-1] < 1e-12 * svals[0]:
+    floor = math.sqrt(d_rows * np.finfo(float).eps) * svals[0]
+    if svals[0] <= 0.0 or svals[-1] < floor:
         raise RankDeficient(
-            f"singular value {svals[-1]:.3e} below 1e-12 * {svals[0]:.3e}; "
-            "request fewer vectors"
+            f"singular value {svals[-1]:.3e} below the Gram noise floor "
+            f"{floor:.3e}; request fewer vectors"
         )
     right = (a.T @ left) / svals
     return _package_svd(left, svals, right)

@@ -117,6 +117,12 @@ class TestCluster:
         assert da["labels"] == db["labels"]
         assert da["singular_values"] == db["singular_values"]
 
+    def test_sigma_auto_reports_resolved_number(self, data_dir, capsys):
+        capsys.readouterr()
+        assert run(self.base_args(data_dir) + ["--sigma", "auto"]) == 0
+        sigma = json.loads(capsys.readouterr().out)["config"]["sigma"]
+        assert isinstance(sigma, float) and sigma >= 1e-6
+
     def test_sigma_zero_is_usage_error(self, data_dir, capsys):
         rc = run(self.base_args(data_dir) + ["--sigma", "0"])
         assert rc == 2
@@ -403,6 +409,15 @@ class TestEnvAndThreads:
             monkeypatch.delenv(var, raising=False)
 
 
+def subprocess_env():
+    """The environment, with the directory this process imported fls from on PYTHONPATH."""
+    import fls
+
+    src = os.path.dirname(os.path.dirname(fls.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+
+
 class TestEntryPoint:
     def test_console_script_runs(self, tmp_path):
         out = tmp_path / "d"
@@ -410,6 +425,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "fls.cli"] + gen_args(out),
             capture_output=True,
             text=True,
+            env=subprocess_env(),
         )
         assert proc.returncode == 0
         assert (out / "points.csv").exists()
@@ -417,7 +433,10 @@ class TestEntryPoint:
 
     def test_help_exits_zero(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "fls.cli", "--help"], capture_output=True, text=True
+            [sys.executable, "-m", "fls.cli", "--help"],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
         )
         assert proc.returncode == 0
         assert "gen" in proc.stdout and "bench" in proc.stdout

@@ -10,13 +10,15 @@ from fls.errors import DegenerateInput, InvalidParam
 from fls.kernels import flat_distance
 from fls.landmarks import (
     LandmarkConfig,
+    _fit_ladder,
     best_fit_flat,
+    best_fit_flats,
     build_subspace_spec,
     default_sigma,
     landmark_flat_pool,
     select_landmarks,
 )
-from fls.linalg import AffineFlat
+from fls.linalg import AffineFlat, moment_spectrum, pca_spectrum
 
 from conftest import random_orthonormal
 
@@ -151,6 +153,79 @@ class TestBestFitFlat:
             best_fit_flat(pts, np.zeros(2), 1, 2, 3)
         with pytest.raises(InvalidParam):
             best_fit_flat(pts, np.zeros(3), 2, 2, 2)
+
+
+def svd_ladder(pts, center, flat_dim, max_scales, init_neighbors, linear=False):
+    """Reference ladder: one SVD per neighborhood size, strictly lower score wins.
+
+    Returns (sizes, scores, win, flat), the flat spanned by the top
+    ``flat_dim`` directions of the winning fit.
+    """
+    n = pts.shape[0]
+    sizes = sorted({min(int(round(init_neighbors * 2**j)), n) for j in range(max_scales)})
+    order = np.argsort(((pts - center) ** 2).sum(axis=1), kind="stable")
+    scores, flats = [], []
+    for size in sizes:
+        hood = pts[order[:size]]
+        if linear:
+            base = np.zeros(pts.shape[1])
+            eigvals, eigvecs = moment_spectrum(hood)
+        else:
+            base, eigvals, eigvecs = pca_spectrum(hood)
+        scores.append(eigvals[flat_dim:].sum() / eigvals.sum())
+        flats.append(AffineFlat(base=base, basis=eigvecs[:, :flat_dim]))
+    win = int(np.argmin(scores))
+    return sizes, np.array(scores), win, flats[win]
+
+
+def two_planes(rng, noise):
+    a = np.eye(6)[:, :2]
+    b = random_orthonormal(rng, 6, 2)
+    return np.vstack(
+        [plane_points(rng, a, 150, noise=noise), plane_points(rng, b, 150, noise=noise)]
+    )
+
+
+class TestBestFitFlats:
+    def test_exact_affine_plane_ties_go_to_smallest(self, rng):
+        # every size fits exactly, so every score is roundoff: a tie
+        basis = random_orthonormal(rng, 5, 2)
+        pts = plane_points(rng, basis, 40, center=rng.standard_normal(5))
+        center = pts[0]
+        flat = best_fit_flat(pts, center, 2, max_scales=3, init_neighbors=6)
+        order = np.argsort(((pts - center) ** 2).sum(axis=1), kind="stable")
+        assert np.allclose(flat.base, pts[order[:6]].mean(axis=0), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_batch_is_bit_identical_to_single_calls(self, rng, linear):
+        pts = two_planes(rng, noise=0.03)
+        centers = pts[rng.choice(pts.shape[0], 12, replace=False)]
+        batch = best_fit_flats(pts, centers, 2, 5, 6, linear=linear)
+        single = [best_fit_flat(pts, c, 2, 5, 6, linear=linear) for c in centers]
+        assert len(batch) == len(single) == 12
+        for fb, fs in zip(batch, single):
+            assert np.array_equal(fb.base, fs.base)
+            assert np.array_equal(fb.basis, fs.basis)
+
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_matches_svd_ladder(self, rng, linear):
+        pts = two_planes(rng, noise=0.05) + 0.5
+        x_sq = (pts**2).sum(axis=1)
+        for center in pts[rng.choice(pts.shape[0], 20, replace=False)]:
+            sizes, want, want_win, want_flat = svd_ladder(pts, center, 2, 6, 6, linear)
+            got, win, _, _ = _fit_ladder(pts, x_sq, center, sizes, 2, linear)
+            assert win == want_win
+            assert np.allclose(got, want, rtol=1e-10, atol=0)
+            flat = best_fit_flat(pts, center, 2, 6, 6, linear=linear)
+            assert np.allclose(flat.base, want_flat.base, rtol=0, atol=1e-12)
+            assert largest_principal_angle(flat.basis, want_flat.basis) < 1e-7
+
+    def test_centers_must_match_ambient_dimension(self, rng):
+        pts = rng.standard_normal((10, 3))
+        with pytest.raises(InvalidParam):
+            best_fit_flats(pts, np.zeros((2, 2)), 1, 2, 3)
+        with pytest.raises(InvalidParam):
+            best_fit_flats(pts, np.zeros(3), 1, 2, 3)
 
 
 class TestDefaultSigma:

@@ -158,6 +158,13 @@ class TestTruncatedSvd:
         with pytest.raises(RankDeficient):
             truncated_svd(np.zeros((3, 4)), 1)
 
+    def test_rank_one_below_gram_noise_floor(self, rng):
+        # the Gram path resolves s2 only to ~1e-8 * s1 here; its right
+        # vectors would be noise, so it must refuse rather than return them
+        a = np.outer(rng.standard_normal(50), rng.standard_normal(5000))
+        with pytest.raises(RankDeficient):
+            truncated_svd(a, 2)
+
     def test_k_too_large(self, rng):
         with pytest.raises(InvalidParam):
             truncated_svd(rng.standard_normal((4, 10)), 5)
