@@ -1,13 +1,22 @@
 """Command line interface: gen / cluster / bench / verify.
 
+Every option of every command is declared once, in ``_COMMANDS`` at the
+end of this module: its flag, value parser, default, whether it is
+required, and its help.  That table builds the argparse subcommands, and
+it defines the ``--config`` keys: a JSON --config file may set any option
+by its flag name without the dashes (``--drop-first`` -> ``drop_first``,
+``--in`` -> ``in``), and each value goes through that option's own parser,
+so a config value is checked exactly like the flag would be.  Explicit
+flags override the config, unknown keys are rejected, and a required
+option set by neither is reported by its flag.  Booleans are spelled
+``--X`` / ``--no-X`` on the command line and true / false in a config.
+
 Every command takes --seed (env FLS_SEED) and is reproducible
 byte-for-byte for identical flags and seed, except for wall-clock values,
 which are isolated under "timings" keys.  --threads (env FLS_THREADS)
 caps the BLAS worker pools; it is applied through environment variables
-before numpy loads, which is why this module and the package __init__
-import the numerical modules lazily.  A JSON --config file may supply any
-option by its long-flag name (underscores for dashes); explicit flags
-override it, unknown keys are rejected.
+before numpy loads, which is why this module, its value parsers and the
+package __init__ import the numerical modules lazily.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 runtime or
 pipeline failure (the message names the failing stage).
@@ -21,175 +30,112 @@ import io
 import json
 import os
 import sys
-
-MISSING = argparse.SUPPRESS
-
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 class UsageError(Exception):
     pass
 
 
-def _set_threads_env(argv):
-    value = os.environ.get("FLS_THREADS")
-    it = iter(range(len(argv)))
-    for i in it:
-        arg = argv[i]
-        if arg == "--threads" and i + 1 < len(argv):
-            value = argv[i + 1]
-        elif arg.startswith("--threads="):
-            value = arg.split("=", 1)[1]
-    if value is None:
-        return
+def _list_of(kind):
+    def parse(text):
+        try:
+            return tuple(kind(f) for f in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__} values, got {text!r}"
+            )
+
+    return parse
+
+
+_int_list = _list_of(int)
+_float_list = _list_of(float)
+
+
+def _positive_int(text):
     try:
-        n = int(value)
-        if n < 1:
-            raise ValueError
+        value = int(text)
     except ValueError:
-        raise UsageError(f"--threads expects a positive integer, got {value!r}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
-def _int_list(value):
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    try:
-        return tuple(int(f) for f in str(value).split(","))
-    except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {value!r}")
-
-
-def _float_list(value):
-    if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
-    try:
-        return tuple(float(f) for f in str(value).split(","))
-    except ValueError:
-        raise UsageError(f"expected comma-separated numbers, got {value!r}")
-
-
-def _sigma_value(value):
-    if value is None or value == "auto":
+def _sigma_value(text):
+    if text == "auto":
         return None
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"--sigma expects a number or 'auto', got {value!r}")
-
-
-def _default_seed():
-    env = os.environ.get("FLS_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
+        return float(text)
     except ValueError:
-        raise UsageError(f"FLS_SEED must be an integer, got {env!r}")
+        raise argparse.ArgumentTypeError(f"expected a number or 'auto', got {text!r}")
 
 
-# dest -> default, per command; also the set of legal --config keys
-_OPTION_DEFAULTS = {
-    "gen": {
-        "dims": None,
-        "ambient": None,
-        "pts": 250,
-        "noise": 0.05,
-        "outliers": 0.0,
-        "seed": None,
-        "out": None,
-    },
-    "cluster": {
-        "in_path": None,
-        "k": None,
-        "d": None,
-        "landmarks": 100,
-        "method": "random",
-        "sigma": "auto",
-        "neighbors": None,
-        "scales": None,
-        "linear": False,
-        "drop_first": False,
-        "normalize_sphere": False,
-        "svd": "gram",
-        "restarts": 1,
-        "seed": None,
-        "out": None,
-        "embedding_csv": None,
-    },
-    "bench": {
-        "suite": "synthetic5",
-        "trials": 10,
-        "landmarks": 100,
-        "method": "kmeans",
-        "flat_dim": None,
-        "sigma": 0.3,
-        "restarts": 3,
-        "drop_first": True,
-        "normalize_sphere": True,
-        "linear": True,
-        "svd": "gram",
-        "seed": None,
-        "format": "table",
-        "out": None,
-        "per_trial": None,
-    },
-    "verify-kernel": {
-        "family": "rff",
-        "sigma": 1.0,
-        "dim": 5,
-        "grid_points": 100,
-        "counts": "250,1000,4000",
-        "reps": 10,
-        "ref_count": 50000,
-        "eps": None,
-        "hoeffding_reps": 200,
-        "seed": None,
-        "format": "table",
-        "out": None,
-    },
-    "verify-perturbation": {
-        "n": 300,
-        "dims": "2,2",
-        "ambient": 6,
-        "noise": 0.05,
-        "count": 400,
-        "ref_count": 50000,
-        "sigma": 1.5,
-        "flat_dim": 2,
-        "repeats": 1,
-        "seed": None,
-        "format": "table",
-        "out": None,
-    },
-    "verify-eigvec": {
-        "n": 300,
-        "dims": "2,2",
-        "ambient": 6,
-        "noise": 0.05,
-        "counts": "100,400,1600",
-        "ref_count": 50000,
-        "k": 2,
-        "sigma": 1.5,
-        "flat_dim": 2,
-        "repeats": 1,
-        "seed": None,
-        "format": "table",
-        "out": None,
-    },
-    "verify-rotation": {
-        "dim": 3,
-        "flat_dim": 1,
-        "pairs": 100,
-        "count": 100000,
-        "sigma": 1.0,
-        "distance": 1.0,
-        "seed": None,
-        "format": "table",
-        "out": None,
-    },
-}
+@dataclass(frozen=True)
+class Option:
+    """One command-line option.
 
-_META_DESTS = {"func", "command", "config", "threads"}
+    ``parse`` is a function from the flag's text to its value, a tuple of
+    the allowed strings, or ``bool`` for a --X / --no-X switch.
+    """
+
+    flag: str
+    parse: Callable | tuple
+    default: object = None
+    help: str = ""
+    required: bool = False
+    env: str | None = None
+
+    @property
+    def key(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+def _flag_text(value):
+    """A JSON config value as it would be typed after its flag."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        return ",".join(_flag_text(v) for v in value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return json.dumps(value)
+    raise ValueError("expected a string, a number or a list of them")
+
+
+def _parse_value(opt, value, source):
+    """Parse a config or environment value with ``opt``'s own parser."""
+    try:
+        if opt.parse is bool:
+            if isinstance(value, bool):
+                return value
+            raise ValueError("expected true or false")
+        text = _flag_text(value)
+        if isinstance(opt.parse, tuple):
+            if text in opt.parse:
+                return text
+            raise ValueError(f"expected one of {', '.join(opt.parse)}")
+        return opt.parse(text)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise UsageError(f"{source} sets {opt.flag} to {value!r}: {exc}")
+
+
+def _add_option(parser, opt):
+    shown = opt.default
+    if isinstance(shown, tuple):
+        shown = ",".join(map(str, shown))
+    elif isinstance(shown, bool):
+        shown = "on" if shown else "off"
+    note = "required" if opt.required else None if shown is None else f"default: {shown}"
+    help_text = f"{opt.help} ({note})" if note else opt.help
+    # no argparse default: an option is in the namespace only when its flag was given
+    kwargs = dict(dest=opt.key, default=argparse.SUPPRESS, help=help_text)
+    if opt.parse is bool:
+        parser.add_argument(opt.flag, action=argparse.BooleanOptionalAction, **kwargs)
+    elif isinstance(opt.parse, tuple):
+        parser.add_argument(opt.flag, choices=opt.parse, **kwargs)
+    else:
+        parser.add_argument(opt.flag, type=opt.parse, **kwargs)
 
 
 def _build_parser():
@@ -197,169 +143,66 @@ def _build_parser():
         prog="fls",
         description="Randomized kernel embeddings and landmark subspace clustering.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=MISSING)
-        p.add_argument("--threads", type=int, default=MISSING)
-        p.add_argument("--config", default=None, help="JSON file of option defaults")
-
-    p = sub.add_parser("gen", help="generate synthetic union-of-subspaces data")
-    p.add_argument("--dims", default=MISSING, help="subspace dims, e.g. 2,2")
-    p.add_argument("--ambient", type=int, default=MISSING)
-    p.add_argument("--pts", type=int, default=MISSING, help="points per subspace")
-    p.add_argument("--noise", type=float, default=MISSING)
-    p.add_argument("--outliers", type=float, default=MISSING, help="outlier ratio")
-    p.add_argument("--out", default=MISSING, help="output directory")
-    common(p)
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("cluster", help="cluster a CSV of points")
-    p.add_argument("--in", dest="in_path", default=MISSING, help="input points CSV")
-    p.add_argument("--k", type=int, default=MISSING, help="number of clusters")
-    p.add_argument("--d", type=int, default=MISSING, help="flat dimension")
-    p.add_argument("--landmarks", type=int, default=MISSING)
-    p.add_argument("--method", choices=["random", "kmeans"], default=MISSING)
-    p.add_argument("--sigma", default=MISSING, help="bandwidth or 'auto'")
-    p.add_argument("--neighbors", type=int, default=MISSING)
-    p.add_argument("--scales", type=int, default=MISSING)
-    p.add_argument("--linear", action="store_true", default=MISSING)
-    p.add_argument("--drop-first", dest="drop_first", action="store_true", default=MISSING)
-    p.add_argument(
-        "--normalize-sphere",
-        dest="normalize_sphere",
-        action="store_true",
-        default=MISSING,
-    )
-    p.add_argument("--svd", choices=["gram", "power"], default=MISSING)
-    p.add_argument("--restarts", type=int, default=MISSING)
-    p.add_argument("--out", default=MISSING, help="result JSON path (default: stdout)")
-    p.add_argument("--embedding-csv", dest="embedding_csv", default=MISSING)
-    common(p)
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("bench", help="run a benchmark suite")
-    p.add_argument("--suite", default=MISSING, help="synthetic5 | synthetic30 | JSON file")
-    p.add_argument("--trials", type=int, default=MISSING)
-    p.add_argument("--landmarks", type=int, default=MISSING)
-    p.add_argument("--method", choices=["random", "kmeans"], default=MISSING)
-    p.add_argument("--flat-dim", dest="flat_dim", type=int, default=MISSING)
-    p.add_argument("--sigma", default=MISSING)
-    p.add_argument("--restarts", type=int, default=MISSING)
-    p.add_argument("--drop-first", dest="drop_first", action="store_true", default=MISSING)
-    p.add_argument(
-        "--no-drop-first", dest="drop_first", action="store_false", default=MISSING
-    )
-    p.add_argument(
-        "--no-normalize-sphere",
-        dest="normalize_sphere",
-        action="store_false",
-        default=MISSING,
-    )
-    p.add_argument("--linear", action="store_true", default=MISSING)
-    p.add_argument("--no-linear", dest="linear", action="store_false", default=MISSING)
-    p.add_argument("--svd", choices=["gram", "power"], default=MISSING)
-    p.add_argument("--format", choices=["table", "json", "csv"], default=MISSING)
-    p.add_argument("--out", default=MISSING, help="write report here instead of stdout")
-    p.add_argument("--per-trial", dest="per_trial", default=MISSING, help="per-trial CSV")
-    common(p)
-    p.set_defaults(func=cmd_bench)
-
-    v = sub.add_parser("verify", help="numerical verification checks")
-    vsub = v.add_subparsers(dest="verify_command", required=True)
-
-    p = vsub.add_parser("kernel", help="kernel approximation error decay")
-    p.add_argument("--family", choices=["rff", "subspace", "landmark"], default=MISSING)
-    p.add_argument("--sigma", type=float, default=MISSING)
-    p.add_argument("--dim", type=int, default=MISSING)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=MISSING)
-    p.add_argument("--counts", default=MISSING, help="feature counts, e.g. 250,1000,4000")
-    p.add_argument("--reps", type=int, default=MISSING)
-    p.add_argument("--ref-count", dest="ref_count", type=int, default=MISSING)
-    p.add_argument("--eps", default=MISSING, help="tail thresholds, e.g. 0.1,0.2")
-    p.add_argument("--hoeffding-reps", dest="hoeffding_reps", type=int, default=MISSING)
-    p.add_argument("--format", choices=["table", "json"], default=MISSING)
-    p.add_argument("--out", default=MISSING)
-    common(p)
-    p.set_defaults(func=cmd_verify_kernel, command="verify-kernel")
-
-    p = vsub.add_parser("perturbation", help="normalized-matrix perturbation bounds")
-    p.add_argument("--n", type=int, default=MISSING)
-    p.add_argument("--dims", default=MISSING)
-    p.add_argument("--ambient", type=int, default=MISSING)
-    p.add_argument("--noise", type=float, default=MISSING)
-    p.add_argument("--count", type=int, default=MISSING, help="test feature count")
-    p.add_argument("--ref-count", dest="ref_count", type=int, default=MISSING)
-    p.add_argument("--sigma", type=float, default=MISSING)
-    p.add_argument("--flat-dim", dest="flat_dim", type=int, default=MISSING)
-    p.add_argument("--repeats", type=int, default=MISSING)
-    p.add_argument("--format", choices=["table", "json"], default=MISSING)
-    p.add_argument("--out", default=MISSING)
-    common(p)
-    p.set_defaults(func=cmd_verify_perturbation, command="verify-perturbation")
-
-    p = vsub.add_parser("eigvec", help="second-eigenvector stability")
-    p.add_argument("--n", type=int, default=MISSING)
-    p.add_argument("--dims", default=MISSING)
-    p.add_argument("--ambient", type=int, default=MISSING)
-    p.add_argument("--noise", type=float, default=MISSING)
-    p.add_argument("--counts", default=MISSING)
-    p.add_argument("--ref-count", dest="ref_count", type=int, default=MISSING)
-    p.add_argument("--k", type=int, default=MISSING)
-    p.add_argument("--sigma", type=float, default=MISSING)
-    p.add_argument("--flat-dim", dest="flat_dim", type=int, default=MISSING)
-    p.add_argument("--repeats", type=int, default=MISSING)
-    p.add_argument("--format", choices=["table", "json"], default=MISSING)
-    p.add_argument("--out", default=MISSING)
-    common(p)
-    p.set_defaults(func=cmd_verify_eigvec, command="verify-eigvec")
-
-    p = vsub.add_parser("rotation", help="rotation invariance of the uniform-flat kernel")
-    p.add_argument("--dim", type=int, default=MISSING)
-    p.add_argument("--flat-dim", dest="flat_dim", type=int, default=MISSING)
-    p.add_argument("--pairs", type=int, default=MISSING)
-    p.add_argument("--count", type=int, default=MISSING)
-    p.add_argument("--sigma", type=float, default=MISSING)
-    p.add_argument("--distance", type=float, default=MISSING)
-    p.add_argument("--format", choices=["table", "json"], default=MISSING)
-    p.add_argument("--out", default=MISSING)
-    common(p)
-    p.set_defaults(func=cmd_verify_rotation, command="verify-rotation")
-
+    subs = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, command in _COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in subs:
+            subs[group] = (
+                subs[""]
+                .add_parser(group, help="numerical verification checks")
+                .add_subparsers(dest=f"{group}_command", required=True)
+            )
+        p = subs[group].add_parser(leaf, help=command.help)
+        for opt in command.options:
+            _add_option(p, opt)
+        p.add_argument("--config", help="JSON file of option values by flag name")
+        p.set_defaults(command_spec=command)
     return parser
 
 
-def _merged_options(args):
-    defaults = _OPTION_DEFAULTS[args.command]
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file is not valid JSON: {exc}")
-        if not isinstance(doc, dict):
-            raise UsageError("config file must hold a JSON object")
-        unknown = sorted(set(doc) - set(defaults))
-        if unknown:
-            raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-        merged.update(doc)
-    for key, value in vars(args).items():
-        if key not in _META_DESTS and key in defaults:
-            merged[key] = value
-    if merged.get("seed") is None:
-        merged["seed"] = _default_seed()
-    return merged
+def _read_config(path):
+    if not path:
+        return {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read config file: {exc}")
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"config file is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise UsageError("config file must hold a JSON object")
+    return doc
 
 
-def _require(opts, *keys):
-    for key in keys:
-        if opts.get(key) is None:
-            flag = "--in" if key == "in_path" else "--" + key.replace("_", "-")
-            raise UsageError(f"{flag} is required")
+def _resolve_options(args):
+    """Each option's value: the flag, else the config, else its env variable, else the default."""
+    options = args.command_spec.options
+    flags = vars(args)
+    config = _read_config(args.config)
+    unknown = sorted(set(config) - {opt.key for opt in options})
+    if unknown:
+        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+    resolved = {}
+    for opt in options:
+        if opt.key in flags:
+            value = flags[opt.key]
+        elif opt.key in config:
+            value = _parse_value(opt, config[opt.key], f"config key {opt.key!r}")
+        elif opt.env and opt.env in os.environ:
+            value = _parse_value(opt, os.environ[opt.env], opt.env)
+        elif opt.required:
+            raise UsageError(f"{opt.flag} is required")
+        else:
+            value = opt.default
+        resolved[opt.key] = value
+    return resolved
+
+
+def _set_threads_env(threads):
+    if threads is not None:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ[var] = str(threads)
 
 
 def _dump_json(payload) -> str:
@@ -375,15 +218,14 @@ def _emit(text, out_path):
 
 
 def cmd_gen(opts) -> int:
-    from .datagen import DataSet, SyntheticModel, gen_synthetic, save_csv
+    from .datagen import SyntheticModel, gen_synthetic, save_csv
 
-    _require(opts, "dims", "ambient", "out")
     model = SyntheticModel(
-        dims=_int_list(opts["dims"]),
-        ambient=int(opts["ambient"]),
-        pts_per_subspace=int(opts["pts"]),
-        noise_sigma=float(opts["noise"]),
-        outlier_ratio=float(opts["outliers"]),
+        dims=opts["dims"],
+        ambient=opts["ambient"],
+        pts_per_subspace=opts["pts"],
+        noise_sigma=opts["noise"],
+        outlier_ratio=opts["outliers"],
     )
     out_dir = opts["out"]
     os.makedirs(out_dir, exist_ok=True)
@@ -406,44 +248,41 @@ def cmd_cluster(opts) -> int:
     from .datagen import DataSet, load_csv, save_csv
     from .landmarks import LandmarkConfig
 
-    _require(opts, "in_path", "k", "d")
     config = LandmarkConfig(
-        n_landmarks=int(opts["landmarks"]),
-        flat_dim=int(opts["d"]),
+        n_landmarks=opts["landmarks"],
+        flat_dim=opts["d"],
         method=opts["method"],
-        init_neighbors=None if opts["neighbors"] is None else int(opts["neighbors"]),
-        max_scales=None if opts["scales"] is None else int(opts["scales"]),
-        sigma=_sigma_value(opts["sigma"]),
-        linear=bool(opts["linear"]),
+        init_neighbors=opts["neighbors"],
+        max_scales=opts["scales"],
+        sigma=opts["sigma"],
+        linear=opts["linear"],
     )
-    n_clusters = int(opts["k"])
-    if n_clusters < 1:
-        raise UsageError(f"--k must be >= 1, got {n_clusters}")
-    if int(opts["restarts"]) < 1:
-        raise UsageError("--restarts must be >= 1")
-
-    data = load_csv(opts["in_path"])
+    data = load_csv(opts["in"])
     result = fls_cluster(
         data,
-        n_clusters,
+        opts["k"],
         config,
         seed=opts["seed"],
-        drop_first=bool(opts["drop_first"]),
-        normalize_sphere=bool(opts["normalize_sphere"]),
+        drop_first=opts["drop_first"],
+        normalize_sphere=opts["normalize_sphere"],
         svd_path=opts["svd"],
-        kmeans_restarts=int(opts["restarts"]),
+        kmeans_restarts=opts["restarts"],
     )
+    neighbors, scales = config.resolve_scales(data.n)
     payload = result.to_json()
     payload["config"] = {
-        "k": n_clusters,
+        "k": opts["k"],
         "d": config.flat_dim,
         "landmarks": config.n_landmarks,
         "method": config.method,
         "sigma": result.sigma,
-        "drop_first": bool(opts["drop_first"]),
-        "normalize_sphere": bool(opts["normalize_sphere"]),
+        "linear": config.linear,
+        "neighbors": neighbors,
+        "scales": scales,
+        "drop_first": opts["drop_first"],
+        "normalize_sphere": opts["normalize_sphere"],
         "svd": opts["svd"],
-        "restarts": int(opts["restarts"]),
+        "restarts": opts["restarts"],
         "seed": opts["seed"],
     }
     if opts["embedding_csv"]:
@@ -490,21 +329,21 @@ def cmd_bench(opts) -> int:
     from .evaluation import benchmark_suite, format_benchmark_table
 
     models = _load_suite(opts["suite"])
-    if int(opts["trials"]) < 0:
+    if opts["trials"] < 0:
         raise UsageError("--trials must be >= 0")
     rows = benchmark_suite(
         models,
-        n_trials=int(opts["trials"]),
+        n_trials=opts["trials"],
         seed=opts["seed"],
-        n_landmarks=int(opts["landmarks"]),
+        n_landmarks=opts["landmarks"],
         method=opts["method"],
-        flat_dim=None if opts["flat_dim"] is None else int(opts["flat_dim"]),
-        sigma=_sigma_value(opts["sigma"]),
-        drop_first=bool(opts["drop_first"]),
-        normalize_sphere=bool(opts["normalize_sphere"]),
-        linear=bool(opts["linear"]),
+        flat_dim=opts["flat_dim"],
+        sigma=opts["sigma"],
+        drop_first=opts["drop_first"],
+        normalize_sphere=opts["normalize_sphere"],
+        linear=opts["linear"],
         svd_path=opts["svd"],
-        kmeans_restarts=int(opts["restarts"]),
+        kmeans_restarts=opts["restarts"],
     )
     if opts["per_trial"]:
         # labels contain commas ("(2,2) in R^6"), so quote via csv
@@ -519,7 +358,7 @@ def cmd_bench(opts) -> int:
     fmt = opts["format"]
     if fmt == "json":
         text = _dump_json(
-            {"suite": opts["suite"], "trials": int(opts["trials"]), "models": [r.to_json() for r in rows]}
+            {"suite": opts["suite"], "trials": opts["trials"], "models": [r.to_json() for r in rows]}
         )
     elif fmt == "csv":
         buf = io.StringIO()
@@ -542,12 +381,12 @@ def _verify_grid_data(opts):
     from .rng import make_rng, split
 
     grid_seed, _ = split(opts["seed"], 2)
-    m = int(opts["grid_points"])
+    m = opts["grid_points"]
     family_name = opts["family"]
-    sigma = float(opts["sigma"])
+    sigma = opts["sigma"]
     if family_name == "rff":
-        points = make_rng(grid_seed).uniform(-1.0, 1.0, size=(m, int(opts["dim"])))
-        return points, RffFamily(sigma=sigma, dim=int(opts["dim"]))
+        points = make_rng(grid_seed).uniform(-1.0, 1.0, size=(m, opts["dim"]))
+        return points, RffFamily(sigma=sigma, dim=opts["dim"])
     model = SyntheticModel(dims=(2, 2), ambient=6, pts_per_subspace=max(2, m // 2))
     points = gen_synthetic(model, grid_seed).points
     if family_name == "landmark":
@@ -560,29 +399,18 @@ def cmd_verify_kernel(opts) -> int:
     from .evaluation import hoeffding_check, verify_kernel_convergence
     from .rng import split
 
-    counts = _int_list(opts["counts"])
+    counts = opts["counts"]
     points, family = _verify_grid_data(opts)
     conv_seed, tail_seed = split(opts["seed"], 3)[1:]
     records = verify_kernel_convergence(
         family,
         points,
         counts,
-        reps=int(opts["reps"]),
+        reps=opts["reps"],
         seed=conv_seed,
-        ref_count=int(opts["ref_count"]),
+        ref_count=opts["ref_count"],
     )
-    payload = {
-        "family": opts["family"],
-        "decay": [
-            {
-                "count": r.count,
-                "median_max_error": r.median_max_error,
-                "mean_error": sum(r.rep_mean_errors) / len(r.rep_mean_errors),
-                "ref_half_split_error": r.ref_half_split_error,
-            }
-            for r in records
-        ],
-    }
+    payload = {"family": opts["family"], "decay": [asdict(r) for r in records]}
     lines = [f"{'count':>8}  {'median_max_err':>15}  {'mean_err':>12}"]
     for r in records:
         mean_err = sum(r.rep_mean_errors) / len(r.rep_mean_errors)
@@ -592,29 +420,13 @@ def cmd_verify_kernel(opts) -> int:
             raise UsageError("--eps tail checks need the rff family (exact kernel)")
         import numpy as np
 
-        x = np.zeros(int(opts["dim"]))
-        y = np.zeros(int(opts["dim"]))
-        y[0] = float(opts["sigma"])
+        x = np.zeros(opts["dim"])
+        y = np.zeros(opts["dim"])
+        y[0] = opts["sigma"]
         tail = hoeffding_check(
-            family,
-            x,
-            y,
-            counts,
-            _float_list(opts["eps"]),
-            reps=int(opts["hoeffding_reps"]),
-            seed=tail_seed,
+            family, x, y, counts, opts["eps"], reps=opts["hoeffding_reps"], seed=tail_seed
         )
-        payload["tail"] = [
-            {
-                "count": t.count,
-                "eps": t.eps,
-                "empirical": t.empirical,
-                "bound": t.bound,
-                "stderr": t.stderr,
-                "passed": t.passed,
-            }
-            for t in tail
-        ]
+        payload["tail"] = [asdict(t) for t in tail]
         lines.append("")
         lines.append(f"{'count':>8}  {'eps':>5}  {'empirical':>10}  {'bound':>8}  ok")
         for t in tail:
@@ -630,12 +442,12 @@ def cmd_verify_kernel(opts) -> int:
 def _two_cluster_points(opts, seed):
     from .datagen import SyntheticModel, gen_synthetic
 
-    dims = _int_list(opts["dims"])
+    dims = opts["dims"]
     model = SyntheticModel(
         dims=dims,
-        ambient=int(opts["ambient"]),
-        pts_per_subspace=max(2, int(opts["n"]) // len(dims)),
-        noise_sigma=float(opts["noise"]),
+        ambient=opts["ambient"],
+        pts_per_subspace=max(2, opts["n"] // len(dims)),
+        noise_sigma=opts["noise"],
     )
     return gen_synthetic(model, seed).points
 
@@ -646,32 +458,17 @@ def cmd_verify_perturbation(opts) -> int:
     from .rng import split
 
     rows = []
-    for child in split(opts["seed"], int(opts["repeats"])):
+    for child in split(opts["seed"], opts["repeats"]):
         data_seed, ref_seed, test_seed = split(child, 3)
         points = _two_cluster_points(opts, data_seed)
-        pool = landmark_flat_pool(points, flat_dim=int(opts["flat_dim"]))
-        family = FlatPoolFamily(flats=pool, sigma=float(opts["sigma"]))
+        pool = landmark_flat_pool(points, flat_dim=opts["flat_dim"])
+        family = FlatPoolFamily(flats=pool, sigma=opts["sigma"])
         record = verify_perturbation(
             points,
-            family.sample(int(opts["count"]), test_seed),
-            family.sample(int(opts["ref_count"]), ref_seed),
+            family.sample(opts["count"], test_seed),
+            family.sample(opts["ref_count"], ref_seed),
         )
         rows.append(record)
-    payload = [
-        {
-            "n": r.n,
-            "count": r.test_count,
-            "ref_count": r.ref_count,
-            "min_entry": r.min_entry,
-            "max_entry": r.max_entry,
-            "delta": r.delta,
-            "norms": [r.left_degree_norm, r.kernel_diff_norm, r.right_degree_norm],
-            "bounds": [r.left_degree_bound, r.kernel_diff_bound, r.right_degree_bound],
-            "total_norm": r.total_norm,
-            "bounds_hold": r.bounds_hold,
-        }
-        for r in rows
-    ]
     lines = [f"{'delta':>8}  {'norms (left/mid/right)':>28}  {'bounds':>28}  ok"]
     for r in rows:
         norms = f"{r.left_degree_norm:.4f}/{r.kernel_diff_norm:.4f}/{r.right_degree_norm:.4f}"
@@ -679,7 +476,10 @@ def cmd_verify_perturbation(opts) -> int:
         lines.append(
             f"{r.delta:>8.4f}  {norms:>28}  {bounds:>28}  {'yes' if r.bounds_hold else 'NO'}"
         )
-    text = _dump_json(payload) if opts["format"] == "json" else "\n".join(lines) + "\n"
+    if opts["format"] == "json":
+        text = _dump_json([asdict(r) for r in rows])
+    else:
+        text = "\n".join(lines) + "\n"
     _emit(text, opts["out"])
     return 0
 
@@ -689,34 +489,30 @@ def cmd_verify_eigvec(opts) -> int:
     from .landmarks import landmark_flat_pool
     from .rng import split
 
-    counts = _int_list(opts["counts"])
-    payload = []
-    for child in split(opts["seed"], int(opts["repeats"])):
+    repeats = []
+    for child in split(opts["seed"], opts["repeats"]):
         data_seed, verify_seed = split(child, 2)
         points = _two_cluster_points(opts, data_seed)
-        pool = landmark_flat_pool(points, flat_dim=int(opts["flat_dim"]))
-        family = FlatPoolFamily(flats=pool, sigma=float(opts["sigma"]))
-        records = verify_eigvec_convergence(
-            points,
-            family,
-            counts,
-            ref_count=int(opts["ref_count"]),
-            n_clusters=int(opts["k"]),
-            seed=verify_seed,
-        )
-        payload.append(
-            [
-                {"count": r.count, "eigvec_l2_error": r.eigvec_l2_error, "eigengap": r.eigengap}
-                for r in records
-            ]
+        pool = landmark_flat_pool(points, flat_dim=opts["flat_dim"])
+        family = FlatPoolFamily(flats=pool, sigma=opts["sigma"])
+        repeats.append(
+            verify_eigvec_convergence(
+                points,
+                family,
+                opts["counts"],
+                ref_count=opts["ref_count"],
+                n_clusters=opts["k"],
+                seed=verify_seed,
+            )
         )
     lines = [f"{'count':>8}  {'eigvec_l2_error':>16}  {'eigengap':>10}"]
-    for records in payload:
+    for records in repeats:
         for r in records:
-            lines.append(
-                f"{r['count']:>8}  {r['eigvec_l2_error']:>16.6f}  {r['eigengap']:>10.4f}"
-            )
-    text = _dump_json(payload) if opts["format"] == "json" else "\n".join(lines) + "\n"
+            lines.append(f"{r.count:>8}  {r.eigvec_l2_error:>16.6f}  {r.eigengap:>10.4f}")
+    if opts["format"] == "json":
+        text = _dump_json([[asdict(r) for r in records] for records in repeats])
+    else:
+        text = "\n".join(lines) + "\n"
     _emit(text, opts["out"])
     return 0
 
@@ -725,53 +521,173 @@ def cmd_verify_rotation(opts) -> int:
     from .evaluation import verify_rotation_invariance
 
     records, fraction = verify_rotation_invariance(
-        dim=int(opts["dim"]),
-        flat_dim=int(opts["flat_dim"]),
-        n_pairs=int(opts["pairs"]),
-        count=int(opts["count"]),
+        dim=opts["dim"],
+        flat_dim=opts["flat_dim"],
+        n_pairs=opts["pairs"],
+        count=opts["count"],
         seed=opts["seed"],
-        sigma=float(opts["sigma"]),
-        pair_distance=float(opts["distance"]),
+        sigma=opts["sigma"],
+        pair_distance=opts["distance"],
     )
-    payload = {
-        "fraction_within": fraction,
-        "pairs": [
-            {
-                "estimate": r.estimate,
-                "rotated_estimate": r.rotated_estimate,
-                "stderr": r.stderr,
-                "rotated_stderr": r.rotated_stderr,
-                "within": r.within,
-            }
-            for r in records
-        ],
-    }
     if opts["format"] == "json":
-        text = _dump_json(payload)
+        text = _dump_json({"fraction_within": fraction, "pairs": [asdict(r) for r in records]})
     else:
         text = f"fraction of pairs within 3 SE: {fraction:.3f} ({len(records)} pairs)\n"
     _emit(text, opts["out"])
     return 0
 
 
+@dataclass(frozen=True)
+class Command:
+    run: Callable
+    help: str
+    options: tuple
+
+
+_COMMON = (
+    Option("--seed", int, 0, "random seed, else env FLS_SEED", env="FLS_SEED"),
+    Option(
+        "--threads", _positive_int, None, "BLAS thread cap, else env FLS_THREADS", env="FLS_THREADS"
+    ),
+)
+_VERIFY_FORMAT = Option("--format", ("table", "json"), "table", "report format")
+_VERIFY_OUT = Option("--out", str, None, "write the report here instead of stdout")
+_TWO_CLUSTER = (
+    Option("--n", int, 300, "number of points"),
+    Option("--dims", _int_list, (2, 2), "subspace dims"),
+    Option("--ambient", int, 6, "ambient dimension"),
+    Option("--noise", float, 0.05, "noise standard deviation"),
+    Option("--ref-count", int, 50000, "reference feature count"),
+    Option("--sigma", float, 1.5, "kernel bandwidth"),
+    Option("--flat-dim", int, 2, "flat dimension"),
+    Option("--repeats", int, 1, "independent datasets"),
+)
+
+# (command, option) table; a command nested under "verify" is named "verify <name>"
+_COMMANDS = {
+    "gen": Command(
+        cmd_gen,
+        "generate synthetic union-of-subspaces data",
+        (
+            Option("--dims", _int_list, None, "subspace dims, e.g. 2,2", required=True),
+            Option("--ambient", int, None, "ambient dimension", required=True),
+            Option("--pts", int, 250, "points per subspace"),
+            Option("--noise", float, 0.05, "noise standard deviation"),
+            Option("--outliers", float, 0.0, "outlier ratio"),
+            Option("--out", str, None, "output directory", required=True),
+        )
+        + _COMMON,
+    ),
+    "cluster": Command(
+        cmd_cluster,
+        "cluster a CSV of points",
+        (
+            Option("--in", str, None, "input points CSV", required=True),
+            Option("--k", _positive_int, None, "number of clusters", required=True),
+            Option("--d", int, None, "flat dimension", required=True),
+            Option("--landmarks", int, 100, "number of landmarks"),
+            Option("--method", ("random", "kmeans"), "random", "landmark selection"),
+            Option("--sigma", _sigma_value, None, "bandwidth, or 'auto' (default)"),
+            Option("--neighbors", int, None, "smallest neighbourhood size"),
+            Option("--scales", int, None, "number of neighbourhood sizes"),
+            Option("--linear", bool, False, "fit linear flats through the origin"),
+            Option("--drop-first", bool, False, "drop the top singular vector"),
+            Option("--normalize-sphere", bool, False, "project points to the unit sphere"),
+            Option("--svd", ("gram", "power"), "gram", "truncated SVD path"),
+            Option("--restarts", _positive_int, 1, "k-means restarts"),
+            Option("--out", str, None, "result JSON path (default: stdout)"),
+            Option("--embedding-csv", str, None, "save the spectral embedding rows here"),
+        )
+        + _COMMON,
+    ),
+    "bench": Command(
+        cmd_bench,
+        "run a benchmark suite",
+        (
+            Option("--suite", str, "synthetic5", "synthetic5 | synthetic30 | JSON file"),
+            Option("--trials", int, 10, "trials per model"),
+            Option("--landmarks", int, 100, "number of landmarks"),
+            Option("--method", ("random", "kmeans"), "kmeans", "landmark selection"),
+            Option("--flat-dim", int, None, "flat dimension (default: largest model dim)"),
+            Option("--sigma", _sigma_value, 0.3, "bandwidth or 'auto'"),
+            Option("--restarts", _positive_int, 3, "k-means restarts"),
+            Option("--drop-first", bool, True, "drop the top singular vector"),
+            Option("--normalize-sphere", bool, True, "project points to the unit sphere"),
+            Option("--linear", bool, True, "fit linear flats through the origin"),
+            Option("--svd", ("gram", "power"), "gram", "truncated SVD path"),
+            Option("--format", ("table", "json", "csv"), "table", "report format"),
+            Option("--out", str, None, "write the report here instead of stdout"),
+            Option("--per-trial", str, None, "per-trial CSV"),
+        )
+        + _COMMON,
+    ),
+    "verify kernel": Command(
+        cmd_verify_kernel,
+        "kernel approximation error decay",
+        (
+            Option("--family", ("rff", "subspace", "landmark"), "rff", "kernel family"),
+            Option("--sigma", float, 1.0, "kernel bandwidth"),
+            Option("--dim", int, 5, "point dimension (rff)"),
+            Option("--grid-points", int, 100, "points in the pair grid"),
+            Option("--counts", _int_list, (250, 1000, 4000), "feature counts"),
+            Option("--reps", int, 10, "specs drawn per count"),
+            Option("--ref-count", int, 50000, "reference feature count"),
+            Option("--eps", _float_list, None, "tail thresholds, e.g. 0.1,0.2"),
+            Option("--hoeffding-reps", int, 200, "specs drawn per tail check"),
+            _VERIFY_FORMAT,
+            _VERIFY_OUT,
+        )
+        + _COMMON,
+    ),
+    "verify perturbation": Command(
+        cmd_verify_perturbation,
+        "normalized-matrix perturbation bounds",
+        _TWO_CLUSTER
+        + (Option("--count", int, 400, "test feature count"), _VERIFY_FORMAT, _VERIFY_OUT)
+        + _COMMON,
+    ),
+    "verify eigvec": Command(
+        cmd_verify_eigvec,
+        "second-eigenvector stability",
+        _TWO_CLUSTER
+        + (
+            Option("--counts", _int_list, (100, 400, 1600), "test feature counts"),
+            Option("--k", int, 2, "number of clusters"),
+            _VERIFY_FORMAT,
+            _VERIFY_OUT,
+        )
+        + _COMMON,
+    ),
+    "verify rotation": Command(
+        cmd_verify_rotation,
+        "rotation invariance of the uniform-flat kernel",
+        (
+            Option("--dim", int, 3, "ambient dimension"),
+            Option("--flat-dim", int, 1, "flat dimension"),
+            Option("--pairs", int, 100, "point pairs"),
+            Option("--count", int, 100000, "flats per estimate"),
+            Option("--sigma", float, 1.0, "kernel bandwidth"),
+            Option("--distance", float, 1.0, "distance within each pair"),
+            _VERIFY_FORMAT,
+            _VERIFY_OUT,
+        )
+        + _COMMON,
+    ),
+}
+
+
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        _set_threads_env(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
 
     from .errors import FLSError, InvalidParam
 
     try:
-        opts = _merged_options(args)
-        return args.func(opts)
+        opts = _resolve_options(args)
+        _set_threads_env(opts["threads"])
+        return args.command_spec.run(opts)
     except (UsageError, InvalidParam) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

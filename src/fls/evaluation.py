@@ -204,7 +204,11 @@ def verify_kernel_convergence(
     over all ordered point pairs.  Monte Carlo averaging predicts the
     median max error to shrink like 1/sqrt(D).
     """
+    if reps < 1:
+        raise InvalidParam(f"reps={reps} must be >= 1")
     pts = as_points(points)
+    if pts.shape[0] < 1:
+        raise InvalidParam("verify_kernel_convergence needs at least one point")
     children = split(seed, len(counts) * reps + 1)
     exact, eps_ref = _reference_kernel(family, pts, ref_count, children[-1])
     records = []
@@ -245,6 +249,8 @@ def hoeffding_check(family, x, y, counts, eps_values, reps: int = 200, seed=0):
     often |psi(x)^T psi(y) - k(x, y)| >= eps.  Passes when the frequency
     stays within three binomial standard errors of the bound.
     """
+    if reps < 1:
+        raise InvalidParam(f"reps={reps} must be >= 1")
     pair = np.vstack([x, y]).astype(float)
     exact = family.exact_matrix(pair)
     if exact is None:
@@ -463,6 +469,10 @@ def verify_rotation_invariance(
     three times the sum of their standard errors.  Returns
     (records, fraction_within).
     """
+    if n_pairs < 1:
+        raise InvalidParam(f"n_pairs={n_pairs} must be >= 1")
+    if count < 2:
+        raise InvalidParam(f"count={count} must be >= 2 for a standard error")
     if not 0.0 <= pair_distance <= 2.0:
         raise InvalidParam("pair_distance must lie in [0, 2] for sphere pairs")
     cos_angle = 1.0 - pair_distance**2 / 2.0

@@ -9,7 +9,8 @@ import sys
 
 import pytest
 
-from fls.cli import main
+from fls.cli import _COMMANDS, main
+from test_acceptance import BENCH_KWARGS
 
 
 def run(argv):
@@ -123,6 +124,17 @@ class TestCluster:
         sigma = json.loads(capsys.readouterr().out)["config"]["sigma"]
         assert isinstance(sigma, float) and sigma >= 1e-6
 
+    def test_config_block_states_linear_and_ladder(self, data_dir, capsys):
+        capsys.readouterr()
+        assert run(self.base_args(data_dir)) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        # n = 20, d = 1: S = 2 (d + 1) = 4, T = ceil(log2(20 / 4)) + 1 = 4
+        assert (config["linear"], config["neighbors"], config["scales"]) == (False, 4, 4)
+        flags = ["--linear", "--neighbors", "3", "--scales", "2"]
+        assert run(self.base_args(data_dir) + flags) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["linear"], config["neighbors"], config["scales"]) == (True, 3, 2)
+
     def test_sigma_zero_is_usage_error(self, data_dir, capsys):
         rc = run(self.base_args(data_dir) + ["--sigma", "0"])
         assert rc == 2
@@ -165,6 +177,39 @@ class TestConfigFile:
         )
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["config"]["k"] == 2
+
+    def test_in_key_accepted(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        doc = {"in": str(data_dir / "points.csv"), "k": 2, "d": 1, "landmarks": 8, "seed": 3}
+        cfg.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["cluster", "--config", str(cfg)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["labels"]) == 20
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("linear", "false"),  # a string, not a JSON boolean
+            ("seed", "abc"),
+            ("k", "two"),
+            ("restarts", 2.7),  # not an integer
+            ("svd", "bogus"),
+        ],
+    )
+    def test_config_value_parsed_like_its_flag(self, data_dir, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 2, "d": 1, "landmarks": 8, "seed": 3, key: value}))
+        rc = run(["cluster", "--in", str(data_dir / "points.csv"), "--config", str(cfg)])
+        assert rc == 2
+        assert f"--{key}" in capsys.readouterr().err
+
+    def test_config_list_value_matches_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dims": [1, 1], "ambient": 3, "pts": 6, "seed": 5}))
+        assert run(["gen", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert run(gen_args(tmp_path / "b")) == 0
+        a = (tmp_path / "a" / "points.csv").read_bytes()
+        assert a == (tmp_path / "b" / "points.csv").read_bytes()
 
     def test_unknown_config_key_rejected(self, data_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -367,6 +412,29 @@ class TestVerifyCommands:
         assert len(doc) == 1
         assert doc[0]["bounds_hold"] is True
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["rotation", "--pairs", "0"], "n_pairs"),
+            (["rotation", "--count", "1"], "count"),
+            (["kernel", "--reps", "0"], "reps"),
+            (["kernel", "--hoeffding-reps", "0", "--eps", "0.1"], "reps"),
+            (["kernel", "--grid-points", "0"], "point"),
+        ],
+        ids=[
+            "rotation-pairs-0",
+            "rotation-count-1",
+            "kernel-reps-0",
+            "kernel-hoeffding-reps-0",
+            "kernel-grid-points-0",
+        ],
+    )
+    def test_unusable_count_is_usage_error(self, capsys, argv, name):
+        small = ["--counts", "20", "--grid-points", "5"] if argv[0] == "kernel" else []
+        rc = run(["verify", *argv[:1], *small, *argv[1:], "--seed", "0", "--format", "json"])
+        assert rc == 2
+        assert name in capsys.readouterr().err
+
     def test_missing_verify_subcommand(self):
         rc = run(["verify"])
         assert rc == 2
@@ -407,6 +475,29 @@ class TestEnvAndThreads:
         assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("name", sorted(_COMMANDS))
+    def test_subcommand_help_lists_every_option(self, capsys, name):
+        assert run([*name.split(), "--help"]) == 0
+        out = capsys.readouterr().out
+        for opt in _COMMANDS[name].options:
+            assert opt.flag in out
+        assert "--config" in out
+
+    def test_bench_defaults_are_the_reference_configuration(self, monkeypatch):
+        import fls.evaluation
+
+        calls = []
+
+        def fake_suite(models, **kwargs):
+            calls.append(kwargs)
+            return []
+
+        monkeypatch.setattr(fls.evaluation, "benchmark_suite", fake_suite)
+        assert run(["bench", "--trials", "0", "--format", "json"]) == 0
+        assert {key: calls[0][key] for key in BENCH_KWARGS} == BENCH_KWARGS
 
 
 def subprocess_env():

@@ -151,6 +151,11 @@ class TestKernelConvergence:
             assert len(r.rep_max_errors) == 5
             assert all(m >= mu for m, mu in zip(r.rep_max_errors, r.rep_mean_errors))
 
+    def test_zero_reps_rejected(self, rng):
+        fam = RffFamily(sigma=1.0, dim=3)
+        with pytest.raises(InvalidParam, match="reps"):
+            verify_kernel_convergence(fam, rng.uniform(size=(5, 3)), [50], reps=0)
+
     def test_sampled_reference_reports_slack(self, rng):
         pts = rng.standard_normal((10, 3))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
@@ -178,6 +183,11 @@ class TestHoeffding:
                 math.sqrt(r.empirical * (1 - r.empirical) / 100)
             )
             assert r.passed == (r.empirical <= r.bound + 3 * r.stderr)
+
+    def test_zero_reps_rejected(self):
+        fam = RffFamily(sigma=1.0, dim=3)
+        with pytest.raises(InvalidParam, match="reps"):
+            hoeffding_check(fam, np.zeros(3), np.ones(3), [50], [0.1], reps=0)
 
     def test_needs_exact_kernel(self):
         fam = GrassmannFamily(dim=3, flat_dim=1, sigma=1.0)
@@ -264,6 +274,12 @@ class TestRotationInvariance:
         for r in records:
             assert 0.0 < r.estimate <= 1.0
             assert r.stderr > 0.0
+
+    @pytest.mark.parametrize("kwargs", [{"n_pairs": 0}, {"count": 1}], ids=["pairs-0", "count-1"])
+    def test_unusable_counts_rejected(self, kwargs):
+        # no pairs gives no fraction; one flat gives no standard error
+        with pytest.raises(InvalidParam):
+            verify_rotation_invariance(3, 1, **{"n_pairs": 2, "count": 10, **kwargs})
 
     def test_bad_distance(self):
         with pytest.raises(InvalidParam):
