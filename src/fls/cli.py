@@ -349,10 +349,17 @@ def cmd_bench(opts) -> int:
         # labels contain commas ("(2,2) in R^6"), so quote via csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["model", "trial", "rate", "time_s"])
+        writer.writerow(["model", "trial", "rate", "time_s", "failure"])
         for row in rows:
-            for t, (rate, secs) in enumerate(zip(row.rates, row.times)):
-                writer.writerow([row.label, t, f"{rate:.6f}", f"{secs:.6f}"])
+            failed = {f.trial: f for f in row.failures}
+            done = iter(zip(row.rates, row.times))
+            for t in range(len(row.rates) + len(failed)):
+                if t in failed:
+                    f = failed[t]
+                    writer.writerow([row.label, t, "", "", f"stage '{f.stage}': {f.message}"])
+                else:
+                    rate, secs = next(done)
+                    writer.writerow([row.label, t, f"{rate:.6f}", f"{secs:.6f}", ""])
         with open(opts["per_trial"], "w", encoding="utf-8", newline="\n") as fh:
             fh.write(buf.getvalue())
     fmt = opts["format"]

@@ -67,3 +67,4 @@ class PipelineError(FLSError):
     def __init__(self, stage, cause):
         super().__init__(f"stage '{stage}': {cause}")
         self.stage = stage
+        self.cause = cause

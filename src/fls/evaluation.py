@@ -9,6 +9,7 @@ eigenvector, and rotation invariance of the uniform-flat kernel.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .cluster import dense_normalized, fls_cluster
 from .datagen import SyntheticModel, as_points, gen_synthetic
-from .errors import DeltaTooLarge, EigengapTooSmall, InvalidParam
+from .errors import DeltaTooLarge, EigengapTooSmall, InvalidParam, PipelineError
 from .kernels import (
     LandmarkGaussian,
     SubspaceKernel,
@@ -529,19 +530,39 @@ def model_label(model: SyntheticModel) -> str:
 
 
 @dataclass(frozen=True)
+class TrialFailure:
+    """A benchmark trial whose pipeline raised: its index, stage and message."""
+
+    trial: int
+    stage: str
+    message: str
+
+
+@dataclass(frozen=True)
 class BenchmarkRow:
+    """One model's trials.  rates and times hold the completed trials in
+    trial order; the means are over those, NaN when none completed."""
+
     label: str
     mean_rate: float
     mean_time_s: float
     rates: tuple
     times: tuple
+    failures: tuple = ()
 
     def to_json(self) -> dict:
+        def finite(x):
+            return x if math.isfinite(x) else None
+
         return {
             "model": self.label,
-            "mean_rate": self.mean_rate,
+            "mean_rate": finite(self.mean_rate),
             "rates": list(self.rates),
-            "timings": {"mean_time_s": self.mean_time_s, "times_s": list(self.times)},
+            "timings": {
+                "mean_time_s": finite(self.mean_time_s),
+                "times_s": list(self.times),
+            },
+            "failures": [dataclasses.asdict(f) for f in self.failures],
         }
 
 
@@ -566,7 +587,9 @@ def benchmark_suite(
     each model.  Points are projected to the unit sphere by default; the
     subspace kernel is built for spherical data, and without the
     projection far-out outliers get vanishing kernel rows.  Time is the
-    sum of the pipeline stage timings (data generation excluded).
+    sum of the pipeline stage timings (data generation excluded).  A
+    trial whose pipeline raises PipelineError is recorded in the row's
+    failures and left out of its means; the other trials still run.
     """
     if n_trials < 0:
         raise InvalidParam("n_trials must be >= 0")
@@ -581,44 +604,57 @@ def benchmark_suite(
             sigma=sigma,
             linear=linear,
         )
-        rates, times = [], []
-        for child in split(seed, n_trials * len(models))[
-            m * n_trials : (m + 1) * n_trials
-        ]:
+        rates, times, failures = [], [], []
+        for trial, child in enumerate(
+            split(seed, n_trials * len(models))[m * n_trials : (m + 1) * n_trials]
+        ):
             gen_seed, fit_seed = split(child, 2)
             data = gen_synthetic(model, gen_seed)
-            result = fls_cluster(
-                data,
-                model.n_clusters,
-                config,
-                seed=fit_seed,
-                drop_first=drop_first,
-                normalize_sphere=normalize_sphere,
-                svd_path=svd_path,
-                kmeans_restarts=kmeans_restarts,
-            )
+            try:
+                result = fls_cluster(
+                    data,
+                    model.n_clusters,
+                    config,
+                    seed=fit_seed,
+                    drop_first=drop_first,
+                    normalize_sphere=normalize_sphere,
+                    svd_path=svd_path,
+                    kmeans_restarts=kmeans_restarts,
+                )
+            except PipelineError as exc:
+                failures.append(TrialFailure(trial, exc.stage, str(exc.cause)))
+                continue
             report = clustering_rate(result.labels, data.labels, data.outlier_mask)
             rates.append(report.rate)
             times.append(sum(result.timings.values()))
         rows.append(
             BenchmarkRow(
                 label=model_label(model),
-                mean_rate=float(np.mean(rates)),
-                mean_time_s=float(np.mean(times)),
+                mean_rate=float(np.mean(rates)) if rates else math.nan,
+                mean_time_s=float(np.mean(times)) if times else math.nan,
                 rates=tuple(rates),
                 times=tuple(times),
+                failures=tuple(failures),
             )
         )
     return rows
 
 
 def format_benchmark_table(rows) -> str:
-    """Aligned-column text table of benchmark results."""
+    """Aligned-column text table of benchmark results.
+
+    Means are over completed trials; ``failed`` counts the others, each
+    listed with its stage and message below the table.
+    """
     label_width = max([len(r.label) for r in rows] + [len("model")])
-    header = f"{'model':<{label_width}}  {'rate':>6}  {'time_s':>8}"
+    header = f"{'model':<{label_width}}  {'rate':>6}  {'time_s':>8}  {'failed':>6}"
     lines = [header, "-" * len(header)]
     for r in rows:
         lines.append(
             f"{r.label:<{label_width}}  {r.mean_rate:>6.3f}  {r.mean_time_s:>8.2f}"
+            f"  {len(r.failures):>6}"
         )
+    for r in rows:
+        for f in r.failures:
+            lines.append(f"failed: {r.label} trial {f.trial}, stage '{f.stage}': {f.message}")
     return "\n".join(lines)

@@ -8,6 +8,7 @@ entry points reject NaN/Inf.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -16,6 +17,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import DegenerateInput, InvalidParam, RankDeficient
 from .rng import make_rng, split
+
+log = logging.getLogger(__name__)
 
 
 def check_finite(a, name: str = "array") -> np.ndarray:
@@ -207,7 +210,7 @@ def truncated_svd_power(
     two skinny products A @ V and A.T @ (A V), i.e. O(k n D), plus QR of
     the block.  Stops after ``max_iter`` sweeps or when the sine of the
     largest principal angle between successive subspaces drops below
-    ``tol``.
+    ``tol``; stopping at ``max_iter`` logs a warning with that sine.
     """
     a = check_finite(a, "matrix")
     if a.ndim != 2:
@@ -217,13 +220,22 @@ def truncated_svd_power(
         raise InvalidParam(f"k={k} not in [1, {min(d_rows, n)}]")
     rng = make_rng(seed)
     v, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    angle = math.inf
     for _ in range(max_iter):
         q, _ = np.linalg.qr(a @ v)
         v_next, _ = np.linalg.qr(a.T @ q)
         cosines = np.linalg.svd(v.T @ v_next, compute_uv=False)
         v = v_next
-        if math.sqrt(max(0.0, 1.0 - min(cosines) ** 2)) < tol:
+        angle = math.sqrt(max(0.0, 1.0 - min(cosines) ** 2))
+        if angle < tol:
             break
+    else:
+        log.warning(
+            "power SVD did not converge: subspace angle %.3e after %d sweeps (tol %.1e)",
+            angle,
+            max_iter,
+            tol,
+        )
     # extract triples from the converged subspace
     m = a @ v
     left_small, svals, wt = np.linalg.svd(m, full_matrices=False)
@@ -231,21 +243,54 @@ def truncated_svd_power(
     return _package_svd(left_small, svals, right)
 
 
-def _sq_dists(points, centers):
-    # squared euclidean distances, m x K, clipped at zero
-    d2 = (
-        (points**2).sum(axis=1)[:, None]
-        - 2.0 * points @ centers.T
-        + (centers**2).sum(axis=1)[None, :]
-    )
-    return np.clip(d2, 0.0, None)
+# Entries of one row block of the assignment pass (4 MiB of float64): a
+# sweep holds one block of distances, never an n x K array.
+_BLOCK_ENTRIES = 2**19
 
 
-def _kmeanspp(points, k, rng):
+def _assign(points, x_sq, centers, labels, mins):
+    """Nearest center of every point and its squared distance, in place.
+
+    Distances are x_sq - 2 x.c + c_sq clipped at zero, one row block at a
+    time.  Folding the -2 into the centers is exact, so they are
+    bit-identical to the unblocked expression; the clip stays because it
+    decides ties between centers whose distance rounds below zero.
+    Blocks are near-equal in size and hold at least two rows unless the
+    input is one row: numpy hands a one-row product to GEMV, whose sums
+    differ from GEMM's in the last bit.
+    """
+    m, k = points.shape[0], centers.shape[0]
+    blocks = -(-m // max(4, _BLOCK_ENTRIES // k))
+    buf = np.empty((-(-m // blocks), k))
+    neg2c = (-2.0 * centers).T
+    c_sq = (centers**2).sum(axis=1)
+    for b in range(blocks):
+        start, stop = m * b // blocks, m * (b + 1) // blocks
+        g = np.matmul(points[start:stop], neg2c, out=buf[: stop - start])
+        g += x_sq[start:stop, None]
+        g += c_sq
+        np.maximum(g, 0.0, out=g)
+        lab = np.argmin(g, axis=1, out=labels[start:stop])
+        mins[start:stop] = g[np.arange(stop - start), lab]
+
+
+def _kmeanspp(points, x_sq, k, rng):
     m = points.shape[0]
     centers = np.empty((k, points.shape[1]))
+    d2 = np.empty(m)
+    new = np.empty(m)
+
+    def dists_to(j, out):
+        # one GEMV, in the operation order of _assign
+        c = centers[j]
+        np.matmul(points, -2.0 * c, out=out)
+        out += x_sq
+        out += (c**2).sum()
+        np.maximum(out, 0.0, out=out)
+        return out
+
     centers[0] = points[int(rng.integers(m))]
-    d2 = _sq_dists(points, centers[:1]).ravel()
+    dists_to(0, d2)
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -253,37 +298,39 @@ def _kmeanspp(points, k, rng):
         else:
             idx = int(rng.choice(m, p=d2 / total))
         centers[j] = points[idx]
-        d2 = np.minimum(d2, _sq_dists(points, centers[j : j + 1]).ravel())
+        np.minimum(d2, dists_to(j, new), out=d2)
     return centers
 
 
 def _lloyd(points, k, rng, max_iter, tol):
+    """One seeded Lloyd run: (labels, centers, inertia, converged)."""
     m = points.shape[0]
-    centers = _kmeanspp(points, k, rng)
+    x_sq = (points**2).sum(axis=1)
+    centers = _kmeanspp(points, x_sq, k, rng)
+    labels = np.empty(m, dtype=np.intp)
+    mins = np.empty(m)
     prev = math.inf
     for _ in range(max_iter):
-        d2 = _sq_dists(points, centers)
-        labels = np.argmin(d2, axis=1)
-        inertia = float(d2[np.arange(m), labels].sum())
+        _assign(points, x_sq, centers, labels, mins)
+        inertia = float(mins.sum())
         if math.isfinite(prev) and abs(prev - inertia) <= tol * max(prev, 1e-300):
-            break
+            # centers have not moved since this assignment, so it is final
+            return labels, centers, inertia, True
         prev = inertia
         counts = np.bincount(labels, minlength=k)
-        sums = np.zeros_like(centers)
-        np.add.at(sums, labels, points)
-        nearest = d2[np.arange(m), labels].copy()
-        for j in range(k):
-            if counts[j] > 0:
-                centers[j] = sums[j] / counts[j]
-            else:
-                # re-seed an emptied centroid at the farthest point
-                far = int(np.argmax(nearest))
-                centers[j] = points[far]
-                nearest[far] = -1.0
-    d2 = _sq_dists(points, centers)
-    labels = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(m), labels].sum())
-    return labels, centers, inertia
+        # per-column bincount adds in point order, like np.add.at, but faster
+        sums = np.stack(
+            [np.bincount(labels, weights=col, minlength=k) for col in points.T], axis=1
+        )
+        full = counts > 0
+        centers[full] = sums[full] / counts[full, None]
+        for j in np.flatnonzero(~full):
+            # re-seed an emptied centroid at the farthest point
+            far = int(np.argmax(mins))
+            centers[j] = points[far]
+            mins[far] = -1.0
+    _assign(points, x_sq, centers, labels, mins)
+    return labels, centers, float(mins.sum()), False
 
 
 def kmeans(
@@ -297,10 +344,13 @@ def kmeans(
     """Lloyd's algorithm with kmeans++ seeding.
 
     Iterates until the relative inertia change drops below ``tol`` or
-    ``max_iter`` passes.  Clusters emptied by an update are re-seeded at
-    the point farthest from its current centroid.  Deterministic for a
-    given seed; with ``restarts`` > 1 the lowest-inertia run wins (child
-    streams are spawned, not reused).
+    ``max_iter`` passes; one warning is logged naming how many restarts
+    reached ``max_iter`` first.  Each pass assigns the points in row
+    blocks, so its temporary memory is O(block * k), not O(n * k).
+    Clusters emptied by an update are re-seeded at the point farthest
+    from its current centroid.  Deterministic for a given seed; with
+    ``restarts`` > 1 the lowest-inertia run wins (child streams are
+    spawned, not reused).
 
     Returns (labels, centroids, inertia); every point is assigned to its
     nearest returned centroid.
@@ -314,11 +364,21 @@ def kmeans(
         raise InvalidParam(f"restarts={restarts} must be >= 1")
     if pts.shape[0] < k:
         raise DegenerateInput(f"{pts.shape[0]} points cannot fill {k} clusters")
-    best = None
+    best, unconverged = None, 0
     for child in split(seed, restarts):
-        run = _lloyd(pts, k, make_rng(child), max_iter, tol)
+        *run, converged = _lloyd(pts, k, make_rng(child), max_iter, tol)
+        unconverged += not converged
         if best is None or run[2] < best[2]:
-            best = run
+            best = tuple(run)
+    if unconverged:
+        log.warning(
+            "k-means did not converge: %d of %d restarts stopped at max_iter=%d "
+            "with relative inertia change above tol=%.1e",
+            unconverged,
+            restarts,
+            max_iter,
+            tol,
+        )
     return best
 
 

@@ -72,6 +72,7 @@ def two_cluster_points(pts_per, seed):
 def test_benchmark_low_outlier_rates():
     rows = run_benchmark(0.05)
     for row, floor in zip(rows, LOW_OUTLIER_FLOORS):
+        assert not row.failures, f"{row.label}: {row.failures}"
         assert row.mean_rate >= floor, f"{row.label}: {row.mean_rate:.3f} < {floor}"
         assert sum(row.times) < 60.0, f"{row.label}: {sum(row.times):.1f}s"
 
@@ -79,6 +80,7 @@ def test_benchmark_low_outlier_rates():
 def test_benchmark_high_outlier_rates():
     rows = run_benchmark(0.30)
     for row, floor in zip(rows, HIGH_OUTLIER_FLOORS):
+        assert not row.failures, f"{row.label}: {row.failures}"
         assert row.mean_rate >= floor, f"{row.label}: {row.mean_rate:.3f} < {floor}"
         assert sum(row.times) < 60.0, f"{row.label}: {sum(row.times):.1f}s"
 

@@ -278,12 +278,47 @@ class TestBench:
         assert rc == 0
         with open(per, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["model", "trial", "rate", "time_s"]
+        assert rows[0] == ["model", "trial", "rate", "time_s", "failure"]
         assert len(rows) == 3
         # the label's comma must survive as one field
         assert [r[0] for r in rows[1:]] == ["(1,1) in R^3"] * 2
         assert [r[1] for r in rows[1:]] == ["0", "1"]
         assert all(0.0 <= float(r[2]) <= 1.0 for r in rows[1:])
+        assert [r[4] for r in rows[1:]] == ["", ""]
+
+    def test_failed_trial_is_reported_and_suite_goes_on(self, tmp_path, capsys):
+        # without sphere normalization one synthetic5 trial's kernel has a
+        # point of zero degree, so its svd stage fails
+        per = tmp_path / "per.csv"
+        rc = run(
+            [
+                "bench",
+                "--suite", "synthetic5",
+                "--trials", "1",
+                "--landmarks", "30",
+                "--no-normalize-sphere",
+                "--seed", "2",
+                "--format", "json",
+                "--per-trial", str(per),
+            ]
+        )
+        assert rc == 0
+        models = json.loads(capsys.readouterr().out)["models"]
+        assert len(models) == 4
+        failed = [m for m in models if m["failures"]]
+        assert failed
+        for m in failed:
+            assert m["rates"] == [] and m["mean_rate"] is None
+            assert m["failures"][0]["trial"] == 0
+            assert m["failures"][0]["stage"] == "svd"
+            assert "degree" in m["failures"][0]["message"]
+        completed = [m for m in models if not m["failures"]]
+        assert completed
+        assert all(0.0 <= m["mean_rate"] <= 1.0 for m in completed)
+        with open(per, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 4
+        assert sum(r[2] == "" and r[4].startswith("stage 'svd'") for r in rows) == len(failed)
 
     def test_csv_format(self, tmp_path, capsys):
         rc = run(

@@ -12,7 +12,9 @@ from fls.evaluation import (
     FlatPoolFamily,
     GrassmannFamily,
     LandmarkGaussianFamily,
+    BenchmarkRow,
     RffFamily,
+    TrialFailure,
     benchmark_suite,
     clustering_rate,
     format_benchmark_table,
@@ -351,3 +353,21 @@ class TestBenchmarkHarness:
         assert lines[0].startswith("model")
         assert "(1,1) in R^4" in lines[2]
         assert len(lines) == 3
+
+    def test_format_table_lists_failures(self):
+        rows = [
+            BenchmarkRow("(1,1) in R^4", 0.9, 0.5, (0.9,), (0.5,), ()),
+            BenchmarkRow(
+                "(2,2) in R^6",
+                0.8,
+                0.4,
+                (0.8,),
+                (0.4,),
+                (TrialFailure(1, "svd", "minimum degree 1e-22"),),
+            ),
+        ]
+        lines = format_benchmark_table(rows).splitlines()
+        assert lines[0].split()[-1] == "failed"
+        assert lines[2].split()[-1] == "0"
+        assert lines[3].split()[-1] == "1"
+        assert lines[4] == "failed: (2,2) in R^6 trial 1, stage 'svd': minimum degree 1e-22"

@@ -1,6 +1,9 @@
 """Core linear algebra: PCA flats, truncated SVD, k-means, matching."""
 
 import itertools
+import logging
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import scipy.cluster.vq
 from fls.errors import DegenerateInput, InvalidParam, RankDeficient
 from fls.linalg import (
     AffineFlat,
+    _assign,
     flip_signs,
     hungarian_match,
     kmeans,
@@ -18,8 +22,82 @@ from fls.linalg import (
     truncated_svd,
     truncated_svd_power,
 )
+from fls.rng import make_rng, split
 
 from conftest import random_orthonormal
+
+
+# Reference k-means: the unblocked implementation kmeans must reproduce
+# bit for bit.  It materializes the full m x K distance matrix every
+# sweep; reseeds records each emptied-cluster re-seed it performs.
+def _oracle_sq_dists(points, centers):
+    d2 = (
+        (points**2).sum(axis=1)[:, None]
+        - 2.0 * points @ centers.T
+        + (centers**2).sum(axis=1)[None, :]
+    )
+    return np.clip(d2, 0.0, None)
+
+
+def _oracle_kmeanspp(points, k, rng):
+    m = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[int(rng.integers(m))]
+    d2 = _oracle_sq_dists(points, centers[:1]).ravel()
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            idx = int(rng.integers(m))
+        else:
+            idx = int(rng.choice(m, p=d2 / total))
+        centers[j] = points[idx]
+        d2 = np.minimum(d2, _oracle_sq_dists(points, centers[j : j + 1]).ravel())
+    return centers
+
+
+def _oracle_lloyd(points, k, rng, max_iter, tol, reseeds):
+    m = points.shape[0]
+    centers = _oracle_kmeanspp(points, k, rng)
+    prev = math.inf
+    for _ in range(max_iter):
+        d2 = _oracle_sq_dists(points, centers)
+        labels = np.argmin(d2, axis=1)
+        inertia = float(d2[np.arange(m), labels].sum())
+        if math.isfinite(prev) and abs(prev - inertia) <= tol * max(prev, 1e-300):
+            break
+        prev = inertia
+        counts = np.bincount(labels, minlength=k)
+        sums = np.zeros_like(centers)
+        np.add.at(sums, labels, points)
+        nearest = d2[np.arange(m), labels].copy()
+        for j in range(k):
+            if counts[j] > 0:
+                centers[j] = sums[j] / counts[j]
+            else:
+                far = int(np.argmax(nearest))
+                centers[j] = points[far]
+                nearest[far] = -1.0
+                reseeds.append(j)
+    d2 = _oracle_sq_dists(points, centers)
+    labels = np.argmin(d2, axis=1)
+    inertia = float(d2[np.arange(m), labels].sum())
+    return labels, centers, inertia
+
+
+def oracle_kmeans(points, k, seed=0, restarts=1, max_iter=100, tol=1e-6, reseeds=None):
+    reseeds = [] if reseeds is None else reseeds
+    best = None
+    for child in split(seed, restarts):
+        run = _oracle_lloyd(points, k, make_rng(child), max_iter, tol, reseeds)
+        if best is None or run[2] < best[2]:
+            best = run
+    return best
+
+
+def assert_same_kmeans(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
 
 
 def flat_residual_sq(points, flat):
@@ -179,6 +257,23 @@ class TestTruncatedSvd:
         assert np.allclose(power.singular_values, gram.singular_values, atol=1e-7)
         assert np.allclose(power.right_vectors, gram.right_vectors, atol=1e-5)
 
+    def test_power_path_warns_when_not_converged(self, rng, caplog):
+        # s4/s3 = 0.997: almost no gap at k = 3, so the block turns by a
+        # factor of only ~0.99 per sweep and is far from settled after 50
+        u = random_orthonormal(rng, 10, 6)
+        v = random_orthonormal(rng, 40, 6)
+        a = u @ np.diag([7.0, 5.0, 3.0, 2.99, 0.5, 0.25]) @ v.T
+        with caplog.at_level(logging.WARNING, logger="fls.linalg"):
+            truncated_svd_power(a, 3, seed=7)
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 1
+        assert "after 50 sweeps" in messages[0]
+        assert "subspace angle" in messages[0]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="fls.linalg"):
+            truncated_svd_power(a, 2, seed=7)
+        assert not caplog.records
+
     def test_power_path_rank_deficient(self):
         with pytest.raises(RankDeficient):
             truncated_svd_power(np.diag([1.0, 1e-13]), 2, seed=0)
@@ -245,11 +340,90 @@ class TestKmeans:
         a = kmeans(pts, 3, seed=11)
         b = kmeans(pts, 3, seed=11)
         assert np.array_equal(a[0], b[0])
-        assert np.allclose(a[1], b[1])
+        assert np.array_equal(a[1], b[1])
 
     def test_k_larger_than_m(self, rng):
         with pytest.raises(DegenerateInput):
             kmeans(rng.standard_normal((3, 2)), 4, seed=0)
+
+    @pytest.mark.parametrize(
+        "m, d, k, restarts, seed",
+        [
+            (8000, 10, 400, 1, 0),  # landmark selection shape: many row blocks
+            (8000, 10, 400, 1, 1),
+            (50_000, 4, 5, 1, 2),  # final k-means shape: one block
+            (2001, 3, 8, 3, 3),  # restarts
+            (1309, 2, 401, 1, 4),  # two blocks of unequal size
+        ],
+    )
+    def test_bit_identical_to_unblocked_oracle(self, m, d, k, restarts, seed):
+        gen = np.random.default_rng(seed)
+        centers = gen.standard_normal((max(2, k // 4), d)) * 4.0
+        pts = centers[gen.integers(len(centers), size=m)] + gen.standard_normal((m, d))
+        got = kmeans(pts, k, seed=seed, restarts=restarts)
+        assert_same_kmeans(got, oracle_kmeans(pts, k, seed=seed, restarts=restarts))
+
+    @pytest.mark.parametrize(
+        "m, d, k",
+        [
+            (1308, 10, 401),  # blocks of 1307 or 1310 rows would leave a
+            (1311, 3, 400),  # one-row tail, which numpy computes by GEMV
+            (5000, 10, 400),
+            (700, 80, 5),
+            (9, 1, 2),
+        ],
+    )
+    def test_assignment_pass_bit_identical_to_unblocked_distances(self, m, d, k):
+        gen = np.random.default_rng(m + d + k)
+        pts = gen.standard_normal((m, d)) * 3.0 + gen.uniform(-5.0, 5.0, size=d)
+        x_sq = (pts**2).sum(axis=1)
+        # random centers; centers at data points, whose own distances can
+        # round below zero so the clip decides; centers near the origin
+        for centers in (
+            gen.standard_normal((k, d)) * 3.0,
+            pts[gen.choice(m, size=k, replace=False)],
+            gen.standard_normal((k, d)) * 0.1,
+        ):
+            d2 = _oracle_sq_dists(pts, centers)
+            want = np.argmin(d2, axis=1)
+            labels, mins = np.empty(m, dtype=np.intp), np.empty(m)
+            _assign(pts, x_sq, centers, labels, mins)
+            assert np.array_equal(labels, want)
+            assert np.array_equal(mins, d2[np.arange(m), want])
+
+    def test_empty_cluster_reseed_matches_oracle(self):
+        # two distinct locations and k = 3: kmeans++ must seed a duplicate
+        # center, which the first assignment leaves empty
+        pts = np.repeat([[0.0, 0.0], [5.0, 1.0]], [7, 5], axis=0)
+        reseeds = []
+        want = oracle_kmeans(pts, 3, seed=9, reseeds=reseeds)
+        assert reseeds, "case does not reach the empty-cluster re-seed"
+        assert_same_kmeans(kmeans(pts, 3, seed=9), want)
+
+    def test_peak_memory_is_one_block(self):
+        # the unblocked version holds several n x K float64 arrays per sweep
+        m, k = 20_000, 400
+        pts = np.random.default_rng(0).standard_normal((m, 10))
+        tracemalloc.start()
+        try:
+            kmeans(pts, k, seed=0, max_iter=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * k * 8 / 4
+
+    def test_unconverged_restarts_warn_once(self, caplog):
+        gen = np.random.default_rng(0)
+        pts = np.concatenate([gen.standard_normal((50, 2)), gen.standard_normal((50, 2)) + 20])
+        with caplog.at_level(logging.WARNING, logger="fls.linalg"):
+            kmeans(pts, 2, seed=0, restarts=3, max_iter=1)
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "3 of 3 restarts" in warnings[0].getMessage()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="fls.linalg"):
+            kmeans(pts, 2, seed=0, restarts=3)
+        assert not caplog.records
 
 
 class TestHungarianMatch:
