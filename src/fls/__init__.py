@@ -28,7 +28,6 @@ _EXPORTS = {
     "linalg": [
         "AffineFlat",
         "SvdResult",
-        "pca_fit",
         "truncated_svd",
         "truncated_svd_power",
         "kmeans",
@@ -58,6 +57,7 @@ _EXPORTS = {
         "best_fit_flat",
         "best_fit_flats",
         "default_sigma",
+        "fit_subspace_kernel",
         "build_subspace_spec",
         "landmark_flat_pool",
     ],

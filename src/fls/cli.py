@@ -370,9 +370,11 @@ def cmd_bench(opts) -> int:
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["model", "mean_rate", "mean_time_s"])
+        writer.writerow(["model", "mean_rate", "mean_time_s", "failed"])
         for row in rows:
-            writer.writerow([row.label, f"{row.mean_rate:.6f}", f"{row.mean_time_s:.6f}"])
+            writer.writerow(
+                [row.label, f"{row.mean_rate:.6f}", f"{row.mean_time_s:.6f}", len(row.failures)]
+            )
         text = buf.getvalue()
     else:
         text = format_benchmark_table(rows) + "\n"
@@ -409,14 +411,7 @@ def cmd_verify_kernel(opts) -> int:
     counts = opts["counts"]
     points, family = _verify_grid_data(opts)
     conv_seed, tail_seed = split(opts["seed"], 3)[1:]
-    records = verify_kernel_convergence(
-        family,
-        points,
-        counts,
-        reps=opts["reps"],
-        seed=conv_seed,
-        ref_count=opts["ref_count"],
-    )
+    records = verify_kernel_convergence(family, points, counts, reps=opts["reps"], seed=conv_seed)
     payload = {"family": opts["family"], "decay": [asdict(r) for r in records]}
     lines = [f"{'count':>8}  {'median_max_err':>15}  {'mean_err':>12}"]
     for r in records:
@@ -638,7 +633,6 @@ _COMMANDS = {
             Option("--grid-points", int, 100, "points in the pair grid"),
             Option("--counts", _int_list, (250, 1000, 4000), "feature counts"),
             Option("--reps", int, 10, "specs drawn per count"),
-            Option("--ref-count", int, 50000, "reference feature count"),
             Option("--eps", _float_list, None, "tail thresholds, e.g. 0.1,0.2"),
             Option("--hoeffding-reps", int, 200, "specs drawn per tail check"),
             _VERIFY_FORMAT,

@@ -24,8 +24,8 @@ from .errors import (
     InvalidParam,
     PipelineError,
 )
-from .kernels import EmbeddingMatrix, SubspaceKernel, embed
-from .landmarks import LandmarkConfig, best_fit_flats, default_sigma, select_landmarks
+from .kernels import EmbeddingMatrix, embed
+from .landmarks import LandmarkConfig, fit_subspace_kernel, select_landmarks
 from .linalg import (
     check_finite,
     flip_signs,
@@ -78,12 +78,6 @@ def degrees(embedding: EmbeddingMatrix) -> np.ndarray:
     return degs
 
 
-def _row_normalize(v):
-    norms = np.linalg.norm(v, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    return v / safe[:, None]
-
-
 def spectral_embed(
     embedding: EmbeddingMatrix,
     n_clusters: int,
@@ -113,7 +107,7 @@ def spectral_embed(
     vectors = result.right_vectors
     if drop_first:
         vectors = vectors[:, 1:]
-    return _row_normalize(vectors), result.singular_values
+    return sphere_normalize(vectors), result.singular_values
 
 
 def fls_cluster(
@@ -142,7 +136,6 @@ def fls_cluster(
     if normalize_sphere:
         pts = sphere_normalize(pts)
     select_seed, sigma_seed, svd_seed, kmeans_seed = split(seed, 4)
-    init_neighbors, max_scales = config.resolve_scales(pts.shape[0])
     timings: dict = {}
 
     def run(stage, fn):
@@ -158,17 +151,7 @@ def fls_cluster(
         "landmarks",
         lambda: select_landmarks(pts, config.n_landmarks, config.method, select_seed),
     )
-
-    def fit_flats():
-        flats = best_fit_flats(
-            pts, centers, config.flat_dim, max_scales, init_neighbors, linear=config.linear
-        )
-        sigma = config.sigma
-        if sigma is None:
-            sigma = default_sigma(pts, flats, seed=sigma_seed)
-        return SubspaceKernel(sigma=sigma, flats=tuple(flats))
-
-    spec = run("flats", fit_flats)
+    spec = run("flats", lambda: fit_subspace_kernel(pts, centers, config, sigma_seed))
     embedding = run("embed", lambda: embed(spec, pts))
     rows, svals = run(
         "svd",
@@ -232,7 +215,7 @@ def dense_spectral_cluster(
     svals = np.sqrt(np.clip(eigvals[order], 0.0, None))
     eig_time = time.perf_counter() - start
     vectors = top[:, 1:] if drop_first else top
-    rows = _row_normalize(vectors)
+    rows = sphere_normalize(vectors)
     start = time.perf_counter()
     labels, _, _ = kmeans(rows, n_clusters, seed=seed, restarts=kmeans_restarts)
     return ClusterResult(

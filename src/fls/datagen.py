@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParam, ParseError, RaggedRows
-from .linalg import check_finite
+from .linalg import check_finite, haar_frames
 from .rng import make_rng, split
 
 
@@ -112,13 +112,6 @@ def sphere_normalize(points: np.ndarray) -> np.ndarray:
     return pts / safe[:, None]
 
 
-def _haar_basis(rng, ambient, dim):
-    q, r = np.linalg.qr(rng.standard_normal((ambient, dim)))
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
-
-
 def gen_synthetic(model: SyntheticModel, seed=0) -> DataSet:
     """Draw a dataset from the model, deterministically per seed.
 
@@ -131,7 +124,7 @@ def gen_synthetic(model: SyntheticModel, seed=0) -> DataSet:
     blocks = []
     for k, dim_k in enumerate(model.dims):
         rng = make_rng(children[k])
-        basis = _haar_basis(rng, model.ambient, dim_k)
+        basis = haar_frames(rng, (model.ambient, dim_k))
         dirs = rng.standard_normal((model.pts_per_subspace, dim_k))
         norms = np.linalg.norm(dirs, axis=1)
         norms[norms == 0] = 1.0

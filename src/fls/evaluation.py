@@ -30,7 +30,7 @@ from .kernels import (
     sample_uniform_grassmann,
 )
 from .landmarks import LandmarkConfig
-from .linalg import hungarian_match
+from .linalg import haar_frames, hungarian_match
 from .rng import make_rng, split
 
 
@@ -124,7 +124,7 @@ class FlatPoolFamily:
         return SubspaceKernel(self.sigma, tuple(self.flats[i] for i in idx))
 
     def exact_matrix(self, points):
-        f = feature_matrix(SubspaceKernel(self.sigma, self.flats), as_points(points))
+        f = feature_matrix(SubspaceKernel(self.sigma, self.flats), points)
         w = f.T @ f / len(self.flats)
         return (w + w.T) / 2.0
 
@@ -161,7 +161,7 @@ class LandmarkGaussianFamily:
         return LandmarkGaussian(self.sigma, self.data[idx])
 
     def exact_matrix(self, points):
-        f = feature_matrix(LandmarkGaussian(self.sigma, self.data), as_points(points))
+        f = feature_matrix(LandmarkGaussian(self.sigma, self.data), points)
         w = f.T @ f / self.data.shape[0]
         return (w + w.T) / 2.0
 
@@ -431,13 +431,6 @@ class RotationRecord:
     within: bool
 
 
-def _haar_orthogonal(rng, dim):
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
-
-
 def _pair_estimate(frames, sigma, x1, x2):
     """Kernel estimate and SE for one pair from a (D, d, l) frame stack.
 
@@ -488,7 +481,7 @@ def verify_rotation_invariance(
         g -= (g @ x1) * x1
         w = g / np.linalg.norm(g)
         x2 = cos_angle * x1 + sin_angle * w
-        rot = _haar_orthogonal(rng, dim)
+        rot = haar_frames(rng, (dim, dim))
         frames = haar_frame_batch(dim, flat_dim, count, flats_a_seed)
         est, se = _pair_estimate(frames, sigma, x1, x2)
         frames_rot = haar_frame_batch(dim, flat_dim, count, flats_b_seed)

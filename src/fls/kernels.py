@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datagen import as_points
 from .errors import DenseLimitExceeded, DimensionMismatch, InvalidParam
-from .linalg import AffineFlat, check_finite
+from .linalg import AffineFlat, check_finite, haar_frames, sq_dists
 from .rng import make_rng
 
 # AffineFlat is re-exported here because flats are part of the kernel API.
@@ -179,21 +180,13 @@ def sample_gaussian_rff(sigma: float, n_features: int, dim: int, seed=0) -> Gaus
 
 
 def haar_frame_batch(dim: int, flat_dim: int, count: int, seed=0) -> np.ndarray:
-    """(count, dim, flat_dim) stack of Haar-distributed orthonormal frames.
-
-    Each is the QR orthonormalization of a Gaussian matrix with column
-    signs fixed by the R diagonal, which makes the span Haar-distributed.
-    """
+    """(count, dim, flat_dim) stack of Haar-distributed orthonormal frames,
+    drawn by ``linalg.haar_frames`` from the ``seed`` stream."""
     if not 1 <= flat_dim < dim:
         raise InvalidParam(f"flat_dim={flat_dim} not in [1, {dim - 1}]")
     if count < 1:
         raise InvalidParam("count must be >= 1")
-    rng = make_rng(seed)
-    g = rng.standard_normal((count, dim, flat_dim))
-    q, r = np.linalg.qr(g)
-    signs = np.sign(np.einsum("kii->ki", r))
-    signs[signs == 0] = 1.0
-    return q * signs[:, None, :]
+    return haar_frames(make_rng(seed), (count, dim, flat_dim))
 
 
 def sample_uniform_grassmann(dim: int, flat_dim: int, count: int, seed=0) -> list:
@@ -228,14 +221,12 @@ def _grouped_flat_sq_dists(flats, pts):
     by_dim = {}
     for i, f in enumerate(flats):
         by_dim.setdefault(f.dim, []).append(i)
-    x_sq = (pts**2).sum(axis=1)
     for flat_dim, idxs in by_dim.items():
         rows = np.asarray(idxs)
         bases = np.stack([flats[i].base for i in idxs])
         frames = np.stack([flats[i].basis for i in idxs])  # (g, d, l)
         g = len(idxs)
-        base_sq = (bases**2).sum(axis=1)
-        d2_full = x_sq[None, :] - 2.0 * (bases @ pts.T) + base_sq[:, None]
+        d2_full = sq_dists(bases, pts)
         stacked = frames.transpose(0, 2, 1).reshape(g * flat_dim, d)
         base_proj = np.einsum("gdl,gd->gl", frames, bases)
         chunk = max(1, int(4_000_000 // max(g * flat_dim, 1)))
@@ -260,13 +251,13 @@ def flat_distance_matrix(flats, points: np.ndarray) -> np.ndarray:
     return np.sqrt(_grouped_flat_sq_dists(flats, pts))
 
 
-def feature_matrix(spec: FeatureSpec, points: np.ndarray) -> np.ndarray:
-    """Unscaled feature values f(x_i, y_j), shape (D, n).
+def feature_matrix(spec: FeatureSpec, points) -> np.ndarray:
+    """Unscaled feature values f(x_i, y_j), shape (D, n), of an array or DataSet.
 
     embed() divides this by sqrt(D); the raw values are useful when the
     per-sample spread matters (standard errors of kernel estimates).
     """
-    pts = check_finite(points, "points")
+    pts = as_points(points)
     if pts.ndim != 2:
         raise InvalidParam("points must be 2-D")
     if pts.shape[1] != spec.dim:
@@ -276,11 +267,7 @@ def feature_matrix(spec: FeatureSpec, points: np.ndarray) -> np.ndarray:
     if isinstance(spec, GaussianRFF):
         return math.sqrt(2.0) * np.cos(spec.frequencies @ pts.T + spec.phases[:, None])
     if isinstance(spec, LandmarkGaussian):
-        d2 = (
-            (spec.centers**2).sum(axis=1)[:, None]
-            - 2.0 * spec.centers @ pts.T
-            + (pts**2).sum(axis=1)[None, :]
-        )
+        d2 = sq_dists(spec.centers, pts)
         norm = (2.0 * math.pi * spec.sigma**2) ** (-spec.dim / 2.0)
         return norm * np.exp(-np.clip(d2, 0.0, None) / (2.0 * spec.sigma**2))
     if isinstance(spec, SubspaceKernel):
@@ -291,8 +278,7 @@ def feature_matrix(spec: FeatureSpec, points: np.ndarray) -> np.ndarray:
 
 def embed(spec: FeatureSpec, points) -> EmbeddingMatrix:
     """Feature embedding psi(X) with the 1/sqrt(D) scaling applied."""
-    pts = points.points if hasattr(points, "points") else points
-    values = feature_matrix(spec, pts)
+    values = feature_matrix(spec, points)
     return EmbeddingMatrix(data=values / math.sqrt(spec.n_features))
 
 
@@ -305,8 +291,7 @@ def exact_gaussian_kernel(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
 def gaussian_kernel_matrix(points: np.ndarray, sigma: float) -> np.ndarray:
     """Pairwise exact Gaussian kernel matrix of one point set."""
     pts = check_finite(points, "points")
-    sq = (pts**2).sum(axis=1)
-    d2 = sq[:, None] - 2.0 * pts @ pts.T + sq[None, :]
+    d2 = sq_dists(pts, pts)
     return np.exp(-np.clip(d2, 0.0, None) / (2.0 * float(sigma) ** 2))
 
 
@@ -317,8 +302,7 @@ def approx_kernel_matrix(spec: FeatureSpec, points, dense_limit: int = 5000) -> 
     roundoff.  Meant for verification and small problems; the clustering
     pipeline never forms it.
     """
-    pts = points.points if hasattr(points, "points") else points
-    pts = check_finite(pts, "points")
+    pts = as_points(points)
     if pts.shape[0] > dense_limit:
         raise DenseLimitExceeded(
             f"n={pts.shape[0]} exceeds dense limit {dense_limit}"

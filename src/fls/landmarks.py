@@ -262,25 +262,39 @@ def default_sigma(points: np.ndarray, flats, seed=0, max_pairs: int = 10_000) ->
     return max(float(np.median(sample)), 1e-6)
 
 
+def fit_subspace_kernel(
+    points: np.ndarray, centers: np.ndarray, config: LandmarkConfig, sigma_seed=0
+) -> SubspaceKernel:
+    """Fit the local flat at each landmark and resolve sigma into a spec.
+
+    The neighborhood ladder comes from ``config.resolve_scales(n)``;
+    sigma is ``config.sigma``, or ``default_sigma`` drawn with
+    ``sigma_seed`` when the config leaves it to the data.
+    """
+    init_neighbors, max_scales = config.resolve_scales(len(points))
+    flats = best_fit_flats(
+        points, centers, config.flat_dim, max_scales, init_neighbors, linear=config.linear
+    )
+    sigma = config.sigma
+    if sigma is None:
+        sigma = default_sigma(points, flats, seed=sigma_seed)
+    return SubspaceKernel(sigma=sigma, flats=tuple(flats))
+
+
 def build_subspace_spec(points: np.ndarray, config: LandmarkConfig, seed=0) -> SubspaceKernel:
     """Select landmarks, fit their local flats, resolve sigma.
 
     Always returns a spec with exactly ``config.n_landmarks`` flats;
     duplicated data points can produce duplicated flats, which is fine.
+    Its two streams are the first two of ``rng.split(seed, 4)``, so on the
+    same points and seed it is the spec ``fls_cluster`` builds.
     """
     pts = check_finite(points, "points")
     if pts.ndim != 2:
         raise InvalidParam("points must be 2-D")
-    init_neighbors, max_scales = config.resolve_scales(pts.shape[0])
     select_seed, sigma_seed = split(seed, 2)
     centers = select_landmarks(pts, config.n_landmarks, config.method, select_seed)
-    flats = best_fit_flats(
-        pts, centers, config.flat_dim, max_scales, init_neighbors, linear=config.linear
-    )
-    sigma = config.sigma
-    if sigma is None:
-        sigma = default_sigma(pts, flats, seed=sigma_seed)
-    return SubspaceKernel(sigma=sigma, flats=tuple(flats))
+    return fit_subspace_kernel(pts, centers, config, sigma_seed)
 
 
 def landmark_flat_pool(points: np.ndarray, flat_dim: int, config: LandmarkConfig | None = None):

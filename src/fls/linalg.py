@@ -28,16 +28,47 @@ def check_finite(a, name: str = "array") -> np.ndarray:
     return a
 
 
+def _signs(values: np.ndarray) -> np.ndarray:
+    """np.sign with 0 read as +1, so multiplying by it never zeroes a column."""
+    signs = np.sign(values)
+    signs[signs == 0] = 1.0
+    return signs
+
+
+def _pivot_signs(vectors: np.ndarray) -> np.ndarray:
+    idx = np.argmax(np.abs(vectors), axis=0)
+    return _signs(vectors[idx, np.arange(vectors.shape[1])])
+
+
 def flip_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive.
 
     This is the sign convention used for every singular/eigen vector the
     package returns; it makes results comparable across code paths.
     """
-    idx = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
-    return vectors * signs
+    return vectors * _pivot_signs(vectors)
+
+
+def haar_frames(gen: np.random.Generator, shape) -> np.ndarray:
+    """Haar-distributed orthonormal frames of ``shape`` (..., d, l), l <= d.
+
+    Each frame is the QR orthonormalization of a Gaussian draw with its
+    column signs fixed by the R diagonal, which makes it (and its span)
+    Haar-distributed; a square shape gives a Haar orthogonal matrix.
+    """
+    q, r = np.linalg.qr(gen.standard_normal(shape))
+    return q * _signs(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+
+
+def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances |a_i - b_j|^2, shape (len(a), len(b)).
+
+    Computed as |b_j|^2 - 2 a_i.b_j + |a_i|^2 with one GEMM and left
+    unclipped: roundoff can make an entry slightly negative.
+    """
+    a_sq = (a**2).sum(axis=1)
+    b_sq = (b**2).sum(axis=1)
+    return b_sq[None, :] - 2.0 * (a @ b.T) + a_sq[:, None]
 
 
 @dataclass(frozen=True)
@@ -128,40 +159,10 @@ def moment_spectrum(points: np.ndarray):
     return eigvals, flip_signs(vt.T)
 
 
-def pca_fit(points: np.ndarray, flat_dim: int) -> AffineFlat:
-    """Best-fit affine flat of dimension ``flat_dim`` in least squares.
-
-    Parameters
-    ----------
-    points : (m, d) array, m >= flat_dim + 1
-    flat_dim : int, 1 <= flat_dim <= d
-
-    Returns the flat through the centroid spanned by the top principal
-    directions.  Raises DegenerateInput when there are too few points.
-    """
-    pts = check_finite(points, "points")
-    if pts.ndim != 2:
-        raise InvalidParam("points must be a 2-D array")
-    m, d = pts.shape
-    if not 1 <= flat_dim <= d:
-        raise InvalidParam(f"flat_dim={flat_dim} not in [1, {d}]")
-    if m < flat_dim + 1:
-        raise DegenerateInput(f"need at least {flat_dim + 1} points, got {m}")
-    centroid, _, eigvecs = pca_spectrum(pts)
-    return AffineFlat(base=centroid, basis=eigvecs[:, :flat_dim])
-
-
 def _package_svd(left, svals, right):
-    # shared rank guard + sign convention
-    if svals[0] <= 0.0 or svals[-1] < 1e-12 * svals[0]:
-        raise RankDeficient(
-            f"singular value {svals[-1]:.3e} below 1e-12 * {svals[0]:.3e}; "
-            "request fewer vectors"
-        )
-    idx = np.argmax(np.abs(right), axis=0)
-    signs = np.sign(right[idx, np.arange(right.shape[1])])
-    signs[signs == 0] = 1.0
-    return SvdResult(left * signs, svals.copy(), right * signs)
+    # the flip_signs convention on the right vectors, carried to the left ones
+    signs = _pivot_signs(right)
+    return SvdResult(left * signs, svals, right * signs)
 
 
 def truncated_svd(a: np.ndarray, k: int) -> SvdResult:
@@ -211,6 +212,7 @@ def truncated_svd_power(
     the block.  Stops after ``max_iter`` sweeps or when the sine of the
     largest principal angle between successive subspaces drops below
     ``tol``; stopping at ``max_iter`` logs a warning with that sine.
+    Raises RankDeficient when s_k < 1e-12 * s_1.
     """
     a = check_finite(a, "matrix")
     if a.ndim != 2:
@@ -239,6 +241,11 @@ def truncated_svd_power(
     # extract triples from the converged subspace
     m = a @ v
     left_small, svals, wt = np.linalg.svd(m, full_matrices=False)
+    if svals[0] <= 0.0 or svals[-1] < 1e-12 * svals[0]:
+        raise RankDeficient(
+            f"singular value {svals[-1]:.3e} below 1e-12 * {svals[0]:.3e}; "
+            "request fewer vectors"
+        )
     right = v @ wt.T
     return _package_svd(left_small, svals, right)
 

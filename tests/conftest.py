@@ -6,8 +6,3 @@ import pytest
 def rng():
     return np.random.default_rng(12345)
 
-
-def random_orthonormal(rng, d, l):
-    """Orthonormal d x l frame from a Gaussian draw (test helper)."""
-    q, r = np.linalg.qr(rng.standard_normal((d, l)))
-    return q * np.sign(np.diag(r))

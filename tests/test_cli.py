@@ -333,9 +333,33 @@ class TestBench:
         )
         assert rc == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-        assert rows[0] == ["model", "mean_rate", "mean_time_s"]
+        assert rows[0] == ["model", "mean_rate", "mean_time_s", "failed"]
         assert rows[1][0] == "(1,1) in R^3"
         assert 0.0 <= float(rows[1][1]) <= 1.0
+        assert rows[1][3] == "0"
+
+    def test_csv_format_counts_failed_trials(self, capsys):
+        # the synthetic5 run of test_failed_trial_is_reported_and_suite_goes_on
+        rc = run(
+            [
+                "bench",
+                "--suite", "synthetic5",
+                "--trials", "1",
+                "--landmarks", "30",
+                "--no-normalize-sphere",
+                "--seed", "2",
+                "--format", "csv",
+            ]
+        )
+        assert rc == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 4
+        failed = [r for r in rows if r["failed"] == "1"]
+        assert failed
+        assert all(r["mean_rate"] == "nan" for r in failed)
+        for r in rows:
+            if r not in failed:
+                assert r["failed"] == "0" and 0.0 <= float(r["mean_rate"]) <= 1.0
 
     def test_unknown_suite_is_usage_error(self, capsys):
         rc = run(["bench", "--suite", "nonsense-name", "--trials", "1"])
@@ -367,7 +391,6 @@ class TestVerifyCommands:
                 "--counts", "50,100",
                 "--reps", "2",
                 "--grid-points", "15",
-                "--ref-count", "0",
                 "--seed", "0",
                 "--format", "json",
             ]
@@ -385,7 +408,6 @@ class TestVerifyCommands:
                 "--counts", "50",
                 "--reps", "1",
                 "--grid-points", "8",
-                "--ref-count", "500",
                 "--eps", "0.1",
                 "--seed", "0",
             ]

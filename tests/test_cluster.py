@@ -13,7 +13,7 @@ from fls.cluster import (
     fls_cluster,
     spectral_embed,
 )
-from fls.datagen import DataSet
+from fls.datagen import DataSet, SyntheticModel, gen_synthetic, sphere_normalize
 from fls.errors import (
     DegenerateInput,
     DegreeNotPositive,
@@ -21,9 +21,16 @@ from fls.errors import (
     InvalidParam,
     PipelineError,
 )
-from fls.kernels import EmbeddingMatrix, approx_kernel_matrix
-from fls.landmarks import LandmarkConfig, build_subspace_spec
-from fls.linalg import flip_signs
+from fls.kernels import EmbeddingMatrix, SubspaceKernel, approx_kernel_matrix, embed
+from fls.landmarks import (
+    LandmarkConfig,
+    best_fit_flats,
+    build_subspace_spec,
+    default_sigma,
+    select_landmarks,
+)
+from fls.linalg import flip_signs, kmeans
+from fls.rng import split
 
 
 def two_plane_data(rng, n_per=60, noise=0.02, d=4):
@@ -201,6 +208,34 @@ class TestFlsCluster:
         result = fls_cluster(data, 2, cfg, seed=2)
         assert set(result.timings) == {"landmarks", "flats", "embed", "svd", "kmeans"}
         assert all(t >= 0.0 for t in result.timings.values())
+
+    @pytest.mark.parametrize("method", ["random", "kmeans"])
+    @pytest.mark.parametrize("sigma", [0.3, None])
+    def test_equals_public_stages_composed_by_hand(self, method, sigma):
+        # the composition bench/replay.py relies on; n * D > 10 000, so an
+        # auto sigma takes default_sigma's sampled branch and its seed
+        model = SyntheticModel(dims=(2, 3), ambient=6, pts_per_subspace=200, outlier_ratio=0.1)
+        data = gen_synthetic(model, seed=8)
+        cfg = LandmarkConfig(n_landmarks=30, flat_dim=3, method=method, sigma=sigma, linear=True)
+        got = fls_cluster(
+            data, 2, cfg, seed=11, drop_first=True, normalize_sphere=True, kmeans_restarts=3
+        )
+
+        pts = sphere_normalize(data.points)
+        select_seed, sigma_seed, svd_seed, kmeans_seed = split(11, 4)
+        init_neighbors, max_scales = cfg.resolve_scales(len(pts))
+        centers = select_landmarks(pts, cfg.n_landmarks, method, select_seed)
+        flats = best_fit_flats(pts, centers, 3, max_scales, init_neighbors, linear=True)
+        if sigma is None:
+            sigma = default_sigma(pts, flats, seed=sigma_seed)
+        spec = SubspaceKernel(sigma=sigma, flats=tuple(flats))
+        rows, svals = spectral_embed(embed(spec, pts), 2, drop_first=True, seed=svd_seed)
+        labels = kmeans(rows, 2, seed=kmeans_seed, restarts=3)[0]
+
+        assert np.array_equal(got.labels, labels)
+        assert np.array_equal(got.embedding, rows)
+        assert np.array_equal(got.singular_values, svals)
+        assert got.sigma == sigma
 
     def test_to_json_serializable(self, rng):
         data = two_plane_data(rng, n_per=25)

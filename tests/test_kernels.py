@@ -27,8 +27,7 @@ from fls.kernels import (
     spec_from_json,
     spec_to_json,
 )
-
-from conftest import random_orthonormal
+from fls.linalg import haar_frames
 
 
 def xaxis_flat(d, through=None):
@@ -106,7 +105,7 @@ class TestFlatDistance:
     def test_against_lstsq_oracle(self, rng):
         for _ in range(20):
             flat = AffineFlat(
-                base=rng.standard_normal(6), basis=random_orthonormal(rng, 6, 3)
+                base=rng.standard_normal(6), basis=haar_frames(rng, (6, 3))
             )
             x = rng.standard_normal(6)
             got = flat_distance(x, flat)
@@ -116,7 +115,7 @@ class TestFlatDistance:
 
     def test_matrix_matches_scalar(self, rng):
         flats = [
-            AffineFlat(base=rng.standard_normal(4), basis=random_orthonormal(rng, 4, l))
+            AffineFlat(base=rng.standard_normal(4), basis=haar_frames(rng, (4, l)))
             for l in (1, 2, 2, 3)
         ]
         pts = rng.standard_normal((7, 4))
@@ -266,7 +265,7 @@ class TestApproxKernelMatrix:
 class TestSpecJson:
     def test_round_trip_all_variants(self, rng):
         flats = tuple(
-            AffineFlat(base=rng.standard_normal(3), basis=random_orthonormal(rng, 3, 2))
+            AffineFlat(base=rng.standard_normal(3), basis=haar_frames(rng, (3, 2)))
             for _ in range(2)
         )
         specs = [

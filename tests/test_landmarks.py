@@ -18,9 +18,7 @@ from fls.landmarks import (
     landmark_flat_pool,
     select_landmarks,
 )
-from fls.linalg import AffineFlat, moment_spectrum, pca_spectrum
-
-from conftest import random_orthonormal
+from fls.linalg import AffineFlat, haar_frames, moment_spectrum, pca_spectrum
 
 
 def largest_principal_angle(b1, b2):
@@ -72,7 +70,7 @@ class TestSelectLandmarks:
 
 class TestBestFitFlat:
     def test_exact_plane_recovered(self, rng):
-        basis = random_orthonormal(rng, 5, 2)
+        basis = haar_frames(rng, (5, 2))
         pts = plane_points(rng, basis, 40)
         flat = best_fit_flat(pts, pts[0], 2, max_scales=3, init_neighbors=6)
         assert largest_principal_angle(flat.basis, basis) < 1e-6
@@ -134,7 +132,7 @@ class TestBestFitFlat:
         assert got <= best + 1e-12
 
     def test_linear_mode_through_origin(self, rng):
-        basis = random_orthonormal(rng, 5, 2)
+        basis = haar_frames(rng, (5, 2))
         pts = plane_points(rng, basis, 30)  # linear plane, no offset
         flat = best_fit_flat(pts, pts[0], 2, max_scales=3, init_neighbors=6, linear=True)
         assert np.all(flat.base == 0.0)
@@ -180,7 +178,7 @@ def svd_ladder(pts, center, flat_dim, max_scales, init_neighbors, linear=False):
 
 def two_planes(rng, noise):
     a = np.eye(6)[:, :2]
-    b = random_orthonormal(rng, 6, 2)
+    b = haar_frames(rng, (6, 2))
     return np.vstack(
         [plane_points(rng, a, 150, noise=noise), plane_points(rng, b, 150, noise=noise)]
     )
@@ -189,7 +187,7 @@ def two_planes(rng, noise):
 class TestBestFitFlats:
     def test_exact_affine_plane_ties_go_to_smallest(self, rng):
         # every size fits exactly, so every score is roundoff: a tie
-        basis = random_orthonormal(rng, 5, 2)
+        basis = haar_frames(rng, (5, 2))
         pts = plane_points(rng, basis, 40, center=rng.standard_normal(5))
         center = pts[0]
         flat = best_fit_flat(pts, center, 2, max_scales=3, init_neighbors=6)
@@ -251,7 +249,7 @@ class TestDefaultSigma:
     def test_deterministic(self, rng):
         pts = rng.standard_normal((300, 3))
         flats = [
-            AffineFlat(base=rng.standard_normal(3), basis=random_orthonormal(rng, 3, 1))
+            AffineFlat(base=rng.standard_normal(3), basis=haar_frames(rng, (3, 1)))
             for _ in range(50)
         ]
         assert default_sigma(pts, flats, seed=5) == default_sigma(pts, flats, seed=5)
@@ -307,7 +305,7 @@ class TestBuildSubspaceSpec:
 
     def test_noiseless_sigma_floor(self, rng):
         # all points on one plane: every flat contains every point
-        pts = plane_points(rng, random_orthonormal(rng, 5, 2), 80)
+        pts = plane_points(rng, haar_frames(rng, (5, 2)), 80)
         cfg = LandmarkConfig(n_landmarks=6, flat_dim=2)
         assert build_subspace_spec(pts, cfg, seed=1).sigma == 1e-6
 
@@ -334,7 +332,7 @@ class TestBuildSubspaceSpec:
 
 class TestLandmarkFlatPool:
     def test_pool_size_and_fit(self, rng):
-        basis = random_orthonormal(rng, 4, 2)
+        basis = haar_frames(rng, (4, 2))
         pts = plane_points(rng, basis, 25)
         pool = landmark_flat_pool(pts, 2)
         assert len(pool) == 25
@@ -342,7 +340,7 @@ class TestLandmarkFlatPool:
             assert flat_distance(p, f) < 1e-7
 
     def test_linear_config_respected(self, rng):
-        pts = plane_points(rng, random_orthonormal(rng, 4, 2), 25)
+        pts = plane_points(rng, haar_frames(rng, (4, 2)), 25)
         cfg = LandmarkConfig(n_landmarks=1, flat_dim=2, linear=True)
         pool = landmark_flat_pool(pts, 2, cfg)
         for f in pool:

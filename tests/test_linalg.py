@@ -14,17 +14,15 @@ from fls.linalg import (
     AffineFlat,
     _assign,
     flip_signs,
+    haar_frames,
     hungarian_match,
     kmeans,
     moment_spectrum,
-    pca_fit,
     pca_spectrum,
     truncated_svd,
     truncated_svd_power,
 )
 from fls.rng import make_rng, split
-
-from conftest import random_orthonormal
 
 
 # Reference k-means: the unblocked implementation kmeans must reproduce
@@ -100,76 +98,20 @@ def assert_same_kmeans(got, want):
     assert got[2] == want[2]
 
 
-def flat_residual_sq(points, flat):
-    diff = points - flat.base
-    proj = diff @ flat.basis
-    return float((diff**2).sum() - (proj**2).sum())
-
-
 class TestAffineFlat:
     def test_orthonormality_enforced(self, rng):
         with pytest.raises(InvalidParam):
             AffineFlat(base=np.zeros(3), basis=rng.standard_normal((3, 2)))
 
     def test_valid_construction(self, rng):
-        b = random_orthonormal(rng, 5, 2)
+        b = haar_frames(rng, (5, 2))
         flat = AffineFlat(base=np.ones(5), basis=b)
         assert flat.dim == 2
         assert flat.ambient == 5
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(InvalidParam):
-            AffineFlat(base=np.zeros(4), basis=random_orthonormal(rng, 5, 2))
-
-
-class TestPcaFit:
-    def test_points_exactly_on_flat(self, rng):
-        # 10 points on a 2-flat in R^5: residual must vanish
-        basis = random_orthonormal(rng, 5, 2)
-        base = rng.standard_normal(5)
-        pts = base + rng.standard_normal((10, 2)) @ basis.T
-        flat = pca_fit(pts, 2)
-        assert flat_residual_sq(pts, flat) < 1e-16
-
-    def test_full_dimension_zero_residual(self, rng):
-        pts = rng.standard_normal((20, 3))
-        flat = pca_fit(pts, 3)
-        assert flat_residual_sq(pts, flat) < 1e-12
-        # basis spans all of R^3
-        assert np.allclose(flat.basis @ flat.basis.T, np.eye(3), atol=1e-10)
-
-    def test_residual_matches_covariance_eigensolve(self, rng):
-        # independent oracle: eigendecomposition of the centered scatter
-        pts = rng.standard_normal((50, 4))
-        flat = pca_fit(pts, 2)
-        centered = pts - pts.mean(axis=0)
-        eigvals = np.linalg.eigvalsh(centered.T @ centered)
-        expected = eigvals[:2].sum()  # trailing two, ascending order
-        got = flat_residual_sq(pts, flat)
-        assert abs(got - expected) <= 1e-8 * max(1.0, abs(expected))
-
-    def test_orthonormal_basis(self, rng):
-        flat = pca_fit(rng.standard_normal((30, 6)), 3)
-        assert np.allclose(flat.basis.T @ flat.basis, np.eye(3), atol=1e-10)
-
-    def test_beats_random_competitor_flats(self, rng):
-        pts = rng.standard_normal((40, 5))
-        flat = pca_fit(pts, 2)
-        best = flat_residual_sq(pts, flat)
-        centroid = pts.mean(axis=0)
-        for _ in range(100):
-            competitor = AffineFlat(base=centroid, basis=random_orthonormal(rng, 5, 2))
-            assert best <= flat_residual_sq(pts, competitor) + 1e-9
-
-    def test_too_few_points(self, rng):
-        with pytest.raises(DegenerateInput):
-            pca_fit(rng.standard_normal((2, 4)), 2)
-
-    def test_bad_dims(self, rng):
-        with pytest.raises(InvalidParam):
-            pca_fit(rng.standard_normal((10, 4)), 0)
-        with pytest.raises(InvalidParam):
-            pca_fit(rng.standard_normal((10, 4)), 5)
+            AffineFlat(base=np.zeros(4), basis=haar_frames(rng, (5, 2)))
 
 
 class TestSpectra:
@@ -202,7 +144,7 @@ class TestTruncatedSvd:
         assert np.allclose(res.singular_values, [3.0, 2.0])
 
     def test_orthonormal_rows_give_unit_singular_values(self, rng):
-        a = random_orthonormal(rng, 12, 4).T  # 4x12 with orthonormal rows
+        a = haar_frames(rng, (12, 4)).T  # 4x12 with orthonormal rows
         res = truncated_svd(a, 4)
         assert np.allclose(res.singular_values, np.ones(4), atol=1e-10)
 
@@ -249,8 +191,8 @@ class TestTruncatedSvd:
 
     def test_power_path_matches_gram_path(self, rng):
         # known spectrum with a gap below the requested block (s3=3 vs s4=1)
-        u = random_orthonormal(rng, 10, 6)
-        v = random_orthonormal(rng, 40, 6)
+        u = haar_frames(rng, (10, 6))
+        v = haar_frames(rng, (40, 6))
         a = u @ np.diag([7.0, 5.0, 3.0, 1.0, 0.5, 0.25]) @ v.T
         gram = truncated_svd(a, 3)
         power = truncated_svd_power(a, 3, seed=7)
@@ -260,8 +202,8 @@ class TestTruncatedSvd:
     def test_power_path_warns_when_not_converged(self, rng, caplog):
         # s4/s3 = 0.997: almost no gap at k = 3, so the block turns by a
         # factor of only ~0.99 per sweep and is far from settled after 50
-        u = random_orthonormal(rng, 10, 6)
-        v = random_orthonormal(rng, 40, 6)
+        u = haar_frames(rng, (10, 6))
+        v = haar_frames(rng, (40, 6))
         a = u @ np.diag([7.0, 5.0, 3.0, 2.99, 0.5, 0.25]) @ v.T
         with caplog.at_level(logging.WARNING, logger="fls.linalg"):
             truncated_svd_power(a, 3, seed=7)
