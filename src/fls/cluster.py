@@ -30,7 +30,7 @@ from .linalg import (
     check_finite,
     flip_signs,
     kmeans,
-    truncated_svd,
+    svd_from_gram,
     truncated_svd_power,
 )
 from .rng import split
@@ -78,6 +78,25 @@ def degrees(embedding: EmbeddingMatrix) -> np.ndarray:
     return degs
 
 
+# Entries of one column block of Psi D^-1/2 on the Gram path (16 MiB of
+# float64): the only piece of the normalized matrix that ever exists.
+_GRAM_BLOCK_ENTRIES = 2**21
+
+
+def _normalized_gram(psi: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
+    """(Psi diag(w)) (Psi diag(w))^T, summed over column blocks of Psi."""
+    d_rows, n = psi.shape
+    width = max(1, _GRAM_BLOCK_ENTRIES // d_rows)
+    buf = np.empty(d_rows * min(width, n))
+    gram = np.zeros((d_rows, d_rows))
+    for s in range(0, n, width):
+        e = min(n, s + width)
+        blk = buf[: d_rows * (e - s)].reshape(d_rows, e - s)
+        np.multiply(psi[:, s:e], inv_sqrt[s:e], out=blk)
+        gram += blk @ blk.T
+    return gram
+
+
 def spectral_embed(
     embedding: EmbeddingMatrix,
     n_clusters: int,
@@ -85,23 +104,34 @@ def spectral_embed(
     svd_path: str = "gram",
     seed=0,
 ):
-    """Row-normalized top singular vectors of Psi D^-1/2.
+    """Row-normalized top singular vectors of A = Psi D^-1/2.
 
     Returns (rows, singular_values) where rows is n x K (or n x (K-1)
     with drop_first, which discards the leading vector).  Rows that are
-    exactly zero stay zero.  svd_path selects the Gram-matrix solver or
-    the O(K n D) block power iteration.
+    exactly zero stay zero.  ``embedding.data`` is left unchanged.
+
+    svd_path "gram" never forms A: the D x D Gram matrix A A^T is summed
+    over column blocks of Psi, each scaled by D^-1/2 on its own, and the
+    right vectors are (Psi^T U) D^-1/2 / s, so beside the embedding it
+    holds O(D^2 + K n) plus one 2^21-entry block (``linalg.svd_from_gram``
+    does the eigensolve and the RankDeficient floor).  svd_path "power"
+    forms A and runs the O(K n D) block power iteration.
     """
     if n_clusters < 1:
         raise InvalidParam(f"n_clusters={n_clusters} must be >= 1")
     if drop_first and n_clusters < 2:
         raise InvalidParam("drop_first needs n_clusters >= 2")
-    degs = degrees(embedding)
-    a = embedding.data * (degs**-0.5)[None, :]
+    psi = embedding.data
+    inv_sqrt = degrees(embedding) ** -0.5
     if svd_path == "gram":
-        result = truncated_svd(a, n_clusters)
+        result = svd_from_gram(
+            _normalized_gram(psi, inv_sqrt),
+            psi.shape[1],
+            n_clusters,
+            lambda u: (psi.T @ u) * inv_sqrt[:, None],
+        )
     elif svd_path == "power":
-        result = truncated_svd_power(a, n_clusters, seed=seed)
+        result = truncated_svd_power(psi * inv_sqrt[None, :], n_clusters, seed=seed)
     else:
         raise InvalidParam(f"unknown svd_path {svd_path!r}")
     vectors = result.right_vectors

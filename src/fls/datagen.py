@@ -150,22 +150,34 @@ def gen_synthetic(model: SyntheticModel, seed=0) -> DataSet:
     return DataSet(points=points, labels=labels)
 
 
+# Rows per formatted write of save_csv: bounds the Python objects one
+# write holds to about this many rows' worth.
+_CSV_WRITE_ROWS = 65536
+
+
 def save_csv(path, data: DataSet) -> None:
     """Write points (and labels, when present) with a header row.
 
-    Floats use %.17g so a round trip reproduces them exactly.
+    Floats use %.17g so a round trip reproduces them exactly; each block
+    of rows is one %-format of one row template repeated.
     """
     cols = [f"x{i}" for i in range(data.dim)]
+    row = ",".join(["%.17g"] * data.dim)
     if data.labels is not None:
         cols.append("label")
-    lines = [",".join(cols)]
-    for i in range(data.n):
-        fields = ["%.17g" % v for v in data.points[i]]
-        if data.labels is not None:
-            fields.append(str(int(data.labels[i])))
-        lines.append(",".join(fields))
+        row += ",%d"
+    row += "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(cols) + "\n")
+        for s in range(0, data.n, _CSV_WRITE_ROWS):
+            block = data.points[s : s + _CSV_WRITE_ROWS]
+            if data.labels is not None:
+                # object cells: the floats and ints %-format as Python's own
+                cells = np.empty((block.shape[0], data.dim + 1), dtype=object)
+                cells[:, :-1] = block
+                cells[:, -1] = data.labels[s : s + _CSV_WRITE_ROWS]
+                block = cells
+            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def _parse_float(field, row, col):
@@ -178,37 +190,16 @@ def _parse_float(field, row, col):
     return value
 
 
-def load_csv(path) -> DataSet:
-    """Read a CSV of finite decimals, with an optional header.
+def _parse_cells(lines, width, n_coords, has_labels, offset):
+    """Cell-by-cell parse of the data lines: (points, labels or None).
 
-    A trailing integer label column is recognized only when a header row
-    names its last column ``label``.  Raises ParseError with the 1-based
-    row/column of the offending cell, or RaggedRows when widths differ.
+    Raises ParseError or RaggedRows naming the first bad cell or row,
+    numbered from ``offset``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.read().splitlines()
-    rows = [line.split(",") for line in raw_lines if line.strip() != ""]
-    if not rows:
-        raise ParseError("file contains no data rows", row=1)
-
-    has_header = False
-    try:
-        [float(f) for f in rows[0]]
-    except ValueError:
-        has_header = True
-    has_labels = has_header and rows[0][-1].strip().lower() == "label"
-    data_rows = rows[1:] if has_header else rows
-    if not data_rows:
-        raise ParseError("file contains no data rows", row=2)
-
-    width = len(data_rows[0])
-    n_coords = width - 1 if has_labels else width
-    if n_coords < 1:
-        raise ParseError("rows have no coordinate columns", row=1)
-    points = np.empty((len(data_rows), n_coords))
-    labels = np.empty(len(data_rows), dtype=int) if has_labels else None
-    offset = 2 if has_header else 1
-    for i, fields in enumerate(data_rows):
+    points = np.empty((len(lines), n_coords))
+    labels = np.empty(len(lines), dtype=int) if has_labels else None
+    for i, line in enumerate(lines):
+        fields = line.split(",")
         if len(fields) != width:
             raise RaggedRows(
                 f"expected {width} fields, found {len(fields)}", row=i + offset
@@ -225,4 +216,63 @@ def load_csv(path) -> DataSet:
                     row=i + offset,
                     col=width,
                 )
+    return points, labels
+
+
+def _parse_fast(lines, n_coords, has_labels):
+    """One vectorized parse of the data lines: (points, labels or None).
+
+    Raises ValueError (or OverflowError) on any file the cell parser
+    might reject or read differently, non-finite cells included; it
+    names no position.
+    """
+    table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    points = np.ascontiguousarray(table[:, :n_coords])
+    if not np.isfinite(points).all():
+        raise ValueError("non-finite cell")
+    labels = None
+    if has_labels:
+        labels = np.array(
+            [int(line.rpartition(",")[2].strip()) for line in lines], dtype=int
+        )
+    return points, labels
+
+
+def load_csv(path) -> DataSet:
+    """Read a CSV of finite decimals, with an optional header.
+
+    A trailing integer label column is recognized only when a header row
+    names its last column ``label``.  A UTF-8 byte order mark is skipped.
+    Raises ParseError with the 1-based row/column of the offending cell,
+    or RaggedRows when widths differ (blank lines are not counted).
+
+    The cells are parsed in one vectorized pass; only when that pass
+    fails does the cell-by-cell parser run, to return what it accepts or
+    name the bad cell.
+    """
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        lines = [line for line in fh.read().splitlines() if line.strip() != ""]
+    if not lines:
+        raise ParseError("file contains no data rows", row=1)
+
+    head = lines[0].split(",")
+    has_header = False
+    try:
+        [float(f) for f in head]
+    except ValueError:
+        has_header = True
+    has_labels = has_header and head[-1].strip().lower() == "label"
+    data_lines = lines[1:] if has_header else lines
+    if not data_lines:
+        raise ParseError("file contains no data rows", row=2)
+
+    width = data_lines[0].count(",") + 1
+    n_coords = width - 1 if has_labels else width
+    if n_coords < 1:
+        raise ParseError("rows have no coordinate columns", row=1)
+    try:
+        points, labels = _parse_fast(data_lines, n_coords, has_labels)
+    except (ValueError, OverflowError):
+        offset = 2 if has_header else 1
+        points, labels = _parse_cells(data_lines, width, n_coords, has_labels, offset)
     return DataSet(points=points, labels=labels)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .datagen import as_points
 from .errors import DenseLimitExceeded, DimensionMismatch, InvalidParam
-from .linalg import AffineFlat, check_finite, haar_frames, sq_dists
+from .linalg import AffineFlat, check_finite, haar_frames
 from .rng import make_rng
 
 # AffineFlat is re-exported here because flats are part of the kernel API.
@@ -210,32 +210,91 @@ def flat_distance(x: np.ndarray, flat: AffineFlat) -> float:
     return math.sqrt(max(0.0, float(diff @ diff) - float(proj @ proj)))
 
 
-def _grouped_flat_sq_dists(flats, pts):
-    """Squared distances from every point to every flat, (D, n).
+# Frame-projection entries one column block of a flat group holds (32 MiB
+# of float64).  A GEMM's sums depend on its shape (a one-column product
+# even goes to GEMV), so the block boundaries are part of the bits.
+_BLOCK_ENTRIES = 4_000_000
 
-    Flats are grouped by dimension so each group reduces to two GEMMs;
-    the projection tensor is chunked over points to bound memory.
+
+def _flat_groups(flats):
+    """(rows, bases, frames) per flat dimension, in first-seen order.
+
+    rows is a slice when the group's flats are consecutive, else an index
+    array; bases is None when every base is zero (linear flats).
     """
-    n, d = pts.shape
-    out = np.empty((len(flats), n))
     by_dim = {}
     for i, f in enumerate(flats):
         by_dim.setdefault(f.dim, []).append(i)
-    for flat_dim, idxs in by_dim.items():
-        rows = np.asarray(idxs)
+    for idxs in by_dim.values():
         bases = np.stack([flats[i].base for i in idxs])
         frames = np.stack([flats[i].basis for i in idxs])  # (g, d, l)
-        g = len(idxs)
-        d2_full = sq_dists(bases, pts)
-        stacked = frames.transpose(0, 2, 1).reshape(g * flat_dim, d)
-        base_proj = np.einsum("gdl,gd->gl", frames, bases)
-        chunk = max(1, int(4_000_000 // max(g * flat_dim, 1)))
+        if idxs[-1] - idxs[0] + 1 == len(idxs):
+            rows = slice(idxs[0], idxs[-1] + 1)
+        else:
+            rows = np.asarray(idxs)
+        yield rows, (bases if bases.any() else None), frames
+
+
+def _map_flat_sq_dists(n_rows, groups, pts, finish):
+    """New (n_rows, n) array of finish(d2), d2 the squared distance from
+    every point to every flat.
+
+    ``groups`` holds (rows, bases, frames) triples as made by
+    ``_flat_groups``; frames may have l = 0 columns (a point is a flat of
+    dimension 0).  For a group of g flats,
+
+        d2 = (|x|^2 - 2 b.x + |b|^2) - |F^T x - F^T b|^2,
+
+    clipped at zero and passed to ``finish``, which transforms its
+    argument in place.  The base products take one GEMM over all points,
+    written straight into the group's rows of the result (skipped when
+    bases is None: |x|^2 - 2*0 + 0 is exactly |x|^2); the frame products
+    take one GEMM per column block of 4e6 // (g l) points, and the rest
+    of the formula runs block by block.  So beside the result only
+    block-sized temporaries exist (plus a (g, n) array for a group whose
+    rows are not consecutive).  Keeping both GEMM shapes makes every
+    entry bit-identical to the formula evaluated on whole arrays with
+    those frame blocks, which the tests pin.
+    """
+    n, d = pts.shape
+    out = np.empty((n_rows, n))
+    x_sq = (pts**2).sum(axis=1)
+    for rows, bases, frames in groups:
+        g, l = frames.shape[0], frames.shape[2]
+        chunk = max(1, _BLOCK_ENTRIES // (g * max(l, 1)))
+        width = min(chunk, n)
+        direct = isinstance(rows, slice)
+        if bases is not None:
+            cross = np.matmul(bases, pts.T, out=out[rows]) if direct else bases @ pts.T
+            base_proj = np.einsum("gdl,gd->gl", frames, bases)[:, :, None]
+            b_sq = (bases**2).sum(axis=1)[:, None]
+        stacked = frames.transpose(0, 2, 1).reshape(g * l, d)
+        proj_buf = np.empty(g * l * width)
+        sq_buf = np.empty(g * width if l else 0)
         for s in range(0, n, chunk):
             e = min(n, s + chunk)
-            proj = (stacked @ pts[s:e].T).reshape(g, flat_dim, e - s)
-            proj -= base_proj[:, :, None]
-            d2 = d2_full[:, s:e] - (proj**2).sum(axis=1)
-            out[rows, s:e] = np.clip(d2, 0.0, None)
+            m = e - s
+            if l:
+                proj = proj_buf[: g * l * m].reshape(g * l, m)
+                proj = np.matmul(stacked, pts[s:e].T, out=proj).reshape(g, l, m)
+                if bases is not None:
+                    proj -= base_proj
+                np.square(proj, out=proj)
+                sq = np.sum(proj, axis=1, out=sq_buf[: g * m].reshape(g, m))
+            if bases is None:
+                dest = out[rows, s:e] if direct else np.empty((g, m))
+                np.subtract(x_sq[None, s:e], sq, out=dest)
+            else:
+                dest = cross[:, s:e]
+                dest *= -2.0
+                dest += x_sq[s:e]
+                dest += b_sq
+                if l:
+                    dest -= sq
+            np.clip(dest, 0.0, None, out=dest)
+            finish(dest)
+            if not direct:
+                out[rows, s:e] = dest
     return out
 
 
@@ -248,14 +307,41 @@ def flat_distance_matrix(flats, points: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"points in R^{pts.shape[1]}, flats in R^{flats[0].ambient}"
         )
-    return np.sqrt(_grouped_flat_sq_dists(flats, pts))
+    return _map_flat_sq_dists(
+        len(flats), _flat_groups(flats), pts, lambda blk: np.sqrt(blk, out=blk)
+    )
+
+
+def _neg_exp(scale, norm=1.0):
+    """In-place finish blk -> norm * exp(-blk / scale)."""
+
+    def finish(blk):
+        np.negative(blk, out=blk)
+        blk /= scale
+        np.exp(blk, out=blk)
+        if norm != 1.0:
+            blk *= norm
+
+    return finish
+
+
+def _gaussian_bumps(centers, pts, sigma, norm=1.0):
+    """norm * exp(-|x - c|^2 / (2 sigma^2)), shape (len(centers), n): the
+    flat fill with every center a flat of dimension 0."""
+    frames = np.empty(centers.shape + (0,))
+    return _map_flat_sq_dists(
+        len(centers), [(slice(None), centers, frames)], pts, _neg_exp(2.0 * sigma**2, norm)
+    )
 
 
 def feature_matrix(spec: FeatureSpec, points) -> np.ndarray:
     """Unscaled feature values f(x_i, y_j), shape (D, n), of an array or DataSet.
 
-    embed() divides this by sqrt(D); the raw values are useful when the
-    per-sample spread matters (standard errors of kernel estimates).
+    The result is one freshly allocated (D, n) array, filled in place:
+    flat and landmark features block by block (``_map_flat_sq_dists``),
+    cosine features from one GEMM.  embed() divides it by sqrt(D); the
+    raw values are useful when the per-sample spread matters (standard
+    errors of kernel estimates).
     """
     pts = as_points(points)
     if pts.ndim != 2:
@@ -265,21 +351,31 @@ def feature_matrix(spec: FeatureSpec, points) -> np.ndarray:
             f"points in R^{pts.shape[1]} but spec expects R^{spec.dim}"
         )
     if isinstance(spec, GaussianRFF):
-        return math.sqrt(2.0) * np.cos(spec.frequencies @ pts.T + spec.phases[:, None])
+        out = spec.frequencies @ pts.T
+        out += spec.phases[:, None]
+        np.cos(out, out=out)
+        out *= math.sqrt(2.0)
+        return out
     if isinstance(spec, LandmarkGaussian):
-        d2 = sq_dists(spec.centers, pts)
         norm = (2.0 * math.pi * spec.sigma**2) ** (-spec.dim / 2.0)
-        return norm * np.exp(-np.clip(d2, 0.0, None) / (2.0 * spec.sigma**2))
+        return _gaussian_bumps(spec.centers, pts, spec.sigma, norm)
     if isinstance(spec, SubspaceKernel):
-        d2 = _grouped_flat_sq_dists(spec.flats, pts)
-        return np.exp(-d2 / spec.sigma**2)
+        return _map_flat_sq_dists(
+            spec.n_features, _flat_groups(spec.flats), pts, _neg_exp(spec.sigma**2)
+        )
     raise InvalidParam(f"unknown feature spec type {type(spec).__name__}")
 
 
 def embed(spec: FeatureSpec, points) -> EmbeddingMatrix:
-    """Feature embedding psi(X) with the 1/sqrt(D) scaling applied."""
+    """Feature embedding psi(X) with the 1/sqrt(D) scaling applied.
+
+    Holds one (D, n) array: ``feature_matrix`` fills it block by block
+    and the scaling divides it in place, so the peak is that array plus
+    one block's temporaries (O(4e6) entries).
+    """
     values = feature_matrix(spec, points)
-    return EmbeddingMatrix(data=values / math.sqrt(spec.n_features))
+    values /= math.sqrt(spec.n_features)
+    return EmbeddingMatrix(data=values)
 
 
 def exact_gaussian_kernel(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
@@ -291,8 +387,7 @@ def exact_gaussian_kernel(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
 def gaussian_kernel_matrix(points: np.ndarray, sigma: float) -> np.ndarray:
     """Pairwise exact Gaussian kernel matrix of one point set."""
     pts = check_finite(points, "points")
-    d2 = sq_dists(pts, pts)
-    return np.exp(-np.clip(d2, 0.0, None) / (2.0 * float(sigma) ** 2))
+    return _gaussian_bumps(pts, pts, float(sigma))
 
 
 def approx_kernel_matrix(spec: FeatureSpec, points, dense_limit: int = 5000) -> np.ndarray:

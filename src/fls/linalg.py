@@ -60,17 +60,6 @@ def haar_frames(gen: np.random.Generator, shape) -> np.ndarray:
     return q * _signs(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
-def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances |a_i - b_j|^2, shape (len(a), len(b)).
-
-    Computed as |b_j|^2 - 2 a_i.b_j + |a_i|^2 with one GEMM and left
-    unclipped: roundoff can make an entry slightly negative.
-    """
-    a_sq = (a**2).sum(axis=1)
-    b_sq = (b**2).sum(axis=1)
-    return b_sq[None, :] - 2.0 * (a @ b.T) + a_sq[:, None]
-
-
 @dataclass(frozen=True)
 class AffineFlat:
     """An l-dimensional affine flat {base + basis @ u} in R^d.
@@ -165,24 +154,19 @@ def _package_svd(left, svals, right):
     return SvdResult(left * signs, svals, right * signs)
 
 
-def truncated_svd(a: np.ndarray, k: int) -> SvdResult:
-    """Top-k singular triples via the D x D Gram matrix.
+def svd_from_gram(gram: np.ndarray, n_cols: int, k: int, transpose_times) -> SvdResult:
+    """Top-k singular triples of a D x n matrix A from its Gram matrix A A^T.
 
-    For a D x n input, eigendecomposes A @ A.T (cost O(n D^2 + D^3)) and
-    recovers right vectors as A.T @ u / s.  Intended for D << n; for the
-    O(k n D) iterative alternative see truncated_svd_power.
-
-    Gram eigenvalues are resolved only to about D * eps * s_1^2, below
-    which A.T @ u / s is noise; raises RankDeficient when s_k^2 falls
-    under that floor.
+    Eigendecomposes the symmetrized D x D ``gram`` (O(D^3)); left
+    vectors are its top eigenvectors u and right vectors A^T u / s, with
+    ``transpose_times(u)`` supplying A^T u, so the caller decides how A
+    is held.  Gram eigenvalues are resolved only to about D * eps * s_1^2,
+    below which A^T u / s is noise; raises RankDeficient when s_k^2
+    falls under that floor.
     """
-    a = check_finite(a, "matrix")
-    if a.ndim != 2:
-        raise InvalidParam("matrix must be 2-D")
-    d_rows, n = a.shape
-    if not 1 <= k <= min(d_rows, n):
-        raise InvalidParam(f"k={k} not in [1, {min(d_rows, n)}]")
-    gram = a @ a.T
+    d_rows = gram.shape[0]
+    if not 1 <= k <= min(d_rows, n_cols):
+        raise InvalidParam(f"k={k} not in [1, {min(d_rows, n_cols)}]")
     gram = (gram + gram.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(gram)
     order = np.argsort(eigvals)[::-1][:k]
@@ -194,8 +178,21 @@ def truncated_svd(a: np.ndarray, k: int) -> SvdResult:
             f"singular value {svals[-1]:.3e} below the Gram noise floor "
             f"{floor:.3e}; request fewer vectors"
         )
-    right = (a.T @ left) / svals
-    return _package_svd(left, svals, right)
+    return _package_svd(left, svals, transpose_times(left) / svals)
+
+
+def truncated_svd(a: np.ndarray, k: int) -> SvdResult:
+    """Top-k singular triples via the D x D Gram matrix (``svd_from_gram``).
+
+    For a D x n input, forms A @ A.T (cost O(n D^2 + D^3)) and recovers
+    right vectors as A.T @ u / s.  Intended for D << n; for the O(k n D)
+    iterative alternative see truncated_svd_power.  Raises RankDeficient
+    when s_k falls under the Gram noise floor sqrt(D * eps) * s_1.
+    """
+    a = check_finite(a, "matrix")
+    if a.ndim != 2:
+        raise InvalidParam("matrix must be 2-D")
+    return svd_from_gram(a @ a.T, a.shape[1], k, lambda u: a.T @ u)
 
 
 def truncated_svd_power(

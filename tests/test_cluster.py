@@ -1,10 +1,12 @@
 """Spectral pipeline: degrees, embedding SVD route, end-to-end clustering."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fls import cluster
 from fls.cluster import (
     ClusterResult,
     degrees,
@@ -20,6 +22,7 @@ from fls.errors import (
     DenseLimitExceeded,
     InvalidParam,
     PipelineError,
+    RankDeficient,
 )
 from fls.kernels import EmbeddingMatrix, SubspaceKernel, approx_kernel_matrix, embed
 from fls.landmarks import (
@@ -29,7 +32,7 @@ from fls.landmarks import (
     default_sigma,
     select_landmarks,
 )
-from fls.linalg import flip_signs, kmeans
+from fls.linalg import flip_signs, kmeans, truncated_svd
 from fls.rng import split
 
 
@@ -130,6 +133,42 @@ class TestSpectralEmbed:
         rows_p, svals_p = spectral_embed(emb, 2, svd_path="power", seed=3)
         assert np.allclose(svals_g, svals_p, atol=1e-7)
         assert np.allclose(rows_g, rows_p, atol=1e-5)
+
+    def test_blocked_gram_matches_unblocked_svd(self, rng, monkeypatch):
+        # 7-column blocks over 45 points: the last block is a partial one
+        monkeypatch.setattr(cluster, "_GRAM_BLOCK_ENTRIES", 7 * 12, raising=False)
+        emb = positive_embedding(rng, 12, 45)
+        rows, svals = spectral_embed(emb, 3, drop_first=True)
+        a = emb.data * degrees(emb)[None, :] ** -0.5
+        want = truncated_svd(a, 3)
+        assert np.allclose(svals, want.singular_values, rtol=1e-13, atol=0)
+        assert np.allclose(rows, sphere_normalize(want.right_vectors[:, 1:]), atol=1e-12)
+
+    def test_embedding_left_unchanged(self, rng):
+        emb = positive_embedding(rng, 10, 30)
+        before = emb.data.copy()
+        spectral_embed(emb, 3)
+        spectral_embed(emb, 3, svd_path="power", seed=1)
+        assert np.array_equal(emb.data, before)
+
+    def test_gram_path_peak_is_one_block(self, monkeypatch):
+        # no second D x n array: the peak is one column block plus n x K
+        monkeypatch.setattr(cluster, "_GRAM_BLOCK_ENTRIES", 2**16, raising=False)
+        count, n = 200, 20_000
+        emb = positive_embedding(np.random.default_rng(3), count, n)
+        tracemalloc.start()
+        try:
+            spectral_embed(emb, 3, drop_first=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * count * n * 8
+
+    def test_rank_deficient_embedding_refused(self, rng):
+        # rank-one Psi: s2 sits at the Gram noise floor, not a real value
+        psi = np.outer(rng.random(20) + 0.5, rng.random(300) + 0.5)
+        with pytest.raises(RankDeficient):
+            spectral_embed(EmbeddingMatrix(data=psi), 2)
 
     def test_bad_params(self, rng):
         emb = positive_embedding(rng, 5, 10)

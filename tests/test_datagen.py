@@ -1,10 +1,14 @@
 """Synthetic data generation and CSV round-tripping."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from fls import datagen
 from fls.datagen import (
     DataSet,
     SyntheticModel,
@@ -218,3 +222,85 @@ class TestCsvRoundTrip:
         path.write_text("x0,x1\n")
         with pytest.raises(ParseError):
             load_csv(path)
+
+    def test_utf8_bom_is_not_a_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff1.5,2.5\n-3.0,0.25\n", encoding="utf-8")
+        data = load_csv(path)
+        assert np.array_equal(data.points, [[1.5, 2.5], [-3.0, 0.25]])
+
+    def test_bom_before_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeffx0,label\n1.5,2\n", encoding="utf-8")
+        data = load_csv(path)
+        assert np.array_equal(data.points, [[1.5]])
+        assert np.array_equal(data.labels, [2])
+
+    def test_valid_file_skips_cell_parser(self, tmp_path):
+        data = gen_synthetic(two_plane_model(outlier_ratio=0.1), seed=4)
+        path = tmp_path / "pts.csv"
+        save_csv(path, data)
+        with mock.patch.object(datagen, "_parse_cells", side_effect=AssertionError):
+            back = load_csv(path)
+        assert np.array_equal(back.points, data.points)
+        assert np.array_equal(back.labels, data.labels)
+
+
+# Cells the two parsers must agree on: decimals in several spellings,
+# integers, and text that one or both of them reject.
+_ODD_CELLS = [
+    "", " ", "oops", "1_0", "nan", "NaN", "-inf", "infinity", "1e400",
+    "1e-400", "0x1p3", "1.0.0", "+5", " 2.5 ", "\t3\t", "\u00a01.5", "\u0663",
+    ".5", "5.", "-0", "1e", "1.0", " 7", "label", "\x00", "1.5\x00junk",
+    "1\u3000", "nan(1)", "1d5",
+]
+_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats().map(lambda v: "%.17g" % v),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(_ODD_CELLS),
+)
+_LABELS = st.one_of(st.integers(-3, 9).map(str), st.sampled_from(_ODD_CELLS))
+
+
+@st.composite
+def _csv_texts(draw):
+    width = draw(st.integers(1, 4))
+    header = draw(st.sampled_from(["none", "names", "label"]))
+    lines = []
+    if header == "names":
+        lines.append(",".join(f"x{i}" for i in range(width)))
+    elif header == "label":
+        lines.append(",".join([f"x{i}" for i in range(width - 1)] + [" Label "]))
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+            continue
+        row_width = width + draw(st.sampled_from([0] * 8 + [-1, 1]))
+        cells = draw(st.lists(_CELLS, min_size=max(row_width, 1), max_size=max(row_width, 1)))
+        if header == "label":
+            cells[-1] = draw(_LABELS)
+        lines.append(",".join(cells))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _outcome(path):
+    """What load_csv gives: arrays, or the error's type, message and position."""
+    try:
+        data = load_csv(path)
+    except Exception as err:
+        return ("raises", type(err), str(err), getattr(err, "row", None), getattr(err, "col", None))
+    labels = None if data.labels is None else data.labels.tolist()
+    return ("data", data.points.shape, data.points.tobytes(), labels)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_csv_texts())
+def test_fast_parse_matches_cell_parser(tmp_path, text):
+    path = tmp_path / "gen.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    fast = _outcome(path)
+    with mock.patch.object(datagen, "_parse_fast", side_effect=ValueError):
+        cells = _outcome(path)
+    assert fast == cells

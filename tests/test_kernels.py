@@ -1,10 +1,12 @@
 """Feature maps: sampling, distances, embeddings, kernel estimates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fls import kernels
 from fls.errors import (
     DenseLimitExceeded,
     DimensionMismatch,
@@ -28,6 +30,55 @@ from fls.kernels import (
     spec_to_json,
 )
 from fls.linalg import haar_frames
+
+
+def oracle_flat_sq_dists(flats, pts, block_entries=4_000_000):
+    """Squared distances as the grouped two-GEMM formula on whole arrays.
+
+    Per flat dimension: |x|^2 - 2 b.x + |b|^2 from one GEMM over all
+    points, minus |F^T x - F^T b|^2 from one GEMM per column block of
+    block_entries // (g l) points, clipped at zero.
+    """
+    n, d = pts.shape
+    out = np.empty((len(flats), n))
+    by_dim = {}
+    for i, f in enumerate(flats):
+        by_dim.setdefault(f.dim, []).append(i)
+    for flat_dim, idxs in by_dim.items():
+        rows = np.asarray(idxs)
+        bases = np.stack([flats[i].base for i in idxs])
+        frames = np.stack([flats[i].basis for i in idxs])
+        g = len(idxs)
+        b_sq = (bases**2).sum(axis=1)
+        x_sq = (pts**2).sum(axis=1)
+        d2_full = x_sq[None, :] - 2.0 * (bases @ pts.T) + b_sq[:, None]
+        stacked = frames.transpose(0, 2, 1).reshape(g * flat_dim, d)
+        base_proj = np.einsum("gdl,gd->gl", frames, bases)
+        chunk = max(1, int(block_entries // max(g * flat_dim, 1)))
+        for s in range(0, n, chunk):
+            e = min(n, s + chunk)
+            proj = (stacked @ pts[s:e].T).reshape(g, flat_dim, e - s)
+            proj -= base_proj[:, :, None]
+            d2 = d2_full[:, s:e] - (proj**2).sum(axis=1)
+            out[rows, s:e] = np.clip(d2, 0.0, None)
+    return out
+
+
+def oracle_embed(spec, pts, block_entries=4_000_000):
+    """exp(-d2 / sigma^2) / sqrt(D) over the oracle distances."""
+    d2 = oracle_flat_sq_dists(spec.flats, pts, block_entries)
+    return np.exp(-d2 / spec.sigma**2) / math.sqrt(spec.n_features)
+
+
+def random_flats(gen, count, ambient, dims, affine):
+    """count flats in R^ambient cycling through dims, zero bases unless affine."""
+    return tuple(
+        AffineFlat(
+            base=gen.standard_normal(ambient) if affine else np.zeros(ambient),
+            basis=haar_frames(gen, (ambient, dims[i % len(dims)])),
+        )
+        for i in range(count)
+    )
 
 
 def xaxis_flat(d, through=None):
@@ -190,6 +241,83 @@ class TestEmbed:
         emb = embed(spec, pts).data
         est = float(emb[:, 0] @ emb[:, 1])
         assert abs(est - math.exp(-0.5)) < 0.03
+
+
+class TestBlockedFill:
+    """embed, feature_matrix and flat_distance_matrix against the oracle,
+    bit for bit.  Most cases shrink the block so that a few hundred
+    points span several blocks; the first keeps the default block."""
+
+    @pytest.mark.parametrize(
+        "block_entries, count, dims, affine, n",
+        [
+            (4_000_000, 400, (2,), False, 2 * 5000 + 1),
+            (4000, 40, (2,), False, 3 * 50 + 1),
+            (4000, 40, (2,), True, 3 * 50 + 1),
+            (4000, 40, (2,), True, 3 * 50 + 17),
+            (4000, 40, (2,), True, 50),
+            (4000, 30, (1, 3, 2), True, 2 * 111 + 1),
+            (4000, 30, (1, 3, 2), False, 2 * 111 + 40),
+            (4000, 1, (1,), True, 2 * 4000 + 1),
+            (4000, 40, (2,), True, 1),
+        ],
+    )
+    def test_bit_identical_to_oracle(self, monkeypatch, block_entries, count, dims, affine, n):
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_entries, raising=False)
+        gen = np.random.default_rng(count + n)
+        flats = random_flats(gen, count, 6, dims, affine)
+        pts = gen.standard_normal((n, 6))
+        spec = SubspaceKernel(sigma=0.8, flats=flats)
+        d2 = oracle_flat_sq_dists(flats, pts, block_entries)
+        assert np.array_equal(flat_distance_matrix(flats, pts), np.sqrt(d2))
+        assert np.array_equal(feature_matrix(spec, pts), np.exp(-d2 / 0.8**2))
+        assert np.array_equal(embed(spec, pts).data, oracle_embed(spec, pts, block_entries))
+
+    def test_consecutive_groups(self, monkeypatch):
+        # two dimensions in two runs of rows: each group fills a row slice
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 4000, raising=False)
+        gen = np.random.default_rng(5)
+        flats = random_flats(gen, 20, 6, (2,), True) + random_flats(gen, 20, 6, (3,), True)
+        pts = gen.standard_normal((301, 6))
+        spec = SubspaceKernel(sigma=1.1, flats=flats)
+        assert np.array_equal(embed(spec, pts).data, oracle_embed(spec, pts, 4000))
+
+    def test_point_bumps_match_whole_array_formula(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 4000, raising=False)
+        gen = np.random.default_rng(6)
+        centers, pts = gen.standard_normal((40, 5)), gen.standard_normal((301, 5))
+        spec = LandmarkGaussian(sigma=1.3, centers=centers)
+        c_sq, x_sq = (centers**2).sum(axis=1), (pts**2).sum(axis=1)
+        d2 = x_sq[None, :] - 2.0 * (centers @ pts.T) + c_sq[:, None]
+        norm = (2.0 * math.pi * 1.3**2) ** (-5 / 2.0)
+        want = norm * np.exp(-np.clip(d2, 0.0, None) / (2.0 * 1.3**2))
+        assert np.array_equal(feature_matrix(spec, pts), want)
+        assert np.array_equal(embed(spec, pts).data, want / math.sqrt(40))
+        x_sq = (pts**2).sum(axis=1)
+        d2 = x_sq[None, :] - 2.0 * (pts @ pts.T) + x_sq[:, None]
+        want = np.exp(-np.clip(d2, 0.0, None) / (2.0 * 1.3**2))
+        assert np.array_equal(gaussian_kernel_matrix(pts, 1.3), want)
+
+    def test_rff_matches_whole_array_formula(self):
+        spec = sample_gaussian_rff(0.7, 50, 4, seed=2)
+        pts = np.random.default_rng(7).standard_normal((33, 4))
+        want = math.sqrt(2.0) * np.cos(spec.frequencies @ pts.T + spec.phases[:, None])
+        assert np.array_equal(embed(spec, pts).data, want / math.sqrt(50))
+
+    def test_embed_peak_is_one_buffer(self, monkeypatch):
+        # the peak is the D x n result plus one block, not several D x n arrays
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 2**16, raising=False)
+        gen = np.random.default_rng(8)
+        count, n = 200, 20_000
+        spec = SubspaceKernel(sigma=0.5, flats=random_flats(gen, count, 10, (2,), False))
+        pts = gen.standard_normal((n, 10))
+        tracemalloc.start()
+        try:
+            embed(spec, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * count * n * 8
 
 
 class TestKernelEstimates:
