@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateInput, InvalidParam
 from .kernels import AffineFlat, SubspaceKernel, flat_distance_matrix
-from .linalg import check_finite, flip_signs, kmeans
+from .linalg import check_finite, flip_signs, kmeans_centers
 from .rng import make_rng, split
 
 log = logging.getLogger(__name__)
@@ -30,6 +30,14 @@ log = logging.getLogger(__name__)
 # _TIE_TOL * d of the lowest are ties
 _TIE_TOL = 16 * np.finfo(float).eps
 
+# Lloyd sweeps after kmeans++ seeding for "kmeans" landmarks, which only
+# need to cover the data.  Mean clustering rate on the 48 datasets of
+# kmeans-landmarks benchmark seeds 0-11 (n = 31 500, K = 400), by sweeps:
+# 0: 0.914, 1: 0.908, 2: 0.929, 3: 0.940, 5: 0.935, converged: 0.941.
+# Three is the fewest within 0.002 of converged, which takes 36-46 sweeps
+# of about 45 ms each at that size.
+_LANDMARK_SWEEPS = 3
+
 
 @dataclass(frozen=True)
 class LandmarkConfig:
@@ -37,7 +45,8 @@ class LandmarkConfig:
 
     n_landmarks: number of flats D.
     flat_dim: dimension l of each fitted flat.
-    method: "random" (sample data points) or "kmeans" (centroids).
+    method: "random" (sample data points) or "kmeans" (kmeans++ seeds
+        refined by a few Lloyd sweeps; see ``select_landmarks``).
     init_neighbors: smallest neighborhood size S; default 2 * (l + 1).
     max_scales: number of neighborhood doublings T; default
         min(8, ceil(log2(n / S)) + 1), clamped to at least 1.
@@ -83,8 +92,12 @@ class LandmarkConfig:
 def select_landmarks(points: np.ndarray, count: int, method: str = "random", seed=0):
     """Pick ``count`` landmark locations.
 
-    "random" draws distinct data points uniformly without replacement;
-    "kmeans" returns k-means centroids (which need not be data points).
+    "random" draws distinct data points uniformly without replacement.
+    "kmeans" returns kmeans++ seeds refined by ``_LANDMARK_SWEEPS`` Lloyd
+    sweeps (``linalg.kmeans_centers``; fewer if the sweeps converge
+    first), so the centroids need not be data points.  The budget is
+    the design, so stopping at it logs no warning: landmarks only need
+    to cover the data, and converged centroids cluster no better.
     """
     pts = check_finite(points, "points")
     if pts.ndim != 2:
@@ -98,8 +111,7 @@ def select_landmarks(points: np.ndarray, count: int, method: str = "random", see
         idx = make_rng(seed).choice(n, size=count, replace=False)
         return pts[idx]
     if method == "kmeans":
-        _, centers, _ = kmeans(pts, count, seed=seed)
-        return centers
+        return kmeans_centers(pts, count, seed=seed, max_iter=_LANDMARK_SWEEPS)
     raise InvalidParam(f"unknown landmark method {method!r}")
 
 

@@ -23,7 +23,9 @@ log = logging.getLogger(__name__)
 
 def check_finite(a, name: str = "array") -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
+    # min and max propagate NaN and keep +-Inf; unlike np.isfinite they
+    # allocate nothing the size of a (a D x n embedding would need D n bytes)
+    if a.size and not (math.isfinite(a.min()) and math.isfinite(a.max())):
         raise InvalidParam(f"{name} contains NaN or Inf entries")
     return a
 
@@ -300,17 +302,26 @@ def _kmeanspp(points, x_sq, k, rng):
         if total <= 0.0:
             idx = int(rng.integers(m))  # all mass on chosen points already
         else:
-            idx = int(rng.choice(m, p=d2 / total))
+            # rng.choice(m, p=d2 / total) draws by this inverse CDF, bit for
+            # bit, after checking p anew on each of the k - 1 calls
+            cdf = np.cumsum(d2 / total)
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         centers[j] = points[idx]
         np.minimum(d2, dists_to(j, new), out=d2)
     return centers
 
 
-def _lloyd(points, k, rng, max_iter, tol):
-    """One seeded Lloyd run: (labels, centers, inertia, converged)."""
-    m = points.shape[0]
-    x_sq = (points**2).sum(axis=1)
-    centers = _kmeanspp(points, x_sq, k, rng)
+def _sweeps(points, x_sq, centers, max_iter, tol):
+    """Up to ``max_iter`` Lloyd sweeps that move ``centers`` in place.
+
+    A sweep assigns every point, stops if the inertia changed by at most
+    ``tol`` relative to the last sweep's, and otherwise moves each center
+    to the mean of its points.  Returns (labels, mins, converged): the
+    last assignment and whether the tol test stopped the sweeps.  Only
+    then have the centers not moved since that assignment.
+    """
+    m, k = points.shape[0], centers.shape[0]
     labels = np.empty(m, dtype=np.intp)
     mins = np.empty(m)
     prev = math.inf
@@ -318,8 +329,7 @@ def _lloyd(points, k, rng, max_iter, tol):
         _assign(points, x_sq, centers, labels, mins)
         inertia = float(mins.sum())
         if math.isfinite(prev) and abs(prev - inertia) <= tol * max(prev, 1e-300):
-            # centers have not moved since this assignment, so it is final
-            return labels, centers, inertia, True
+            return labels, mins, True
         prev = inertia
         counts = np.bincount(labels, minlength=k)
         # per-column bincount adds in point order, like np.add.at, but faster
@@ -333,8 +343,28 @@ def _lloyd(points, k, rng, max_iter, tol):
             far = int(np.argmax(mins))
             centers[j] = points[far]
             mins[far] = -1.0
-    _assign(points, x_sq, centers, labels, mins)
-    return labels, centers, float(mins.sum()), False
+    return labels, mins, False
+
+
+def _lloyd(points, k, rng, max_iter, tol):
+    """One seeded Lloyd run: (labels, centers, inertia, converged)."""
+    x_sq = (points**2).sum(axis=1)
+    centers = _kmeanspp(points, x_sq, k, rng)
+    labels, mins, converged = _sweeps(points, x_sq, centers, max_iter, tol)
+    if not converged:
+        _assign(points, x_sq, centers, labels, mins)
+    return labels, centers, float(mins.sum()), converged
+
+
+def _kmeans_points(points, k):
+    pts = check_finite(points, "points")
+    if pts.ndim != 2:
+        raise InvalidParam("points must be a 2-D array")
+    if k < 1:
+        raise InvalidParam(f"k={k} must be >= 1")
+    if pts.shape[0] < k:
+        raise DegenerateInput(f"{pts.shape[0]} points cannot fill {k} clusters")
+    return pts
 
 
 def kmeans(
@@ -359,15 +389,9 @@ def kmeans(
     Returns (labels, centroids, inertia); every point is assigned to its
     nearest returned centroid.
     """
-    pts = check_finite(points, "points")
-    if pts.ndim != 2:
-        raise InvalidParam("points must be a 2-D array")
-    if k < 1:
-        raise InvalidParam(f"k={k} must be >= 1")
     if restarts < 1:
         raise InvalidParam(f"restarts={restarts} must be >= 1")
-    if pts.shape[0] < k:
-        raise DegenerateInput(f"{pts.shape[0]} points cannot fill {k} clusters")
+    pts = _kmeans_points(points, k)
     best, unconverged = None, 0
     for child in split(seed, restarts):
         *run, converged = _lloyd(pts, k, make_rng(child), max_iter, tol)
@@ -384,6 +408,23 @@ def kmeans(
             tol,
         )
     return best
+
+
+def kmeans_centers(
+    points: np.ndarray, k: int, seed=0, max_iter: int = 100, tol: float = 1e-6
+) -> np.ndarray:
+    """Centroids of ``kmeans(points, k, seed, max_iter=max_iter, tol=tol)``.
+
+    The same kmeans++ seeds from the same stream and the same Lloyd
+    sweeps, bit for bit, but only the centroids: no assignment pass after
+    the last update, and no warning when ``max_iter`` comes before
+    ``tol``, for callers that cap the sweeps on purpose.
+    """
+    pts = _kmeans_points(points, k)
+    x_sq = (pts**2).sum(axis=1)
+    centers = _kmeanspp(pts, x_sq, k, make_rng(split(seed, 1)[0]))
+    _sweeps(pts, x_sq, centers, max_iter, tol)
+    return centers
 
 
 def hungarian_match(confusion: np.ndarray) -> np.ndarray:

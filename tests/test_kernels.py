@@ -14,6 +14,7 @@ from fls.errors import (
 )
 from fls.kernels import (
     AffineFlat,
+    EmbeddingMatrix,
     GaussianRFF,
     LandmarkGaussian,
     SubspaceKernel,
@@ -442,6 +443,23 @@ class TestSpecValidation:
             GaussianRFF(
                 sigma=1.0, frequencies=np.zeros((3, 2)), phases=np.zeros(4)
             )
+
+    def test_embedding_check_allocates_no_copy(self):
+        # finiteness is checked without a D x n temporary such as np.isfinite's
+        count, n = 100, 10_000
+        data = np.random.default_rng(3).random((count, n))
+        data[0, :2] = 1.7e308, -1.7e308  # finite, though their sum overflows
+        tracemalloc.start()
+        try:
+            EmbeddingMatrix(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * count * n * 8
+        for bad in (np.nan, np.inf, -np.inf):
+            data[7, 4321] = bad
+            with pytest.raises(InvalidParam):
+                EmbeddingMatrix(data)
 
     def test_nan_rejected(self):
         centers = np.zeros((2, 2))

@@ -9,6 +9,7 @@ import pytest
 from fls.errors import DegenerateInput, InvalidParam
 from fls.kernels import flat_distance
 from fls.landmarks import (
+    _LANDMARK_SWEEPS,
     LandmarkConfig,
     _fit_ladder,
     best_fit_flat,
@@ -18,7 +19,9 @@ from fls.landmarks import (
     landmark_flat_pool,
     select_landmarks,
 )
-from fls.linalg import AffineFlat, haar_frames, moment_spectrum, pca_spectrum
+from fls.linalg import AffineFlat, haar_frames, kmeans, moment_spectrum, pca_spectrum
+
+from test_linalg import oracle_kmeans
 
 
 def largest_principal_angle(b1, b2):
@@ -36,6 +39,25 @@ def plane_points(rng, basis, n, center=None, noise=0.0):
     return pts
 
 
+def five_planes(m, seed):
+    """m noisy points on five random planes in R^10, projected to the sphere."""
+    gen = np.random.default_rng(seed)
+    bases = gen.standard_normal((5, 2, 10))
+    which = gen.integers(5, size=m)
+    pts = np.einsum("ni,nid->nd", gen.standard_normal((m, 2)), bases[which])
+    pts += 0.05 * gen.standard_normal(pts.shape)
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    return pts
+
+
+def oracle_kmeans_landmarks(points, count, seed, reseeds=None):
+    # kmeans++ seeds and _LANDMARK_SWEEPS unblocked Lloyd updates, drawn
+    # from the child stream kmeans(points, count, seed) uses
+    return oracle_kmeans(
+        points, count, seed=seed, max_iter=_LANDMARK_SWEEPS, reseeds=reseeds
+    )[1]
+
+
 class TestSelectLandmarks:
     def test_all_points(self, rng):
         pts = rng.standard_normal((8, 3))
@@ -46,6 +68,31 @@ class TestSelectLandmarks:
         pts = rng.standard_normal((30, 2))
         center = select_landmarks(pts, 1, "kmeans", seed=0)
         assert np.allclose(center[0], pts.mean(axis=0), atol=1e-8)
+
+    def test_kmeans_matches_capped_oracle(self):
+        # the landmark shape: K = 400, so each sweep assigns in many row blocks
+        pts = five_planes(8000, 2)
+        got = select_landmarks(pts, 400, "kmeans", seed=2)
+        assert np.array_equal(got, oracle_kmeans_landmarks(pts, 400, 2))
+
+    def test_kmeans_reseed_matches_capped_oracle(self):
+        # two distinct locations and three landmarks: kmeans++ seeds a
+        # duplicate center, which the first assignment leaves empty
+        pts = np.repeat([[0.0, 0.0], [5.0, 1.0]], [7, 5], axis=0)
+        reseeds = []
+        want = oracle_kmeans_landmarks(pts, 3, 9, reseeds)
+        assert reseeds, "case does not reach the empty-cluster re-seed"
+        assert np.array_equal(select_landmarks(pts, 3, "kmeans", seed=9), want)
+
+    def test_kmeans_sweep_budget_logs_no_warning(self, caplog):
+        pts = five_planes(4000, 3)
+        with caplog.at_level(logging.WARNING, logger="fls"):
+            kmeans(pts, 100, seed=3, max_iter=_LANDMARK_SWEEPS)
+        assert caplog.records, "the budget reaches tol on this shape"
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="fls"):
+            select_landmarks(pts, 100, "kmeans", seed=3)
+        assert not caplog.records
 
     def test_random_is_uniform(self, rng):
         # inclusion frequency of point 0 over seeds: Binomial(trials, D/n)

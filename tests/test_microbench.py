@@ -1,10 +1,11 @@
-"""Micro-benchmarks of k-means at a small landmark-selection shape and of
-the embed + spectral_embed stages.
+"""Micro-benchmarks of k-means and k-means landmark selection at a small
+landmark-selection shape and of the embed + spectral_embed stages.
 
 In the tier-1 run each is a quick check: a few timed rounds, then the
-result must equal its reference (the unblocked k-means and the
-whole-array embedding bit for bit, the unblocked Gram SVD to
-roundoff).  For timings only, with the statistics table:
+result must equal its reference (the unblocked k-means, the capped
+unblocked Lloyd run and the whole-array embedding bit for bit, the
+unblocked Gram SVD to roundoff).  For timings only, with the statistics
+table:
 
     python -m pytest tests/test_microbench.py --benchmark-only
 
@@ -16,22 +17,28 @@ import numpy as np
 from fls.cluster import degrees, spectral_embed
 from fls.datagen import sphere_normalize
 from fls.kernels import SubspaceKernel, embed
+from fls.landmarks import select_landmarks
 from fls.linalg import kmeans, truncated_svd
 
 from test_kernels import oracle_embed, random_flats
+from test_landmarks import five_planes, oracle_kmeans_landmarks
 from test_linalg import assert_same_kmeans, oracle_kmeans
 
 
 def test_kmeans_landmark_selection(benchmark):
-    # 100 landmarks from 4000 points on five noisy planes in R^10
-    gen = np.random.default_rng(0)
-    bases = gen.standard_normal((5, 2, 10))
-    which = gen.integers(5, size=4000)
-    pts = np.einsum("ni,nid->nd", gen.standard_normal((4000, 2)), bases[which])
-    pts += 0.05 * gen.standard_normal(pts.shape)
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    # full k-means with 100 centers on 4000 points on five noisy planes in R^10
+    pts = five_planes(4000, 0)
     got = benchmark.pedantic(kmeans, args=(pts, 100), kwargs={"seed": 1}, rounds=5)
     assert_same_kmeans(got, oracle_kmeans(pts, 100, seed=1))
+
+
+def test_select_kmeans_landmarks(benchmark):
+    # the landmark path on the same points: seeds plus the capped sweeps
+    pts = five_planes(4000, 0)
+    got = benchmark.pedantic(
+        select_landmarks, args=(pts, 100, "kmeans"), kwargs={"seed": 1}, rounds=5
+    )
+    assert np.array_equal(got, oracle_kmeans_landmarks(pts, 100, 1))
 
 
 def test_embed_and_spectral_embed(benchmark):
