@@ -367,13 +367,17 @@ def _kmeans_points(points, k):
     return pts
 
 
+# relative inertia change at which Lloyd sweeps stop
+_KMEANS_TOL = 1e-6
+
+
 def kmeans(
     points: np.ndarray,
     k: int,
     seed=0,
     restarts: int = 1,
     max_iter: int = 100,
-    tol: float = 1e-6,
+    tol: float = _KMEANS_TOL,
 ):
     """Lloyd's algorithm with kmeans++ seeding.
 
@@ -410,20 +414,18 @@ def kmeans(
     return best
 
 
-def kmeans_centers(
-    points: np.ndarray, k: int, seed=0, max_iter: int = 100, tol: float = 1e-6
-) -> np.ndarray:
-    """Centroids of ``kmeans(points, k, seed, max_iter=max_iter, tol=tol)``.
+def kmeans_centers(points: np.ndarray, k: int, seed, sweeps: int) -> np.ndarray:
+    """Centroids of ``kmeans(points, k, seed, max_iter=sweeps)``.
 
     The same kmeans++ seeds from the same stream and the same Lloyd
     sweeps, bit for bit, but only the centroids: no assignment pass after
-    the last update, and no warning when ``max_iter`` comes before
-    ``tol``, for callers that cap the sweeps on purpose.
+    the last update, and no warning when ``sweeps`` runs out before the
+    inertia settles, for callers that cap the sweeps on purpose.
     """
     pts = _kmeans_points(points, k)
     x_sq = (pts**2).sum(axis=1)
     centers = _kmeanspp(pts, x_sq, k, make_rng(split(seed, 1)[0]))
-    _sweeps(pts, x_sq, centers, max_iter, tol)
+    _sweeps(pts, x_sq, centers, sweeps, _KMEANS_TOL)
     return centers
 
 
