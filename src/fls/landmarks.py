@@ -2,13 +2,17 @@
 
 Landmarks are either points sampled from the data or k-means centroids.
 Around each landmark a best-fit flat is chosen over a ladder of k-NN
-neighborhood sizes S, 2S, 4S, ...  The sizes are nested prefixes of one
-distance-sorted neighborhood, so their second moments are accumulated
-block by block in O(m_max d^2), and one batched ``eigvalsh`` scores every
-size by the fraction of variance its best l-flat fails to explain.  The
-lowest score wins, with scores within roundoff (about d * eps) of it tied
-and ties going to the smallest neighborhood; only the winner is
-eigendecomposed for its basis.
+neighborhood sizes S, 2S, 4S, ...; each size is scored by the fraction
+of variance its best l-flat fails to explain.  The sizes are nested
+prefixes of one distance-sorted neighborhood.  A size m < d is scored
+from the m x m Gram matrix of its neighborhood; the sizes m >= d get
+their second moments accumulated block by block in O(m_max d^2) and one
+batched ``eigvalsh``; a size that holds all n points is the same for
+every landmark and is fitted once.  The lowest score wins, with scores
+within roundoff (about d * eps) of it tied and ties going to the
+smallest neighborhood; only the winner is decomposed for its basis.
+Landmarks are fitted in blocks whose gathered neighborhoods take about
+1 MiB.
 """
 
 from __future__ import annotations
@@ -26,9 +30,19 @@ from .rng import make_rng, split
 
 log = logging.getLogger(__name__)
 
-# eigvalsh resolves a residual share only to about d * eps; shares within
+# eigvalsh resolves a residual share only to about d * eps from a d x d
+# scatter and m * eps <= d * eps from an m x m Gram matrix; shares within
 # _TIE_TOL * d of the lowest are ties
 _TIE_TOL = 16 * np.finfo(float).eps
+
+# Entries of one block's gathered neighborhoods (1 MiB of float64): the
+# centers are fitted this many neighborhood entries at a time
+_BLOCK_ENTRIES = 2**17
+
+# Rows per step of the (d, n) copy of the points, small enough to stay in
+# cache: a whole-array transpose of a tall n x d array takes about twice
+# as long
+_TRANSPOSE_ROWS = 2048
 
 # Lloyd sweeps after kmeans++ seeding for "kmeans" landmarks, which only
 # need to cover the data.  Mean clustering rate on the 48 datasets of
@@ -120,55 +134,160 @@ def select_landmarks(points: np.ndarray, count: int, method: str = "random", see
     raise InvalidParam(f"unknown landmark method {method!r}")
 
 
-def _fit_ladder(pts, x_sq, center, sizes, flat_dim, linear):
-    """Score every ladder size around one center from nested second moments.
+def _shared_rung(pts, flat_dim, linear):
+    """Score, base and scatter of the all-points neighborhood.
 
-    Returns (scores, win, base, scatter): per-size scores (0 where the
-    neighborhood has zero total variance), the index of the chosen size,
-    the chosen flat's base and its (d, d) scatter, or None for base and
-    scatter when the chosen neighborhood has zero variance.
+    Every center shares it, so it is scored once per call; the score is
+    0 when the points have zero total variance.
+    """
+    d = pts.shape[1]
+    base = np.zeros(d) if linear else pts.mean(axis=0)
+    centered = pts if linear else pts - base
+    scatter = centered.T @ centered
+    total = np.trace(scatter)
+    if not total > 0.0:
+        return 0.0, base, scatter
+    return np.linalg.eigvalsh(scatter)[: d - flat_dim].sum() / total, base, scatter
+
+
+def _local_scores(hood, sizes, flat_dim, linear):
+    """Score the nested prefixes ``sizes`` of every neighborhood in ``hood``.
+
+    ``hood`` is a (b, m_max, d) stack of distance-sorted neighborhoods,
+    already shifted to their nearest point when the flats are affine.
+    Returns (scores, positive, sums, fits): (b, T) scores (0 where the
+    prefix has zero total variance) and which totals are positive, the
+    (b, T, d) prefix sums, and per size the stack the winners' bases come
+    from: the centered (b, m, d) prefixes when m < d, the (b, d, d)
+    scatters otherwise.
+    """
+    b, _, d = hood.shape
+    count = len(sizes)
+    totals, residuals = np.empty((b, count)), np.empty((b, count))
+    sums, fits = np.empty((b, count, d)), [None] * count
+    first, start = np.zeros((b, d)), 0
+    for t, size in enumerate(sizes):
+        first = first + hood[:, start:size].sum(axis=1)
+        sums[:, t], start = first, size
+
+    # m < d: the scatter has rank below d, and its nonzero eigenvalues are
+    # those of the m x m Gram matrix, whose trailing m - l sum the residual
+    small = [t for t, size in enumerate(sizes) if size < d]
+    for t in small:
+        size = sizes[t]
+        prefix = hood[:, :size]
+        if not linear:
+            prefix = prefix - sums[:, t, None] / size
+        gram = np.matmul(prefix, prefix.transpose(0, 2, 1))
+        totals[:, t] = np.trace(gram, axis1=1, axis2=2)
+        residuals[:, t] = np.linalg.eigvalsh(gram)[:, : size - flat_dim].sum(axis=1)
+        fits[t] = prefix
+
+    # m >= d: the sizes are nested prefixes of one order, so their second
+    # moments accumulate one block product per step; one eigvalsh scores all
+    large = [t for t, size in enumerate(sizes) if size >= d]
+    if large:
+        scatters = np.empty((b, len(large), d, d))
+        second, start = np.zeros((b, d, d)), 0
+        for j, t in enumerate(large):
+            blk = hood[:, start : sizes[t]]
+            second = second + np.matmul(blk.transpose(0, 2, 1), blk)
+            scatters[:, j], start = second, sizes[t]
+        if not linear:
+            counts = np.asarray([sizes[t] for t in large], dtype=float)
+            s = sums[:, large]
+            scatters -= s[..., :, None] * s[..., None, :] / counts[:, None, None]
+        totals[:, large] = np.trace(scatters, axis1=2, axis2=3)
+        residuals[:, large] = np.linalg.eigvalsh(scatters)[..., : d - flat_dim].sum(axis=2)
+        for j, t in enumerate(large):
+            fits[t] = scatters[:, j]
+
+    positive = totals > 0.0
+    scores = np.zeros((b, count))
+    np.divide(residuals, totals, out=scores, where=positive)
+    return scores, positive, sums, fits
+
+
+def _top_directions(fit, flat_dim):
+    """Top ``flat_dim`` directions (``flip_signs`` convention) of one fit:
+    the thin SVD of an m x d neighborhood with m < d, else ``eigh`` of a
+    d x d scatter."""
+    if fit.shape[0] < fit.shape[1]:
+        return flip_signs(np.linalg.svd(fit, full_matrices=False)[2][:flat_dim].T)
+    return flip_signs(np.linalg.eigh(fit)[1][:, ::-1][:, :flat_dim])
+
+
+def _gather(pts, pts_t, x_sq, centers, out):
+    """Write the nearest ``out.shape[1]`` points of each center, sorted, into ``out``."""
+    size = out.shape[1]
+    dists = np.empty(pts.shape[0])
+    for center, hood in zip(centers, out):
+        # |x|^2 - 2 x.c orders points as |x - c|^2 does; |c|^2 is left out
+        np.matmul(center, pts_t, out=dists)
+        dists *= -2.0
+        dists += x_sq
+        nearest = np.argpartition(dists, size - 1)[:size]
+        np.take(pts, nearest[np.argsort(dists[nearest], kind="stable")], axis=0, out=hood)
+
+
+def _fit_ladders(pts, centers, sizes, flat_dim, linear):
+    """Fit the ladder ``sizes`` around every center, a block of centers at a time.
+
+    Returns (scores, wins, flats): the (c, T) scores, the index of each
+    center's chosen size and its AffineFlat.  Each step is either per
+    center or a stacked operation that treats each center alike, so a
+    flat has the same bits whichever block it lands in.
     """
     n, d = pts.shape
-    # |x|^2 - 2 x.c orders points as |x - c|^2 does; the constant |c|^2 is left out
-    dists = pts @ center
-    dists *= -2.0
-    dists += x_sq
-    largest = sizes[-1]
-    if largest < n:
-        nearest = np.argpartition(dists, largest - 1)[:largest]
-        order = nearest[np.argsort(dists[nearest], kind="stable")]
-    else:
-        order = np.argsort(dists, kind="stable")
-    hood = pts[order]
-    if not linear:
-        # relative to the nearest point, so a neighborhood of identical
-        # points has exactly zero scatter and the centering cancels little
-        origin = hood[0].copy()
-        hood -= origin
+    shared = sizes[-1] == n
+    local = sizes[:-1] if shared else sizes
+    scores = np.empty((len(centers), len(sizes)))
+    positive = np.empty(scores.shape, dtype=bool)
+    if shared:
+        scores[:, -1], shared_base, shared_scatter = _shared_rung(pts, flat_dim, linear)
+        positive[:, -1] = np.trace(shared_scatter) > 0.0
+        shared_basis = None  # decomposed once, when a center picks this size
+    wins = np.empty(len(centers), dtype=int)
 
-    # the sizes are nested prefixes of one order: one block product per step
-    moments = np.empty((len(sizes), d, d))
-    sums = np.empty((len(sizes), d))
-    second, first, start = np.zeros((d, d)), np.zeros(d), 0
-    for t, size in enumerate(sizes):
-        blk = hood[start:size]
-        second = second + blk.T @ blk
-        first = first + blk.sum(axis=0)
-        moments[t], sums[t], start = second, first, size
-    if not linear:
-        counts = np.asarray(sizes, dtype=float)
-        moments -= sums[:, :, None] * sums[:, None, :] / counts[:, None, None]
-
-    totals = np.trace(moments, axis1=1, axis2=2)
-    residuals = np.linalg.eigvalsh(moments)[:, : d - flat_dim].sum(axis=1)
-    positive = totals > 0.0
-    scores = np.zeros(len(sizes))
-    np.divide(residuals, totals, out=scores, where=positive)
-    win = int(np.flatnonzero(scores <= scores.min() + _TIE_TOL * d)[0])
-    if not positive[win]:
-        return scores, win, None, None
-    base = np.zeros(d) if linear else origin + sums[win] / sizes[win]
-    return scores, win, base, moments[win]
+    # one (d, n) copy of the points, for one fast GEMV per center
+    pts_t = np.empty((d, n))
+    for lo in range(0, n, _TRANSPOSE_ROWS):
+        pts_t[:, lo : lo + _TRANSPOSE_ROWS] = pts[lo : lo + _TRANSPOSE_ROWS].T
+    x_sq = np.einsum("ij,ij->j", pts_t, pts_t)
+    m_max = local[-1] if local else 0
+    step = max(1, _BLOCK_ENTRIES // max(1, m_max * d))
+    hood = np.empty((min(step, len(centers)), m_max, d))
+    flats = []
+    for lo in range(0, len(centers), step):
+        block = centers[lo : lo + step]
+        rows, buf = slice(lo, lo + len(block)), hood[: len(block)]
+        if local:
+            _gather(pts, pts_t, x_sq, block, buf)
+        if local and not linear:
+            # relative to the nearest point, so a neighborhood of identical
+            # points has exactly zero scatter and the centering cancels little
+            origin = buf[:, 0].copy()
+            buf -= origin[:, None]
+        score, pos, sums, fits = _local_scores(buf, local, flat_dim, linear)
+        scores[rows, : len(local)], positive[rows, : len(local)] = score, pos
+        score = scores[rows]
+        wins[rows] = np.argmax(score <= score.min(axis=1, keepdims=True) + _TIE_TOL * d, axis=1)
+        for i, (center, t) in enumerate(zip(block, wins[rows])):
+            if not positive[lo + i, t]:
+                log.warning(
+                    "neighborhood around %s has zero variance; returning axis-aligned flat",
+                    np.array2string(center, precision=3),
+                )
+                base = np.zeros(d) if linear else center.copy()
+                flats.append(AffineFlat(base=base, basis=np.eye(d)[:, :flat_dim]))
+            elif t == len(local):
+                if shared_basis is None:
+                    shared_basis = _top_directions(shared_scatter, flat_dim)
+                flats.append(AffineFlat(base=shared_base.copy(), basis=shared_basis.copy()))
+            else:
+                base = np.zeros(d) if linear else origin[i] + sums[i, t] / local[t]
+                flats.append(AffineFlat(base=base, basis=_top_directions(fits[t][i], flat_dim)))
+    return scores, wins, flats
 
 
 def best_fit_flats(
@@ -182,16 +301,25 @@ def best_fit_flats(
     """Best local flat at each row of ``centers``; one AffineFlat per center.
 
     Candidate neighborhood sizes are min(round(S * 2^j), n) for
-    j = 0..T-1, the k nearest points of the center.  They are nested
-    prefixes of one sorted order, so their second moments accumulate
-    block by block, and one batched ``eigvalsh`` scores them all: the
-    score is the trailing (d - l) share of the scatter's eigenvalue
-    mass.  Scores within about d * eps of the lowest are roundoff ties
-    and go to the smallest neighborhood.  The winner's basis is the top
-    l eigenvectors of its scatter (``flip_signs`` convention) and its
-    base the neighborhood centroid.  A neighborhood with zero total
-    variance scores 0 and yields a coordinate-axis flat through the
-    center (logged, since the basis carries no information).
+    j = 0..T-1, the k nearest points of the center.  The score of a size
+    is the trailing share of its scatter's eigenvalue mass that the best
+    l-flat leaves out:
+    - a size m < d has rank below d, so the score comes from the
+      trailing m - l eigenvalues of the m x m Gram matrix of its
+      (centered, for affine flats) neighborhood;
+    - the sizes m >= d are nested prefixes of one sorted order, so
+      their second moments accumulate block by block, and one batched
+      ``eigvalsh`` per block of centers scores them all;
+    - a size of all n points is the same neighborhood for every center,
+      so its scatter and score are computed once per call, and its
+      basis at most once.
+    Scores within about d * eps of the lowest are roundoff ties and go
+    to the smallest neighborhood.  The winner's basis is its top l
+    directions (``flip_signs`` convention): from the thin SVD of the
+    m x d neighborhood when m < d, else from ``eigh`` of its scatter.
+    Its base is the neighborhood centroid.  A neighborhood with zero
+    total variance scores 0 and yields a coordinate-axis flat through
+    the center (logged, since the basis carries no information).
 
     With ``linear`` the fit is the best linear subspace instead: the
     moments are uncentered and the returned flat passes through the
@@ -199,8 +327,10 @@ def best_fit_flats(
     re-deriving the radial component that sphere-mapped subspace data
     already contains.
 
-    Each center is fitted on its own, so a flat does not depend on
-    which other centers share the call.
+    The centers are fitted in blocks whose gathered neighborhoods take
+    about 1 MiB (``_BLOCK_ENTRIES``), at least one center per block.
+    Each step treats every center of a block alike, so a flat is
+    bit-identical whatever block or call it lands in.
     """
     pts = check_finite(points, "points")
     if pts.ndim != 2:
@@ -219,22 +349,7 @@ def best_fit_flats(
         raise DegenerateInput(f"need at least {init_neighbors} points, got {n}")
 
     sizes = sorted({min(int(round(init_neighbors * 2**j)), n) for j in range(max_scales)})
-    x_sq = np.einsum("ij,ij->i", pts, pts)
-    flats = []
-    for center in centers:
-        _, _, base, scatter = _fit_ladder(pts, x_sq, center, sizes, flat_dim, linear)
-        if scatter is None:
-            log.warning(
-                "neighborhood around %s has zero variance; returning axis-aligned flat",
-                np.array2string(center, precision=3),
-            )
-            base = np.zeros(d) if linear else center.copy()
-            flats.append(AffineFlat(base=base, basis=np.eye(d)[:, :flat_dim]))
-            continue
-        eigvecs = np.linalg.eigh(scatter)[1]
-        basis = flip_signs(eigvecs[:, ::-1][:, :flat_dim])
-        flats.append(AffineFlat(base=base, basis=basis))
-    return flats
+    return _fit_ladders(pts, centers, sizes, flat_dim, linear)[2]
 
 
 def best_fit_flat(

@@ -1,6 +1,7 @@
 """Spectral pipeline: degrees, embedding SVD route, end-to-end clustering."""
 
 import json
+import logging
 import tracemalloc
 
 import numpy as np
@@ -133,6 +134,16 @@ class TestSpectralEmbed:
         rows_p, svals_p = spectral_embed(emb, 2, svd_path="power", seed=3)
         assert np.allclose(svals_g, svals_p, atol=1e-7)
         assert np.allclose(rows_g, rows_p, atol=1e-5)
+
+    def test_power_path_converged_run_logs_no_warning(self, caplog):
+        # the n = 20 000 dataset of acceptance check 9 for seed 4: the sine
+        # between sweeps reaches 3e-14 by sweep 12, but read as
+        # sqrt(1 - cos^2) it never fell below 5e-8 and ran all 50 sweeps
+        model = SyntheticModel(dims=(2,) * 5, ambient=10, pts_per_subspace=4000, noise_sigma=0.05)
+        config = LandmarkConfig(n_landmarks=200, flat_dim=2, method="random", sigma=0.5)
+        with caplog.at_level(logging.WARNING, logger="fls.linalg"):
+            fls_cluster(gen_synthetic(model, 4), 5, config, seed=4, svd_path="power")
+        assert not caplog.records
 
     def test_blocked_gram_matches_unblocked_svd(self, rng, monkeypatch):
         # 7-column blocks over 45 points: the last block is a partial one

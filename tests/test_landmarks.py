@@ -2,16 +2,19 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fls import landmarks
 from fls.errors import DegenerateInput, InvalidParam
 from fls.kernels import flat_distance
 from fls.landmarks import (
     _LANDMARK_SWEEPS,
+    _TIE_TOL,
     LandmarkConfig,
-    _fit_ladder,
+    _fit_ladders,
     best_fit_flat,
     best_fit_flats,
     build_subspace_spec,
@@ -200,14 +203,17 @@ class TestBestFitFlat:
             best_fit_flat(pts, np.zeros(3), 2, 2, 2)
 
 
+def ladder_sizes(n, max_scales, init_neighbors):
+    return sorted({min(int(round(init_neighbors * 2**j)), n) for j in range(max_scales)})
+
+
 def svd_ladder(pts, center, flat_dim, max_scales, init_neighbors, linear=False):
     """Reference ladder: one SVD per neighborhood size, strictly lower score wins.
 
     Returns (sizes, scores, win, flat), the flat spanned by the top
     ``flat_dim`` directions of the winning fit.
     """
-    n = pts.shape[0]
-    sizes = sorted({min(int(round(init_neighbors * 2**j)), n) for j in range(max_scales)})
+    sizes = ladder_sizes(pts.shape[0], max_scales, init_neighbors)
     order = np.argsort(((pts - center) ** 2).sum(axis=1), kind="stable")
     scores, flats = [], []
     for size in sizes:
@@ -223,9 +229,10 @@ def svd_ladder(pts, center, flat_dim, max_scales, init_neighbors, linear=False):
     return sizes, np.array(scores), win, flats[win]
 
 
-def two_planes(rng, noise):
-    a = np.eye(6)[:, :2]
-    b = haar_frames(rng, (6, 2))
+def two_planes(rng, noise, ambient=6, dim=2):
+    """150 points on each of two linear dim-planes in R^ambient."""
+    a = np.eye(ambient)[:, :dim]
+    b = haar_frames(rng, (ambient, dim))
     return np.vstack(
         [plane_points(rng, a, 150, noise=noise), plane_points(rng, b, 150, noise=noise)]
     )
@@ -254,16 +261,45 @@ class TestBestFitFlats:
 
     @pytest.mark.parametrize("linear", [False, True])
     def test_matches_svd_ladder(self, rng, linear):
-        pts = two_planes(rng, noise=0.05) + 0.5
-        x_sq = (pts**2).sum(axis=1)
-        for center in pts[rng.choice(pts.shape[0], 20, replace=False)]:
-            sizes, want, want_win, want_flat = svd_ladder(pts, center, 2, 6, 6, linear)
-            got, win, _, _ = _fit_ladder(pts, x_sq, center, sizes, 2, linear)
-            assert win == want_win
-            assert np.allclose(got, want, rtol=1e-10, atol=0)
-            flat = best_fit_flat(pts, center, 2, 6, 6, linear=linear)
-            assert np.allclose(flat.base, want_flat.base, rtol=0, atol=1e-12)
-            assert largest_principal_angle(flat.basis, want_flat.basis) < 1e-7
+        # (ambient, l, S, T): sizes 6..192 all scored from d x d scatters;
+        # 8, 16, 32 scored from Gram matrices in R^40; T = 7 reaches all 300
+        # points, the size every center shares
+        for ambient, dim, init, scales in [(6, 2, 6, 6), (40, 3, 8, 5), (40, 3, 8, 7)]:
+            pts = two_planes(rng, 0.05, ambient, dim) + 0.5
+            centers = pts[rng.choice(pts.shape[0], 20, replace=False)]
+            sizes = ladder_sizes(pts.shape[0], scales, init)
+            scores, wins, _ = _fit_ladders(pts, centers, sizes, dim, linear)
+            for center, got, win in zip(centers, scores, wins):
+                _, want, want_win, want_flat = svd_ladder(pts, center, dim, scales, init, linear)
+                assert win == want_win
+                assert np.allclose(got, want, rtol=1e-10, atol=0)
+                flat = best_fit_flat(pts, center, dim, scales, init, linear=linear)
+                assert np.allclose(flat.base, want_flat.base, rtol=0, atol=1e-12)
+                assert largest_principal_angle(flat.basis, want_flat.basis) < 1e-7
+
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_exact_flat_gram_ties_go_to_smallest(self, rng, linear):
+        # 200 points on one 7-flat in R^80: the sizes 16, 32 and 64 are
+        # scored from Gram matrices, and every score is roundoff
+        basis = haar_frames(rng, (80, 7))
+        offset = None if linear else rng.standard_normal(80)
+        pts = plane_points(rng, basis, 200, center=offset)
+        sizes = ladder_sizes(200, 4, 16)
+        scores, wins, flats = _fit_ladders(pts, pts[:30], sizes, 7, linear)
+        assert np.all(scores <= _TIE_TOL * 80)
+        assert np.any(np.argmin(scores, axis=1) > 0), "no roundoff tie to break"
+        assert np.all(wins == 0)
+        for flat in flats:
+            assert largest_principal_angle(flat.basis, basis) < 1e-7
+
+    def test_all_points_rung_only(self, rng):
+        # S = n: the one size is the shared all-points neighborhood
+        pts = rng.standard_normal((30, 4)) + 2.0
+        flats = best_fit_flats(pts, pts[:3], 2, 3, 30)
+        base, _, vecs = pca_spectrum(pts)
+        for flat in flats:
+            assert np.allclose(flat.base, base, rtol=0, atol=1e-12)
+            assert largest_principal_angle(flat.basis, vecs[:, :2]) < 1e-7
 
     def test_centers_must_match_ambient_dimension(self, rng):
         pts = rng.standard_normal((10, 3))
@@ -272,6 +308,51 @@ class TestBestFitFlats:
         with pytest.raises(InvalidParam):
             best_fit_flats(pts, np.zeros(3), 1, 2, 3)
 
+
+class TestBlockedLadder:
+    """best_fit_flats fits its centers a block at a time: the flats must
+    not depend on the block size, nor on which block a center lands in."""
+
+    # (T, m_max): 64 is the largest size; with T = 7 the largest is all 300
+    # points, fitted once, and m_max = 256 the largest size gathered per center
+    @pytest.mark.parametrize("scales, m_max", [(4, 64), (7, 256)])
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_flats_do_not_depend_on_block(self, monkeypatch, linear, scales, m_max):
+        # 30 points on a sphere around each of 10 centers in R^40: their
+        # distances to it are equal, so roundoff alone sets the order, and
+        # any distance arithmetic that depends on the block changes flats
+        gen = np.random.default_rng(11)
+        centers = gen.standard_normal((10, 40))
+        dirs = gen.standard_normal((10, 30, 40))
+        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+        pts = (centers[:, None] + 0.5 * dirs).reshape(300, 40)
+        want = best_fit_flats(pts, centers, 3, scales, 8, linear=linear)
+        for per_block in (1, 3):
+            monkeypatch.setattr(landmarks, "_BLOCK_ENTRIES", per_block * m_max * 40)
+            got = best_fit_flats(pts, centers, 3, scales, 8, linear=linear)
+            for fb, fw in zip(got, want):
+                assert np.array_equal(fb.base, fw.base)
+                assert np.array_equal(fb.basis, fw.basis)
+        for center, fw in zip(centers, want):
+            single = best_fit_flat(pts, center, 3, scales, 8, linear=linear)
+            assert np.array_equal(single.base, fw.base)
+            assert np.array_equal(single.basis, fw.basis)
+
+    def test_peak_memory(self):
+        # the R^80 benchmark shape: the peak is the transposed copy of the
+        # points, one block of neighborhoods and small per-center arrays,
+        # not a neighborhood per center
+        gen = np.random.default_rng(7)
+        pts = gen.standard_normal((1625, 80))
+        centers = pts[gen.choice(1625, 20, replace=False)]
+        best_fit_flats(pts, centers, 7, 8, 16, linear=True)
+        tracemalloc.start()
+        try:
+            best_fit_flats(pts, centers, 7, 8, 16, linear=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * pts.nbytes + 8 * landmarks._BLOCK_ENTRIES + 2**20
 
 class TestDefaultSigma:
     def test_exact_median(self):

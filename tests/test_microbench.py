@@ -1,11 +1,12 @@
 """Micro-benchmarks of k-means and k-means landmark selection at a small
-landmark-selection shape and of the embed + spectral_embed stages.
+landmark-selection shape, of the local flat fits at the R^80 benchmark
+shape and of the embed + spectral_embed stages.
 
 In the tier-1 run each is a quick check: a few timed rounds, then the
 result must equal its reference (the unblocked k-means, the capped
-unblocked Lloyd run and the whole-array embedding bit for bit, the
-unblocked Gram SVD to roundoff).  For timings only, with the statistics
-table:
+unblocked Lloyd run, one-center flat fits and the whole-array embedding
+bit for bit, the unblocked Gram SVD to roundoff).  For timings only,
+with the statistics table:
 
     python -m pytest tests/test_microbench.py --benchmark-only
 
@@ -15,9 +16,10 @@ The end-to-end numbers come from ``bench/run.py``, not from here.
 import numpy as np
 
 from fls.cluster import degrees, spectral_embed
-from fls.datagen import sphere_normalize
+from fls.datagen import gen_synthetic, sphere_normalize
+from fls.evaluation import synthetic_suite
 from fls.kernels import SubspaceKernel, embed
-from fls.landmarks import select_landmarks
+from fls.landmarks import best_fit_flat, best_fit_flats, select_landmarks
 from fls.linalg import kmeans, truncated_svd
 
 from test_kernels import oracle_embed, random_flats
@@ -39,6 +41,19 @@ def test_select_kmeans_landmarks(benchmark):
         select_landmarks, args=(pts, 100, "kmeans"), kwargs={"seed": 1}, rounds=5
     )
     assert np.array_equal(got, oracle_kmeans_landmarks(pts, 100, 1))
+
+
+def test_best_fit_flats(benchmark):
+    # the subspace-ref R^80 model: 1625 points, l = 7, linear flats, sizes
+    # 16 to 1024 and the all-points rung; 20 of its landmarks
+    pts = gen_synthetic(synthetic_suite(0.30)[3], 0).points
+    centers = pts[np.random.default_rng(0).choice(pts.shape[0], 20, replace=False)]
+    args = (pts, centers, 7, 8, 16)
+    got = benchmark.pedantic(best_fit_flats, args=args, kwargs={"linear": True}, rounds=3)
+    for center, flat in zip(centers, got):
+        want = best_fit_flat(pts, center, 7, 8, 16, linear=True)
+        assert np.array_equal(flat.base, want.base)
+        assert np.array_equal(flat.basis, want.basis)
 
 
 def test_embed_and_spectral_embed(benchmark):
