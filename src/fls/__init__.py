@@ -29,7 +29,6 @@ _EXPORTS = {
         "AffineFlat",
         "SvdResult",
         "truncated_svd",
-        "truncated_svd_power",
         "kmeans",
         "hungarian_match",
     ],

@@ -265,7 +265,6 @@ def cmd_cluster(opts) -> int:
         seed=opts["seed"],
         drop_first=opts["drop_first"],
         normalize_sphere=opts["normalize_sphere"],
-        svd_path=opts["svd"],
         kmeans_restarts=opts["restarts"],
     )
     neighbors, scales = config.resolve_scales(data.n)
@@ -281,7 +280,6 @@ def cmd_cluster(opts) -> int:
         "scales": scales,
         "drop_first": opts["drop_first"],
         "normalize_sphere": opts["normalize_sphere"],
-        "svd": opts["svd"],
         "restarts": opts["restarts"],
         "seed": opts["seed"],
     }
@@ -309,7 +307,7 @@ def _load_suite(name):
     if not isinstance(doc, list) or not doc:
         raise UsageError("suite file must hold a nonempty JSON list of models")
     models = []
-    for entry in doc:
+    for i, entry in enumerate(doc):
         try:
             models.append(
                 SyntheticModel(
@@ -321,7 +319,9 @@ def _load_suite(name):
                 )
             )
         except KeyError as exc:
-            raise UsageError(f"suite model missing key {exc}")
+            raise UsageError(f"suite model {i} missing key {exc}")
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"suite model {i} is malformed: {exc}")
     return models
 
 
@@ -342,7 +342,6 @@ def cmd_bench(opts) -> int:
         drop_first=opts["drop_first"],
         normalize_sphere=opts["normalize_sphere"],
         linear=opts["linear"],
-        svd_path=opts["svd"],
         kmeans_restarts=opts["restarts"],
     )
     if opts["per_trial"]:
@@ -595,7 +594,6 @@ _COMMANDS = {
             Option("--linear", bool, False, "fit linear flats through the origin"),
             Option("--drop-first", bool, False, "drop the top singular vector"),
             Option("--normalize-sphere", bool, False, "project points to the unit sphere"),
-            Option("--svd", ("gram", "power"), "gram", "truncated SVD path"),
             Option("--restarts", _positive_int, 1, "k-means restarts"),
             Option("--out", str, None, "result JSON path (default: stdout)"),
             Option("--embedding-csv", str, None, "save the spectral embedding rows here"),
@@ -616,7 +614,6 @@ _COMMANDS = {
             Option("--drop-first", bool, True, "drop the top singular vector"),
             Option("--normalize-sphere", bool, True, "project points to the unit sphere"),
             Option("--linear", bool, True, "fit linear flats through the origin"),
-            Option("--svd", ("gram", "power"), "gram", "truncated SVD path"),
             Option("--format", ("table", "json", "csv"), "table", "report format"),
             Option("--out", str, None, "write the report here instead of stdout"),
             Option("--per-trial", str, None, "per-trial CSV"),

@@ -244,7 +244,8 @@ def load_csv(path) -> DataSet:
     A trailing integer label column is recognized only when a header row
     names its last column ``label``.  A UTF-8 byte order mark is skipped.
     Raises ParseError with the 1-based row/column of the offending cell,
-    or RaggedRows when widths differ (blank lines are not counted).
+    or RaggedRows when widths differ, the header's included (blank lines
+    are not counted).
 
     The cells are parsed in one vectorized pass; only when that pass
     fails does the cell-by-cell parser run, to return what it accepts or
@@ -267,6 +268,8 @@ def load_csv(path) -> DataSet:
         raise ParseError("file contains no data rows", row=2)
 
     width = data_lines[0].count(",") + 1
+    if has_header and len(head) != width:
+        raise RaggedRows(f"header has {len(head)} fields, found {width}", row=2)
     n_coords = width - 1 if has_labels else width
     if n_coords < 1:
         raise ParseError("rows have no coordinate columns", row=1)

@@ -570,7 +570,6 @@ def benchmark_suite(
     drop_first: bool = False,
     normalize_sphere: bool = True,
     linear: bool = False,
-    svd_path: str = "gram",
     kmeans_restarts: int = 3,
 ):
     """Clustering rate and wall time per model over seeded trials.
@@ -611,7 +610,6 @@ def benchmark_suite(
                     seed=fit_seed,
                     drop_first=drop_first,
                     normalize_sphere=normalize_sphere,
-                    svd_path=svd_path,
                     kmeans_restarts=kmeans_restarts,
                 )
             except PipelineError as exc:

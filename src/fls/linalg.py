@@ -150,12 +150,6 @@ def moment_spectrum(points: np.ndarray):
     return eigvals, flip_signs(vt.T)
 
 
-def _package_svd(left, svals, right):
-    # the flip_signs convention on the right vectors, carried to the left ones
-    signs = _pivot_signs(right)
-    return SvdResult(left * signs, svals, right * signs)
-
-
 def svd_from_gram(gram: np.ndarray, n_cols: int, k: int, transpose_times) -> SvdResult:
     """Top-k singular triples of a D x n matrix A from its Gram matrix A A^T.
 
@@ -180,75 +174,24 @@ def svd_from_gram(gram: np.ndarray, n_cols: int, k: int, transpose_times) -> Svd
             f"singular value {svals[-1]:.3e} below the Gram noise floor "
             f"{floor:.3e}; request fewer vectors"
         )
-    return _package_svd(left, svals, transpose_times(left) / svals)
+    right = transpose_times(left) / svals
+    # the flip_signs convention on the right vectors, carried to the left ones
+    signs = _pivot_signs(right)
+    return SvdResult(left * signs, svals, right * signs)
 
 
 def truncated_svd(a: np.ndarray, k: int) -> SvdResult:
     """Top-k singular triples via the D x D Gram matrix (``svd_from_gram``).
 
     For a D x n input, forms A @ A.T (cost O(n D^2 + D^3)) and recovers
-    right vectors as A.T @ u / s.  Intended for D << n; for the O(k n D)
-    iterative alternative see truncated_svd_power.  Raises RankDeficient
-    when s_k falls under the Gram noise floor sqrt(D * eps) * s_1.
+    right vectors as A.T @ u / s.  Intended for D << n.  Raises
+    RankDeficient when s_k falls under the Gram noise floor
+    sqrt(D * eps) * s_1.
     """
     a = check_finite(a, "matrix")
     if a.ndim != 2:
         raise InvalidParam("matrix must be 2-D")
     return svd_from_gram(a @ a.T, a.shape[1], k, lambda u: a.T @ u)
-
-
-def truncated_svd_power(
-    a: np.ndarray,
-    k: int,
-    seed=0,
-    max_iter: int = 50,
-    tol: float = 1e-8,
-) -> SvdResult:
-    """Top-k singular triples by block power iteration.
-
-    Runs subspace iteration on the right singular space: each sweep costs
-    two skinny products A @ V and A.T @ (A V), i.e. O(k n D), plus QR of
-    the block.  Stops after ``max_iter`` sweeps or when the sine of the
-    largest principal angle between successive subspaces,
-    ||V' - V (V^T V')||_2, drops below ``tol``; stopping at ``max_iter``
-    logs a warning with that sine.  Raises RankDeficient when
-    s_k < 1e-12 * s_1.
-    """
-    a = check_finite(a, "matrix")
-    if a.ndim != 2:
-        raise InvalidParam("matrix must be 2-D")
-    d_rows, n = a.shape
-    if not 1 <= k <= min(d_rows, n):
-        raise InvalidParam(f"k={k} not in [1, {min(d_rows, n)}]")
-    rng = make_rng(seed)
-    v, _ = np.linalg.qr(rng.standard_normal((n, k)))
-    angle = math.inf
-    for _ in range(max_iter):
-        q, _ = np.linalg.qr(a @ v)
-        v_next, _ = np.linalg.qr(a.T @ q)
-        # the sine taken directly, O(n k^2): sqrt(1 - cos^2) of the cosines
-        # cannot resolve angles below about sqrt(eps), near the 1e-8 tol
-        angle = float(np.linalg.norm(v_next - v @ (v.T @ v_next), 2))
-        v = v_next
-        if angle < tol:
-            break
-    else:
-        log.warning(
-            "power SVD did not converge: subspace angle %.3e after %d sweeps (tol %.1e)",
-            angle,
-            max_iter,
-            tol,
-        )
-    # extract triples from the converged subspace
-    m = a @ v
-    left_small, svals, wt = np.linalg.svd(m, full_matrices=False)
-    if svals[0] <= 0.0 or svals[-1] < 1e-12 * svals[0]:
-        raise RankDeficient(
-            f"singular value {svals[-1]:.3e} below 1e-12 * {svals[0]:.3e}; "
-            "request fewer vectors"
-        )
-    right = v @ wt.T
-    return _package_svd(left_small, svals, right)
 
 
 # Entries of one row block of the assignment pass (4 MiB of float64): a

@@ -11,7 +11,7 @@ fixed here and mirror the library's documented guarantees:
 6.  second-eigenvector error decays in feature count, stable in n
 7.  uniform-subspace kernel estimates are rotation invariant
 8.  factored and dense spectral paths agree on the same kernel
-9.  iterative SVD time scales linearly in n
+9.  embed + Gram SVD time scales linearly in n
 
 Each check seeds its own generators; reruns are deterministic up to
 wall-clock measurements (checks 1, 2, 3, 9 assert on elapsed time).
@@ -49,7 +49,6 @@ BENCH_KWARGS = dict(
     drop_first=True,
     normalize_sphere=True,
     linear=True,
-    svd_path="gram",
     kmeans_restarts=3,
 )
 
@@ -170,14 +169,14 @@ def test_embedding_path_matches_dense_path():
         assert diff <= 1e-6, f"spectrum diff {diff:.2e}"
 
 
-def test_power_svd_linear_scaling():
+def test_embed_svd_linear_scaling():
     def stage_time(n, seed):
         model = SyntheticModel(
             dims=(2,) * 5, ambient=10, pts_per_subspace=n // 5, noise_sigma=0.05
         )
         data = gen_synthetic(model, seed)
         config = LandmarkConfig(n_landmarks=200, flat_dim=2, method="random", sigma=0.5)
-        res = fls_cluster(data, 5, config, seed=seed, svd_path="power")
+        res = fls_cluster(data, 5, config, seed=seed)
         return res.timings["embed"] + res.timings["svd"]
 
     small = [stage_time(20_000, rep) for rep in range(5)]

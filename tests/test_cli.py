@@ -151,9 +151,10 @@ class TestCluster:
         rc = run(["cluster", "--in", str(tmp_path / "nope.csv"), "--k", "2", "--d", "1"])
         assert rc == 3
 
-    def test_bad_svd_choice_is_usage_error(self, data_dir):
-        rc = run(self.base_args(data_dir) + ["--svd", "bogus"])
-        assert rc == 2
+    def test_bad_method_choice_is_usage_error(self, data_dir):
+        assert run(self.base_args(data_dir) + ["--method", "bogus"]) == 2
+        # one SVD path, and no flag to choose it
+        assert run(self.base_args(data_dir) + ["--svd", "gram"]) == 2
 
 
 class TestConfigFile:
@@ -193,7 +194,7 @@ class TestConfigFile:
             ("seed", "abc"),
             ("k", "two"),
             ("restarts", 2.7),  # not an integer
-            ("svd", "bogus"),
+            ("method", "bogus"),
         ],
     )
     def test_config_value_parsed_like_its_flag(self, data_dir, tmp_path, capsys, key, value):
@@ -364,6 +365,22 @@ class TestBench:
     def test_unknown_suite_is_usage_error(self, capsys):
         rc = run(["bench", "--suite", "nonsense-name", "--trials", "1"])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [1],
+            [{"dims": 2, "ambient": 6}],
+            [{"dims": [2], "ambient": "six"}],
+            [{"dims": [2], "ambient": 6, "pts_per_subspace": None}],
+        ],
+    )
+    def test_malformed_suite_entry_is_usage_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps([{"dims": [1, 1], "ambient": 3}] + doc))
+        rc = run(["bench", "--suite", str(path), "--trials", "1"])
+        assert rc == 2
+        assert "suite model 1" in capsys.readouterr().err
 
     def test_negative_trials_is_usage_error(self, tmp_path):
         rc = run(["bench", "--suite", str(self.suite_file(tmp_path)), "--trials", "-1"])

@@ -191,6 +191,21 @@ class TestCsvRoundTrip:
             load_csv(path)
         assert err.value.row == 3
 
+    def test_header_wider_than_rows(self, tmp_path):
+        # read as labelled 1-D points, x1 would silently become the labels
+        path = tmp_path / "bad.csv"
+        path.write_text("x0,x1,label\n0.5,2\n0.25,1\n")
+        with pytest.raises(RaggedRows) as err:
+            load_csv(path)
+        assert err.value.row == 2
+
+    def test_header_narrower_than_rows(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x0,x1\n1.0,2.0,3.0\n4.0,5.0,6.0\n")
+        with pytest.raises(RaggedRows) as err:
+            load_csv(path)
+        assert err.value.row == 2
+
     def test_parse_error_position(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0\n3.0,oops\n")

@@ -20,7 +20,6 @@ from fls.linalg import (
     moment_spectrum,
     pca_spectrum,
     truncated_svd,
-    truncated_svd_power,
 )
 from fls.rng import make_rng, split
 
@@ -188,37 +187,6 @@ class TestTruncatedSvd:
     def test_k_too_large(self, rng):
         with pytest.raises(InvalidParam):
             truncated_svd(rng.standard_normal((4, 10)), 5)
-
-    def test_power_path_matches_gram_path(self, rng):
-        # known spectrum with a gap below the requested block (s3=3 vs s4=1)
-        u = haar_frames(rng, (10, 6))
-        v = haar_frames(rng, (40, 6))
-        a = u @ np.diag([7.0, 5.0, 3.0, 1.0, 0.5, 0.25]) @ v.T
-        gram = truncated_svd(a, 3)
-        power = truncated_svd_power(a, 3, seed=7)
-        assert np.allclose(power.singular_values, gram.singular_values, atol=1e-7)
-        assert np.allclose(power.right_vectors, gram.right_vectors, atol=1e-5)
-
-    def test_power_path_warns_when_not_converged(self, rng, caplog):
-        # s4/s3 = 0.997: almost no gap at k = 3, so the block turns by a
-        # factor of only ~0.99 per sweep and is far from settled after 50
-        u = haar_frames(rng, (10, 6))
-        v = haar_frames(rng, (40, 6))
-        a = u @ np.diag([7.0, 5.0, 3.0, 2.99, 0.5, 0.25]) @ v.T
-        with caplog.at_level(logging.WARNING, logger="fls.linalg"):
-            truncated_svd_power(a, 3, seed=7)
-        messages = [r.getMessage() for r in caplog.records]
-        assert len(messages) == 1
-        assert "after 50 sweeps" in messages[0]
-        assert "subspace angle" in messages[0]
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="fls.linalg"):
-            truncated_svd_power(a, 2, seed=7)
-        assert not caplog.records
-
-    def test_power_path_rank_deficient(self):
-        with pytest.raises(RankDeficient):
-            truncated_svd_power(np.diag([1.0, 1e-13]), 2, seed=0)
 
 
 class TestKmeans:
