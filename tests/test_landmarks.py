@@ -2,19 +2,27 @@
 
 import logging
 import math
+import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fls import landmarks
+from fls.datagen import gen_synthetic, sphere_normalize
 from fls.errors import DegenerateInput, InvalidParam
+from fls.evaluation import synthetic_suite
 from fls.kernels import flat_distance
 from fls.landmarks import (
     _LANDMARK_SWEEPS,
+    _PRUNE_WINDOW,
     _TIE_TOL,
     LandmarkConfig,
     _fit_ladders,
+    _score_bounds,
     best_fit_flat,
     best_fit_flats,
     build_subspace_spec,
@@ -229,6 +237,78 @@ def svd_ladder(pts, center, flat_dim, max_scales, init_neighbors, linear=False):
     return sizes, np.array(scores), win, flats[win]
 
 
+def unpruned_local_scores(hood, sizes, flat_dim, linear):
+    """``landmarks._local_scores`` without pruning: every size of every
+    center goes through ``eigvalsh``, one batched call for all m >= d.
+
+    The reference the pruned ladder must match bit for bit wherever it
+    takes eigenvalues; returns the same tuple, every score solved.
+    """
+    b, _, d = hood.shape
+    count = len(sizes)
+    totals, residuals = np.empty((b, count)), np.empty((b, count))
+    sums, fits = np.empty((b, count, d)), [None] * count
+    first, start = np.zeros((b, d)), 0
+    for t, size in enumerate(sizes):
+        first = first + hood[:, start:size].sum(axis=1)
+        sums[:, t], start = first, size
+    for t in [t for t, size in enumerate(sizes) if size < d]:
+        size = sizes[t]
+        prefix = hood[:, :size]
+        if not linear:
+            prefix = prefix - sums[:, t, None] / size
+        gram = np.matmul(prefix, prefix.transpose(0, 2, 1))
+        totals[:, t] = np.trace(gram, axis1=1, axis2=2)
+        residuals[:, t] = np.linalg.eigvalsh(gram)[:, : size - flat_dim].sum(axis=1)
+        fits[t] = prefix
+    large = [t for t, size in enumerate(sizes) if size >= d]
+    if large:
+        scatters = np.empty((b, len(large), d, d))
+        second, start = np.zeros((b, d, d)), 0
+        for j, t in enumerate(large):
+            blk = hood[:, start : sizes[t]]
+            second = second + np.matmul(blk.transpose(0, 2, 1), blk)
+            scatters[:, j], start = second, sizes[t]
+        if not linear:
+            counts = np.asarray([sizes[t] for t in large], dtype=float)
+            s = sums[:, large]
+            scatters -= s[..., :, None] * s[..., None, :] / counts[:, None, None]
+        totals[:, large] = np.trace(scatters, axis1=2, axis2=3)
+        residuals[:, large] = np.linalg.eigvalsh(scatters)[..., : d - flat_dim].sum(axis=2)
+        for j, t in enumerate(large):
+            fits[t] = scatters[:, j]
+    positive = totals > 0.0
+    scores = np.zeros((b, count))
+    np.divide(residuals, totals, out=scores, where=positive)
+    return scores, positive, np.ones((b, count), dtype=bool), sums, fits
+
+
+def unpruned_fit_ladders(*args):
+    """``_fit_ladders`` scoring every size through ``eigvalsh``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(landmarks, "_local_scores", unpruned_local_scores)
+        return _fit_ladders(*args)
+
+
+def pruned_fit_ladders(*args):
+    """``_fit_ladders`` plus the (c, T) mask of the scores ``eigvalsh``
+    computed (the shared all-points size always is)."""
+    solved, real = [], landmarks._local_scores
+
+    def recording(*a):
+        out = real(*a)
+        solved.append(out[2])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(landmarks, "_local_scores", recording)
+        scores, wins, flats = _fit_ladders(*args)
+    mask = np.ones(scores.shape, dtype=bool)
+    local = np.concatenate(solved)
+    mask[:, : local.shape[1]] = local
+    return scores, mask, wins, flats
+
+
 def two_planes(rng, noise, ambient=6, dim=2):
     """150 points on each of two linear dim-planes in R^ambient."""
     a = np.eye(ambient)[:, :dim]
@@ -268,11 +348,16 @@ class TestBestFitFlats:
             pts = two_planes(rng, 0.05, ambient, dim) + 0.5
             centers = pts[rng.choice(pts.shape[0], 20, replace=False)]
             sizes = ladder_sizes(pts.shape[0], scales, init)
-            scores, wins, _ = _fit_ladders(pts, centers, sizes, dim, linear)
-            for center, got, win in zip(centers, scores, wins):
+            scores, solved, wins, _ = pruned_fit_ladders(pts, centers, sizes, dim, linear)
+            for center, got, scored, win in zip(centers, scores, solved, wins):
                 _, want, want_win, want_flat = svd_ladder(pts, center, dim, scales, init, linear)
                 assert win == want_win
-                assert np.allclose(got, want, rtol=1e-10, atol=0)
+                assert np.allclose(got[scored], want[scored], rtol=1e-10, atol=0)
+                # a pruned size holds a lower bound on its score, and that
+                # score lies beyond the winner's tie window
+                slack = (_PRUNE_WINDOW - _TIE_TOL) * ambient
+                assert np.all(got[~scored] <= want[~scored] + slack)
+                assert np.all(want[~scored] > want.min() + _TIE_TOL * ambient)
                 flat = best_fit_flat(pts, center, dim, scales, init, linear=linear)
                 assert np.allclose(flat.base, want_flat.base, rtol=0, atol=1e-12)
                 assert largest_principal_angle(flat.basis, want_flat.basis) < 1e-7
@@ -307,6 +392,115 @@ class TestBestFitFlats:
             best_fit_flats(pts, np.zeros((2, 2)), 1, 2, 3)
         with pytest.raises(InvalidParam):
             best_fit_flats(pts, np.zeros(3), 1, 2, 3)
+
+
+def suite_ladder(index, count=20):
+    """Sphere-normalized points of the synthetic30 model ``index``, ``count``
+    of them as centers, and the model's resolved ladder and flat dimension."""
+    model = synthetic_suite(0.30)[index]
+    pts = sphere_normalize(gen_synthetic(model, 0).points)
+    centers = pts[np.random.default_rng(index).choice(pts.shape[0], count, replace=False)]
+    cfg = LandmarkConfig(n_landmarks=count, flat_dim=max(model.dims))
+    init, scales = cfg.resolve_scales(pts.shape[0])
+    return pts, centers, ladder_sizes(pts.shape[0], scales, init), cfg.flat_dim
+
+
+class TestPrunedLadder:
+    """A ladder size whose trace/Frobenius bound cannot win or tie is not
+    decomposed: wins and flats must be those of the unpruned ladder."""
+
+    @staticmethod
+    def r40_ladder(scales):
+        # the R^40 ladders of test_matches_svd_ladder
+        gen = np.random.default_rng(40 + scales)
+        pts = two_planes(gen, 0.05, 40, 3) + 0.5
+        centers = pts[gen.choice(pts.shape[0], 20, replace=False)]
+        return pts, centers, ladder_sizes(pts.shape[0], scales, 8), 3
+
+    @pytest.mark.parametrize("case", ["suite0", "suite1", "suite2", "suite3", "r40-5", "r40-7"])
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_matches_unpruned_oracle(self, case, linear):
+        if case.startswith("suite"):
+            pts, centers, sizes, dim = suite_ladder(int(case[-1]))
+        else:
+            pts, centers, sizes, dim = self.r40_ladder(int(case[-1]))
+        d = pts.shape[1]
+        scores, solved, wins, flats = pruned_fit_ladders(pts, centers, sizes, dim, linear)
+        want_scores, want_wins, want_flats = unpruned_fit_ladders(pts, centers, sizes, dim, linear)
+        assert np.array_equal(wins, want_wins)
+        assert np.array_equal(scores[solved], want_scores[solved])
+        lowest = np.broadcast_to(want_scores.min(axis=1, keepdims=True), scores.shape)
+        assert np.all(scores[~solved] <= want_scores[~solved] + (_PRUNE_WINDOW - _TIE_TOL) * d)
+        assert np.all(want_scores[~solved] > lowest[~solved] + _TIE_TOL * d)
+        for got, want in zip(flats, want_flats):
+            assert np.array_equal(got.base, want.base)
+            assert np.array_equal(got.basis, want.basis)
+
+    def test_r80_skips_most_scatter_solves(self, monkeypatch, caplog):
+        # the R^80 model: l = 7, local sizes 16, 32, 64 (Gram matrices) and
+        # 128..1024 (80 x 80 scatters), then the shared all-points size
+        pts, centers, sizes, dim = suite_ladder(3)
+        assert sizes[-1] == pts.shape[0] and len(sizes) == 8
+        rows, real = Counter(), np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            rows[a.shape[-1]] += a.shape[0] if a.ndim == 3 else 1
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        with caplog.at_level(logging.DEBUG, logger="fls.landmarks"):
+            best_fit_flats(pts, centers, dim, 8, 16, linear=True)
+        scatter_solves = rows.pop(80) - 1  # one is the shared size's
+        assert scatter_solves <= 0.1 * 4 * len(centers)
+        assert rows[16] == len(centers)  # the smallest size is always scored
+        (line,) = [r.getMessage() for r in caplog.records if "eigen-solves" in r.getMessage()]
+        taken, pruned = map(int, re.findall(r"\d+", line))
+        assert taken == scatter_solves + sum(rows.values())
+        assert taken + pruned == 7 * len(centers)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["scatter", "gram", "spectrum", "two-level"]),
+        r=st.integers(2, 12),
+        rank=st.integers(0, 12),
+        flat_dim=st.integers(1, 12),
+        centered=st.booleans(),
+        scale=st.integers(-150, 150),
+        gap=st.floats(-9, 0),
+    )
+    def test_bound_never_exceeds_score(self, seed, kind, r, rank, flat_dim, centered, scale, gap):
+        # the bound may exceed the trailing share eigvalsh gives by no more
+        # than the part of the prune window beyond the tie window
+        gen = np.random.default_rng(seed)
+        rank = min(rank, r)
+        if kind in ("scatter", "gram"):
+            # m points in R^r of rank ``rank``: their r x r scatter or m x m Gram matrix
+            m = int(gen.integers(1, 4 * r + 1))
+            pts = gen.standard_normal((m, rank)) @ gen.standard_normal((rank, r))
+            if centered:
+                pts = pts - pts.mean(axis=0)
+            mat = pts.T @ pts if kind == "scatter" else pts @ pts.T
+        else:
+            # rotated spectra: ``rank`` random eigenvalues, or the bound's
+            # equality case, a top l at 1 + 10^gap over an equal rest
+            vals = np.zeros(r)
+            if kind == "spectrum":
+                vals[:rank] = gen.uniform(0, 1, rank)
+            else:
+                vals[:] = 1.0
+                vals[:flat_dim] += 10.0**gap
+            q = haar_frames(gen, (r, r))
+            mat = (q * vals) @ q.T
+        mat = mat * 10.0**scale
+        size, flat_dim = mat.shape[0], min(flat_dim, mat.shape[0])
+        total = np.trace(mat)
+        share = np.linalg.eigvalsh(mat)[: size - flat_dim].sum() / total if total > 0 else 0.0
+        bound = _score_bounds(mat[None], np.array([total]), flat_dim)[0]
+        slack = (_PRUNE_WINDOW - _TIE_TOL) * size
+        assert bound <= share + slack
+        if rank <= flat_dim and kind != "two-level":
+            assert bound <= slack  # an exact l-flat scores roundoff
 
 
 class TestBlockedLadder:

@@ -4,8 +4,8 @@ shape and of the embed + spectral_embed stages.
 
 In the tier-1 run each is a quick check: a few timed rounds, then the
 result must equal its reference (the unblocked k-means, the capped
-unblocked Lloyd run, one-center flat fits and the whole-array embedding
-bit for bit, the unblocked Gram SVD to roundoff).  For timings only,
+unblocked Lloyd run, the unpruned flat ladder and the whole-array
+embedding bit for bit, the unblocked Gram SVD to roundoff).  For timings only,
 with the statistics table:
 
     python -m pytest tests/test_microbench.py --benchmark-only
@@ -19,11 +19,11 @@ from fls.cluster import degrees, spectral_embed
 from fls.datagen import gen_synthetic, sphere_normalize
 from fls.evaluation import synthetic_suite
 from fls.kernels import SubspaceKernel, embed
-from fls.landmarks import best_fit_flat, best_fit_flats, select_landmarks
+from fls.landmarks import best_fit_flats, select_landmarks
 from fls.linalg import kmeans, truncated_svd
 
 from test_kernels import oracle_embed, random_flats
-from test_landmarks import five_planes, oracle_kmeans_landmarks
+from test_landmarks import five_planes, oracle_kmeans_landmarks, unpruned_fit_ladders
 from test_linalg import assert_same_kmeans, oracle_kmeans
 
 
@@ -50,10 +50,11 @@ def test_best_fit_flats(benchmark):
     centers = pts[np.random.default_rng(0).choice(pts.shape[0], 20, replace=False)]
     args = (pts, centers, 7, 8, 16)
     got = benchmark.pedantic(best_fit_flats, args=args, kwargs={"linear": True}, rounds=3)
-    for center, flat in zip(centers, got):
-        want = best_fit_flat(pts, center, 7, 8, 16, linear=True)
-        assert np.array_equal(flat.base, want.base)
-        assert np.array_equal(flat.basis, want.basis)
+    sizes = [16, 32, 64, 128, 256, 512, 1024, pts.shape[0]]
+    want = unpruned_fit_ladders(pts, centers, sizes, 7, True)[2]
+    for flat, want_flat in zip(got, want):
+        assert np.array_equal(flat.base, want_flat.base)
+        assert np.array_equal(flat.basis, want_flat.basis)
 
 
 def test_embed_and_spectral_embed(benchmark):
