@@ -38,7 +38,6 @@ _EXPORTS = {
         "SubspaceKernel",
         "EmbeddingMatrix",
         "sample_gaussian_rff",
-        "sample_uniform_grassmann",
         "haar_frame_batch",
         "flat_distance",
         "flat_distance_matrix",
@@ -81,7 +80,6 @@ _EXPORTS = {
         "clustering_rate",
         "RffFamily",
         "FlatPoolFamily",
-        "GrassmannFamily",
         "LandmarkGaussianFamily",
         "verify_kernel_convergence",
         "hoeffding_check",

@@ -407,6 +407,10 @@ def cmd_verify_kernel(opts) -> int:
     from .evaluation import hoeffding_check, verify_kernel_convergence
     from .rng import split
 
+    if opts["eps"] is not None and opts["family"] != "rff":
+        raise UsageError(
+            "--eps tail checks need the rff family: their bound is the random Fourier one"
+        )
     counts = opts["counts"]
     points, family = _verify_grid_data(opts)
     conv_seed, tail_seed = split(opts["seed"], 3)[1:]
@@ -417,8 +421,6 @@ def cmd_verify_kernel(opts) -> int:
         mean_err = sum(r.rep_mean_errors) / len(r.rep_mean_errors)
         lines.append(f"{r.count:>8}  {r.median_max_error:>15.6f}  {mean_err:>12.6f}")
     if opts["eps"] is not None:
-        if opts["family"] != "rff":
-            raise UsageError("--eps tail checks need the rff family (exact kernel)")
         import numpy as np
 
         x = np.zeros(opts["dim"])

@@ -27,7 +27,6 @@ from .kernels import (
     gaussian_kernel_matrix,
     sample_gaussian_rff,
     haar_frame_batch,
-    sample_uniform_grassmann,
 )
 from .landmarks import LandmarkConfig
 from .linalg import haar_frames, hungarian_match
@@ -86,9 +85,8 @@ def clustering_rate(pred, truth, outlier_mask=None) -> EvalReport:
 
 
 # ---------------------------------------------------------------------------
-# Kernel families: a sampling distribution plus (when available) its exact
-# kernel.  Reference specs for families without a closed form are just very
-# large samples from the same distribution.
+# Kernel families: a sampling distribution plus its exact kernel (closed
+# form for rff, the whole finite pool enumerated for the others).
 
 
 @dataclass(frozen=True)
@@ -130,22 +128,6 @@ class FlatPoolFamily:
 
 
 @dataclass(frozen=True)
-class GrassmannFamily:
-    """Uniformly random flat_dim-dimensional subspaces; no closed form."""
-
-    dim: int
-    flat_dim: int
-    sigma: float
-
-    def sample(self, count, seed):
-        flats = sample_uniform_grassmann(self.dim, self.flat_dim, count, seed)
-        return SubspaceKernel(self.sigma, tuple(flats))
-
-    def exact_matrix(self, points):
-        return None
-
-
-@dataclass(frozen=True)
 class LandmarkGaussianFamily:
     """Gaussian-bump features centered at points drawn from a dataset."""
 
@@ -166,52 +148,30 @@ class LandmarkGaussianFamily:
         return (w + w.T) / 2.0
 
 
-def _reference_kernel(family, points, ref_count, seed):
-    """Exact kernel if the family has one, else a D_ref-sample stand-in.
-
-    Returns (matrix, half_split_error): the additive slack estimated by
-    splitting the reference sample in half and comparing the halves, or
-    None when the kernel is exact.
-    """
-    pts = as_points(points)
-    exact = family.exact_matrix(pts)
-    if exact is not None:
-        return exact, None
-    spec = family.sample(ref_count, seed)
-    f = feature_matrix(spec, pts)
-    half = ref_count // 2
-    w_a = f[:half].T @ f[:half] / half
-    w_b = f[half:].T @ f[half:] / (ref_count - half)
-    w = f.T @ f / ref_count
-    return (w + w.T) / 2.0, float(np.abs(w_a - w_b).max()) / 2.0
-
-
 @dataclass(frozen=True)
 class ConvergenceRecord:
     count: int
     rep_max_errors: tuple
     rep_mean_errors: tuple
     median_max_error: float
-    ref_half_split_error: float | None = None
 
 
-def verify_kernel_convergence(
-    family, points, counts, reps: int = 10, seed=0, ref_count: int = 50_000
-):
+def verify_kernel_convergence(family, points, counts, reps: int = 10, seed=0):
     """Entrywise kernel error over a fixed pair grid, per feature count.
 
     For each D in ``counts`` draws ``reps`` fresh specs and records the
-    max and mean absolute error of psi^T psi against the exact kernel
-    over all ordered point pairs.  Monte Carlo averaging predicts the
-    median max error to shrink like 1/sqrt(D).
+    max and mean absolute error of psi^T psi against the family's exact
+    kernel (``family.exact_matrix``) over all ordered point pairs.  Monte
+    Carlo averaging predicts the median max error to shrink like
+    1/sqrt(D).
     """
     if reps < 1:
         raise InvalidParam(f"reps={reps} must be >= 1")
     pts = as_points(points)
     if pts.shape[0] < 1:
         raise InvalidParam("verify_kernel_convergence needs at least one point")
-    children = split(seed, len(counts) * reps + 1)
-    exact, eps_ref = _reference_kernel(family, pts, ref_count, children[-1])
+    children = split(seed, len(counts) * reps)
+    exact = family.exact_matrix(pts)
     records = []
     for i, count in enumerate(counts):
         maxes, means = [], []
@@ -227,7 +187,6 @@ def verify_kernel_convergence(
                 rep_max_errors=tuple(maxes),
                 rep_mean_errors=tuple(means),
                 median_max_error=float(np.median(maxes)),
-                ref_half_split_error=eps_ref,
             )
         )
     return records
@@ -253,10 +212,7 @@ def hoeffding_check(family, x, y, counts, eps_values, reps: int = 200, seed=0):
     if reps < 1:
         raise InvalidParam(f"reps={reps} must be >= 1")
     pair = np.vstack([x, y]).astype(float)
-    exact = family.exact_matrix(pair)
-    if exact is None:
-        raise InvalidParam("hoeffding_check needs a family with an exact kernel")
-    k_true = float(exact[0, 1])
+    k_true = float(family.exact_matrix(pair)[0, 1])
     children = split(seed, len(counts) * reps)
     records = []
     for i, count in enumerate(counts):

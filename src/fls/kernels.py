@@ -12,13 +12,16 @@ feature families share this interface:
   frequencies and uniform phases; the kernel is exp(-|x1-x2|^2/(2 sigma^2)).
 - LandmarkGaussian: Gaussian bumps centered at landmark points.
 - SubspaceKernel: f(x, L) = exp(-dist(x, L)^2 / sigma^2) for affine flats
-  L, the family behind landmark subspace clustering.
+  L, the family behind landmark subspace clustering.  Its D flats share
+  one ambient and one flat dimension, so a spec holds them as one stack
+  of bases (D, d) and frames (D, d, l), and every point-to-flat distance
+  comes from that stack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +38,6 @@ __all__ = [
     "SubspaceKernel",
     "EmbeddingMatrix",
     "sample_gaussian_rff",
-    "sample_uniform_grassmann",
     "haar_frame_batch",
     "flat_distance",
     "flat_distance_matrix",
@@ -109,35 +111,52 @@ class LandmarkGaussian:
         return self.centers.shape[1]
 
 
+def _stack_flats(flats):
+    """(bases (D, d), frames (D, d, l)) of a nonempty sequence of flats
+    that share one basis shape."""
+    if len(flats) < 1:
+        raise InvalidParam("need at least one flat")
+    if not all(isinstance(f, AffineFlat) for f in flats):
+        raise InvalidParam("flats must be AffineFlat instances")
+    shape = flats[0].basis.shape
+    for f in flats:
+        if f.basis.shape != shape:
+            raise DimensionMismatch(
+                f"flat bases of shapes {shape} and {f.basis.shape} in one stack: "
+                "every flat needs the same ambient and flat dimension"
+            )
+    return np.stack([f.base for f in flats]), np.stack([f.basis for f in flats])
+
+
 @dataclass(frozen=True)
 class SubspaceKernel:
-    """Flat-distance features f(x, L) = exp(-dist(x, L)^2 / sigma^2)."""
+    """Flat-distance features f(x, L) = exp(-dist(x, L)^2 / sigma^2).
+
+    Every flat must have the same ambient and flat dimension
+    (DimensionMismatch otherwise).  The constructor stacks them once into
+    ``bases`` (D, d) and ``frames`` (D, d, l), which the embedding reads.
+    """
 
     sigma: float
     flats: tuple
+    bases: np.ndarray = field(init=False, repr=False, compare=False)
+    frames: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", _check_sigma(self.sigma))
         flats = tuple(self.flats)
-        if len(flats) < 1:
-            raise InvalidParam("need at least one flat")
-        ambient = flats[0].ambient
-        for f in flats:
-            if not isinstance(f, AffineFlat):
-                raise InvalidParam("flats must be AffineFlat instances")
-            if f.ambient != ambient:
-                raise DimensionMismatch(
-                    f"flats live in R^{ambient} and R^{f.ambient}"
-                )
+        bases, frames = _stack_flats(flats)
         object.__setattr__(self, "flats", flats)
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "frames", frames)
 
     @property
     def n_features(self) -> int:
-        return len(self.flats)
+        return self.frames.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.flats[0].ambient
+        return self.frames.shape[1]
 
 
 FeatureSpec = GaussianRFF | LandmarkGaussian | SubspaceKernel
@@ -189,17 +208,6 @@ def haar_frame_batch(dim: int, flat_dim: int, count: int, seed=0) -> np.ndarray:
     return haar_frames(make_rng(seed), (count, dim, flat_dim))
 
 
-def sample_uniform_grassmann(dim: int, flat_dim: int, count: int, seed=0) -> list:
-    """Uniformly random ``flat_dim``-dimensional linear subspaces of R^dim.
-
-    Same frames as ``haar_frame_batch`` (identical seed stream), wrapped
-    as base-zero AffineFlat objects.
-    """
-    frames = haar_frame_batch(dim, flat_dim, count, seed)
-    zero = np.zeros(dim)
-    return [AffineFlat(base=zero, basis=basis) for basis in frames]
-
-
 def flat_distance(x: np.ndarray, flat: AffineFlat) -> float:
     """Euclidean distance from a point to an affine flat."""
     x = check_finite(x, "point")
@@ -210,106 +218,82 @@ def flat_distance(x: np.ndarray, flat: AffineFlat) -> float:
     return math.sqrt(max(0.0, float(diff @ diff) - float(proj @ proj)))
 
 
-# Frame-projection entries one column block of a flat group holds (32 MiB
+# Frame-projection entries one column block of the flat stack holds (32 MiB
 # of float64).  A GEMM's sums depend on its shape (a one-column product
 # even goes to GEMV), so the block boundaries are part of the bits.
 _BLOCK_ENTRIES = 4_000_000
 
 
-def _flat_groups(flats):
-    """(rows, bases, frames) per flat dimension, in first-seen order.
+def _map_flat_sq_dists(bases, frames, pts, finish):
+    """New (D, n) array of finish(d2), d2 the squared distance from every
+    point to every flat of one stack.
 
-    rows is a slice when the group's flats are consecutive, else an index
-    array; bases is None when every base is zero (linear flats).
-    """
-    by_dim = {}
-    for i, f in enumerate(flats):
-        by_dim.setdefault(f.dim, []).append(i)
-    for idxs in by_dim.values():
-        bases = np.stack([flats[i].base for i in idxs])
-        frames = np.stack([flats[i].basis for i in idxs])  # (g, d, l)
-        if idxs[-1] - idxs[0] + 1 == len(idxs):
-            rows = slice(idxs[0], idxs[-1] + 1)
-        else:
-            rows = np.asarray(idxs)
-        yield rows, (bases if bases.any() else None), frames
-
-
-def _map_flat_sq_dists(n_rows, groups, pts, finish):
-    """New (n_rows, n) array of finish(d2), d2 the squared distance from
-    every point to every flat.
-
-    ``groups`` holds (rows, bases, frames) triples as made by
-    ``_flat_groups``; frames may have l = 0 columns (a point is a flat of
-    dimension 0).  For a group of g flats,
+    ``bases`` (D, d) and ``frames`` (D, d, l) hold the D flats; l may be 0
+    (a point is a flat of dimension 0).  Then
 
         d2 = (|x|^2 - 2 b.x + |b|^2) - |F^T x - F^T b|^2,
 
     clipped at zero and passed to ``finish``, which transforms its
     argument in place.  The base products take one GEMM over all points,
-    written straight into the group's rows of the result (skipped when
-    bases is None: |x|^2 - 2*0 + 0 is exactly |x|^2); the frame products
-    take one GEMM per column block of 4e6 // (g l) points, and the rest
-    of the formula runs block by block.  So beside the result only
-    block-sized temporaries exist (plus a (g, n) array for a group whose
-    rows are not consecutive).  Keeping both GEMM shapes makes every
-    entry bit-identical to the formula evaluated on whole arrays with
-    those frame blocks, which the tests pin.
+    written straight into the result (skipped for linear flats, l > 0
+    with every base zero: |x|^2 - 2*0 + 0 is exactly |x|^2); the frame
+    products take one GEMM per column block of 4e6 // (D l) points, and
+    the rest of the formula runs block by block.  So beside the result
+    only block-sized temporaries exist.  Keeping both GEMM shapes makes
+    every entry bit-identical to the formula evaluated on whole arrays
+    with those frame blocks, which the tests pin.
     """
     n, d = pts.shape
-    out = np.empty((n_rows, n))
+    g, l = frames.shape[0], frames.shape[2]
+    out = np.empty((g, n))
     x_sq = (pts**2).sum(axis=1)
-    for rows, bases, frames in groups:
-        g, l = frames.shape[0], frames.shape[2]
-        chunk = max(1, _BLOCK_ENTRIES // (g * max(l, 1)))
-        width = min(chunk, n)
-        direct = isinstance(rows, slice)
-        if bases is not None:
-            cross = np.matmul(bases, pts.T, out=out[rows]) if direct else bases @ pts.T
-            base_proj = np.einsum("gdl,gd->gl", frames, bases)[:, :, None]
-            b_sq = (bases**2).sum(axis=1)[:, None]
-        stacked = frames.transpose(0, 2, 1).reshape(g * l, d)
-        proj_buf = np.empty(g * l * width)
-        sq_buf = np.empty(g * width if l else 0)
-        for s in range(0, n, chunk):
-            e = min(n, s + chunk)
-            m = e - s
+    chunk = max(1, _BLOCK_ENTRIES // (g * max(l, 1)))
+    width = min(chunk, n)
+    linear = l > 0 and not bases.any()
+    if not linear:
+        np.matmul(bases, pts.T, out=out)
+        base_proj = np.einsum("gdl,gd->gl", frames, bases)[:, :, None]
+        b_sq = (bases**2).sum(axis=1)[:, None]
+    stacked = frames.transpose(0, 2, 1).reshape(g * l, d)
+    proj_buf = np.empty(g * l * width)
+    sq_buf = np.empty(g * width if l else 0)
+    for s in range(0, n, chunk):
+        e = min(n, s + chunk)
+        m = e - s
+        dest = out[:, s:e]
+        if l:
+            proj = proj_buf[: g * l * m].reshape(g * l, m)
+            proj = np.matmul(stacked, pts[s:e].T, out=proj).reshape(g, l, m)
+            if not linear:
+                proj -= base_proj
+            np.square(proj, out=proj)
+            sq = np.sum(proj, axis=1, out=sq_buf[: g * m].reshape(g, m))
+        if linear:
+            np.subtract(x_sq[None, s:e], sq, out=dest)
+        else:
+            dest *= -2.0
+            dest += x_sq[s:e]
+            dest += b_sq
             if l:
-                proj = proj_buf[: g * l * m].reshape(g * l, m)
-                proj = np.matmul(stacked, pts[s:e].T, out=proj).reshape(g, l, m)
-                if bases is not None:
-                    proj -= base_proj
-                np.square(proj, out=proj)
-                sq = np.sum(proj, axis=1, out=sq_buf[: g * m].reshape(g, m))
-            if bases is None:
-                dest = out[rows, s:e] if direct else np.empty((g, m))
-                np.subtract(x_sq[None, s:e], sq, out=dest)
-            else:
-                dest = cross[:, s:e]
-                dest *= -2.0
-                dest += x_sq[s:e]
-                dest += b_sq
-                if l:
-                    dest -= sq
-            np.clip(dest, 0.0, None, out=dest)
-            finish(dest)
-            if not direct:
-                out[rows, s:e] = dest
+                dest -= sq
+        np.clip(dest, 0.0, None, out=dest)
+        finish(dest)
     return out
 
 
 def flat_distance_matrix(flats, points: np.ndarray) -> np.ndarray:
-    """Distances from every point to every flat, shape (len(flats), n)."""
+    """Distances from every point to every flat, shape (len(flats), n).
+
+    ``flats`` is a nonempty sequence of flats of one ambient and one flat
+    dimension (InvalidParam when empty, DimensionMismatch when mixed).
+    """
     pts = check_finite(points, "points")
     if pts.ndim != 2:
         raise InvalidParam("points must be 2-D")
-    if flats and pts.shape[1] != flats[0].ambient:
-        raise DimensionMismatch(
-            f"points in R^{pts.shape[1]}, flats in R^{flats[0].ambient}"
-        )
-    return _map_flat_sq_dists(
-        len(flats), _flat_groups(flats), pts, lambda blk: np.sqrt(blk, out=blk)
-    )
+    bases, frames = _stack_flats(flats)
+    if pts.shape[1] != frames.shape[1]:
+        raise DimensionMismatch(f"points in R^{pts.shape[1]}, flats in R^{frames.shape[1]}")
+    return _map_flat_sq_dists(bases, frames, pts, lambda blk: np.sqrt(blk, out=blk))
 
 
 def _neg_exp(scale, norm=1.0):
@@ -329,9 +313,7 @@ def _gaussian_bumps(centers, pts, sigma, norm=1.0):
     """norm * exp(-|x - c|^2 / (2 sigma^2)), shape (len(centers), n): the
     flat fill with every center a flat of dimension 0."""
     frames = np.empty(centers.shape + (0,))
-    return _map_flat_sq_dists(
-        len(centers), [(slice(None), centers, frames)], pts, _neg_exp(2.0 * sigma**2, norm)
-    )
+    return _map_flat_sq_dists(centers, frames, pts, _neg_exp(2.0 * sigma**2, norm))
 
 
 def feature_matrix(spec: FeatureSpec, points) -> np.ndarray:
@@ -360,9 +342,7 @@ def feature_matrix(spec: FeatureSpec, points) -> np.ndarray:
         norm = (2.0 * math.pi * spec.sigma**2) ** (-spec.dim / 2.0)
         return _gaussian_bumps(spec.centers, pts, spec.sigma, norm)
     if isinstance(spec, SubspaceKernel):
-        return _map_flat_sq_dists(
-            spec.n_features, _flat_groups(spec.flats), pts, _neg_exp(spec.sigma**2)
-        )
+        return _map_flat_sq_dists(spec.bases, spec.frames, pts, _neg_exp(spec.sigma**2))
     raise InvalidParam(f"unknown feature spec type {type(spec).__name__}")
 
 

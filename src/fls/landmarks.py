@@ -443,7 +443,8 @@ def default_sigma(points: np.ndarray, flats, seed=0, max_pairs: int = 10_000) ->
     """Median point-to-flat distance, floored at 1e-6.
 
     Exact when n * D <= max_pairs; otherwise the median of ``max_pairs``
-    uniformly sampled (point, flat) pairs.
+    uniformly sampled (point, flat) pairs.  An empty ``flats`` raises
+    InvalidParam.
     """
     pts = check_finite(points, "points")
     n, count = pts.shape[0], len(flats)

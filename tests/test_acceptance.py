@@ -88,9 +88,7 @@ def test_rff_max_error_decay():
     t0 = time.monotonic()
     fam = RffFamily(sigma=1.0, dim=5)
     grid = make_rng(77).uniform(-1.0, 1.0, size=(100, 5))  # 1e4 ordered pairs
-    records = verify_kernel_convergence(
-        fam, grid, [250, 1000, 4000], reps=10, seed=3, ref_count=0
-    )
+    records = verify_kernel_convergence(fam, grid, [250, 1000, 4000], reps=10, seed=3)
     med = {r.count: r.median_max_error for r in records}
     assert med[1000] <= 0.75 * med[250], f"{med[1000]:.4f} vs {0.75 * med[250]:.4f}"
     assert med[4000] <= 0.75 * med[1000], f"{med[4000]:.4f} vs {0.75 * med[1000]:.4f}"

@@ -417,7 +417,12 @@ class TestVerifyCommands:
         assert [d["count"] for d in doc["decay"]] == [50, 100]
         assert all(d["median_max_error"] > 0 for d in doc["decay"])
 
-    def test_kernel_eps_requires_rff(self, capsys):
+    def test_kernel_eps_requires_rff(self, capsys, monkeypatch):
+        # refused before the convergence study runs
+        def fail(*args, **kwargs):
+            raise AssertionError("verify_kernel_convergence ran before the usage check")
+
+        monkeypatch.setattr("fls.evaluation.verify_kernel_convergence", fail)
         rc = run(
             [
                 "verify", "kernel",
@@ -584,6 +589,14 @@ def subprocess_env():
 
 
 class TestEntryPoint:
+    def test_every_export_resolves(self):
+        # each lazily exported name must exist in the module it is listed under
+        import fls
+
+        for name in fls.__all__:
+            value = getattr(fls, name) if name == "__version__" else fls.__getattr__(name)
+            assert value is not None, name
+
     def test_console_script_runs(self, tmp_path):
         out = tmp_path / "d"
         proc = subprocess.run(

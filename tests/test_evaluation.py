@@ -10,7 +10,6 @@ from fls.datagen import SyntheticModel, gen_synthetic
 from fls.errors import DeltaTooLarge, EigengapTooSmall, InvalidParam
 from fls.evaluation import (
     FlatPoolFamily,
-    GrassmannFamily,
     LandmarkGaussianFamily,
     BenchmarkRow,
     RffFamily,
@@ -137,9 +136,6 @@ class TestFamilies:
         f = feature_matrix(full, data)
         assert np.allclose(fam.exact_matrix(data), f.T @ f / 6)
 
-    def test_grassmann_family_has_no_exact(self):
-        assert GrassmannFamily(dim=3, flat_dim=1, sigma=1.0).exact_matrix(None) is None
-
 
 class TestKernelConvergence:
     def test_rff_error_decays(self, rng):
@@ -148,7 +144,6 @@ class TestKernelConvergence:
         records = verify_kernel_convergence(fam, pts, counts=[100, 1600], reps=5, seed=0)
         assert [r.count for r in records] == [100, 1600]
         assert records[1].median_max_error < records[0].median_max_error
-        assert records[0].ref_half_split_error is None  # exact kernel
         for r in records:
             assert len(r.rep_max_errors) == 5
             assert all(m >= mu for m, mu in zip(r.rep_max_errors, r.rep_mean_errors))
@@ -157,16 +152,6 @@ class TestKernelConvergence:
         fam = RffFamily(sigma=1.0, dim=3)
         with pytest.raises(InvalidParam, match="reps"):
             verify_kernel_convergence(fam, rng.uniform(size=(5, 3)), [50], reps=0)
-
-    def test_sampled_reference_reports_slack(self, rng):
-        pts = rng.standard_normal((10, 3))
-        pts /= np.linalg.norm(pts, axis=1)[:, None]
-        fam = GrassmannFamily(dim=3, flat_dim=1, sigma=1.0)
-        records = verify_kernel_convergence(
-            fam, pts, counts=[50], reps=2, seed=1, ref_count=2000
-        )
-        assert records[0].ref_half_split_error is not None
-        assert records[0].ref_half_split_error > 0.0
 
 
 class TestHoeffding:
@@ -190,11 +175,6 @@ class TestHoeffding:
         fam = RffFamily(sigma=1.0, dim=3)
         with pytest.raises(InvalidParam, match="reps"):
             hoeffding_check(fam, np.zeros(3), np.ones(3), [50], [0.1], reps=0)
-
-    def test_needs_exact_kernel(self):
-        fam = GrassmannFamily(dim=3, flat_dim=1, sigma=1.0)
-        with pytest.raises(InvalidParam):
-            hoeffding_check(fam, np.zeros(3), np.ones(3), [50], [0.1])
 
 
 class TestPerturbation:
@@ -290,10 +270,10 @@ class TestRotationInvariance:
     def test_batch_estimate_matches_object_path(self, rng):
         # the frame-stack estimator must agree with the flat-object kernel
         from fls.evaluation import _pair_estimate
-        from fls.kernels import haar_frame_batch, sample_uniform_grassmann
+        from fls.kernels import AffineFlat, haar_frame_batch
 
         frames = haar_frame_batch(4, 2, 300, seed=11)
-        flats = sample_uniform_grassmann(4, 2, 300, seed=11)
+        flats = [AffineFlat(base=np.zeros(4), basis=basis) for basis in frames]
         x1 = rng.standard_normal(4)
         x2 = rng.standard_normal(4)
         est, se = _pair_estimate(frames, 0.9, x1, x2)

@@ -25,8 +25,8 @@ from fls.kernels import (
     flat_distance,
     flat_distance_matrix,
     gaussian_kernel_matrix,
+    haar_frame_batch,
     sample_gaussian_rff,
-    sample_uniform_grassmann,
     spec_from_json,
     spec_to_json,
 )
@@ -34,34 +34,29 @@ from fls.linalg import haar_frames
 
 
 def oracle_flat_sq_dists(flats, pts, block_entries=4_000_000):
-    """Squared distances as the grouped two-GEMM formula on whole arrays.
+    """Squared distances as the two-GEMM formula on whole arrays.
 
-    Per flat dimension: |x|^2 - 2 b.x + |b|^2 from one GEMM over all
-    points, minus |F^T x - F^T b|^2 from one GEMM per column block of
-    block_entries // (g l) points, clipped at zero.
+    |x|^2 - 2 b.x + |b|^2 from one GEMM over all points, minus
+    |F^T x - F^T b|^2 from one GEMM per column block of
+    block_entries // (D l) points, clipped at zero.
     """
     n, d = pts.shape
-    out = np.empty((len(flats), n))
-    by_dim = {}
-    for i, f in enumerate(flats):
-        by_dim.setdefault(f.dim, []).append(i)
-    for flat_dim, idxs in by_dim.items():
-        rows = np.asarray(idxs)
-        bases = np.stack([flats[i].base for i in idxs])
-        frames = np.stack([flats[i].basis for i in idxs])
-        g = len(idxs)
-        b_sq = (bases**2).sum(axis=1)
-        x_sq = (pts**2).sum(axis=1)
-        d2_full = x_sq[None, :] - 2.0 * (bases @ pts.T) + b_sq[:, None]
-        stacked = frames.transpose(0, 2, 1).reshape(g * flat_dim, d)
-        base_proj = np.einsum("gdl,gd->gl", frames, bases)
-        chunk = max(1, int(block_entries // max(g * flat_dim, 1)))
-        for s in range(0, n, chunk):
-            e = min(n, s + chunk)
-            proj = (stacked @ pts[s:e].T).reshape(g, flat_dim, e - s)
-            proj -= base_proj[:, :, None]
-            d2 = d2_full[:, s:e] - (proj**2).sum(axis=1)
-            out[rows, s:e] = np.clip(d2, 0.0, None)
+    g, flat_dim = len(flats), flats[0].dim
+    out = np.empty((g, n))
+    bases = np.stack([f.base for f in flats])
+    frames = np.stack([f.basis for f in flats])
+    b_sq = (bases**2).sum(axis=1)
+    x_sq = (pts**2).sum(axis=1)
+    d2_full = x_sq[None, :] - 2.0 * (bases @ pts.T) + b_sq[:, None]
+    stacked = frames.transpose(0, 2, 1).reshape(g * flat_dim, d)
+    base_proj = np.einsum("gdl,gd->gl", frames, bases)
+    chunk = max(1, int(block_entries // (g * flat_dim)))
+    for s in range(0, n, chunk):
+        e = min(n, s + chunk)
+        proj = (stacked @ pts[s:e].T).reshape(g, flat_dim, e - s)
+        proj -= base_proj[:, :, None]
+        d2 = d2_full[:, s:e] - (proj**2).sum(axis=1)
+        out[:, s:e] = np.clip(d2, 0.0, None)
     return out
 
 
@@ -71,14 +66,14 @@ def oracle_embed(spec, pts, block_entries=4_000_000):
     return np.exp(-d2 / spec.sigma**2) / math.sqrt(spec.n_features)
 
 
-def random_flats(gen, count, ambient, dims, affine):
-    """count flats in R^ambient cycling through dims, zero bases unless affine."""
+def random_flats(gen, count, ambient, flat_dim, affine):
+    """count flat_dim-flats in R^ambient, zero bases unless affine."""
     return tuple(
         AffineFlat(
             base=gen.standard_normal(ambient) if affine else np.zeros(ambient),
-            basis=haar_frames(gen, (ambient, dims[i % len(dims)])),
+            basis=haar_frames(gen, (ambient, flat_dim)),
         )
-        for i in range(count)
+        for _ in range(count)
     )
 
 
@@ -119,29 +114,30 @@ class TestSampling:
             sample_gaussian_rff(1.0, 0, 2)
 
     def test_grassmann_orthonormal(self):
-        flats = sample_uniform_grassmann(5, 2, 20, seed=3)
-        assert len(flats) == 20
-        for f in flats:
-            assert np.allclose(f.basis.T @ f.basis, np.eye(2), atol=1e-10)
-            assert np.all(f.base == 0.0)
+        frames = haar_frame_batch(5, 2, 20, seed=3)
+        assert frames.shape == (20, 5, 2)
+        for basis in frames:
+            assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-10)
 
     def test_grassmann_first_coordinate_mass(self):
         # Haar lines in R^3: direction uniform on the sphere, E[u1^2] = 1/3
-        flats = sample_uniform_grassmann(3, 1, 3000, seed=2)
-        m = np.mean([f.basis[0, 0] ** 2 for f in flats])
-        assert abs(m - 1.0 / 3.0) < 0.02
+        frames = haar_frame_batch(3, 1, 3000, seed=2)
+        assert abs(np.mean(frames[:, 0, 0] ** 2) - 1.0 / 3.0) < 0.02
 
     def test_grassmann_deterministic(self):
-        a = sample_uniform_grassmann(4, 2, 5, seed=9)
-        b = sample_uniform_grassmann(4, 2, 5, seed=9)
-        for fa, fb in zip(a, b):
-            assert np.array_equal(fa.basis, fb.basis)
+        a = haar_frame_batch(4, 2, 5, seed=9)
+        b = haar_frame_batch(4, 2, 5, seed=9)
+        c = haar_frame_batch(4, 2, 5, seed=10)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_grassmann_bad_params(self):
         with pytest.raises(InvalidParam):
-            sample_uniform_grassmann(3, 3, 5)
+            haar_frame_batch(3, 3, 5)
         with pytest.raises(InvalidParam):
-            sample_uniform_grassmann(3, 0, 5)
+            haar_frame_batch(3, 0, 5)
+        with pytest.raises(InvalidParam):
+            haar_frame_batch(3, 1, 0)
 
 
 class TestFlatDistance:
@@ -166,22 +162,33 @@ class TestFlatDistance:
             assert got == pytest.approx(expected, abs=1e-10)
 
     def test_matrix_matches_scalar(self, rng):
-        flats = [
-            AffineFlat(base=rng.standard_normal(4), basis=haar_frames(rng, (4, l)))
-            for l in (1, 2, 2, 3)
-        ]
+        # one stack per flat dimension: a stack holds flats of one shape
         pts = rng.standard_normal((7, 4))
-        mat = flat_distance_matrix(flats, pts)
-        assert mat.shape == (4, 7)
-        for i, f in enumerate(flats):
-            for j in range(7):
-                assert mat[i, j] == pytest.approx(flat_distance(pts[j], f), abs=1e-10)
+        for flat_dim in (1, 2, 3):
+            flats = [
+                AffineFlat(base=rng.standard_normal(4), basis=haar_frames(rng, (4, flat_dim)))
+                for _ in range(4)
+            ]
+            mat = flat_distance_matrix(flats, pts)
+            assert mat.shape == (4, 7)
+            for i, f in enumerate(flats):
+                for j in range(7):
+                    assert mat[i, j] == pytest.approx(flat_distance(pts[j], f), abs=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             flat_distance(np.zeros(3), xaxis_flat(2))
         with pytest.raises(DimensionMismatch):
             flat_distance_matrix([xaxis_flat(2)], np.zeros((5, 3)))
+
+    def test_matrix_rejects_mixed_flat_dimensions(self, rng):
+        line, plane = (AffineFlat(np.zeros(4), haar_frames(rng, (4, l))) for l in (1, 2))
+        with pytest.raises(DimensionMismatch, match="same ambient and flat dimension"):
+            flat_distance_matrix([line, plane], rng.standard_normal((3, 4)))
+
+    def test_matrix_rejects_empty_stack(self):
+        with pytest.raises(InvalidParam, match="at least one flat"):
+            flat_distance_matrix([], np.zeros((3, 2)))
 
 
 class TestFeatureValues:
@@ -247,7 +254,8 @@ class TestEmbed:
 class TestBlockedFill:
     """embed, feature_matrix and flat_distance_matrix against the oracle,
     bit for bit.  Most cases shrink the block so that a few hundred
-    points span several blocks; the first keeps the default block."""
+    points span several blocks; the first keeps the default block.  dims
+    holds the one flat dimension of each case's stack."""
 
     @pytest.mark.parametrize(
         "block_entries, count, dims, affine, n",
@@ -257,8 +265,8 @@ class TestBlockedFill:
             (4000, 40, (2,), True, 3 * 50 + 1),
             (4000, 40, (2,), True, 3 * 50 + 17),
             (4000, 40, (2,), True, 50),
-            (4000, 30, (1, 3, 2), True, 2 * 111 + 1),
-            (4000, 30, (1, 3, 2), False, 2 * 111 + 40),
+            (4000, 30, (1,), True, 2 * 111 + 1),
+            (4000, 30, (3,), False, 2 * 111 + 40),
             (4000, 1, (1,), True, 2 * 4000 + 1),
             (4000, 40, (2,), True, 1),
         ],
@@ -266,22 +274,13 @@ class TestBlockedFill:
     def test_bit_identical_to_oracle(self, monkeypatch, block_entries, count, dims, affine, n):
         monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_entries, raising=False)
         gen = np.random.default_rng(count + n)
-        flats = random_flats(gen, count, 6, dims, affine)
+        flats = random_flats(gen, count, 6, dims[0], affine)
         pts = gen.standard_normal((n, 6))
         spec = SubspaceKernel(sigma=0.8, flats=flats)
         d2 = oracle_flat_sq_dists(flats, pts, block_entries)
         assert np.array_equal(flat_distance_matrix(flats, pts), np.sqrt(d2))
         assert np.array_equal(feature_matrix(spec, pts), np.exp(-d2 / 0.8**2))
         assert np.array_equal(embed(spec, pts).data, oracle_embed(spec, pts, block_entries))
-
-    def test_consecutive_groups(self, monkeypatch):
-        # two dimensions in two runs of rows: each group fills a row slice
-        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 4000, raising=False)
-        gen = np.random.default_rng(5)
-        flats = random_flats(gen, 20, 6, (2,), True) + random_flats(gen, 20, 6, (3,), True)
-        pts = gen.standard_normal((301, 6))
-        spec = SubspaceKernel(sigma=1.1, flats=flats)
-        assert np.array_equal(embed(spec, pts).data, oracle_embed(spec, pts, 4000))
 
     def test_point_bumps_match_whole_array_formula(self, monkeypatch):
         monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 4000, raising=False)
@@ -310,7 +309,7 @@ class TestBlockedFill:
         monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 2**16, raising=False)
         gen = np.random.default_rng(8)
         count, n = 200, 20_000
-        spec = SubspaceKernel(sigma=0.5, flats=random_flats(gen, count, 10, (2,), False))
+        spec = SubspaceKernel(sigma=0.5, flats=random_flats(gen, count, 10, 2, False))
         pts = gen.standard_normal((n, 10))
         tracemalloc.start()
         try:
@@ -422,11 +421,35 @@ class TestSpecJson:
         with pytest.raises(InvalidParam):
             spec_from_json({"kind": "gaussian_rff", "sigma": 1.0})
 
+    def test_mixed_flat_dimensions_rejected(self, rng):
+        flats = [
+            {"base": [0.0, 0.0, 0.0], "basis": haar_frames(rng, (3, l)).tolist()}
+            for l in (1, 2)
+        ]
+        with pytest.raises(DimensionMismatch, match="same ambient and flat dimension"):
+            spec_from_json({"kind": "subspace", "sigma": 1.0, "flats": flats})
+
 
 class TestSpecValidation:
     def test_mixed_ambient_flats(self):
         with pytest.raises(DimensionMismatch):
             SubspaceKernel(sigma=1.0, flats=(xaxis_flat(2), xaxis_flat(3)))
+
+    def test_mixed_flat_dimensions(self, rng):
+        line, plane = (AffineFlat(np.zeros(4), haar_frames(rng, (4, l))) for l in (1, 2))
+        with pytest.raises(DimensionMismatch, match="same ambient and flat dimension"):
+            SubspaceKernel(sigma=1.0, flats=(line, line, plane))
+
+    def test_stack_built_once(self, rng):
+        flats = tuple(
+            AffineFlat(rng.standard_normal(5), haar_frames(rng, (5, 2))) for _ in range(3)
+        )
+        spec = SubspaceKernel(sigma=1.0, flats=flats)
+        assert spec.bases.shape == (3, 5) and spec.frames.shape == (3, 5, 2)
+        for i, f in enumerate(flats):
+            assert np.array_equal(spec.bases[i], f.base)
+            assert np.array_equal(spec.frames[i], f.basis)
+        assert (spec.n_features, spec.dim) == (3, 5)
 
     def test_empty_flats(self):
         with pytest.raises(InvalidParam):

@@ -576,6 +576,11 @@ class TestDefaultSigma:
         ]
         assert default_sigma(pts, flats, seed=5) == default_sigma(pts, flats, seed=5)
 
+    def test_no_flats_rejected(self):
+        # an empty flat list has no median distance to return
+        with pytest.raises(InvalidParam, match="at least one flat"):
+            default_sigma(np.zeros((4, 2)), [])
+
 
 class TestLandmarkConfig:
     def test_default_scales(self):

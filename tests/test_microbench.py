@@ -60,7 +60,7 @@ def test_best_fit_flats(benchmark):
 def test_embed_and_spectral_embed(benchmark):
     # 200 linear 2-flats in R^10, 20 000 points on the sphere: a 32 MB embedding
     gen = np.random.default_rng(2)
-    spec = SubspaceKernel(sigma=0.5, flats=random_flats(gen, 200, 10, (2,), False))
+    spec = SubspaceKernel(sigma=0.5, flats=random_flats(gen, 200, 10, 2, False))
     pts = sphere_normalize(gen.standard_normal((20_000, 10)))
 
     def stages():
