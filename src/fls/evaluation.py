@@ -19,6 +19,7 @@ from .cluster import dense_normalized, fls_cluster
 from .datagen import SyntheticModel, as_points, gen_synthetic
 from .errors import DeltaTooLarge, EigengapTooSmall, InvalidParam, PipelineError
 from .kernels import (
+    AffineFlat,
     LandmarkGaussian,
     SubspaceKernel,
     approx_kernel_matrix,
@@ -65,15 +66,10 @@ def clustering_rate(pred, truth, outlier_mask=None) -> EvalReport:
     n_inliers = int(keep.sum())
     if n_inliers == 0:
         raise InvalidParam("all points are outliers; rate undefined")
-    t, p = truth[keep], pred[keep]
-    t_classes = np.unique(t)
-    p_classes = np.unique(p)
+    t_classes, t_index = np.unique(truth[keep], return_inverse=True)
+    p_classes, p_index = np.unique(pred[keep], return_inverse=True)
     k = max(t_classes.shape[0], p_classes.shape[0])
-    confusion = np.zeros((k, k))
-    t_index = {c: i for i, c in enumerate(t_classes)}
-    p_index = {c: i for i, c in enumerate(p_classes)}
-    for ti, pi in zip(t, p):
-        confusion[t_index[ti], p_index[pi]] += 1
+    confusion = np.bincount(t_index * k + p_index, minlength=k * k).reshape(k, k).astype(float)
     perm = hungarian_match(confusion)
     matched = float(confusion[np.arange(k), perm].sum())
     return EvalReport(
@@ -105,21 +101,18 @@ class RffFamily:
 class FlatPoolFamily:
     """Uniform distribution over a finite pool of flats, drawn i.i.d.
 
-    Sampling is with replacement, so spec sizes may exceed the pool (and
-    the dataset).  exact_matrix enumerates the pool, which is the exact
+    ``flats`` is an AffineFlat stack (``landmark_flat_pool``).  Sampling
+    is with replacement, so spec sizes may exceed the pool (and the
+    dataset).  exact_matrix enumerates the pool, which is the exact
     kernel under the empirical flat measure.
     """
 
-    flats: tuple
+    flats: AffineFlat
     sigma: float
-
-    @property
-    def dim(self):
-        return self.flats[0].ambient
 
     def sample(self, count, seed):
         idx = make_rng(seed).integers(len(self.flats), size=count)
-        return SubspaceKernel(self.sigma, tuple(self.flats[i] for i in idx))
+        return SubspaceKernel(self.sigma, self.flats[idx])
 
     def exact_matrix(self, points):
         f = feature_matrix(SubspaceKernel(self.sigma, self.flats), points)
@@ -133,10 +126,6 @@ class LandmarkGaussianFamily:
 
     data: np.ndarray
     sigma: float
-
-    @property
-    def dim(self):
-        return self.data.shape[1]
 
     def sample(self, count, seed):
         idx = make_rng(seed).integers(self.data.shape[0], size=count)
@@ -387,20 +376,6 @@ class RotationRecord:
     within: bool
 
 
-def _pair_estimate(frames, sigma, x1, x2):
-    """Kernel estimate and SE for one pair from a (D, d, l) frame stack.
-
-    Matches feature_matrix on the equivalent base-zero flats: squared
-    distance x^2 - |Q^T x|^2 clipped at 0, feature exp(-d^2 / sigma^2).
-    """
-    pts = np.vstack([x1, x2])
-    proj = np.einsum("kdl,pd->kpl", frames, pts)
-    sq = (pts**2).sum(axis=1)[None, :] - (proj**2).sum(axis=2)
-    feats = np.exp(-np.clip(sq, 0.0, None) / sigma**2)
-    prods = feats[:, 0] * feats[:, 1]
-    return float(prods.mean()), float(prods.std(ddof=1)) / math.sqrt(len(prods))
-
-
 def verify_rotation_invariance(
     dim: int,
     flat_dim: int,
@@ -438,10 +413,15 @@ def verify_rotation_invariance(
         w = g / np.linalg.norm(g)
         x2 = cos_angle * x1 + sin_angle * w
         rot = haar_frames(rng, (dim, dim))
-        frames = haar_frame_batch(dim, flat_dim, count, flats_a_seed)
-        est, se = _pair_estimate(frames, sigma, x1, x2)
-        frames_rot = haar_frame_batch(dim, flat_dim, count, flats_b_seed)
-        est_rot, se_rot = _pair_estimate(frames_rot, sigma, rot @ x1, rot @ x2)
+        estimates = []
+        for flats_seed, pair in ((flats_a_seed, (x1, x2)), (flats_b_seed, (rot @ x1, rot @ x2))):
+            # the uniform flats through the origin: a zero-base stack of Haar frames
+            frames = haar_frame_batch(dim, flat_dim, count, flats_seed)
+            spec = SubspaceKernel(sigma, AffineFlat(np.zeros((count, dim)), frames))
+            f = feature_matrix(spec, np.vstack(pair))
+            prods = f[:, 0] * f[:, 1]
+            estimates.append((float(prods.mean()), float(prods.std(ddof=1)) / math.sqrt(count)))
+        (est, se), (est_rot, se_rot) = estimates
         records.append(
             RotationRecord(
                 estimate=est,

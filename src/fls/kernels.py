@@ -13,15 +13,15 @@ feature families share this interface:
 - LandmarkGaussian: Gaussian bumps centered at landmark points.
 - SubspaceKernel: f(x, L) = exp(-dist(x, L)^2 / sigma^2) for affine flats
   L, the family behind landmark subspace clustering.  Its D flats share
-  one ambient and one flat dimension, so a spec holds them as one stack
-  of bases (D, d) and frames (D, d, l), and every point-to-flat distance
-  comes from that stack.
+  one ambient and one flat dimension, so a spec holds them as one
+  AffineFlat stack, base (D, d) and basis (D, d, l), and every
+  point-to-flat distance comes from that stack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,51 +112,50 @@ class LandmarkGaussian:
 
 
 def _stack_flats(flats):
-    """(bases (D, d), frames (D, d, l)) of a nonempty sequence of flats
-    that share one basis shape."""
-    if len(flats) < 1:
-        raise InvalidParam("need at least one flat")
-    if not all(isinstance(f, AffineFlat) for f in flats):
-        raise InvalidParam("flats must be AffineFlat instances")
-    shape = flats[0].basis.shape
-    for f in flats:
-        if f.basis.shape != shape:
+    """``flats`` as one nonempty AffineFlat stack: a stack passes through
+    unchanged, a sequence of single flats of one shape is stacked once."""
+    if not isinstance(flats, AffineFlat):
+        flats = tuple(flats)
+        if not all(isinstance(f, AffineFlat) and not f.stacked for f in flats):
+            raise InvalidParam("flats must be single AffineFlat instances")
+        shapes = {f.basis.shape for f in flats}
+        if len(shapes) > 1:
             raise DimensionMismatch(
-                f"flat bases of shapes {shape} and {f.basis.shape} in one stack: "
+                f"flat bases of shapes {sorted(shapes)} in one stack: "
                 "every flat needs the same ambient and flat dimension"
             )
-    return np.stack([f.base for f in flats]), np.stack([f.basis for f in flats])
+        if not flats:
+            raise InvalidParam("need at least one flat")
+        flats = AffineFlat(np.stack([f.base for f in flats]), np.stack([f.basis for f in flats]))
+    if not flats.stacked or len(flats) < 1:
+        raise InvalidParam("need a stack of at least one flat")
+    return flats
 
 
 @dataclass(frozen=True)
 class SubspaceKernel:
     """Flat-distance features f(x, L) = exp(-dist(x, L)^2 / sigma^2).
 
-    Every flat must have the same ambient and flat dimension
-    (DimensionMismatch otherwise).  The constructor stacks them once into
-    ``bases`` (D, d) and ``frames`` (D, d, l), which the embedding reads.
+    ``flats`` is one AffineFlat stack, base (D, d) and basis (D, d, l),
+    which the embedding reads.  A sequence of single flats is stacked
+    once at construction; every flat must then have the same ambient and
+    flat dimension (DimensionMismatch otherwise).
     """
 
     sigma: float
-    flats: tuple
-    bases: np.ndarray = field(init=False, repr=False, compare=False)
-    frames: np.ndarray = field(init=False, repr=False, compare=False)
+    flats: AffineFlat
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", _check_sigma(self.sigma))
-        flats = tuple(self.flats)
-        bases, frames = _stack_flats(flats)
-        object.__setattr__(self, "flats", flats)
-        object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "flats", _stack_flats(self.flats))
 
     @property
     def n_features(self) -> int:
-        return self.frames.shape[0]
+        return len(self.flats)
 
     @property
     def dim(self) -> int:
-        return self.frames.shape[1]
+        return self.flats.ambient
 
 
 FeatureSpec = GaussianRFF | LandmarkGaussian | SubspaceKernel
@@ -209,7 +208,9 @@ def haar_frame_batch(dim: int, flat_dim: int, count: int, seed=0) -> np.ndarray:
 
 
 def flat_distance(x: np.ndarray, flat: AffineFlat) -> float:
-    """Euclidean distance from a point to an affine flat."""
+    """Euclidean distance from a point to one affine flat (not a stack)."""
+    if flat.stacked:
+        raise InvalidParam("flat_distance takes one flat; use flat_distance_matrix for a stack")
     x = check_finite(x, "point")
     if x.shape != (flat.ambient,):
         raise DimensionMismatch(f"point has shape {x.shape}, flat lives in R^{flat.ambient}")
@@ -284,16 +285,17 @@ def _map_flat_sq_dists(bases, frames, pts, finish):
 def flat_distance_matrix(flats, points: np.ndarray) -> np.ndarray:
     """Distances from every point to every flat, shape (len(flats), n).
 
-    ``flats`` is a nonempty sequence of flats of one ambient and one flat
-    dimension (InvalidParam when empty, DimensionMismatch when mixed).
+    ``flats`` is a nonempty AffineFlat stack, or a sequence of flats of
+    one ambient and one flat dimension (InvalidParam when empty,
+    DimensionMismatch when mixed).
     """
     pts = check_finite(points, "points")
     if pts.ndim != 2:
         raise InvalidParam("points must be 2-D")
-    bases, frames = _stack_flats(flats)
-    if pts.shape[1] != frames.shape[1]:
-        raise DimensionMismatch(f"points in R^{pts.shape[1]}, flats in R^{frames.shape[1]}")
-    return _map_flat_sq_dists(bases, frames, pts, lambda blk: np.sqrt(blk, out=blk))
+    flats = _stack_flats(flats)
+    if pts.shape[1] != flats.ambient:
+        raise DimensionMismatch(f"points in R^{pts.shape[1]}, flats in R^{flats.ambient}")
+    return _map_flat_sq_dists(flats.base, flats.basis, pts, lambda blk: np.sqrt(blk, out=blk))
 
 
 def _neg_exp(scale, norm=1.0):
@@ -342,7 +344,7 @@ def feature_matrix(spec: FeatureSpec, points) -> np.ndarray:
         norm = (2.0 * math.pi * spec.sigma**2) ** (-spec.dim / 2.0)
         return _gaussian_bumps(spec.centers, pts, spec.sigma, norm)
     if isinstance(spec, SubspaceKernel):
-        return _map_flat_sq_dists(spec.bases, spec.frames, pts, _neg_exp(spec.sigma**2))
+        return _map_flat_sq_dists(spec.flats.base, spec.flats.basis, pts, _neg_exp(spec.sigma**2))
     raise InvalidParam(f"unknown feature spec type {type(spec).__name__}")
 
 
@@ -407,8 +409,8 @@ def spec_to_json(spec: FeatureSpec) -> dict:
             "kind": "subspace",
             "sigma": spec.sigma,
             "flats": [
-                {"base": f.base.tolist(), "basis": f.basis.tolist()}
-                for f in spec.flats
+                {"base": base.tolist(), "basis": basis.tolist()}
+                for base, basis in zip(spec.flats.base, spec.flats.basis)
             ],
         }
     raise InvalidParam(f"unknown feature spec type {type(spec).__name__}")
@@ -428,13 +430,7 @@ def spec_from_json(doc: dict) -> FeatureSpec:
                 sigma=doc["sigma"], centers=np.asarray(doc["centers"], dtype=float)
             )
         if kind == "subspace":
-            flats = tuple(
-                AffineFlat(
-                    base=np.asarray(f["base"], dtype=float),
-                    basis=np.asarray(f["basis"], dtype=float),
-                )
-                for f in doc["flats"]
-            )
+            flats = [AffineFlat(base=f["base"], basis=f["basis"]) for f in doc["flats"]]
             return SubspaceKernel(sigma=doc["sigma"], flats=flats)
     except KeyError as exc:
         raise InvalidParam(f"feature spec document missing key {exc}") from exc

@@ -289,9 +289,10 @@ def _fit_ladders(pts, centers, sizes, flat_dim, linear):
     """Fit the ladder ``sizes`` around every center, a block of centers at a time.
 
     Returns (scores, wins, flats): the (c, T) scores, the index of each
-    center's chosen size and its AffineFlat.  Each step is either per
-    center or a stacked operation that treats each center alike, so a
-    flat has the same bits whichever block it lands in.
+    center's chosen size and the AffineFlat stack of the winners, written
+    into one (c, d) base and one (c, d, l) basis array.  Each step is
+    either per center or a stacked operation that treats each center
+    alike, so a flat has the same bits whichever block it lands in.
     """
     n, d = pts.shape
     shared = sizes[-1] == n
@@ -312,7 +313,8 @@ def _fit_ladders(pts, centers, sizes, flat_dim, linear):
     m_max = local[-1] if local else 0
     step = max(1, _BLOCK_ENTRIES // max(1, m_max * d))
     hood = np.empty((min(step, len(centers)), m_max, d))
-    flats, taken = [], 0
+    bases, frames = np.empty((len(centers), d)), np.empty((len(centers), d, flat_dim))
+    taken = 0
     for lo in range(0, len(centers), step):
         block = centers[lo : lo + step]
         rows, buf = slice(lo, lo + len(block)), hood[: len(block)]
@@ -329,26 +331,27 @@ def _fit_ladders(pts, centers, sizes, flat_dim, linear):
         score = scores[rows]
         wins[rows] = np.argmax(score <= score.min(axis=1, keepdims=True) + _TIE_TOL * d, axis=1)
         for i, (center, t) in enumerate(zip(block, wins[rows])):
-            if not positive[lo + i, t]:
+            j = lo + i
+            if not positive[j, t]:
                 log.warning(
                     "neighborhood around %s has zero variance; returning axis-aligned flat",
                     np.array2string(center, precision=3),
                 )
-                base = np.zeros(d) if linear else center.copy()
-                flats.append(AffineFlat(base=base, basis=np.eye(d)[:, :flat_dim]))
+                bases[j] = 0.0 if linear else center
+                frames[j] = np.eye(d)[:, :flat_dim]
             elif t == len(local):
                 if shared_basis is None:
                     shared_basis = _top_directions(shared_scatter, flat_dim)
-                flats.append(AffineFlat(base=shared_base.copy(), basis=shared_basis.copy()))
+                bases[j], frames[j] = shared_base, shared_basis
             else:
-                base = np.zeros(d) if linear else origin[i] + sums[i, t] / local[t]
-                flats.append(AffineFlat(base=base, basis=_top_directions(fits[t][i], flat_dim)))
+                bases[j] = 0.0 if linear else origin[i] + sums[i, t] / local[t]
+                frames[j] = _top_directions(fits[t][i], flat_dim)
     log.debug(
         "ladder eigen-solves: %d taken, %d pruned by the trace/Frobenius bound",
         taken,
         len(centers) * len(local) - taken,
     )
-    return scores, wins, flats
+    return scores, wins, AffineFlat(bases, frames)
 
 
 def best_fit_flats(
@@ -358,8 +361,8 @@ def best_fit_flats(
     max_scales: int,
     init_neighbors: int,
     linear: bool = False,
-) -> list:
-    """Best local flat at each row of ``centers``; one AffineFlat per center.
+) -> AffineFlat:
+    """Best local flat at each row of ``centers``, as one AffineFlat stack.
 
     Candidate neighborhood sizes are min(round(S * 2^j), n) for
     j = 0..T-1, the k nearest points of the center.  The score of a size
@@ -429,7 +432,7 @@ def best_fit_flat(
 ) -> AffineFlat:
     """Best local flat at one ``center``: ``best_fit_flats`` on a single row.
 
-    Bit-identical to the corresponding entry of a batched call.
+    Bit-identical to the corresponding member of a batched call's stack.
     """
     center = check_finite(center, "center")
     if center.ndim != 1:
@@ -442,9 +445,10 @@ def best_fit_flat(
 def default_sigma(points: np.ndarray, flats, seed=0, max_pairs: int = 10_000) -> float:
     """Median point-to-flat distance, floored at 1e-6.
 
-    Exact when n * D <= max_pairs; otherwise the median of ``max_pairs``
-    uniformly sampled (point, flat) pairs.  An empty ``flats`` raises
-    InvalidParam.
+    ``flats`` is an AffineFlat stack or a sequence of flats.  Exact when
+    n * D <= max_pairs; otherwise the median of ``max_pairs`` uniformly
+    sampled (point, flat) pairs, one flat at a time.  An empty ``flats``
+    raises InvalidParam.
     """
     pts = check_finite(points, "points")
     n, count = pts.shape[0], len(flats)
@@ -457,8 +461,7 @@ def default_sigma(points: np.ndarray, flats, seed=0, max_pairs: int = 10_000) ->
         sample = np.empty(max_pairs)
         for k in np.unique(flat_idx):
             sel = flat_idx == k
-            row = flat_distance_matrix([flats[k]], pts[pt_idx[sel]])
-            sample[sel] = row[0]
+            sample[sel] = flat_distance_matrix(flats[k : k + 1], pts[pt_idx[sel]])[0]
     return max(float(np.median(sample)), 1e-6)
 
 
@@ -478,7 +481,7 @@ def fit_subspace_kernel(
     sigma = config.sigma
     if sigma is None:
         sigma = default_sigma(points, flats, seed=sigma_seed)
-    return SubspaceKernel(sigma=sigma, flats=tuple(flats))
+    return SubspaceKernel(sigma=sigma, flats=flats)
 
 
 def build_subspace_spec(points: np.ndarray, config: LandmarkConfig, seed=0) -> SubspaceKernel:
@@ -498,7 +501,7 @@ def build_subspace_spec(points: np.ndarray, config: LandmarkConfig, seed=0) -> S
 
 
 def landmark_flat_pool(points: np.ndarray, flat_dim: int, config: LandmarkConfig | None = None):
-    """Local best-fit flat at every data point.
+    """Local best-fit flat at every data point, as one AffineFlat stack.
 
     The pool defines an empirical flat distribution that can be sampled
     with replacement, which is how i.i.d. subspace-kernel specs of any
@@ -508,6 +511,4 @@ def landmark_flat_pool(points: np.ndarray, flat_dim: int, config: LandmarkConfig
     pts = check_finite(points, "points")
     cfg = config or LandmarkConfig(n_landmarks=1, flat_dim=flat_dim)
     init_neighbors, max_scales = cfg.resolve_scales(pts.shape[0])
-    return tuple(
-        best_fit_flats(pts, pts, flat_dim, max_scales, init_neighbors, linear=cfg.linear)
-    )
+    return best_fit_flats(pts, pts, flat_dim, max_scales, init_neighbors, linear=cfg.linear)

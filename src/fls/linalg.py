@@ -64,10 +64,14 @@ def haar_frames(gen: np.random.Generator, shape) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AffineFlat:
-    """An l-dimensional affine flat {base + basis @ u} in R^d.
+    """An l-dimensional affine flat {base + basis @ u} in R^d, or a stack of them.
 
-    basis has orthonormal columns (checked to 1e-10 at construction).
-    Linear subspaces are represented with base = 0.
+    One flat has base (d,) and basis (d, l); a stack of D flats of one
+    shape has base (D, d) and basis (D, d, l), a ``len``, and indexing
+    (an int gives one flat, a slice or index array a stack).  Each basis
+    has orthonormal columns, checked to 1e-10 at construction, once per
+    stack; the error names the first member that fails.  Linear
+    subspaces have base = 0.
     """
 
     base: np.ndarray
@@ -76,25 +80,42 @@ class AffineFlat:
     def __post_init__(self):
         base = check_finite(self.base, "base")
         basis = check_finite(self.basis, "basis")
-        if base.ndim != 1 or basis.ndim != 2 or basis.shape[0] != base.shape[0]:
+        if basis.ndim not in (2, 3) or base.shape != basis.shape[:-1]:
             raise InvalidParam(
                 f"flat shapes disagree: base {base.shape}, basis {basis.shape}"
             )
-        if basis.shape[1] < 1 or basis.shape[1] > basis.shape[0]:
-            raise InvalidParam(f"flat dimension {basis.shape[1]} out of range")
-        gram = basis.T @ basis
-        if np.max(np.abs(gram - np.eye(basis.shape[1]))) > 1e-10:
-            raise InvalidParam("basis columns are not orthonormal")
+        ambient, dim = basis.shape[-2:]
+        if dim < 1 or dim > ambient:
+            raise InvalidParam(f"flat dimension {dim} out of range")
+        gram = np.matmul(basis.swapaxes(-1, -2), basis)
+        bad = np.flatnonzero(np.abs(gram - np.eye(dim)).max(axis=(-2, -1)) > 1e-10)
+        if bad.size:
+            which = f" of flat {bad[0]}" if basis.ndim == 3 else ""
+            raise InvalidParam(f"basis columns{which} are not orthonormal")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "basis", basis)
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[1]
+        return self.basis.shape[-1]
 
     @property
     def ambient(self) -> int:
+        return self.basis.shape[-2]
+
+    @property
+    def stacked(self) -> bool:
+        return self.basis.ndim == 3
+
+    def __len__(self) -> int:
+        if not self.stacked:
+            raise TypeError("a single flat has no len(); only a stack does")
         return self.basis.shape[0]
+
+    def __getitem__(self, idx):
+        if not self.stacked:
+            raise TypeError("a single flat cannot be indexed; only a stack can")
+        return AffineFlat(self.base[idx], self.basis[idx])
 
 
 @dataclass(frozen=True)

@@ -26,15 +26,18 @@ from fls.evaluation import (
     verify_rotation_invariance,
 )
 from fls.kernels import (
+    AffineFlat,
     LandmarkGaussian,
     SubspaceKernel,
     feature_matrix,
     flat_distance,
     gaussian_kernel_matrix,
+    haar_frame_batch,
     sample_gaussian_rff,
 )
 from fls.landmarks import landmark_flat_pool
-from fls.rng import make_rng
+from fls.linalg import hungarian_match
+from fls.rng import make_rng, split
 
 
 def two_far_clusters(rng, n_per=25, d=3, spread=0.3):
@@ -87,6 +90,29 @@ class TestClusteringRate:
         pred = np.array([0, 0, 2, 1, 1, 3])
         assert clustering_rate(pred, truth).rate == pytest.approx(4 / 6)
 
+    @pytest.mark.parametrize("n_true, n_pred", [(3, 3), (3, 5), (5, 2)])
+    def test_confusion_matches_point_loop(self, rng, n_true, n_pred):
+        # the confusion matrix as a loop over points, with classes indexed
+        # in sorted order: the bincount must give the same report
+        truth = rng.integers(0, n_true, size=500) * 3 + 7
+        truth[rng.random(500) < 0.1] = -1
+        pred = rng.integers(-2, n_pred - 2, size=500) * 5
+        keep = truth != -1
+        t_classes, p_classes = np.unique(truth[keep]), np.unique(pred[keep])
+        k = max(len(t_classes), len(p_classes))
+        t_index = {c: i for i, c in enumerate(t_classes)}
+        p_index = {c: i for i, c in enumerate(p_classes)}
+        confusion = np.zeros((k, k))
+        for ti, pi in zip(truth[keep], pred[keep]):
+            confusion[t_index[ti], p_index[pi]] += 1
+        report = clustering_rate(pred, truth)
+        assert report.confusion.dtype == confusion.dtype
+        assert np.array_equal(report.confusion, confusion)
+        perm = hungarian_match(confusion)
+        assert np.array_equal(report.permutation, perm)
+        assert report.rate == confusion[np.arange(k), perm].sum() / keep.sum()
+        assert report.n_inliers == keep.sum()
+
     def test_all_outliers(self):
         with pytest.raises(InvalidParam):
             clustering_rate(np.array([0, 1]), np.array([-1, -1]))
@@ -124,8 +150,10 @@ class TestFamilies:
         fam = FlatPoolFamily(flats=landmark_flat_pool(pts, 1), sigma=1.0)
         spec = fam.sample(50, seed=0)  # 50 > pool size of 8
         assert spec.n_features == 50
-        # identity check: array-valued fields make == ambiguous
-        assert all(any(f is g for g in fam.flats) for f in spec.flats)
+        # the same draw indexes the pool stack
+        idx = make_rng(0).integers(len(fam.flats), size=50)
+        assert np.array_equal(spec.flats.base, fam.flats[idx].base)
+        assert np.array_equal(spec.flats.basis, fam.flats[idx].basis)
 
     def test_landmark_family_exact_matrix(self, rng):
         data = rng.standard_normal((6, 2))
@@ -234,7 +262,7 @@ class TestEigvecConvergence:
     def test_single_flat_pool_has_no_gap(self, rng):
         # rank-one kernel: spectrum {1, 0, ...}, lambda_2 sits at 0
         pts = rng.standard_normal((12, 3))
-        pool = (landmark_flat_pool(pts, 1)[0],)
+        pool = landmark_flat_pool(pts, 1)[:1]
         fam = FlatPoolFamily(flats=pool, sigma=2.0)
         with pytest.raises(EigengapTooSmall):
             verify_eigvec_convergence(pts, fam, counts=[20], ref_count=100, seed=0)
@@ -267,20 +295,21 @@ class TestRotationInvariance:
         with pytest.raises(InvalidParam):
             verify_rotation_invariance(3, 1, pair_distance=2.5)
 
-    def test_batch_estimate_matches_object_path(self, rng):
-        # the frame-stack estimator must agree with the flat-object kernel
-        from fls.evaluation import _pair_estimate
-        from fls.kernels import AffineFlat, haar_frame_batch
-
-        frames = haar_frame_batch(4, 2, 300, seed=11)
-        flats = [AffineFlat(base=np.zeros(4), basis=basis) for basis in frames]
-        x1 = rng.standard_normal(4)
-        x2 = rng.standard_normal(4)
-        est, se = _pair_estimate(frames, 0.9, x1, x2)
-        f = feature_matrix(SubspaceKernel(0.9, tuple(flats)), np.vstack([x1, x2]))
-        prods = f[:, 0] * f[:, 1]
-        assert abs(est - prods.mean()) <= 1e-12
-        assert abs(se - prods.std(ddof=1) / math.sqrt(300)) <= 1e-12
+    def test_estimate_matches_scalar_distances(self):
+        # at distance 0 the pair is one point x, so the estimate is the mean
+        # of exp(-2 dist(x, L)^2 / sigma^2) over the pair's Haar flats L
+        (record,), _ = verify_rotation_invariance(
+            4, 2, n_pairs=1, count=300, seed=5, sigma=0.9, pair_distance=0.0
+        )
+        geom_seed, flats_seed, _ = split(split(5, 1)[0], 3)
+        x = make_rng(geom_seed).standard_normal(4)
+        x /= np.linalg.norm(x)
+        prods = [
+            math.exp(-2.0 * flat_distance(x, AffineFlat(np.zeros(4), basis)) ** 2 / 0.81)
+            for basis in haar_frame_batch(4, 2, 300, flats_seed)
+        ]
+        assert abs(record.estimate - np.mean(prods)) <= 1e-12
+        assert abs(record.stderr - np.std(prods, ddof=1) / math.sqrt(300)) <= 1e-12
 
 
 class TestBenchmarkHarness:

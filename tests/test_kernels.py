@@ -175,6 +175,14 @@ class TestFlatDistance:
                 for j in range(7):
                     assert mat[i, j] == pytest.approx(flat_distance(pts[j], f), abs=1e-10)
 
+    def test_stack_refused(self, rng):
+        # a (D, d) base would read as a point in R^D: one flat only
+        stack = AffineFlat(np.zeros((3, 2)), haar_frames(rng, (3, 2, 1)))
+        with pytest.raises(InvalidParam, match="one flat"):
+            flat_distance(np.zeros(2), stack)
+        with pytest.raises(InvalidParam, match="one flat"):
+            flat_distance(np.zeros(3), stack)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             flat_distance(np.zeros(3), xaxis_flat(2))
@@ -445,15 +453,32 @@ class TestSpecValidation:
             AffineFlat(rng.standard_normal(5), haar_frames(rng, (5, 2))) for _ in range(3)
         )
         spec = SubspaceKernel(sigma=1.0, flats=flats)
-        assert spec.bases.shape == (3, 5) and spec.frames.shape == (3, 5, 2)
+        assert spec.flats.base.shape == (3, 5) and spec.flats.basis.shape == (3, 5, 2)
         for i, f in enumerate(flats):
-            assert np.array_equal(spec.bases[i], f.base)
-            assert np.array_equal(spec.frames[i], f.basis)
+            assert np.array_equal(spec.flats.base[i], f.base)
+            assert np.array_equal(spec.flats.basis[i], f.basis)
         assert (spec.n_features, spec.dim) == (3, 5)
+
+    def test_stack_passes_through(self, rng):
+        # a stack is held as given: no second copy, no per-flat objects
+        stack = AffineFlat(rng.standard_normal((4, 5)), haar_frames(rng, (4, 5, 2)))
+        spec = SubspaceKernel(sigma=1.0, flats=stack)
+        assert spec.flats is stack
+        assert (spec.n_features, spec.dim) == (4, 5)
+        assert embed(spec, rng.standard_normal((6, 5))).data.shape == (4, 6)
 
     def test_empty_flats(self):
         with pytest.raises(InvalidParam):
             SubspaceKernel(sigma=1.0, flats=())
+
+    def test_empty_stack(self):
+        empty = AffineFlat(np.zeros((0, 3)), np.zeros((0, 3, 1)))
+        with pytest.raises(InvalidParam, match="at least one flat"):
+            SubspaceKernel(sigma=1.0, flats=empty)
+
+    def test_single_flat_is_not_a_stack(self):
+        with pytest.raises(InvalidParam, match="need a stack"):
+            SubspaceKernel(sigma=1.0, flats=xaxis_flat(2))
 
     def test_nonpositive_sigma(self):
         with pytest.raises(InvalidParam):

@@ -15,7 +15,7 @@ from fls import landmarks
 from fls.datagen import gen_synthetic, sphere_normalize
 from fls.errors import DegenerateInput, InvalidParam
 from fls.evaluation import synthetic_suite
-from fls.kernels import flat_distance
+from fls.kernels import SubspaceKernel, flat_distance
 from fls.landmarks import (
     _LANDMARK_SWEEPS,
     _PRUNE_WINDOW,
@@ -27,6 +27,7 @@ from fls.landmarks import (
     best_fit_flats,
     build_subspace_spec,
     default_sigma,
+    fit_subspace_kernel,
     landmark_flat_pool,
     select_landmarks,
 )
@@ -333,11 +334,12 @@ class TestBestFitFlats:
         pts = two_planes(rng, noise=0.03)
         centers = pts[rng.choice(pts.shape[0], 12, replace=False)]
         batch = best_fit_flats(pts, centers, 2, 5, 6, linear=linear)
-        single = [best_fit_flat(pts, c, 2, 5, 6, linear=linear) for c in centers]
-        assert len(batch) == len(single) == 12
-        for fb, fs in zip(batch, single):
-            assert np.array_equal(fb.base, fs.base)
-            assert np.array_equal(fb.basis, fs.basis)
+        assert isinstance(batch, AffineFlat) and len(batch) == 12
+        for i, center in enumerate(centers):
+            single = best_fit_flat(pts, center, 2, 5, 6, linear=linear)
+            assert np.array_equal(batch[i].base, single.base)
+            assert np.array_equal(batch[i].basis, single.basis)
+            assert np.array_equal(batch.basis[i], single.basis)
 
     @pytest.mark.parametrize("linear", [False, True])
     def test_matches_svd_ladder(self, rng, linear):
@@ -650,6 +652,28 @@ class TestBuildSubspaceSpec:
         for f1, f2 in zip(s1.flats, s2.flats):
             assert np.array_equal(f1.base, f2.base)
             assert np.array_equal(f1.basis, f2.basis)
+
+    @pytest.mark.parametrize("sigma", [None, 0.4])
+    def test_per_landmark_calls_match_fit_subspace_kernel(self, rng, sigma):
+        # the call shapes bench/replay.py makes: one best_fit_flat per
+        # landmark, default_sigma on the list of flats (here on its sampled
+        # path, n * D > 10 000) and SubspaceKernel on a tuple of them
+        pts = sphere_normalize(two_planes(rng, 0.03, 6, 2))
+        pts = np.vstack([pts, -pts])
+        cfg = LandmarkConfig(n_landmarks=40, flat_dim=2, sigma=sigma, linear=True)
+        centers = select_landmarks(pts, cfg.n_landmarks, seed=3)
+        init_neighbors, max_scales = cfg.resolve_scales(len(pts))
+        flats = [
+            best_fit_flat(pts, c, cfg.flat_dim, max_scales, init_neighbors, linear=cfg.linear)
+            for c in centers
+        ]
+        got_sigma = sigma if sigma is not None else default_sigma(pts, flats, seed=8)
+        got = SubspaceKernel(sigma=got_sigma, flats=tuple(flats))
+        want = fit_subspace_kernel(pts, centers, cfg, sigma_seed=8)
+        assert len(pts) * len(flats) > 10_000
+        assert np.array_equal(got.flats.base, want.flats.base)
+        assert np.array_equal(got.flats.basis, want.flats.basis)
+        assert got.sigma == want.sigma
 
     def test_single_landmark(self, rng):
         pts = rng.standard_normal((20, 3))

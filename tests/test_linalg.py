@@ -111,6 +111,37 @@ class TestAffineFlat:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(InvalidParam):
             AffineFlat(base=np.zeros(4), basis=haar_frames(rng, (5, 2)))
+        with pytest.raises(InvalidParam):
+            AffineFlat(base=np.zeros((3, 5)), basis=haar_frames(rng, (4, 5, 2)))
+
+    def test_stack_names_non_orthonormal_member(self, rng):
+        basis = haar_frames(rng, (6, 4, 2))
+        basis[4, :, 1] *= 1.0 + 1e-8
+        with pytest.raises(InvalidParam, match="of flat 4 are not orthonormal"):
+            AffineFlat(base=np.zeros((6, 4)), basis=basis)
+
+    def test_stack_refuses_nonfinite_member(self, rng):
+        base = rng.standard_normal((3, 4))
+        base[2, 0] = np.nan
+        with pytest.raises(InvalidParam, match="NaN"):
+            AffineFlat(base=base, basis=haar_frames(rng, (3, 4, 1)))
+
+    def test_stack_len_and_indexing(self, rng):
+        stack = AffineFlat(base=rng.standard_normal((5, 4)), basis=haar_frames(rng, (5, 4, 2)))
+        assert (len(stack), stack.ambient, stack.dim, stack.stacked) == (5, 4, 2, True)
+        one = stack[3]
+        assert not one.stacked and (one.ambient, one.dim) == (4, 2)
+        assert np.array_equal(one.base, stack.base[3])
+        assert np.array_equal(one.basis, stack.basis[3])
+        for idx in (np.array([4, 0, 4]), slice(1, 3)):
+            sub = stack[idx]
+            assert sub.stacked and len(sub) == len(stack.base[idx])
+            assert np.array_equal(sub.basis, stack.basis[idx])
+        assert [f.base[0] for f in stack] == list(stack.base[:, 0])
+        with pytest.raises(TypeError):
+            len(one)
+        with pytest.raises(TypeError):
+            one[0]
 
 
 class TestSpectra:
