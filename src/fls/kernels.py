@@ -16,6 +16,12 @@ feature families share this interface:
   one ambient and one flat dimension, so a spec holds them as one
   AffineFlat stack, base (D, d) and basis (D, d, l), and every
   point-to-flat distance comes from that stack.
+
+Flat and bump features are filled block by block into one (D, n) array,
+by one of two routines.  The projected fill (``_map_flat_sq_dists``)
+projects every point on every frame; the lifted fill (``_lifted_fill``)
+writes -d2 / sigma^2 as one GEMM of per-flat quadratic-form coefficients
+with the points' monomials.  ``_lifted_wins(d, l)`` picks the cheaper.
 """
 
 from __future__ import annotations
@@ -227,10 +233,12 @@ _BLOCK_ENTRIES = 4_000_000
 
 def _map_flat_sq_dists(bases, frames, pts, finish):
     """New (D, n) array of finish(d2), d2 the squared distance from every
-    point to every flat of one stack.
+    point to every flat of one stack: the projected fill.
 
-    ``bases`` (D, d) and ``frames`` (D, d, l) hold the D flats; l may be 0
-    (a point is a flat of dimension 0).  Then
+    It serves ``flat_distance_matrix``, the Gaussian point bumps and the
+    subspace stacks for which ``_lifted_wins(d, l)`` is false (high d:
+    the R^80 reference model).  ``bases`` (D, d) and ``frames`` (D, d, l)
+    hold the D flats; l may be 0 (a point is a flat of dimension 0).  Then
 
         d2 = (|x|^2 - 2 b.x + |b|^2) - |F^T x - F^T b|^2,
 
@@ -240,9 +248,10 @@ def _map_flat_sq_dists(bases, frames, pts, finish):
     with every base zero: |x|^2 - 2*0 + 0 is exactly |x|^2); the frame
     products take one GEMM per column block of 4e6 // (D l) points, and
     the rest of the formula runs block by block.  So beside the result
-    only block-sized temporaries exist.  Keeping both GEMM shapes makes
-    every entry bit-identical to the formula evaluated on whole arrays
-    with those frame blocks, which the tests pin.
+    only block-sized temporaries exist: the (D l, m) projection (32 MiB)
+    and its (D, m) row sums.  Keeping both GEMM shapes makes every entry
+    bit-identical to the formula evaluated on whole arrays with those
+    frame blocks, which the tests pin.
     """
     n, d = pts.shape
     g, l = frames.shape[0], frames.shape[2]
@@ -282,6 +291,127 @@ def _map_flat_sq_dists(bases, frames, pts, finish):
     return out
 
 
+# Entries of one lifted monomial block (8 MiB of float64).
+_LIFT_ENTRIES = 2**20
+
+# Column alignment of every lifted GEMM.  OpenBLAS splits a product's
+# columns between its threads and finishes a ragged edge with other
+# micro-kernels, so an unaligned width (5113 columns, say) changes the
+# last bits with the thread count; widths that are multiples of 8 to 32
+# gave the same bits on 1 to 4 threads in every shape tried.
+_LIFT_ALIGN = 32
+
+# Entries the lifted fill's minimum and exp cover per call (512 KiB): a
+# piece the GEMM wrote is clipped and exponentiated while it is in cache.
+_PASS_ENTRIES = 2**16
+
+# The branch rule's one constant: the price, in multiply-adds of a GEMM,
+# of the projected fill's elementwise work per feature entry and per unit
+# of l + 8.  Fitted to lifted / projected fill-time crossovers at D = 100,
+# n = 2e4 on a 2-core x86-64 host (AVX-512, OpenBLAS on 2 threads): for
+# l = 1, 2, 3, 5, 7, 10 the two tie near d = 20, 24, 25, 30, 34, 45, and
+# the rule's boundary q - d l = 27 (l + 8) falls within two steps of d of
+# each.  Bench shapes: (6, 2) 0.30, (10, 2) 0.40, (10, 6) 0.20, (20, 7)
+# 0.42 of the projected time, (80, 7) 4.6 times it.
+_PASS_COST = 27
+
+
+def _lifted_wins(d, l):
+    """True when the lifted fill is the cheaper one for l-flats in R^d.
+
+    The lifted GEMM costs q = d(d+1)/2 + d + 1 multiply-adds per feature
+    entry; the projected fill costs d l of them plus elementwise passes
+    priced at ``_PASS_COST`` (l + 8).  A pure function of (d, l), so one
+    spec always takes one branch: the five-plane workloads (d = 10, l = 2)
+    and the R^6, R^10 and R^20 reference models take the lifted fill, the
+    R^80 model (l = 7) the projected one.
+    """
+    q = d * (d + 1) // 2 + d + 1
+    return l >= 1 and q < d * l + _PASS_COST * (l + 8)
+
+
+def _lifted_coefficients(bases, frames, scale, shift):
+    """(D, q) matrix C with C @ [x_i, x_i x_j (i <= j), 1] = shift - d2 / scale.
+
+    d2 = (x - b)^T P (x - b) with P = I - F F^T, so its linear part is
+    -2 P b, its quadratic part vech(P) with off-diagonal entries doubled
+    and its constant b^T P b.
+    """
+    d = bases.shape[1]
+    proj = np.eye(d) - frames @ frames.transpose(0, 2, 1)
+    rows, cols = np.triu_indices(d)
+    quad = proj[:, rows, cols]
+    quad[:, rows != cols] *= 2.0
+    pb = np.einsum("gij,gj->gi", proj, bases)
+    const = np.einsum("gi,gi->g", bases, pb)[:, None]
+    coef = np.concatenate([-2.0 * pb, quad, const], axis=1)
+    coef *= -1.0 / scale
+    coef[:, -1] += shift
+    return coef
+
+
+def _lift_monomials(x, lift):
+    """Write the monomials [x_i, x_i x_j (i <= j), 1] of the (m, d) points
+    ``x`` into the first m columns of ``lift``, shape (q, >= m)."""
+    m, d = x.shape
+    lin = lift[:d, :m]
+    lin[...] = x.T
+    lift[-1, :m] = 1.0
+    row = d
+    for i in range(d):
+        np.multiply(lin[i], lin[i:], out=lift[row : row + d - i, :m])
+        row += d - i
+
+
+def _lifted_fill(flats, pts, scale, shift=0.0):
+    """New (D, n) array of exp(shift - d2 / scale), d2 the squared distance
+    from every point to every flat of a stack with l >= 1.
+
+    d2 is a quadratic polynomial in x, so one column block of features is
+    one GEMM of the (D, q) coefficients (``_lifted_coefficients``) with
+    the block's (q, m) lifted monomials, written straight into the
+    result; a minimum at ``shift`` (d2 >= 0) and one exp finish it in
+    place, ``_PASS_ENTRIES`` entries at a time.  Linear flats leave out
+    the d rows of x_i terms, which are zero.  Block widths are multiples
+    of ``_LIFT_ALIGN``, so the bits do not depend on the BLAS thread
+    count; the last n mod ``_LIFT_ALIGN`` points go through a zero-padded
+    block and a (D, _LIFT_ALIGN) edge array.  Beside the result only the
+    coefficients, one monomial block of at most ``_LIFT_ENTRIES`` entries
+    and that edge array exist.
+    """
+    n, d = pts.shape
+    coef = _lifted_coefficients(flats.base, flats.basis, scale, shift)
+    q = coef.shape[1]
+    if not flats.base.any():
+        coef = np.ascontiguousarray(coef[:, d:])
+    used = slice(q - coef.shape[1], q)
+    align = _LIFT_ALIGN
+    chunk = max(align, _LIFT_ENTRIES // q // align * align)
+    aligned = n - n % align
+    bounds = [(s, min(aligned, s + chunk)) for s in range(0, aligned, chunk)]
+    if aligned < n:
+        bounds.append((aligned, n))
+    lift_buf = np.empty(q * max(align, min(chunk, aligned)))
+    out = np.empty((len(flats), n))
+    for s, e in bounds:
+        m = e - s
+        if m % align == 0:
+            lift = lift_buf[: q * m].reshape(q, m)
+            _lift_monomials(pts[s:e], lift)
+            np.matmul(coef, lift[used], out=out[:, s:e])
+        else:
+            lift = lift_buf[: q * align].reshape(q, align)
+            lift[:, m:] = 0.0  # finite padding, so the edge product is too
+            _lift_monomials(pts[s:e], lift)
+            out[:, s:e] = (coef @ lift[used])[:, :m]
+        rows = max(1, _PASS_ENTRIES // m)
+        for r in range(0, len(flats), rows):
+            piece = out[r : r + rows, s:e]
+            np.minimum(piece, shift, out=piece)
+            np.exp(piece, out=piece)
+    return out
+
+
 def flat_distance_matrix(flats, points: np.ndarray) -> np.ndarray:
     """Distances from every point to every flat, shape (len(flats), n).
 
@@ -318,15 +448,7 @@ def _gaussian_bumps(centers, pts, sigma, norm=1.0):
     return _map_flat_sq_dists(centers, frames, pts, _neg_exp(2.0 * sigma**2, norm))
 
 
-def feature_matrix(spec: FeatureSpec, points) -> np.ndarray:
-    """Unscaled feature values f(x_i, y_j), shape (D, n), of an array or DataSet.
-
-    The result is one freshly allocated (D, n) array, filled in place:
-    flat and landmark features block by block (``_map_flat_sq_dists``),
-    cosine features from one GEMM.  embed() divides it by sqrt(D); the
-    raw values are useful when the per-sample spread matters (standard
-    errors of kernel estimates).
-    """
+def _spec_points(spec, points):
     pts = as_points(points)
     if pts.ndim != 2:
         raise InvalidParam("points must be 2-D")
@@ -334,6 +456,26 @@ def feature_matrix(spec: FeatureSpec, points) -> np.ndarray:
         raise DimensionMismatch(
             f"points in R^{pts.shape[1]} but spec expects R^{spec.dim}"
         )
+    return pts
+
+
+def _takes_lifted_fill(spec):
+    return isinstance(spec, SubspaceKernel) and _lifted_wins(spec.dim, spec.flats.dim)
+
+
+def feature_matrix(spec: FeatureSpec, points) -> np.ndarray:
+    """Unscaled feature values f(x_i, y_j), shape (D, n), of an array or DataSet.
+
+    The result is one freshly allocated (D, n) array, filled in place.
+    Subspace features take the lifted fill (``_lifted_fill``) when
+    ``_lifted_wins(d, l)``, the projected fill (``_map_flat_sq_dists``)
+    otherwise; landmark features take the projected fill with l = 0,
+    cosine features one GEMM.  Either fill holds only block-sized
+    temporaries beside the result.  embed() scales by 1/sqrt(D); the raw
+    values are useful when the per-sample spread matters (standard errors
+    of kernel estimates).
+    """
+    pts = _spec_points(spec, points)
     if isinstance(spec, GaussianRFF):
         out = spec.frequencies @ pts.T
         out += spec.phases[:, None]
@@ -344,6 +486,8 @@ def feature_matrix(spec: FeatureSpec, points) -> np.ndarray:
         norm = (2.0 * math.pi * spec.sigma**2) ** (-spec.dim / 2.0)
         return _gaussian_bumps(spec.centers, pts, spec.sigma, norm)
     if isinstance(spec, SubspaceKernel):
+        if _takes_lifted_fill(spec):
+            return _lifted_fill(spec.flats, pts, spec.sigma**2)
         return _map_flat_sq_dists(spec.flats.base, spec.flats.basis, pts, _neg_exp(spec.sigma**2))
     raise InvalidParam(f"unknown feature spec type {type(spec).__name__}")
 
@@ -351,12 +495,19 @@ def feature_matrix(spec: FeatureSpec, points) -> np.ndarray:
 def embed(spec: FeatureSpec, points) -> EmbeddingMatrix:
     """Feature embedding psi(X) with the 1/sqrt(D) scaling applied.
 
-    Holds one (D, n) array: ``feature_matrix`` fills it block by block
-    and the scaling divides it in place, so the peak is that array plus
-    one block's temporaries (O(4e6) entries).
+    Holds one (D, n) array.  On the lifted fill the scaling is folded
+    into the exponent (-ln sqrt(D) in the constant coefficient), so the
+    peak is that array, the (D, q) coefficients and one monomial block
+    of at most 2^20 entries.  Otherwise ``feature_matrix`` fills the
+    array block by block and the scaling divides it in place, with one
+    projected block's temporaries (O(4e6) entries) beside it.
     """
-    values = feature_matrix(spec, points)
-    values /= math.sqrt(spec.n_features)
+    if _takes_lifted_fill(spec):
+        shift = -0.5 * math.log(spec.n_features)
+        values = _lifted_fill(spec.flats, _spec_points(spec, points), spec.sigma**2, shift)
+    else:
+        values = feature_matrix(spec, points)
+        values /= math.sqrt(spec.n_features)
     return EmbeddingMatrix(data=values)
 
 

@@ -21,12 +21,24 @@ from .rng import make_rng, split
 log = logging.getLogger(__name__)
 
 
+# Entries per piece of check_finite's scan (512 KiB): the max of a piece
+# reads it from cache after its min.
+_SCAN_ENTRIES = 2**16
+
+
 def check_finite(a, name: str = "array") -> np.ndarray:
     a = np.asarray(a, dtype=float)
     # min and max propagate NaN and keep +-Inf; unlike np.isfinite they
-    # allocate nothing the size of a (a D x n embedding would need D n bytes)
-    if a.size and not (math.isfinite(a.min()) and math.isfinite(a.max())):
-        raise InvalidParam(f"{name} contains NaN or Inf entries")
+    # allocate nothing the size of a (a D x n embedding would need D n
+    # bytes).  A contiguous array is scanned piece by piece, so memory is
+    # read once.
+    pieces = (a,)
+    if a.flags.c_contiguous:
+        flat = a.reshape(-1)
+        pieces = (flat[s : s + _SCAN_ENTRIES] for s in range(0, flat.size, _SCAN_ENTRIES))
+    for piece in pieces:
+        if piece.size and not (math.isfinite(piece.min()) and math.isfinite(piece.max())):
+            raise InvalidParam(f"{name} contains NaN or Inf entries")
     return a
 
 

@@ -471,6 +471,21 @@ class TestVerifyCommands:
         assert len(doc) == 1 and len(doc[0]) == 2
         assert doc[0][0]["eigengap"] > 0
 
+    def test_eigvec_readme_example_reports(self, capsys):
+        # the README's verify eigvec line, flags as printed, exits 0 with a
+        # report (a reference eigengap below 1e-3 exits 3 by design)
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            line = next(row for row in fh if row.startswith("fls verify eigvec "))
+        argv = line.split("#")[0].split()[1:]
+        assert argv == [
+            "verify", "eigvec", "--counts", "100,400,1600", "--ref-count", "50000", "--seed", "1"
+        ]
+        assert run(argv) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0].split() == ["count", "eigvec_l2_error", "eigengap"]
+        assert [row.split()[0] for row in rows[1:]] == ["100", "400", "1600"]
+
     def test_perturbation_smoke(self, capsys):
         rc = run(
             [
@@ -554,6 +569,50 @@ class TestEnvAndThreads:
         assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
+
+
+    def test_cluster_output_independent_of_threads(self, tmp_path):
+        # one five-plane CSV (21 000 points) clustered in two processes,
+        # one and two BLAS threads: labels, spectrum and sigma agree exactly
+        assert run(
+            [
+                "gen",
+                "--dims", "2,2,2,2,2",
+                "--ambient", "10",
+                "--pts", "4000",
+                "--outliers", "0.05",
+                "--out", str(tmp_path / "data"),
+                "--seed", "3",
+            ]
+        ) == 0
+        docs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.json"
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "fls.cli", "cluster",
+                    "--in", str(tmp_path / "data" / "points.csv"),
+                    "--k", "5",
+                    "--d", "2",
+                    "--landmarks", "200",
+                    "--method", "kmeans",
+                    "--linear",
+                    "--drop-first",
+                    "--normalize-sphere",
+                    "--threads", threads,
+                    "--out", str(out),
+                ],
+                capture_output=True,
+                text=True,
+                env=subprocess_env(),
+            )
+            assert proc.returncode == 0, proc.stderr
+            docs.append(json.loads(out.read_text()))
+        one, two = docs
+        assert one["n_points"] == 21_000
+        assert one["labels"] == two["labels"]
+        assert one["singular_values"] == two["singular_values"]
+        assert one["config"]["sigma"] == two["config"]["sigma"]
 
 
 class TestOptionTable:

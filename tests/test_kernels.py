@@ -66,6 +66,25 @@ def oracle_embed(spec, pts, block_entries=4_000_000):
     return np.exp(-d2 / spec.sigma**2) / math.sqrt(spec.n_features)
 
 
+def longdouble_sq_dists(flats, pts):
+    """Squared distances |r|^2 of the residuals r = (x - b) - F F^T (x - b),
+    computed in np.longdouble: an independent reference for the lifted fill."""
+    bases = np.asarray(flats.base, dtype=np.longdouble)
+    frames = np.asarray(flats.basis, dtype=np.longdouble)
+    diff = np.asarray(pts, dtype=np.longdouble)[None, :, :] - bases[:, None, :]
+    coords = np.einsum("gnd,gdl->gnl", diff, frames)
+    resid = diff - np.einsum("gnl,gdl->gnd", coords, frames)
+    return np.einsum("gnd,gnd->gn", resid, resid)
+
+
+def lifted_tolerance(flats, pts):
+    """Roundoff bound q eps (|x| + |b|)^2 of the lifted form per (flat, point)."""
+    d = pts.shape[1]
+    q = d * (d + 1) // 2 + d + 1
+    size = np.linalg.norm(flats.base, axis=1)[:, None] + np.linalg.norm(pts, axis=1)[None, :]
+    return q * np.finfo(float).eps * size**2
+
+
 def random_flats(gen, count, ambient, flat_dim, affine):
     """count flat_dim-flats in R^ambient, zero bases unless affine."""
     return tuple(
@@ -260,10 +279,14 @@ class TestEmbed:
 
 
 class TestBlockedFill:
-    """embed, feature_matrix and flat_distance_matrix against the oracle,
-    bit for bit.  Most cases shrink the block so that a few hundred
-    points span several blocks; the first keeps the default block.  dims
-    holds the one flat dimension of each case's stack."""
+    """embed, feature_matrix and flat_distance_matrix against the oracle.
+
+    The projected fill (flat distances, point bumps, subspace stacks the
+    branch rule gives it) is bit-identical to the oracle; the lifted fill
+    agrees with a longdouble reference within its roundoff bound.  Most
+    cases shrink the block so that a few hundred points span several
+    blocks; the first keeps the default block.  dims holds the one flat
+    dimension of each case's stack."""
 
     @pytest.mark.parametrize(
         "block_entries, count, dims, affine, n",
@@ -280,7 +303,10 @@ class TestBlockedFill:
         ],
     )
     def test_bit_identical_to_oracle(self, monkeypatch, block_entries, count, dims, affine, n):
+        # these R^6 stacks take the lifted fill; forced onto the projected
+        # one, every output is the oracle's bit for bit
         monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_entries, raising=False)
+        monkeypatch.setattr(kernels, "_lifted_wins", lambda d, l: False)
         gen = np.random.default_rng(count + n)
         flats = random_flats(gen, count, 6, dims[0], affine)
         pts = gen.standard_normal((n, 6))
@@ -289,6 +315,98 @@ class TestBlockedFill:
         assert np.array_equal(flat_distance_matrix(flats, pts), np.sqrt(d2))
         assert np.array_equal(feature_matrix(spec, pts), np.exp(-d2 / 0.8**2))
         assert np.array_equal(embed(spec, pts).data, oracle_embed(spec, pts, block_entries))
+
+    @pytest.mark.parametrize("affine", [False, True])
+    def test_projected_branch_is_bit_identical_at_high_d(self, monkeypatch, affine):
+        # l-flats in R^40 take the projected fill by the branch rule itself
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 4000, raising=False)
+        gen = np.random.default_rng(40)
+        flats = random_flats(gen, 20, 40, 3, affine)
+        pts = gen.standard_normal((2 * 66 + 5, 40))
+        spec = SubspaceKernel(sigma=6.0, flats=flats)
+        assert not kernels._lifted_wins(40, 3)
+        d2 = oracle_flat_sq_dists(flats, pts, 4000)
+        assert np.array_equal(feature_matrix(spec, pts), np.exp(-d2 / 6.0**2))
+        assert np.array_equal(embed(spec, pts).data, oracle_embed(spec, pts, 4000))
+
+    @pytest.mark.parametrize(
+        "d, l, affine, scale, n",
+        [
+            (6, 1, False, 1.0, 700),
+            (6, 2, True, 1.0, 700),
+            (6, 3, True, 5.0, 700),
+            (10, 2, False, 1.0, 700),
+            (10, 2, True, 1.0, 640),
+            (10, 2, True, 1.0, 31),
+            (10, 2, True, 1.0, 1),
+            (20, 3, True, 1.0, 700),
+            (30, 2, False, 1.0, 700),
+            (40, 3, True, 1.0, 700),
+        ],
+    )
+    def test_lifted_fill_matches_longdouble_reference(
+        self, monkeypatch, d, l, affine, scale, n
+    ):
+        # every case on the lifted fill, past the crossover (d = 30, 40)
+        # too; 8192-entry blocks, so n = 700 spans several blocks and a
+        # zero-padded edge of 700 mod 32 points (n = 640 has no edge,
+        # n = 31 and 1 only an edge)
+        monkeypatch.setattr(kernels, "_LIFT_ENTRIES", 2**13)
+        monkeypatch.setattr(kernels, "_lifted_wins", lambda d, l: True)
+        gen = np.random.default_rng(100 * d + l)
+        flats = kernels._stack_flats(random_flats(gen, 30, d, l, affine))
+        flats = AffineFlat(scale * flats.base, flats.basis)
+        pts = scale * gen.standard_normal((n, d))
+        sigma = 0.5 * scale * math.sqrt(d)
+        d2 = longdouble_sq_dists(flats, pts)
+        want = np.exp(-d2 / np.longdouble(sigma) ** 2)
+        rtol = lifted_tolerance(flats, pts) / sigma**2 + 4 * np.finfo(float).eps
+        spec = SubspaceKernel(sigma=sigma, flats=flats)
+        got = feature_matrix(spec, pts)
+        assert np.all(np.abs(got - want) <= rtol * want)
+        got = embed(spec, pts).data * np.longdouble(math.sqrt(30))
+        assert np.all(np.abs(got - want) <= (rtol + 4 * np.finfo(float).eps) * want)
+        assert np.array_equal(
+            flat_distance_matrix(flats, pts), np.sqrt(oracle_flat_sq_dists(flats, pts))
+        )
+
+    def test_lifted_fill_on_the_flat_is_one(self):
+        # d2 = 0 is clipped exactly: features 1 and embedding 1/sqrt(D) in
+        # the limit of roundoff, never above
+        gen = np.random.default_rng(9)
+        flats = kernels._stack_flats(random_flats(gen, 4, 10, 2, True))
+        pts = flats.base + np.einsum("gdl,gl->gd", flats.basis, gen.standard_normal((4, 2)))
+        got = feature_matrix(SubspaceKernel(sigma=0.5, flats=flats), pts)
+        assert np.all(got <= 1.0)
+        assert np.allclose(np.diag(got), 1.0, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "d, l, lifted",
+        [
+            # the bench shapes: five planes in R^10 and the four reference models
+            (10, 2, True),
+            (6, 2, True),
+            (10, 6, True),
+            (20, 7, True),
+            (80, 7, False),
+            # measured lifted / projected fill time at D = 100, n = 2e4
+            (24, 1, False),  # 1.21
+            (22, 2, True),  # 0.86
+            (26, 2, False),  # 1.20
+            (28, 2, False),  # 1.39
+            (28, 5, True),  # 0.94
+            (32, 5, False),  # 1.17
+            (24, 7, True),  # 0.59
+            (30, 7, True),  # 0.79
+            (40, 10, True),  # 0.92
+            (48, 10, False),  # 1.11
+            (6, 0, False),  # point bumps have no lifted fill
+        ],
+    )
+    def test_branch_rule_takes_the_measured_faster_fill(self, d, l, lifted):
+        # bench shapes' ratios: (10, 2) 0.40, (6, 2) 0.30, (10, 6) 0.20,
+        # (20, 7) 0.42, (80, 7) 4.55
+        assert kernels._lifted_wins(d, l) is lifted
 
     def test_point_bumps_match_whole_array_formula(self, monkeypatch):
         monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 4000, raising=False)
@@ -312,20 +430,23 @@ class TestBlockedFill:
         want = math.sqrt(2.0) * np.cos(spec.frequencies @ pts.T + spec.phases[:, None])
         assert np.array_equal(embed(spec, pts).data, want / math.sqrt(50))
 
-    def test_embed_peak_is_one_buffer(self, monkeypatch):
-        # the peak is the D x n result plus one block, not several D x n arrays
-        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 2**16, raising=False)
+    def test_embed_peak_is_one_buffer(self):
+        # the peak is the D x n result, the (D, q) coefficients and one
+        # lifted block of at most 2^20 entries: no (D l, m) projection or
+        # (D, m) temporary (n is a multiple of 32, so there is no edge block)
         gen = np.random.default_rng(8)
-        count, n = 200, 20_000
-        spec = SubspaceKernel(sigma=0.5, flats=random_flats(gen, count, 10, 2, False))
-        pts = gen.standard_normal((n, 10))
+        count, n, d = 200, 20_000, 10
+        spec = SubspaceKernel(sigma=0.5, flats=random_flats(gen, count, d, 2, False))
+        pts = gen.standard_normal((n, d))
+        q = d * (d + 1) // 2 + d + 1
         tracemalloc.start()
         try:
             embed(spec, pts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.3 * count * n * 8
+        assert kernels._LIFT_ENTRIES == 2**20
+        assert peak <= (count * n + 2**20 + count * q) * 8 + 2**16
 
 
 class TestKernelEstimates:
@@ -508,6 +629,22 @@ class TestSpecValidation:
             data[7, 4321] = bad
             with pytest.raises(InvalidParam):
                 EmbeddingMatrix(data)
+
+    def test_embedding_check_scans_every_piece(self):
+        # the scan goes piece by piece over contiguous arrays: a bad entry
+        # at either side of a piece boundary or in the short last piece is
+        # found, and so is one in a non-contiguous view
+        data = np.random.default_rng(4).random((100, 10_001))
+        flat = data.reshape(-1)
+        for idx in (0, 2**16 - 1, 2**16, flat.size - 1):
+            for bad in (np.nan, np.inf, -np.inf):
+                flat[idx] = bad
+                with pytest.raises(InvalidParam):
+                    EmbeddingMatrix(data)
+                with pytest.raises(InvalidParam):
+                    EmbeddingMatrix(data.T)
+            flat[idx] = 0.5
+        EmbeddingMatrix(data)
 
     def test_nan_rejected(self):
         centers = np.zeros((2, 2))

@@ -1,11 +1,13 @@
 """Micro-benchmarks of k-means and k-means landmark selection at a small
 landmark-selection shape, of the local flat fits at the R^80 benchmark
-shape and of the embed + spectral_embed stages.
+shape, of the embed + spectral_embed stages at the five-plane shape
+(lifted fill) and of embed at the R^80 shape (projected fill).
 
 In the tier-1 run each is a quick check: a few timed rounds, then the
 result must equal its reference (the unblocked k-means, the capped
-unblocked Lloyd run, the unpruned flat ladder and the whole-array
-embedding bit for bit, the unblocked Gram SVD to roundoff).  For timings only,
+unblocked Lloyd run, the unpruned flat ladder and the projected
+embedding bit for bit; the lifted embedding within its roundoff bound of
+a longdouble reference, the unblocked Gram SVD to roundoff).  For timings only,
 with the statistics table:
 
     python -m pytest tests/test_microbench.py --benchmark-only
@@ -18,11 +20,12 @@ import numpy as np
 from fls.cluster import degrees, spectral_embed
 from fls.datagen import gen_synthetic, sphere_normalize
 from fls.evaluation import synthetic_suite
+from fls import kernels
 from fls.kernels import SubspaceKernel, embed
 from fls.landmarks import best_fit_flats, select_landmarks
 from fls.linalg import kmeans, truncated_svd
 
-from test_kernels import oracle_embed, random_flats
+from test_kernels import lifted_tolerance, longdouble_sq_dists, oracle_embed, random_flats
 from test_landmarks import five_planes, oracle_kmeans_landmarks, unpruned_fit_ladders
 from test_linalg import assert_same_kmeans, oracle_kmeans
 
@@ -58,7 +61,8 @@ def test_best_fit_flats(benchmark):
 
 
 def test_embed_and_spectral_embed(benchmark):
-    # 200 linear 2-flats in R^10, 20 000 points on the sphere: a 32 MB embedding
+    # 200 linear 2-flats in R^10, 20 000 points on the sphere: a 32 MB
+    # embedding from the lifted fill
     gen = np.random.default_rng(2)
     spec = SubspaceKernel(sigma=0.5, flats=random_flats(gen, 200, 10, 2, False))
     pts = sphere_normalize(gen.standard_normal((20_000, 10)))
@@ -68,7 +72,24 @@ def test_embed_and_spectral_embed(benchmark):
         return emb, spectral_embed(emb, 5, drop_first=True)
 
     emb, (rows, svals) = benchmark.pedantic(stages, rounds=3)
-    assert np.array_equal(emb.data, oracle_embed(spec, pts))
+    assert kernels._lifted_wins(10, 2)
+    # every 50th point against the longdouble reference
+    sub = pts[::50]
+    want = np.exp(-longdouble_sq_dists(spec.flats, sub) / np.longdouble(0.5) ** 2)
+    want /= np.sqrt(np.longdouble(200))
+    rtol = lifted_tolerance(spec.flats, sub) / 0.5**2 + 8 * np.finfo(float).eps
+    assert np.all(np.abs(emb.data[:, ::50] - want) <= rtol * want)
     want = truncated_svd(emb.data * degrees(emb)[None, :] ** -0.5, 5)
     assert np.allclose(svals, want.singular_values, rtol=1e-12, atol=0)
     assert np.allclose(rows, sphere_normalize(want.right_vectors[:, 1:]), atol=1e-9)
+
+
+def test_embed_r80_projected(benchmark):
+    # the subspace-ref R^80 model: 100 linear 7-flats, 1625 points on the
+    # sphere; this shape keeps the projected fill, bit for bit
+    pts = sphere_normalize(gen_synthetic(synthetic_suite(0.30)[3], 0).points)
+    gen = np.random.default_rng(3)
+    spec = SubspaceKernel(sigma=0.3, flats=random_flats(gen, 100, 80, 7, False))
+    got = benchmark.pedantic(embed, args=(spec, pts), rounds=5)
+    assert not kernels._lifted_wins(80, 7)
+    assert np.array_equal(got.data, oracle_embed(spec, pts))
