@@ -15,7 +15,12 @@ skips about 98 % of the 80 x 80 eigen-solves.  The lowest score wins, with
 scores within roundoff (about d * eps) of it tied and ties going to the
 smallest neighborhood; only the winner is decomposed for its basis.
 Landmarks are fitted in blocks whose gathered neighborhoods take about
-1 MiB.
+1 MiB.  One GEMM per block fills the distance rows of its landmarks; each
+row is cut at a threshold from a strided sample of it, and only the
+points at or below the cut are partitioned and sorted, unless fewer
+than the neighborhood size survive, when every point is.  The
+neighborhoods are exact: the nearest points sorted by (distance, index),
+so equal distances go to the lower index.
 """
 
 from __future__ import annotations
@@ -50,10 +55,25 @@ _PRUNE_WINDOW = 2 * _TIE_TOL
 # centers are fitted this many neighborhood entries at a time
 _BLOCK_ENTRIES = 2**17
 
+# Entries of one block's distance rows (16 MiB of float64): a block holds
+# at most this many, or _ROW_ALIGN rows when one row is longer
+_DIST_ENTRIES = 2**21
+
 # Rows per step of the (d, n) copy of the points, small enough to stay in
 # cache: a whole-array transpose of a tall n x d array takes about twice
 # as long
 _TRANSPOSE_ROWS = 2048
+
+# The distance GEMMs of the neighborhood gather take whole multiples of
+# _ROW_ALIGN center rows and _COL_ALIGN point columns: at ragged edges
+# OpenBLAS gives other last bits on 2 threads than on 1, and other bits
+# for a center in a block of another size
+_ROW_ALIGN, _COL_ALIGN = 8, 32
+
+# A distance row is cut at the _SAMPLE_RANK-th smallest entry of every
+# stride-th point, with the stride set so that about twice the
+# neighborhood size falls at or below the cut
+_SAMPLE_RANK = 64
 
 # Lloyd sweeps after kmeans++ seeding for "kmeans" landmarks, which only
 # need to cover the data.  Mean clustering rate on the 48 datasets of
@@ -272,17 +292,60 @@ def _top_directions(fit, flat_dim):
     return flip_signs(np.linalg.eigh(fit)[1][:, ::-1][:, :flat_dim])
 
 
-def _gather(pts, pts_t, x_sq, centers, out):
-    """Write the nearest ``out.shape[1]`` points of each center, sorted, into ``out``."""
+def _round_up(count, multiple):
+    return -(-count // multiple) * multiple
+
+
+def _scan_layout(pts):
+    """(pts_t, x_sq): the points as one (d, w) array for the distance
+    GEMMs, w being n rounded up to a multiple of _COL_ALIGN, and the
+    squared norms of its columns.  The pad columns are zero; ``_gather``
+    reads no distance past the first n."""
+    n, d = pts.shape
+    pts_t = np.empty((d, _round_up(n, _COL_ALIGN)))
+    for lo in range(0, n, _TRANSPOSE_ROWS):
+        hi = min(n, lo + _TRANSPOSE_ROWS)
+        pts_t[:, lo:hi] = pts[lo:hi].T
+    pts_t[:, n:] = 0.0
+    return pts_t, np.einsum("ij,ij->j", pts_t, pts_t)
+
+
+def _gather(pts, pts_t, x_sq, centers, dists, out):
+    """Write the nearest ``out.shape[1]`` points of each center into
+    ``out``, sorted by (distance, index).
+
+    One GEMM fills the distance rows of all ``centers`` into ``dists``,
+    the center rows padded with zero rows to a multiple of _ROW_ALIGN.
+    Each row is cut at the _SAMPLE_RANK-th smallest distance of every
+    stride-th point; only the candidates at or below the cut are
+    partitioned and sorted.  The nearest points are among them whenever
+    at least ``size`` survive; when fewer do, every point is a candidate.
+    """
+    n, d = pts.shape
     size = out.shape[1]
-    dists = np.empty(pts.shape[0])
-    for center, hood in zip(centers, out):
-        # |x|^2 - 2 x.c orders points as |x - c|^2 does; |c|^2 is left out
-        np.matmul(center, pts_t, out=dists)
-        dists *= -2.0
-        dists += x_sq
-        nearest = np.argpartition(dists, size - 1)[:size]
-        np.take(pts, nearest[np.argsort(dists[nearest], kind="stable")], axis=0, out=hood)
+    rows = dists[: _round_up(len(centers), _ROW_ALIGN)]
+    lhs = np.zeros((len(rows), d))
+    np.multiply(centers, -2.0, out=lhs[: len(centers)])
+    # |x|^2 - 2 x.c orders points as |x - c|^2 does; |c|^2 is left out
+    np.matmul(lhs, pts_t, out=rows)
+    rows = rows[: len(centers)]
+    rows += x_sq
+    stride = max(1, size // (_SAMPLE_RANK // 2))
+    for row, hood in zip(rows, out):
+        row = row[:n]
+        sample = row[::stride]
+        cand = None
+        if stride > 1 and sample.size >= _SAMPLE_RANK:
+            cut = np.partition(sample, _SAMPLE_RANK - 1)[_SAMPLE_RANK - 1]
+            cand = np.flatnonzero(row <= cut)
+        if cand is None or cand.size < size:
+            cand = np.arange(n)
+        # every candidate up to the size-th smallest distance, in index
+        # order, so the stable sort sends equal distances to the lower index
+        vals = row[cand]
+        keep = cand[vals <= np.partition(vals, size - 1)[size - 1]]
+        nearest = keep[np.argsort(row[keep], kind="stable")[:size]]
+        np.take(pts, nearest, axis=0, out=hood)
 
 
 def _fit_ladders(pts, centers, sizes, flat_dim, linear):
@@ -293,6 +356,14 @@ def _fit_ladders(pts, centers, sizes, flat_dim, linear):
     into one (c, d) base and one (c, d, l) basis array.  Each step is
     either per center or a stacked operation that treats each center
     alike, so a flat has the same bits whichever block it lands in.
+
+    A block holds about _BLOCK_ENTRIES of gathered neighborhoods and at
+    most _DIST_ENTRIES of distance rows (at least _ROW_ALIGN rows).  Its
+    neighborhoods come from ``_gather``: one GEMM of the block's centers
+    against a (d, n) copy of the points whose width is padded to a
+    multiple of _COL_ALIGN, with the center rows padded to a multiple of
+    _ROW_ALIGN, so each distance has the same bits on any BLAS thread
+    count and in any block.
     """
     n, d = pts.shape
     shared = sizes[-1] == n
@@ -305,21 +376,20 @@ def _fit_ladders(pts, centers, sizes, flat_dim, linear):
         shared_basis = None  # decomposed once, when a center picks this size
     wins = np.empty(len(centers), dtype=int)
 
-    # one (d, n) copy of the points, for one fast GEMV per center
-    pts_t = np.empty((d, n))
-    for lo in range(0, n, _TRANSPOSE_ROWS):
-        pts_t[:, lo : lo + _TRANSPOSE_ROWS] = pts[lo : lo + _TRANSPOSE_ROWS].T
-    x_sq = np.einsum("ij,ij->j", pts_t, pts_t)
+    pts_t, x_sq = _scan_layout(pts)
+    width = pts_t.shape[1]
     m_max = local[-1] if local else 0
-    step = max(1, _BLOCK_ENTRIES // max(1, m_max * d))
+    dist_rows = max(_ROW_ALIGN, _DIST_ENTRIES // width // _ROW_ALIGN * _ROW_ALIGN)
+    step = max(1, min(_BLOCK_ENTRIES // max(1, m_max * d), dist_rows))
     hood = np.empty((min(step, len(centers)), m_max, d))
+    dists = np.empty((_round_up(len(hood), _ROW_ALIGN), width))
     bases, frames = np.empty((len(centers), d)), np.empty((len(centers), d, flat_dim))
     taken = 0
     for lo in range(0, len(centers), step):
         block = centers[lo : lo + step]
         rows, buf = slice(lo, lo + len(block)), hood[: len(block)]
         if local:
-            _gather(pts, pts_t, x_sq, block, buf)
+            _gather(pts, pts_t, x_sq, block, dists, buf)
         if local and not linear:
             # relative to the nearest point, so a neighborhood of identical
             # points has exactly zero scatter and the centering cancels little
@@ -397,10 +467,17 @@ def best_fit_flats(
     re-deriving the radial component that sphere-mapped subspace data
     already contains.
 
-    The centers are fitted in blocks whose gathered neighborhoods take
-    about 1 MiB (``_BLOCK_ENTRIES``), at least one center per block.
-    Each step treats every center of a block alike, so a flat is
-    bit-identical whatever block or call it lands in.
+    The neighborhoods are the nearest points sorted by (distance,
+    index): equal distances go to the lower index.  The centers are
+    fitted in blocks whose gathered neighborhoods take about 1 MiB
+    (``_BLOCK_ENTRIES``), at least one center per block.  One GEMM per
+    block scans the points for all of its centers; each distance row is
+    cut at a threshold taken from a strided sample of it, so only about
+    twice the largest local size is partitioned and sorted, and a row
+    whose cut keeps too few points falls back to all n.  Each step
+    treats every center of a block alike and the GEMM's shapes are
+    aligned, so a flat is bit-identical whatever block, call or BLAS
+    thread count it lands in.
     """
     pts = check_finite(points, "points")
     if pts.ndim != 2:

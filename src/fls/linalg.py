@@ -217,14 +217,16 @@ def truncated_svd(a: np.ndarray, k: int) -> SvdResult:
     """Top-k singular triples via the D x D Gram matrix (``svd_from_gram``).
 
     For a D x n input, forms A @ A.T (cost O(n D^2 + D^3)) and recovers
-    right vectors as A.T @ u / s.  Intended for D << n.  Raises
+    right vectors as (u.T @ A).T / s, a GEMM that reads A in its own
+    layout (A.T @ u takes a multiple of its time and BLAS work memory).
+    Intended for D << n.  Raises
     RankDeficient when s_k falls under the Gram noise floor
     sqrt(D * eps) * s_1.
     """
     a = check_finite(a, "matrix")
     if a.ndim != 2:
         raise InvalidParam("matrix must be 2-D")
-    return svd_from_gram(a @ a.T, a.shape[1], k, lambda u: a.T @ u)
+    return svd_from_gram(a @ a.T, a.shape[1], k, lambda u: (u.T @ a).T)
 
 
 # Entries of one row block of the assignment pass (4 MiB of float64): a

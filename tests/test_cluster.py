@@ -1,6 +1,9 @@
 """Spectral pipeline: degrees, embedding SVD route, end-to-end clustering."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -34,6 +37,8 @@ from fls.landmarks import (
 )
 from fls.linalg import flip_signs, kmeans, truncated_svd
 from fls.rng import split
+
+from test_cli import subprocess_env
 
 
 def two_plane_data(rng, n_per=60, noise=0.02, d=4):
@@ -164,6 +169,67 @@ class TestSpectralEmbed:
         for svd_path in ("magic", "power"):
             with pytest.raises(InvalidParam):
                 spectral_embed(emb, 2, svd_path=svd_path)
+
+
+# spectral_embed(K = 5, drop_first) of a fixed positive count x n
+# embedding, filled in place so that building it leaves no temporary;
+# saves the rows, the singular values and the growth of the process's
+# peak RSS (VmHWM) over the call
+_SPECTRAL_EMBED_CHILD = """
+import sys
+import numpy as np
+from fls.cluster import spectral_embed
+from fls.kernels import EmbeddingMatrix
+
+def peak_rss():
+    with open("/proc/self/status") as fh:
+        return next(int(ln.split()[1]) * 1024 for ln in fh if ln.startswith("VmHWM:"))
+
+count, n = int(sys.argv[1]), int(sys.argv[2])
+data = np.empty((count, n))
+np.random.default_rng(count).random(out=data)
+data += 0.1
+emb = EmbeddingMatrix(data)
+before = peak_rss()
+rows, svals = spectral_embed(emb, 5, drop_first=True)
+np.savez(sys.argv[3], rows=rows, svals=svals, growth=peak_rss() - before)
+"""
+
+
+def spectral_embed_in_child(tmp_path, threads, count, n):
+    out = tmp_path / f"embed-{threads}-{count}-{n}.npz"
+    env = dict(subprocess_env(), OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SPECTRAL_EMBED_CHILD, str(count), str(n), str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return np.load(out)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+class TestSpectralEmbedProcess:
+    """spectral_embed in fresh processes, where BLAS threads and BLAS work
+    memory (which tracemalloc does not see) show."""
+
+    def test_rows_do_not_depend_on_blas_threads(self, tmp_path):
+        # D = 100, the CLI's default landmark count: 2 threads split an
+        # unpadded 100-row Gram block 50 + 50 and round otherwise than 1
+        one = spectral_embed_in_child(tmp_path, 1, 100, 21_000)
+        two = spectral_embed_in_child(tmp_path, 2, 100, 21_000)
+        assert np.array_equal(one["svals"], two["svals"])
+        assert np.array_equal(one["rows"], two["rows"])
+
+    def test_peak_growth_is_gram_block_plus_k_n(self, tmp_path):
+        # D = 400, n = 31 500 on 2 threads: the peak grows by the Gram
+        # block, a few n x K arrays, and 8 MiB for the D x D eigensolve
+        # and the interpreter.  Psi^T U would take the BLAS 28 MiB more.
+        count, n, k = 400, 31_500, 5
+        got = spectral_embed_in_child(tmp_path, 2, count, n)
+        budget = 8 * (cluster._GRAM_BLOCK_ENTRIES + 4 * k * n) + 8 * 2**20
+        assert int(got["growth"]) <= budget
 
 
 class TestFlsCluster:

@@ -3,6 +3,8 @@
 import logging
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -33,6 +35,7 @@ from fls.landmarks import (
 )
 from fls.linalg import AffineFlat, haar_frames, kmeans, moment_spectrum, pca_spectrum
 
+from test_cli import subprocess_env
 from test_linalg import oracle_kmeans
 
 
@@ -549,6 +552,94 @@ class TestBlockedLadder:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * pts.nbytes + 8 * landmarks._BLOCK_ENTRIES + 2**20
+
+    def test_flats_do_not_depend_on_blas_threads(self, tmp_path):
+        # 5 113 points, a width at which an unaligned distance GEMM gives
+        # the last point other bits on 2 threads than on 1.  That point
+        # lies at distance 0.5 from each of 40 centers in R^10, and so do
+        # 7 more points per center: each center's nearest 8 tie, so
+        # roundoff alone orders them and any change of a bit reorders the
+        # sums of every size.  The other 4 832 points lie 3 away.
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from fls.landmarks import best_fit_flats\n"
+            "gen = np.random.default_rng(13)\n"
+            "unit = lambda a: a / np.linalg.norm(a, axis=-1, keepdims=True)\n"
+            "last = gen.standard_normal(10)\n"
+            "centers = last + 0.5 * unit(gen.standard_normal((40, 10)))\n"
+            "ties = centers[:, None] + 0.5 * unit(gen.standard_normal((40, 7, 10)))\n"
+            "far = last + 3.0 * unit(gen.standard_normal((4832, 10)))\n"
+            "pts = np.vstack([far, ties.reshape(-1, 10), last])\n"
+            "flats = best_fit_flats(pts, centers, 2, 5, 8)\n"
+            "np.savez(sys.argv[1], base=flats.base, basis=flats.basis)\n"
+        )
+        got = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"flats{threads}.npz"
+            env = dict(subprocess_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c", code, str(out)], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            got.append(np.load(out))
+        one, two = got
+        assert np.array_equal(one["base"], two["base"])
+        assert np.array_equal(one["basis"], two["basis"])
+
+
+def oracle_gather(pts, centers, size):
+    """The ``size`` nearest points of each center, sorted by (|x - c|^2,
+    index); exact on integer coordinates, where no sum rounds."""
+    index = np.arange(pts.shape[0])
+    return np.stack(
+        [pts[np.lexsort((index, ((pts - c) ** 2).sum(axis=1)))[:size]] for c in centers]
+    )
+
+
+def gather(pts, centers, size):
+    """``landmarks._gather`` of every center in one block."""
+    pts_t, x_sq = landmarks._scan_layout(pts)
+    rows = landmarks._round_up(len(centers), landmarks._ROW_ALIGN)
+    out = np.empty((len(centers), size, pts.shape[1]))
+    landmarks._gather(pts, pts_t, x_sq, centers, np.empty((rows, pts_t.shape[1])), out)
+    return out
+
+
+class TestGather:
+    """The blocked gather returns the exact neighborhoods: the nearest
+    points sorted by (distance, index), wherever its sampled cut lands."""
+
+    def test_exact_ties_go_to_the_lower_index(self):
+        # 3 001 points on the integer grid {-3..3}^3: many distinct points
+        # share each distance, and duplicates share positions
+        gen = np.random.default_rng(5)
+        pts = gen.integers(-3, 4, size=(3001, 3)).astype(float)
+        centers = np.vstack([pts[:9], gen.integers(-4, 5, size=(4, 3))]).astype(float)
+        for size in (20, 100, 700):
+            assert np.array_equal(gather(pts, centers, size), oracle_gather(pts, centers, size))
+
+    @pytest.mark.parametrize("near_sampled", [True, False])
+    def test_exact_where_the_sample_misleads(self, near_sampled):
+        # 4 096 integer points around the origin: 512 near it, the rest
+        # 10 or more away.  The near points sit either exactly on the
+        # strided sample, so the cut keeps fewer than ``size`` points and
+        # every point becomes a candidate, or exactly off it, so the
+        # sample misses the center's cluster
+        size, n = 256, 4096
+        stride = size // (landmarks._SAMPLE_RANK // 2)
+        gen = np.random.default_rng(6)
+        pts = gen.integers(10, 21, size=(n, 3)) * gen.choice([-1, 1], size=(n, 3))
+        sampled = np.arange(n) % stride == 0
+        near = sampled if near_sampled else ~sampled
+        pts[np.flatnonzero(near)[:512]] = gen.integers(-1, 2, size=(512, 3))
+        pts = pts.astype(float)
+        center = np.zeros((1, 3))
+        row = (pts**2).sum(axis=1)
+        rank = landmarks._SAMPLE_RANK - 1
+        kept = np.count_nonzero(row <= np.partition(row[::stride], rank)[rank])
+        assert (kept < size) == near_sampled
+        assert np.array_equal(gather(pts, center, size), oracle_gather(pts, center, size))
 
 class TestDefaultSigma:
     def test_exact_median(self):

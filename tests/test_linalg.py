@@ -19,6 +19,7 @@ from fls.linalg import (
     kmeans,
     moment_spectrum,
     pca_spectrum,
+    svd_from_gram,
     truncated_svd,
 )
 from fls.rng import make_rng, split
@@ -218,6 +219,16 @@ class TestTruncatedSvd:
     def test_k_too_large(self, rng):
         with pytest.raises(InvalidParam):
             truncated_svd(rng.standard_normal((4, 10)), 5)
+
+    def test_right_vectors_bit_identical_to_transposed_product(self):
+        # (u.T @ a).T reads a in its own layout; at D = 400 it gives the
+        # bits of a.T @ u, which took the BLAS extra time and work memory
+        a = np.random.default_rng(400).standard_normal((400, 3000))
+        got = truncated_svd(a, 5)
+        want = svd_from_gram(a @ a.T, a.shape[1], 5, lambda u: a.T @ u)
+        assert np.array_equal(got.right_vectors, want.right_vectors)
+        assert np.array_equal(got.left_vectors, want.left_vectors)
+        assert np.array_equal(got.singular_values, want.singular_values)
 
 
 class TestKmeans:

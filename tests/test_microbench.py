@@ -1,7 +1,8 @@
 """Micro-benchmarks of k-means and k-means landmark selection at a small
 landmark-selection shape, of the local flat fits at the R^80 benchmark
-shape, of the embed + spectral_embed stages at the five-plane shape
-(lifted fill) and of embed at the R^80 shape (projected fill).
+shape and at the five-plane shape, of the embed + spectral_embed stages
+at the five-plane shape (lifted fill) and of embed at the R^80 shape
+(projected fill).
 
 In the tier-1 run each is a quick check: a few timed rounds, then the
 result must equal its reference (the unblocked k-means, the capped
@@ -58,6 +59,20 @@ def test_best_fit_flats(benchmark):
     for flat, want_flat in zip(got, want):
         assert np.array_equal(flat.base, want_flat.base)
         assert np.array_equal(flat.basis, want_flat.basis)
+
+
+def test_best_fit_flats_five_planes(benchmark):
+    # the five-plane shape: 21 000 points on the sphere in R^10, 400
+    # landmarks, l = 2, linear flats, sizes 6 to 768 (T = 8), where the
+    # blocked distance scan over all n points dominates
+    pts = five_planes(21_000, 4)
+    centers = pts[np.random.default_rng(4).choice(pts.shape[0], 400, replace=False)]
+    args = (pts, centers, 2, 8, 6)
+    got = benchmark.pedantic(best_fit_flats, args=args, kwargs={"linear": True}, rounds=3)
+    sizes = [6 * 2**j for j in range(8)]
+    want = unpruned_fit_ladders(pts, centers, sizes, 2, True)[2]
+    assert np.array_equal(got.base, want.base)
+    assert np.array_equal(got.basis, want.basis)
 
 
 def test_embed_and_spectral_embed(benchmark):
