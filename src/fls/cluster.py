@@ -26,7 +26,7 @@ from .errors import (
 )
 from .kernels import EmbeddingMatrix, embed
 from .landmarks import LandmarkConfig, fit_subspace_kernel, select_landmarks
-from .linalg import check_finite, flip_signs, kmeans, svd_from_gram
+from .linalg import ROW_ALIGN, check_finite, flip_signs, kmeans, round_up, svd_from_gram
 from .rng import split
 
 
@@ -76,17 +76,12 @@ def degrees(embedding: EmbeddingMatrix) -> np.ndarray:
 # float64): the only piece of the normalized matrix that ever exists.
 _GRAM_BLOCK_ENTRIES = 2**21
 
-# The Gram block's rows are padded with zero rows to a multiple of this:
-# at a ragged row count (D = 100) OpenBLAS gives other last bits on 2
-# threads than on 1
-_ROW_ALIGN = 8
-
 
 def _normalized_gram(psi: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
     """(Psi diag(w)) (Psi diag(w))^T, summed over column blocks of Psi
-    whose rows are padded with zero rows to a multiple of _ROW_ALIGN."""
+    whose rows are padded with zero rows to a multiple of ROW_ALIGN."""
     d_rows, n = psi.shape
-    rows = -(-d_rows // _ROW_ALIGN) * _ROW_ALIGN
+    rows = round_up(d_rows, ROW_ALIGN)
     width = max(1, _GRAM_BLOCK_ENTRIES // rows)
     buf = np.empty(rows * min(width, n))
     gram = np.zeros((rows, rows))
@@ -114,15 +109,17 @@ def spectral_embed(
 
     A is never formed: the D x D Gram matrix A A^T is summed over column
     blocks of Psi, each scaled by D^-1/2 on its own and padded with zero
-    rows to a multiple of 8, so the Gram matrix has the same bits on any
-    BLAS thread count.  The right vectors are (U^T Psi)^T D^-1/2 / s:
-    one K x n GEMM that streams Psi in its own layout
-    (``linalg.svd_from_gram`` does the eigensolve and the RankDeficient
-    floor).  Beside the embedding it holds the n degrees, a few D x D
-    matrices, a few n x K arrays and one 2^21-entry block.  Psi^T U,
-    the same product against Psi's layout, takes the BLAS tens of MiB of
-    work memory of its own on 2 threads.  tracemalloc does not see BLAS
-    work memory, so the benchmark's ``cluster.spectral_embed_peak_mb``
+    rows to a multiple of ``linalg.ROW_ALIGN``, so the Gram matrix has the
+    same bits on any BLAS thread count.  Its eigenpairs do not from D = 256
+    on (``np.linalg.eigh`` and every ``scipy.linalg.eigh`` driver; D = 200
+    agrees), so at D = 400 the output depends on the thread count.  The
+    right vectors are (U^T Psi)^T D^-1/2 / s: one K x n GEMM that streams
+    Psi in its own layout (``linalg.svd_from_gram`` does the eigensolve and
+    the RankDeficient floor).  Beside the embedding it holds the n degrees,
+    a few D x D matrices, a few n x K arrays and one 2^21-entry block.
+    Psi^T U, the same product against Psi's layout, takes the BLAS tens of
+    MiB of work memory of its own on 2 threads.  tracemalloc does not see
+    BLAS work memory, so the benchmark's ``cluster.spectral_embed_peak_mb``
     cannot tell the two apart; only the process's peak RSS can.
 
     ``svd_path`` (only "gram" is accepted) and ``seed`` (ignored) exist

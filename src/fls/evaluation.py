@@ -253,7 +253,7 @@ class PerturbationRecord:
     bounds_hold: bool
 
 
-def verify_perturbation(points, test_spec, ref_spec, dense_limit: int = 5000):
+def verify_perturbation(points, test_spec, ref_spec):
     """Measure the three-term perturbation split and its norm bounds.
 
     W comes from the reference spec (the "exact" stand-in), W-hat from
@@ -262,8 +262,8 @@ def verify_perturbation(points, test_spec, ref_spec, dense_limit: int = 5000):
     the degree bounds stop applying.
     """
     pts = as_points(points)
-    w = approx_kernel_matrix(ref_spec, pts, dense_limit=dense_limit)
-    w_hat = approx_kernel_matrix(test_spec, pts, dense_limit=dense_limit)
+    w = approx_kernel_matrix(ref_spec, pts)
+    w_hat = approx_kernel_matrix(test_spec, pts)
     lo = float(w.min())
     hi = float(w.max())
     if lo <= 0.0:

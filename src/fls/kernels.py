@@ -33,7 +33,7 @@ import numpy as np
 
 from .datagen import as_points
 from .errors import DenseLimitExceeded, DimensionMismatch, InvalidParam
-from .linalg import AffineFlat, check_finite, haar_frames
+from .linalg import COL_ALIGN, AffineFlat, aligned_matmul, check_finite, haar_frames
 from .rng import make_rng
 
 # AffineFlat is re-exported here because flats are part of the kernel API.
@@ -226,8 +226,8 @@ def flat_distance(x: np.ndarray, flat: AffineFlat) -> float:
 
 
 # Frame-projection entries one column block of the flat stack holds (32 MiB
-# of float64).  A GEMM's sums depend on its shape (a one-column product
-# even goes to GEMV), so the block boundaries are part of the bits.
+# of float64).  A GEMM's sums can depend on its shape, so the block
+# boundaries are part of the bits.
 _BLOCK_ENTRIES = 4_000_000
 
 
@@ -243,25 +243,21 @@ def _map_flat_sq_dists(bases, frames, pts, finish):
         d2 = (|x|^2 - 2 b.x + |b|^2) - |F^T x - F^T b|^2,
 
     clipped at zero and passed to ``finish``, which transforms its
-    argument in place.  The base products take one GEMM over all points,
-    written straight into the result (skipped for linear flats, l > 0
-    with every base zero: |x|^2 - 2*0 + 0 is exactly |x|^2); the frame
-    products take one GEMM per column block of 4e6 // (D l) points, and
-    the rest of the formula runs block by block.  So beside the result
-    only block-sized temporaries exist: the (D l, m) projection (32 MiB)
-    and its (D, m) row sums.  Keeping both GEMM shapes makes every entry
-    bit-identical to the formula evaluated on whole arrays with those
-    frame blocks, which the tests pin.
+    argument in place.  It runs one column block of 4e6 // (D l) points
+    (rounded down to a multiple of ``linalg.COL_ALIGN``) at a time: one
+    ``aligned_matmul`` of the bases written straight into the result
+    (skipped for linear flats, l > 0 with every base zero: |x|^2 - 2*0 + 0
+    is exactly |x|^2), one of the frames, so beside the result only the
+    (D l, m) projection (32 MiB) and its (D, m) row sums exist.
     """
     n, d = pts.shape
     g, l = frames.shape[0], frames.shape[2]
     out = np.empty((g, n))
     x_sq = (pts**2).sum(axis=1)
-    chunk = max(1, _BLOCK_ENTRIES // (g * max(l, 1)))
+    chunk = max(COL_ALIGN, _BLOCK_ENTRIES // (g * max(l, 1)) // COL_ALIGN * COL_ALIGN)
     width = min(chunk, n)
     linear = l > 0 and not bases.any()
     if not linear:
-        np.matmul(bases, pts.T, out=out)
         base_proj = np.einsum("gdl,gd->gl", frames, bases)[:, :, None]
         b_sq = (bases**2).sum(axis=1)[:, None]
     stacked = frames.transpose(0, 2, 1).reshape(g * l, d)
@@ -273,7 +269,7 @@ def _map_flat_sq_dists(bases, frames, pts, finish):
         dest = out[:, s:e]
         if l:
             proj = proj_buf[: g * l * m].reshape(g * l, m)
-            proj = np.matmul(stacked, pts[s:e].T, out=proj).reshape(g, l, m)
+            proj = aligned_matmul(stacked, pts[s:e].T, proj).reshape(g, l, m)
             if not linear:
                 proj -= base_proj
             np.square(proj, out=proj)
@@ -281,6 +277,7 @@ def _map_flat_sq_dists(bases, frames, pts, finish):
         if linear:
             np.subtract(x_sq[None, s:e], sq, out=dest)
         else:
+            aligned_matmul(bases, pts[s:e].T, dest)
             dest *= -2.0
             dest += x_sq[s:e]
             dest += b_sq
@@ -293,13 +290,6 @@ def _map_flat_sq_dists(bases, frames, pts, finish):
 
 # Entries of one lifted monomial block (8 MiB of float64).
 _LIFT_ENTRIES = 2**20
-
-# Column alignment of every lifted GEMM.  OpenBLAS splits a product's
-# columns between its threads and finishes a ragged edge with other
-# micro-kernels, so an unaligned width (5113 columns, say) changes the
-# last bits with the thread count; widths that are multiples of 8 to 32
-# gave the same bits on 1 to 4 threads in every shape tried.
-_LIFT_ALIGN = 32
 
 # Entries the lifted fill's minimum and exp cover per call (512 KiB): a
 # piece the GEMM wrote is clipped and exponentiated while it is in cache.
@@ -368,16 +358,13 @@ def _lifted_fill(flats, pts, scale, shift=0.0):
     from every point to every flat of a stack with l >= 1.
 
     d2 is a quadratic polynomial in x, so one column block of features is
-    one GEMM of the (D, q) coefficients (``_lifted_coefficients``) with
-    the block's (q, m) lifted monomials, written straight into the
-    result; a minimum at ``shift`` (d2 >= 0) and one exp finish it in
-    place, ``_PASS_ENTRIES`` entries at a time.  Linear flats leave out
-    the d rows of x_i terms, which are zero.  Block widths are multiples
-    of ``_LIFT_ALIGN``, so the bits do not depend on the BLAS thread
-    count; the last n mod ``_LIFT_ALIGN`` points go through a zero-padded
-    block and a (D, _LIFT_ALIGN) edge array.  Beside the result only the
-    coefficients, one monomial block of at most ``_LIFT_ENTRIES`` entries
-    and that edge array exist.
+    one ``aligned_matmul`` of the (D, q) coefficients
+    (``_lifted_coefficients``) with the block's (q, m) lifted monomials,
+    written straight into the result; a minimum at ``shift`` (d2 >= 0)
+    and one exp finish it in place, ``_PASS_ENTRIES`` entries at a time.
+    Linear flats leave out the d rows of x_i terms, which are zero.
+    Beside the result only the coefficients and one monomial block of at
+    most ``_LIFT_ENTRIES`` entries exist.
     """
     n, d = pts.shape
     coef = _lifted_coefficients(flats.base, flats.basis, scale, shift)
@@ -385,25 +372,15 @@ def _lifted_fill(flats, pts, scale, shift=0.0):
     if not flats.base.any():
         coef = np.ascontiguousarray(coef[:, d:])
     used = slice(q - coef.shape[1], q)
-    align = _LIFT_ALIGN
-    chunk = max(align, _LIFT_ENTRIES // q // align * align)
-    aligned = n - n % align
-    bounds = [(s, min(aligned, s + chunk)) for s in range(0, aligned, chunk)]
-    if aligned < n:
-        bounds.append((aligned, n))
-    lift_buf = np.empty(q * max(align, min(chunk, aligned)))
+    chunk = max(COL_ALIGN, _LIFT_ENTRIES // q // COL_ALIGN * COL_ALIGN)
+    lift_buf = np.empty(q * min(chunk, n))
     out = np.empty((len(flats), n))
-    for s, e in bounds:
+    for s in range(0, n, chunk):
+        e = min(n, s + chunk)
         m = e - s
-        if m % align == 0:
-            lift = lift_buf[: q * m].reshape(q, m)
-            _lift_monomials(pts[s:e], lift)
-            np.matmul(coef, lift[used], out=out[:, s:e])
-        else:
-            lift = lift_buf[: q * align].reshape(q, align)
-            lift[:, m:] = 0.0  # finite padding, so the edge product is too
-            _lift_monomials(pts[s:e], lift)
-            out[:, s:e] = (coef @ lift[used])[:, :m]
+        lift = lift_buf[: q * m].reshape(q, m)
+        _lift_monomials(pts[s:e], lift)
+        aligned_matmul(coef, lift[used], out[:, s:e])
         rows = max(1, _PASS_ENTRIES // m)
         for r in range(0, len(flats), rows):
             piece = out[r : r + rows, s:e]

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateInput, InvalidParam
 from .kernels import AffineFlat, SubspaceKernel, flat_distance_matrix
-from .linalg import check_finite, flip_signs, kmeans_centers
+from .linalg import COL_ALIGN, ROW_ALIGN, check_finite, flip_signs, kmeans_centers, round_up
 from .rng import make_rng, split
 
 log = logging.getLogger(__name__)
@@ -56,7 +56,7 @@ _PRUNE_WINDOW = 2 * _TIE_TOL
 _BLOCK_ENTRIES = 2**17
 
 # Entries of one block's distance rows (16 MiB of float64): a block holds
-# at most this many, or _ROW_ALIGN rows when one row is longer
+# at most this many, or ROW_ALIGN rows when one row is longer
 _DIST_ENTRIES = 2**21
 
 # Rows per step of the (d, n) copy of the points, small enough to stay in
@@ -64,11 +64,8 @@ _DIST_ENTRIES = 2**21
 # as long
 _TRANSPOSE_ROWS = 2048
 
-# The distance GEMMs of the neighborhood gather take whole multiples of
-# _ROW_ALIGN center rows and _COL_ALIGN point columns: at ragged edges
-# OpenBLAS gives other last bits on 2 threads than on 1, and other bits
-# for a center in a block of another size
-_ROW_ALIGN, _COL_ALIGN = 8, 32
+# (point, flat) pairs whose median default_sigma takes
+_SIGMA_PAIRS = 10_000
 
 # A distance row is cut at the _SAMPLE_RANK-th smallest entry of every
 # stride-th point, with the stride set so that about twice the
@@ -292,17 +289,13 @@ def _top_directions(fit, flat_dim):
     return flip_signs(np.linalg.eigh(fit)[1][:, ::-1][:, :flat_dim])
 
 
-def _round_up(count, multiple):
-    return -(-count // multiple) * multiple
-
-
 def _scan_layout(pts):
     """(pts_t, x_sq): the points as one (d, w) array for the distance
-    GEMMs, w being n rounded up to a multiple of _COL_ALIGN, and the
+    GEMMs, w being n rounded up to a multiple of COL_ALIGN, and the
     squared norms of its columns.  The pad columns are zero; ``_gather``
     reads no distance past the first n."""
     n, d = pts.shape
-    pts_t = np.empty((d, _round_up(n, _COL_ALIGN)))
+    pts_t = np.empty((d, round_up(n, COL_ALIGN)))
     for lo in range(0, n, _TRANSPOSE_ROWS):
         hi = min(n, lo + _TRANSPOSE_ROWS)
         pts_t[:, lo:hi] = pts[lo:hi].T
@@ -315,7 +308,7 @@ def _gather(pts, pts_t, x_sq, centers, dists, out):
     ``out``, sorted by (distance, index).
 
     One GEMM fills the distance rows of all ``centers`` into ``dists``,
-    the center rows padded with zero rows to a multiple of _ROW_ALIGN.
+    the center rows padded with zero rows to a multiple of ROW_ALIGN.
     Each row is cut at the _SAMPLE_RANK-th smallest distance of every
     stride-th point; only the candidates at or below the cut are
     partitioned and sorted.  The nearest points are among them whenever
@@ -323,7 +316,7 @@ def _gather(pts, pts_t, x_sq, centers, dists, out):
     """
     n, d = pts.shape
     size = out.shape[1]
-    rows = dists[: _round_up(len(centers), _ROW_ALIGN)]
+    rows = dists[: round_up(len(centers), ROW_ALIGN)]
     lhs = np.zeros((len(rows), d))
     np.multiply(centers, -2.0, out=lhs[: len(centers)])
     # |x|^2 - 2 x.c orders points as |x - c|^2 does; |c|^2 is left out
@@ -358,12 +351,12 @@ def _fit_ladders(pts, centers, sizes, flat_dim, linear):
     alike, so a flat has the same bits whichever block it lands in.
 
     A block holds about _BLOCK_ENTRIES of gathered neighborhoods and at
-    most _DIST_ENTRIES of distance rows (at least _ROW_ALIGN rows).  Its
+    most _DIST_ENTRIES of distance rows (at least ROW_ALIGN rows), in
+    whole multiples of ROW_ALIGN centers when that many fit.  Its
     neighborhoods come from ``_gather``: one GEMM of the block's centers
-    against a (d, n) copy of the points whose width is padded to a
-    multiple of _COL_ALIGN, with the center rows padded to a multiple of
-    _ROW_ALIGN, so each distance has the same bits on any BLAS thread
-    count and in any block.
+    against a (d, n) copy of the points, both zero-padded to the
+    alignment of ``linalg``, so each distance has the same bits on any
+    BLAS thread count and in any block.
     """
     n, d = pts.shape
     shared = sizes[-1] == n
@@ -379,10 +372,12 @@ def _fit_ladders(pts, centers, sizes, flat_dim, linear):
     pts_t, x_sq = _scan_layout(pts)
     width = pts_t.shape[1]
     m_max = local[-1] if local else 0
-    dist_rows = max(_ROW_ALIGN, _DIST_ENTRIES // width // _ROW_ALIGN * _ROW_ALIGN)
+    dist_rows = max(ROW_ALIGN, _DIST_ENTRIES // width // ROW_ALIGN * ROW_ALIGN)
     step = max(1, min(_BLOCK_ENTRIES // max(1, m_max * d), dist_rows))
+    if step >= ROW_ALIGN:
+        step -= step % ROW_ALIGN  # no zero rows in a full block's GEMM
     hood = np.empty((min(step, len(centers)), m_max, d))
-    dists = np.empty((_round_up(len(hood), _ROW_ALIGN), width))
+    dists = np.empty((round_up(len(hood), ROW_ALIGN), width))
     bases, frames = np.empty((len(centers), d)), np.empty((len(centers), d, flat_dim))
     taken = 0
     for lo in range(0, len(centers), step):
@@ -519,23 +514,23 @@ def best_fit_flat(
     )[0]
 
 
-def default_sigma(points: np.ndarray, flats, seed=0, max_pairs: int = 10_000) -> float:
+def default_sigma(points: np.ndarray, flats, seed=0) -> float:
     """Median point-to-flat distance, floored at 1e-6.
 
     ``flats`` is an AffineFlat stack or a sequence of flats.  Exact when
-    n * D <= max_pairs; otherwise the median of ``max_pairs`` uniformly
+    n * D <= _SIGMA_PAIRS; otherwise the median of _SIGMA_PAIRS uniformly
     sampled (point, flat) pairs, one flat at a time.  An empty ``flats``
     raises InvalidParam.
     """
     pts = check_finite(points, "points")
     n, count = pts.shape[0], len(flats)
-    if n * count <= max_pairs:
+    if n * count <= _SIGMA_PAIRS:
         sample = flat_distance_matrix(flats, pts).ravel()
     else:
         rng = make_rng(seed)
-        pt_idx = rng.integers(n, size=max_pairs)
-        flat_idx = rng.integers(count, size=max_pairs)
-        sample = np.empty(max_pairs)
+        pt_idx = rng.integers(n, size=_SIGMA_PAIRS)
+        flat_idx = rng.integers(count, size=_SIGMA_PAIRS)
+        sample = np.empty(_SIGMA_PAIRS)
         for k in np.unique(flat_idx):
             sel = flat_idx == k
             sample[sel] = flat_distance_matrix(flats[k : k + 1], pts[pt_idx[sel]])[0]

@@ -1,7 +1,8 @@
 """Dense linear-algebra and clustering primitives.
 
-All functions are pure: nothing mutates its inputs, randomness enters only
-through explicit seeds, so everything here is safe to call concurrently.
+All functions are pure: nothing mutates its inputs (``aligned_matmul``
+writes only its ``out``), randomness enters only through explicit seeds,
+so everything here is safe to call concurrently.
 Matrices are plain float ndarrays with finite entries; constructors and
 entry points reject NaN/Inf.
 """
@@ -40,6 +41,35 @@ def check_finite(a, name: str = "array") -> np.ndarray:
         if piece.size and not (math.isfinite(piece.min()) and math.isfinite(piece.max())):
             raise InvalidParam(f"{name} contains NaN or Inf entries")
     return a
+
+
+# The n-sized GEMMs pad with zeros to whole multiples of ROW_ALIGN rows
+# (the scan's centers, the Gram matrix) and COL_ALIGN columns (the points
+# of the scan and of both fills, through aligned_matmul).  OpenBLAS splits
+# a product between its threads and finishes ragged edges with other
+# micro-kernels, so an unaligned shape (100 rows, 5113 columns) gives other
+# last bits on 2 threads than on 1, and a center other bits in a block of
+# another size.  On a 2-core host only 1 against 2 threads could be tested.
+ROW_ALIGN, COL_ALIGN = 8, 32
+
+
+def round_up(count: int, multiple: int) -> int:
+    return -(-count // multiple) * multiple
+
+
+def aligned_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write a @ b into ``out``: its whole COL_ALIGN columns straight from one
+    GEMM, the ragged tail through a zero-padded COL_ALIGN-wide copy of b's
+    last columns.  Returns ``out``."""
+    n = b.shape[1]
+    whole = n - n % COL_ALIGN
+    if whole:
+        np.matmul(a, b[:, :whole], out=out[:, :whole])
+    if whole < n:
+        tail = np.zeros((b.shape[0], COL_ALIGN))
+        tail[:, : n - whole] = b[:, whole:]
+        out[:, whole:] = (a @ tail)[:, : n - whole]
+    return out
 
 
 def _signs(values: np.ndarray) -> np.ndarray:

@@ -571,6 +571,7 @@ class TestEnvAndThreads:
             monkeypatch.delenv(var, raising=False)
 
 
+    @pytest.mark.threads
     def test_cluster_output_independent_of_threads(self, tmp_path):
         # one five-plane CSV (21 000 points) clustered in two processes,
         # one and two BLAS threads: labels, spectrum and sigma agree exactly

@@ -214,6 +214,7 @@ class TestSpectralEmbedProcess:
     """spectral_embed in fresh processes, where BLAS threads and BLAS work
     memory (which tracemalloc does not see) show."""
 
+    @pytest.mark.threads
     def test_rows_do_not_depend_on_blas_threads(self, tmp_path):
         # D = 100, the CLI's default landmark count: 2 threads split an
         # unpadded 100-row Gram block 50 + 50 and round otherwise than 1

@@ -1,6 +1,8 @@
 """Feature maps: sampling, distances, embeddings, kernel estimates."""
 
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -32,32 +34,48 @@ from fls.kernels import (
 )
 from fls.linalg import haar_frames
 
+from test_cli import subprocess_env
 
-def oracle_flat_sq_dists(flats, pts, block_entries=4_000_000):
-    """Squared distances as the two-GEMM formula on whole arrays.
 
-    |x|^2 - 2 b.x + |b|^2 from one GEMM over all points, minus
-    |F^T x - F^T b|^2 from one GEMM per column block of
-    block_entries // (D l) points, clipped at zero.
-    """
+def aligned_product(a, b):
+    """a @ b with every GEMM a whole 32 columns wide: the first whole 32
+    columns in one GEMM, the last n mod 32 through a zero-padded copy."""
+    n = b.shape[1]
+    whole = n - n % 32
+    tail = np.zeros((b.shape[0], 32))
+    tail[:, : n - whole] = b[:, whole:]
+    return np.hstack([a @ b[:, :whole], (a @ tail)[:, : n - whole]])
+
+
+def oracle_sq_dists(bases, frames, pts, block_entries=4_000_000):
+    """Squared distances from the two-GEMM formula, one column block of
+    block_entries // (D l) points (a multiple of 32) at a time:
+    |x|^2 - 2 b.x + |b|^2 minus |F^T x - F^T b|^2, clipped at zero, with
+    both products from ``aligned_product``.  l may be 0."""
     n, d = pts.shape
-    g, flat_dim = len(flats), flats[0].dim
+    g, flat_dim = frames.shape[0], frames.shape[2]
     out = np.empty((g, n))
-    bases = np.stack([f.base for f in flats])
-    frames = np.stack([f.basis for f in flats])
     b_sq = (bases**2).sum(axis=1)
     x_sq = (pts**2).sum(axis=1)
-    d2_full = x_sq[None, :] - 2.0 * (bases @ pts.T) + b_sq[:, None]
     stacked = frames.transpose(0, 2, 1).reshape(g * flat_dim, d)
     base_proj = np.einsum("gdl,gd->gl", frames, bases)
-    chunk = max(1, int(block_entries // (g * flat_dim)))
+    chunk = max(32, int(block_entries // (g * max(flat_dim, 1))) // 32 * 32)
     for s in range(0, n, chunk):
         e = min(n, s + chunk)
-        proj = (stacked @ pts[s:e].T).reshape(g, flat_dim, e - s)
-        proj -= base_proj[:, :, None]
-        d2 = d2_full[:, s:e] - (proj**2).sum(axis=1)
+        x = pts[s:e].T
+        d2 = x_sq[None, s:e] - 2.0 * aligned_product(bases, x) + b_sq[:, None]
+        if flat_dim:
+            proj = aligned_product(stacked, x).reshape(g, flat_dim, e - s)
+            proj -= base_proj[:, :, None]
+            d2 -= (proj**2).sum(axis=1)
         out[:, s:e] = np.clip(d2, 0.0, None)
     return out
+
+
+def oracle_flat_sq_dists(flats, pts, block_entries=4_000_000):
+    """``oracle_sq_dists`` of a sequence or stack of flats."""
+    flats = kernels._stack_flats(flats)
+    return oracle_sq_dists(flats.base, flats.basis, pts, block_entries)
 
 
 def oracle_embed(spec, pts, block_entries=4_000_000):
@@ -413,16 +431,39 @@ class TestBlockedFill:
         gen = np.random.default_rng(6)
         centers, pts = gen.standard_normal((40, 5)), gen.standard_normal((301, 5))
         spec = LandmarkGaussian(sigma=1.3, centers=centers)
-        c_sq, x_sq = (centers**2).sum(axis=1), (pts**2).sum(axis=1)
-        d2 = x_sq[None, :] - 2.0 * (centers @ pts.T) + c_sq[:, None]
+        d2 = oracle_sq_dists(centers, np.empty((40, 5, 0)), pts, 4000)
         norm = (2.0 * math.pi * 1.3**2) ** (-5 / 2.0)
-        want = norm * np.exp(-np.clip(d2, 0.0, None) / (2.0 * 1.3**2))
+        want = norm * np.exp(-d2 / (2.0 * 1.3**2))
         assert np.array_equal(feature_matrix(spec, pts), want)
         assert np.array_equal(embed(spec, pts).data, want / math.sqrt(40))
-        x_sq = (pts**2).sum(axis=1)
-        d2 = x_sq[None, :] - 2.0 * (pts @ pts.T) + x_sq[:, None]
-        want = np.exp(-np.clip(d2, 0.0, None) / (2.0 * 1.3**2))
+        d2 = oracle_sq_dists(pts, np.empty((301, 5, 0)), pts, 4000)
+        want = np.exp(-d2 / (2.0 * 1.3**2))
         assert np.array_equal(gaussian_kernel_matrix(pts, 1.3), want)
+
+    @pytest.mark.threads
+    def test_flat_distances_do_not_depend_on_blas_threads(self, tmp_path):
+        # 200 affine 2-flats in R^10 on 5 113 points, a width at which an
+        # unaligned GEMM gives other last bits on 2 threads than on 1
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from fls.kernels import AffineFlat, flat_distance_matrix\n"
+            "from fls.linalg import haar_frames\n"
+            "gen = np.random.default_rng(35)\n"
+            "flats = AffineFlat(gen.standard_normal((200, 10)), haar_frames(gen, (200, 10, 2)))\n"
+            "pts = gen.standard_normal((5113, 10))\n"
+            "np.save(sys.argv[1], flat_distance_matrix(flats, pts))\n"
+        )
+        got = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"dists{threads}.npy"
+            env = dict(subprocess_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c", code, str(out)], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            got.append(np.load(out))
+        assert np.array_equal(got[0], got[1])
 
     def test_rff_matches_whole_array_formula(self):
         spec = sample_gaussian_rff(0.7, 50, 4, seed=2)

@@ -33,7 +33,15 @@ from fls.landmarks import (
     landmark_flat_pool,
     select_landmarks,
 )
-from fls.linalg import AffineFlat, haar_frames, kmeans, moment_spectrum, pca_spectrum
+from fls.linalg import (
+    ROW_ALIGN,
+    AffineFlat,
+    haar_frames,
+    kmeans,
+    moment_spectrum,
+    pca_spectrum,
+    round_up,
+)
 
 from test_cli import subprocess_env
 from test_linalg import oracle_kmeans
@@ -537,6 +545,22 @@ class TestBlockedLadder:
             assert np.array_equal(single.base, fw.base)
             assert np.array_equal(single.basis, fw.basis)
 
+    def test_blocks_are_whole_aligned_rows(self, monkeypatch):
+        # the kmeans-landmarks ladder (d = 10, sizes 6 to 768): 2^17
+        # entries of neighborhoods hold 17 centers, rounded down to 16, so
+        # no full block's distance GEMM has zero rows
+        gen = np.random.default_rng(16)
+        pts = gen.standard_normal((2000, 10))
+        blocks, gather = [], landmarks._gather
+
+        def spy(pts, pts_t, x_sq, centers, dists, out):
+            blocks.append(len(centers))
+            gather(pts, pts_t, x_sq, centers, dists, out)
+
+        monkeypatch.setattr(landmarks, "_gather", spy)
+        best_fit_flats(pts, pts[:40], 2, 8, 6, linear=True)
+        assert blocks == [16, 16, 8]
+
     def test_peak_memory(self):
         # the R^80 benchmark shape: the peak is the transposed copy of the
         # points, one block of neighborhoods and small per-center arrays,
@@ -553,6 +577,7 @@ class TestBlockedLadder:
             tracemalloc.stop()
         assert peak <= 2 * pts.nbytes + 8 * landmarks._BLOCK_ENTRIES + 2**20
 
+    @pytest.mark.threads
     def test_flats_do_not_depend_on_blas_threads(self, tmp_path):
         # 5 113 points, a width at which an unaligned distance GEMM gives
         # the last point other bits on 2 threads than on 1.  That point
@@ -600,7 +625,7 @@ def oracle_gather(pts, centers, size):
 def gather(pts, centers, size):
     """``landmarks._gather`` of every center in one block."""
     pts_t, x_sq = landmarks._scan_layout(pts)
-    rows = landmarks._round_up(len(centers), landmarks._ROW_ALIGN)
+    rows = round_up(len(centers), ROW_ALIGN)
     out = np.empty((len(centers), size, pts.shape[1]))
     landmarks._gather(pts, pts_t, x_sq, centers, np.empty((rows, pts_t.shape[1])), out)
     return out
@@ -658,7 +683,7 @@ class TestDefaultSigma:
         flat = AffineFlat(base=np.zeros(3), basis=np.eye(3)[:, :2])
         pts = rng.standard_normal((500, 2))
         pts = np.hstack([pts, np.full((500, 1), 7.0)])
-        flats = [flat] * 30  # 15000 pairs > default max_pairs
+        flats = [flat] * 30  # 15000 pairs > _SIGMA_PAIRS
         assert default_sigma(pts, flats, seed=3) == pytest.approx(7.0)
 
     def test_deterministic(self, rng):
