@@ -291,6 +291,7 @@ def cmd_cluster(opts) -> int:
 
 def _load_suite(name):
     from .datagen import SyntheticModel
+    from .errors import InvalidParam
     from .evaluation import synthetic_suite
 
     if name == "synthetic5":
@@ -309,18 +310,8 @@ def _load_suite(name):
     models = []
     for i, entry in enumerate(doc):
         try:
-            models.append(
-                SyntheticModel(
-                    dims=tuple(entry["dims"]),
-                    ambient=int(entry["ambient"]),
-                    pts_per_subspace=int(entry.get("pts_per_subspace", 250)),
-                    noise_sigma=float(entry.get("noise_sigma", 0.05)),
-                    outlier_ratio=float(entry.get("outlier_ratio", 0.0)),
-                )
-            )
-        except KeyError as exc:
-            raise UsageError(f"suite model {i} missing key {exc}")
-        except (TypeError, ValueError) as exc:
+            models.append(SyntheticModel(**entry))
+        except (TypeError, InvalidParam) as exc:
             raise UsageError(f"suite model {i} is malformed: {exc}")
     return models
 

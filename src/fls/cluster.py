@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import as_points, sphere_normalize
+from .datagen import sphere_normalize
 from .errors import (
     DegenerateInput,
     DegreeNotPositive,
@@ -26,7 +26,9 @@ from .errors import (
 )
 from .kernels import EmbeddingMatrix, embed
 from .landmarks import LandmarkConfig, fit_subspace_kernel, select_landmarks
-from .linalg import ROW_ALIGN, check_finite, flip_signs, kmeans, round_up, svd_from_gram
+from .linalg import (
+    ROW_ALIGN, as_points, check_finite, flip_signs, kmeans, round_up, svd_from_gram
+)
 from .rng import split
 
 

@@ -8,13 +8,21 @@ fill a cube sized to the data.  Outliers carry label -1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParam, ParseError, RaggedRows
-from .linalg import check_finite, haar_frames
+from .linalg import as_points, haar_frames
 from .rng import make_rng, split
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a bool or a non-integer (1.5, "6") is refused."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise InvalidParam(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -28,21 +36,26 @@ class SyntheticModel:
     outlier_ratio: float = 0.0
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        try:
+            dims = tuple(_integer(d, "subspace dim") for d in self.dims)
+        except TypeError:
+            raise InvalidParam(f"dims must be a sequence, got {self.dims!r}") from None
+        ambient = _integer(self.ambient, "ambient")
+        pts = _integer(self.pts_per_subspace, "pts_per_subspace")
         if len(dims) == 0:
             raise InvalidParam("need at least one subspace")
         for d in dims:
-            if not 1 <= d < self.ambient:
-                raise InvalidParam(
-                    f"subspace dim {d} not in [1, {self.ambient - 1}]"
-                )
-        if self.pts_per_subspace < 1:
+            if not 1 <= d < ambient:
+                raise InvalidParam(f"subspace dim {d} not in [1, {ambient - 1}]")
+        if pts < 1:
             raise InvalidParam("pts_per_subspace must be >= 1")
         if self.noise_sigma < 0:
             raise InvalidParam("noise_sigma must be >= 0")
         if not 0.0 <= self.outlier_ratio < 1.0:
             raise InvalidParam("outlier_ratio must be in [0, 1)")
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "pts_per_subspace", pts)
 
     @property
     def n_clusters(self) -> int:
@@ -67,9 +80,7 @@ class DataSet:
     outlier_mask: np.ndarray | None = None
 
     def __post_init__(self):
-        pts = check_finite(self.points, "points")
-        if pts.ndim != 2:
-            raise InvalidParam("points must be a 2-D array")
+        pts = as_points(self.points)
         object.__setattr__(self, "points", pts)
         labels = self.labels
         if labels is not None:
@@ -97,16 +108,9 @@ class DataSet:
         return self.points.shape[1]
 
 
-def as_points(data) -> np.ndarray:
-    """Accept a DataSet or a bare array; return the validated array."""
-    if isinstance(data, DataSet):
-        return data.points
-    return check_finite(data, "points")
-
-
 def sphere_normalize(points: np.ndarray) -> np.ndarray:
     """Scale each point to the unit sphere; zero points are left alone."""
-    pts = check_finite(points, "points")
+    pts = as_points(points)
     norms = np.linalg.norm(pts, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
     return pts / safe[:, None]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import dense_normalized, fls_cluster
-from .datagen import SyntheticModel, as_points, gen_synthetic
+from .datagen import SyntheticModel, gen_synthetic
 from .errors import DeltaTooLarge, EigengapTooSmall, InvalidParam, PipelineError
 from .kernels import (
     AffineFlat,
@@ -30,7 +30,7 @@ from .kernels import (
     haar_frame_batch,
 )
 from .landmarks import LandmarkConfig
-from .linalg import haar_frames, hungarian_match
+from .linalg import as_points, haar_frames, hungarian_match
 from .rng import make_rng, split
 
 
@@ -500,19 +500,20 @@ def benchmark_suite(
     n_trials: int = 10,
     seed=0,
     n_landmarks: int = 100,
-    method: str = "random",
+    method: str = "kmeans",
     flat_dim: int | None = None,
-    sigma: float | None = None,
-    drop_first: bool = False,
+    sigma: float | None = 0.3,
+    drop_first: bool = True,
     normalize_sphere: bool = True,
-    linear: bool = False,
+    linear: bool = True,
     kmeans_restarts: int = 3,
 ):
     """Clustering rate and wall time per model over seeded trials.
 
     Each trial regenerates the dataset and reruns the full pipeline with
-    a child seed.  flat_dim defaults to the largest subspace dimension of
-    each model.  Points are projected to the unit sphere by default; the
+    a child seed.  The defaults are the reference configuration, the one
+    ``fls bench`` runs; flat_dim defaults to the largest subspace dimension
+    of each model.  Points are projected to the unit sphere by default; the
     subspace kernel is built for spherical data, and without the
     projection far-out outliers get vanishing kernel rows.  Time is the
     sum of the pipeline stage timings (data generation excluded).  A

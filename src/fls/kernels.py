@@ -31,30 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import as_points
 from .errors import DenseLimitExceeded, DimensionMismatch, InvalidParam
-from .linalg import COL_ALIGN, AffineFlat, aligned_matmul, check_finite, haar_frames
+from .linalg import COL_ALIGN, AffineFlat, aligned_matmul, as_points, check_finite, haar_frames
 from .rng import make_rng
-
-# AffineFlat is re-exported here because flats are part of the kernel API.
-__all__ = [
-    "AffineFlat",
-    "GaussianRFF",
-    "LandmarkGaussian",
-    "SubspaceKernel",
-    "EmbeddingMatrix",
-    "sample_gaussian_rff",
-    "haar_frame_batch",
-    "flat_distance",
-    "flat_distance_matrix",
-    "feature_matrix",
-    "embed",
-    "exact_gaussian_kernel",
-    "gaussian_kernel_matrix",
-    "approx_kernel_matrix",
-    "spec_to_json",
-    "spec_from_json",
-]
 
 
 def _check_sigma(sigma):
@@ -178,9 +157,7 @@ class EmbeddingMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        data = check_finite(self.data, "embedding")
-        if data.ndim != 2:
-            raise InvalidParam("embedding must be 2-D")
+        data = as_points(self.data, "embedding")
         object.__setattr__(self, "data", data)
 
     @property
@@ -245,10 +222,9 @@ def _map_flat_sq_dists(bases, frames, pts, finish):
     clipped at zero and passed to ``finish``, which transforms its
     argument in place.  It runs one column block of 4e6 // (D l) points
     (rounded down to a multiple of ``linalg.COL_ALIGN``) at a time: one
-    ``aligned_matmul`` of the bases written straight into the result
-    (skipped for linear flats, l > 0 with every base zero: |x|^2 - 2*0 + 0
-    is exactly |x|^2), one of the frames, so beside the result only the
-    (D l, m) projection (32 MiB) and its (D, m) row sums exist.
+    ``aligned_matmul`` of the bases written straight into the result, one
+    of the frames, so beside the result only the (D l, m) projection
+    (32 MiB) and its (D, m) row sums exist.
     """
     n, d = pts.shape
     g, l = frames.shape[0], frames.shape[2]
@@ -256,10 +232,8 @@ def _map_flat_sq_dists(bases, frames, pts, finish):
     x_sq = (pts**2).sum(axis=1)
     chunk = max(COL_ALIGN, _BLOCK_ENTRIES // (g * max(l, 1)) // COL_ALIGN * COL_ALIGN)
     width = min(chunk, n)
-    linear = l > 0 and not bases.any()
-    if not linear:
-        base_proj = np.einsum("gdl,gd->gl", frames, bases)[:, :, None]
-        b_sq = (bases**2).sum(axis=1)[:, None]
+    base_proj = np.einsum("gdl,gd->gl", frames, bases)[:, :, None]
+    b_sq = (bases**2).sum(axis=1)[:, None]
     stacked = frames.transpose(0, 2, 1).reshape(g * l, d)
     proj_buf = np.empty(g * l * width)
     sq_buf = np.empty(g * width if l else 0)
@@ -270,19 +244,15 @@ def _map_flat_sq_dists(bases, frames, pts, finish):
         if l:
             proj = proj_buf[: g * l * m].reshape(g * l, m)
             proj = aligned_matmul(stacked, pts[s:e].T, proj).reshape(g, l, m)
-            if not linear:
-                proj -= base_proj
+            proj -= base_proj
             np.square(proj, out=proj)
             sq = np.sum(proj, axis=1, out=sq_buf[: g * m].reshape(g, m))
-        if linear:
-            np.subtract(x_sq[None, s:e], sq, out=dest)
-        else:
-            aligned_matmul(bases, pts[s:e].T, dest)
-            dest *= -2.0
-            dest += x_sq[s:e]
-            dest += b_sq
-            if l:
-                dest -= sq
+        aligned_matmul(bases, pts[s:e].T, dest)
+        dest *= -2.0
+        dest += x_sq[s:e]
+        dest += b_sq
+        if l:
+            dest -= sq
         np.clip(dest, 0.0, None, out=dest)
         finish(dest)
     return out
@@ -396,9 +366,7 @@ def flat_distance_matrix(flats, points: np.ndarray) -> np.ndarray:
     one ambient and one flat dimension (InvalidParam when empty,
     DimensionMismatch when mixed).
     """
-    pts = check_finite(points, "points")
-    if pts.ndim != 2:
-        raise InvalidParam("points must be 2-D")
+    pts = as_points(points)
     flats = _stack_flats(flats)
     if pts.shape[1] != flats.ambient:
         raise DimensionMismatch(f"points in R^{pts.shape[1]}, flats in R^{flats.ambient}")
@@ -427,8 +395,6 @@ def _gaussian_bumps(centers, pts, sigma, norm=1.0):
 
 def _spec_points(spec, points):
     pts = as_points(points)
-    if pts.ndim != 2:
-        raise InvalidParam("points must be 2-D")
     if pts.shape[1] != spec.dim:
         raise DimensionMismatch(
             f"points in R^{pts.shape[1]} but spec expects R^{spec.dim}"
@@ -496,7 +462,7 @@ def exact_gaussian_kernel(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
 
 def gaussian_kernel_matrix(points: np.ndarray, sigma: float) -> np.ndarray:
     """Pairwise exact Gaussian kernel matrix of one point set."""
-    pts = check_finite(points, "points")
+    pts = as_points(points)
     return _gaussian_bumps(pts, pts, float(sigma))
 
 

@@ -33,7 +33,9 @@ import numpy as np
 
 from .errors import DegenerateInput, InvalidParam
 from .kernels import AffineFlat, SubspaceKernel, flat_distance_matrix
-from .linalg import COL_ALIGN, ROW_ALIGN, check_finite, flip_signs, kmeans_centers, round_up
+from .linalg import (
+    COL_ALIGN, ROW_ALIGN, as_points, check_finite, flip_signs, kmeans_centers, round_up
+)
 from .rng import make_rng, split
 
 log = logging.getLogger(__name__)
@@ -146,9 +148,7 @@ def select_landmarks(points: np.ndarray, count: int, method: str = "random", see
     up to 0.1 per seed either way, and its mean fell 0.001 over seeds
     51-62 and 0.023 over seeds 41-50, within the benchmark's rate bound.
     """
-    pts = check_finite(points, "points")
-    if pts.ndim != 2:
-        raise InvalidParam("points must be 2-D")
+    pts = as_points(points)
     n = pts.shape[0]
     if count < 1:
         raise InvalidParam(f"count={count} must be >= 1")
@@ -474,9 +474,7 @@ def best_fit_flats(
     aligned, so a flat is bit-identical whatever block, call or BLAS
     thread count it lands in.
     """
-    pts = check_finite(points, "points")
-    if pts.ndim != 2:
-        raise InvalidParam("points must be 2-D")
+    pts = as_points(points)
     n, d = pts.shape
     centers = np.ascontiguousarray(check_finite(centers, "centers"))
     if centers.ndim != 2 or centers.shape[1] != d:
@@ -522,7 +520,7 @@ def default_sigma(points: np.ndarray, flats, seed=0) -> float:
     sampled (point, flat) pairs, one flat at a time.  An empty ``flats``
     raises InvalidParam.
     """
-    pts = check_finite(points, "points")
+    pts = as_points(points)
     n, count = pts.shape[0], len(flats)
     if n * count <= _SIGMA_PAIRS:
         sample = flat_distance_matrix(flats, pts).ravel()
@@ -564,9 +562,7 @@ def build_subspace_spec(points: np.ndarray, config: LandmarkConfig, seed=0) -> S
     Its two streams are the first two of ``rng.split(seed, 4)``, so on the
     same points and seed it is the spec ``fls_cluster`` builds.
     """
-    pts = check_finite(points, "points")
-    if pts.ndim != 2:
-        raise InvalidParam("points must be 2-D")
+    pts = as_points(points)
     select_seed, sigma_seed = split(seed, 2)
     centers = select_landmarks(pts, config.n_landmarks, config.method, select_seed)
     return fit_subspace_kernel(pts, centers, config, sigma_seed)
@@ -580,7 +576,7 @@ def landmark_flat_pool(points: np.ndarray, flat_dim: int, config: LandmarkConfig
     size (including references far larger than n) are drawn for the
     verification suite.
     """
-    pts = check_finite(points, "points")
+    pts = as_points(points)
     cfg = config or LandmarkConfig(n_landmarks=1, flat_dim=flat_dim)
     init_neighbors, max_scales = cfg.resolve_scales(pts.shape[0])
     return best_fit_flats(pts, pts, flat_dim, max_scales, init_neighbors, linear=cfg.linear)

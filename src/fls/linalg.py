@@ -43,6 +43,21 @@ def check_finite(a, name: str = "array") -> np.ndarray:
     return a
 
 
+def as_points(data, name: str = "points") -> np.ndarray:
+    """A DataSet's points or an array, as a finite 2-D float array.
+
+    A DataSet is read through its ``points`` attribute (this module
+    cannot import datagen); its constructor made this check, so it is
+    not repeated.  Raises InvalidParam otherwise.
+    """
+    if hasattr(data, "points"):
+        return data.points
+    a = check_finite(data, name)
+    if a.ndim != 2:
+        raise InvalidParam(f"{name} must be a 2-D array")
+    return a
+
+
 # The n-sized GEMMs pad with zeros to whole multiples of ROW_ALIGN rows
 # (the scan's centers, the Gram matrix) and COL_ALIGN columns (the points
 # of the scan and of both fills, through aligned_matmul).  OpenBLAS splits
@@ -183,9 +198,7 @@ def pca_spectrum(points: np.ndarray):
     eigenvalue vector is padded with zeros to length d; the eigenvector
     matrix holds the leading min(m, d) directions as columns.
     """
-    pts = check_finite(points, "points")
-    if pts.ndim != 2:
-        raise InvalidParam("points must be a 2-D array")
+    pts = as_points(points)
     m, d = pts.shape
     centroid = pts.mean(axis=0)
     centered = pts - centroid
@@ -203,9 +216,7 @@ def moment_spectrum(points: np.ndarray):
     right fit target when the data model is a union of linear subspaces,
     e.g. sphere-projected points.
     """
-    pts = check_finite(points, "points")
-    if pts.ndim != 2:
-        raise InvalidParam("points must be a 2-D array")
+    pts = as_points(points)
     m, d = pts.shape
     svals, vt = np.linalg.svd(pts, full_matrices=False)[1:]
     eigvals = np.zeros(d)
@@ -253,9 +264,7 @@ def truncated_svd(a: np.ndarray, k: int) -> SvdResult:
     RankDeficient when s_k falls under the Gram noise floor
     sqrt(D * eps) * s_1.
     """
-    a = check_finite(a, "matrix")
-    if a.ndim != 2:
-        raise InvalidParam("matrix must be 2-D")
+    a = as_points(a, "matrix")
     return svd_from_gram(a @ a.T, a.shape[1], k, lambda u: (u.T @ a).T)
 
 
@@ -367,9 +376,7 @@ def _lloyd(points, k, rng, max_iter, tol):
 
 
 def _kmeans_points(points, k):
-    pts = check_finite(points, "points")
-    if pts.ndim != 2:
-        raise InvalidParam("points must be a 2-D array")
+    pts = as_points(points)
     if k < 1:
         raise InvalidParam(f"k={k} must be >= 1")
     if pts.shape[0] < k:

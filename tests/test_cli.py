@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, reproducibility, config merging, output files."""
 
 import csv
+import inspect
 import io
 import json
 import os
@@ -373,6 +374,11 @@ class TestBench:
             [{"dims": 2, "ambient": 6}],
             [{"dims": [2], "ambient": "six"}],
             [{"dims": [2], "ambient": 6, "pts_per_subspace": None}],
+            [{"dims": [1, 1], "ambient": 3.7}],
+            [{"dims": [1.5, 1], "ambient": 3}],
+            [{"dims": [1, 1], "ambient": 3, "pts_per_subspace": 30.9}],
+            [{"dims": [1, 1], "ambient": 3, "outlier_ration": 0.1}],
+            [{"ambient": 3}],
         ],
     )
     def test_malformed_suite_entry_is_usage_error(self, tmp_path, capsys, doc):
@@ -634,6 +640,9 @@ class TestOptionTable:
             calls.append(kwargs)
             return []
 
+        # the library's defaults are the same configuration
+        defaults = inspect.signature(fls.evaluation.benchmark_suite).parameters
+        assert {key: defaults[key].default for key in BENCH_KWARGS} == BENCH_KWARGS
         monkeypatch.setattr(fls.evaluation, "benchmark_suite", fake_suite)
         assert run(["bench", "--trials", "0", "--format", "json"]) == 0
         assert {key: calls[0][key] for key in BENCH_KWARGS} == BENCH_KWARGS

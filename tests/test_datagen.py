@@ -37,6 +37,23 @@ class TestSyntheticModel:
             SyntheticModel(dims=(2,), ambient=4, outlier_ratio=1.0)
         with pytest.raises(InvalidParam):
             SyntheticModel(dims=(2,), ambient=4, noise_sigma=-0.1)
+        # counts are integers: no float is truncated, no bool read as 1
+        for kw in (
+            dict(dims=(1.5, 1), ambient=3),
+            dict(dims=(True,), ambient=3),
+            dict(dims=2, ambient=3),
+            dict(dims=(1, 1), ambient=3.7),
+            dict(dims=(1, 1), ambient="3"),
+            dict(dims=(1, 1), ambient=3, pts_per_subspace=30.9),
+            dict(dims=(1, 1), ambient=3, pts_per_subspace=True),
+        ):
+            with pytest.raises(InvalidParam):
+                SyntheticModel(**kw)
+        model = SyntheticModel(
+            dims=np.array([1, 2]), ambient=np.int64(3), pts_per_subspace=np.int32(5)
+        )
+        assert model.to_json()["dims"] == [1, 2]
+        assert type(model.ambient) is int and type(model.pts_per_subspace) is int
 
     def test_to_json(self):
         doc = two_plane_model().to_json()

@@ -1,0 +1,61 @@
+"""Print the outputs of the benchmark's seed-0 calls of one source tree.
+
+    OPENBLAS_NUM_THREADS=2 python3 tools/seed0_outputs.py TREE > out.txt
+
+TREE is a checkout of this repository.  The script imports ``fls`` from
+TREE/src and the workload definitions from TREE/bench/workloads.py, then
+runs each of the 12 full-size seed-0 calls (subspace-ref, large-n,
+kmeans-landmarks) through ``fls_cluster`` with the settings the
+benchmark gives it.  It prints one line per call: a hash of the labels,
+sigma, the singular values to full precision and a hash of the spectral
+rows.  Two trees whose outputs are bit-identical print the same lines,
+so ``diff`` of two runs checks a change that must not move any output.
+The thread count is part of the bits: compare runs on the same one.
+"""
+
+import hashlib
+import os
+import sys
+
+WORKLOADS = ("subspace-ref", "large-n", "kmeans-landmarks")
+
+
+def _digest(array) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()[:16]
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    tree = os.path.abspath(argv[0])
+    sys.dont_write_bytecode = True  # leave TREE as it is
+    sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "bench")]
+    import numpy as np
+    import workloads
+    from fls.cluster import fls_cluster
+    from fls.datagen import gen_synthetic
+
+    for name in WORKLOADS:
+        for i, call in enumerate(workloads.make(name, "full", 0).calls):
+            s = call.settings
+            result = fls_cluster(
+                gen_synthetic(call.model, seed=call.gen_seed).points,
+                s.k,
+                s.config(),
+                seed=call.fit_seed,
+                drop_first=True,
+                normalize_sphere=True,
+                kmeans_restarts=workloads.RESTARTS,
+            )
+            svals = " ".join(repr(float(v)) for v in result.singular_values)
+            print(
+                f"{name} {i} labels={_digest(np.asarray(result.labels, dtype=np.int64))} "
+                f"sigma={result.sigma!r} svals=[{svals}] rows={_digest(result.embedding)}",
+                flush=True,
+            )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
