@@ -24,7 +24,7 @@ from .errors import (
     InvalidParam,
     PipelineError,
 )
-from .kernels import EmbeddingMatrix, embed
+from .kernels import _DENSE_LIMIT, EmbeddingMatrix, embed
 from .landmarks import LandmarkConfig, fit_subspace_kernel, select_landmarks
 from .linalg import (
     ROW_ALIGN, as_points, check_finite, flip_signs, kmeans, round_up, svd_from_gram
@@ -229,17 +229,16 @@ def dense_spectral_cluster(
     n_clusters: int,
     seed=0,
     drop_first: bool = False,
-    dense_limit: int = 5000,
     kmeans_restarts: int = 1,
 ) -> ClusterResult:
     """Spectral clustering by dense eigendecomposition of D^-1/2 W D^-1/2.
 
     The unapproximated counterpart of the embedding route, kept as an
-    oracle for equivalence tests; refuses n beyond ``dense_limit``.
+    oracle for equivalence tests; refuses n beyond ``_DENSE_LIMIT``.
     """
     w = check_finite(w, "kernel matrix")
-    if w.shape[0] > dense_limit:
-        raise DenseLimitExceeded(f"n={w.shape[0]} exceeds dense limit {dense_limit}")
+    if w.shape[0] > _DENSE_LIMIT:
+        raise DenseLimitExceeded(f"n={w.shape[0]} exceeds dense limit {_DENSE_LIMIT}")
     if n_clusters < 1 or n_clusters > w.shape[0]:
         raise InvalidParam(f"n_clusters={n_clusters} not in [1, {w.shape[0]}]")
     if drop_first and n_clusters < 2:

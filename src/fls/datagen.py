@@ -49,8 +49,8 @@ class SyntheticModel:
                 raise InvalidParam(f"subspace dim {d} not in [1, {ambient - 1}]")
         if pts < 1:
             raise InvalidParam("pts_per_subspace must be >= 1")
-        if self.noise_sigma < 0:
-            raise InvalidParam("noise_sigma must be >= 0")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise InvalidParam(f"noise_sigma={self.noise_sigma} must be finite and >= 0")
         if not 0.0 <= self.outlier_ratio < 1.0:
             raise InvalidParam("outlier_ratio must be in [0, 1)")
         object.__setattr__(self, "dims", dims)

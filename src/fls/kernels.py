@@ -466,18 +466,20 @@ def gaussian_kernel_matrix(points: np.ndarray, sigma: float) -> np.ndarray:
     return _gaussian_bumps(pts, pts, float(sigma))
 
 
-def approx_kernel_matrix(spec: FeatureSpec, points, dense_limit: int = 5000) -> np.ndarray:
-    """Dense psi(X)^T psi(X), refused above ``dense_limit`` points.
+# Largest n of a dense n x n matrix (200 MB of float64), here and in cluster.dense_spectral_cluster
+_DENSE_LIMIT = 5000
+
+
+def approx_kernel_matrix(spec: FeatureSpec, points) -> np.ndarray:
+    """Dense psi(X)^T psi(X), refused above ``_DENSE_LIMIT`` points.
 
     The result is symmetrized, so it is symmetric exactly and PSD up to
     roundoff.  Meant for verification and small problems; the clustering
     pipeline never forms it.
     """
     pts = as_points(points)
-    if pts.shape[0] > dense_limit:
-        raise DenseLimitExceeded(
-            f"n={pts.shape[0]} exceeds dense limit {dense_limit}"
-        )
+    if pts.shape[0] > _DENSE_LIMIT:
+        raise DenseLimitExceeded(f"n={pts.shape[0]} exceeds dense limit {_DENSE_LIMIT}")
     psi = embed(spec, pts).data
     w = psi.T @ psi
     return (w + w.T) / 2.0

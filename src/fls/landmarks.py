@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, InvalidParam
-from .kernels import AffineFlat, SubspaceKernel, flat_distance_matrix
+from .errors import DegenerateInput, DimensionMismatch, InvalidParam
+from .kernels import AffineFlat, SubspaceKernel, _stack_flats, flat_distance_matrix
 from .linalg import (
     COL_ALIGN, ROW_ALIGN, as_points, check_finite, flip_signs, kmeans_centers, round_up
 )
@@ -517,10 +517,12 @@ def default_sigma(points: np.ndarray, flats, seed=0) -> float:
 
     ``flats`` is an AffineFlat stack or a sequence of flats.  Exact when
     n * D <= _SIGMA_PAIRS; otherwise the median of _SIGMA_PAIRS uniformly
-    sampled (point, flat) pairs, one flat at a time.  An empty ``flats``
-    raises InvalidParam.
+    sampled (point, flat) pairs, gathered in steps of _BLOCK_ENTRIES basis
+    entries.  An empty ``flats`` raises InvalidParam.
     """
-    pts = as_points(points)
+    pts, flats = as_points(points), _stack_flats(flats)
+    if pts.shape[1] != flats.ambient:
+        raise DimensionMismatch(f"points in R^{pts.shape[1]}, flats in R^{flats.ambient}")
     n, count = pts.shape[0], len(flats)
     if n * count <= _SIGMA_PAIRS:
         sample = flat_distance_matrix(flats, pts).ravel()
@@ -528,10 +530,13 @@ def default_sigma(points: np.ndarray, flats, seed=0) -> float:
         rng = make_rng(seed)
         pt_idx = rng.integers(n, size=_SIGMA_PAIRS)
         flat_idx = rng.integers(count, size=_SIGMA_PAIRS)
-        sample = np.empty(_SIGMA_PAIRS)
-        for k in np.unique(flat_idx):
-            sel = flat_idx == k
-            sample[sel] = flat_distance_matrix(flats[k : k + 1], pts[pt_idx[sel]])[0]
+        sample, step = np.empty(_SIGMA_PAIRS), max(1, _BLOCK_ENTRIES // flats.basis[0].size)
+        for lo in range(0, _SIGMA_PAIRS, step):
+            pair = slice(lo, lo + step)
+            diff = pts[pt_idx[pair]] - flats.base[flat_idx[pair]]
+            proj = np.einsum("pdl,pd->pl", flats.basis[flat_idx[pair]], diff)
+            sample[pair] = np.einsum("pd,pd->p", diff, diff) - np.einsum("pl,pl->p", proj, proj)
+        sample = np.sqrt(np.maximum(sample, 0.0))
     return max(float(np.median(sample)), 1e-6)
 
 
@@ -544,13 +549,14 @@ def fit_subspace_kernel(
     sigma is ``config.sigma``, or ``default_sigma`` drawn with
     ``sigma_seed`` when the config leaves it to the data.
     """
-    init_neighbors, max_scales = config.resolve_scales(len(points))
+    pts = as_points(points)
+    init_neighbors, max_scales = config.resolve_scales(len(pts))
     flats = best_fit_flats(
-        points, centers, config.flat_dim, max_scales, init_neighbors, linear=config.linear
+        pts, centers, config.flat_dim, max_scales, init_neighbors, linear=config.linear
     )
     sigma = config.sigma
     if sigma is None:
-        sigma = default_sigma(points, flats, seed=sigma_seed)
+        sigma = default_sigma(pts, flats, seed=sigma_seed)
     return SubspaceKernel(sigma=sigma, flats=flats)
 
 

@@ -331,13 +331,17 @@ def _kmeanspp(points, x_sq, k, rng):
     return centers
 
 
-def _sweeps(points, x_sq, centers, max_iter, tol):
+# relative inertia change at which Lloyd sweeps stop
+_KMEANS_TOL = 1e-6
+
+
+def _sweeps(points, x_sq, centers, max_iter):
     """Up to ``max_iter`` Lloyd sweeps that move ``centers`` in place.
 
     A sweep assigns every point, stops if the inertia changed by at most
-    ``tol`` relative to the last sweep's, and otherwise moves each center
-    to the mean of its points.  Returns (labels, mins, converged): the
-    last assignment and whether the tol test stopped the sweeps.  Only
+    ``_KMEANS_TOL`` relative to the last sweep's, and otherwise moves each
+    center to the mean of its points.  Returns (labels, mins, converged):
+    the last assignment and whether the tol test stopped the sweeps.  Only
     then have the centers not moved since that assignment.
     """
     m, k = points.shape[0], centers.shape[0]
@@ -347,7 +351,7 @@ def _sweeps(points, x_sq, centers, max_iter, tol):
     for _ in range(max_iter):
         _assign(points, x_sq, centers, labels, mins)
         inertia = float(mins.sum())
-        if math.isfinite(prev) and abs(prev - inertia) <= tol * max(prev, 1e-300):
+        if math.isfinite(prev) and abs(prev - inertia) <= _KMEANS_TOL * max(prev, 1e-300):
             return labels, mins, True
         prev = inertia
         counts = np.bincount(labels, minlength=k)
@@ -365,11 +369,11 @@ def _sweeps(points, x_sq, centers, max_iter, tol):
     return labels, mins, False
 
 
-def _lloyd(points, k, rng, max_iter, tol):
+def _lloyd(points, k, rng, max_iter):
     """One seeded Lloyd run: (labels, centers, inertia, converged)."""
     x_sq = (points**2).sum(axis=1)
     centers = _kmeanspp(points, x_sq, k, rng)
-    labels, mins, converged = _sweeps(points, x_sq, centers, max_iter, tol)
+    labels, mins, converged = _sweeps(points, x_sq, centers, max_iter)
     if not converged:
         _assign(points, x_sq, centers, labels, mins)
     return labels, centers, float(mins.sum()), converged
@@ -384,22 +388,17 @@ def _kmeans_points(points, k):
     return pts
 
 
-# relative inertia change at which Lloyd sweeps stop
-_KMEANS_TOL = 1e-6
-
-
 def kmeans(
     points: np.ndarray,
     k: int,
     seed=0,
     restarts: int = 1,
     max_iter: int = 100,
-    tol: float = _KMEANS_TOL,
 ):
     """Lloyd's algorithm with kmeans++ seeding.
 
-    Iterates until the relative inertia change drops below ``tol`` or
-    ``max_iter`` passes; one warning is logged naming how many restarts
+    Iterates until the relative inertia change drops below ``_KMEANS_TOL``
+    or ``max_iter`` passes; one warning is logged naming how many restarts
     reached ``max_iter`` first.  Each pass assigns the points in row
     blocks, so its temporary memory is O(block * k), not O(n * k).
     Clusters emptied by an update are re-seeded at the point farthest
@@ -415,7 +414,7 @@ def kmeans(
     pts = _kmeans_points(points, k)
     best, unconverged = None, 0
     for child in split(seed, restarts):
-        *run, converged = _lloyd(pts, k, make_rng(child), max_iter, tol)
+        *run, converged = _lloyd(pts, k, make_rng(child), max_iter)
         unconverged += not converged
         if best is None or run[2] < best[2]:
             best = tuple(run)
@@ -426,7 +425,7 @@ def kmeans(
             unconverged,
             restarts,
             max_iter,
-            tol,
+            _KMEANS_TOL,
         )
     return best
 
@@ -442,7 +441,7 @@ def kmeans_centers(points: np.ndarray, k: int, seed, sweeps: int) -> np.ndarray:
     pts = _kmeans_points(points, k)
     x_sq = (pts**2).sum(axis=1)
     centers = _kmeanspp(pts, x_sq, k, make_rng(split(seed, 1)[0]))
-    _sweeps(pts, x_sq, centers, sweeps, _KMEANS_TOL)
+    _sweeps(pts, x_sq, centers, sweeps)
     return centers
 
 

@@ -379,6 +379,7 @@ class TestBench:
             [{"dims": [1, 1], "ambient": 3, "pts_per_subspace": 30.9}],
             [{"dims": [1, 1], "ambient": 3, "outlier_ration": 0.1}],
             [{"ambient": 3}],
+            [{"dims": [1, 1], "ambient": 3, "noise_sigma": float("nan")}],
         ],
     )
     def test_malformed_suite_entry_is_usage_error(self, tmp_path, capsys, doc):

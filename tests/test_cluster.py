@@ -383,10 +383,11 @@ class TestDenseSpectralCluster:
         assert np.allclose(svals, dense.singular_values, atol=1e-8)
         assert np.allclose(np.abs(rows), np.abs(dense.embedding), atol=1e-6)
 
-    def test_dense_limit(self, rng):
-        w = np.eye(10)
+    def test_dense_limit(self, monkeypatch):
+        monkeypatch.setattr(cluster, "_DENSE_LIMIT", 5)
         with pytest.raises(DenseLimitExceeded):
-            dense_spectral_cluster(w, 2, dense_limit=5)
+            dense_spectral_cluster(np.eye(10), 2)
+        dense_spectral_cluster(np.eye(5) + 1.0, 2)
 
     def test_bad_k(self):
         w = np.eye(4)

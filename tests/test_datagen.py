@@ -35,8 +35,9 @@ class TestSyntheticModel:
             SyntheticModel(dims=(4,), ambient=4)  # dim must be < ambient
         with pytest.raises(InvalidParam):
             SyntheticModel(dims=(2,), ambient=4, outlier_ratio=1.0)
-        with pytest.raises(InvalidParam):
-            SyntheticModel(dims=(2,), ambient=4, noise_sigma=-0.1)
+        for noise in (-0.1, math.nan, math.inf):
+            with pytest.raises(InvalidParam, match="noise_sigma"):
+                SyntheticModel(dims=(2,), ambient=4, noise_sigma=noise)
         # counts are integers: no float is truncated, no bool read as 1
         for kw in (
             dict(dims=(1.5, 1), ambient=3),

@@ -554,10 +554,12 @@ class TestApproxKernelMatrix:
         assert np.max(np.abs(k - k.T)) <= 1e-12
         assert np.linalg.eigvalsh(k).min() >= -1e-8
 
-    def test_dense_limit(self, rng):
+    def test_dense_limit(self, rng, monkeypatch):
         spec = sample_gaussian_rff(1.0, 10, 2, seed=0)
+        monkeypatch.setattr(kernels, "_DENSE_LIMIT", 5)
         with pytest.raises(DenseLimitExceeded):
-            approx_kernel_matrix(spec, rng.standard_normal((6, 2)), dense_limit=5)
+            approx_kernel_matrix(spec, rng.standard_normal((6, 2)))
+        assert approx_kernel_matrix(spec, rng.standard_normal((5, 2))).shape == (5, 5)
 
 
 class TestSpecJson:

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fls import landmarks
+from fls import kernels, landmarks
 from fls.datagen import gen_synthetic, sphere_normalize
-from fls.errors import DegenerateInput, InvalidParam
+from fls.errors import DegenerateInput, DimensionMismatch, InvalidParam
 from fls.evaluation import synthetic_suite
-from fls.kernels import SubspaceKernel, flat_distance
+from fls.kernels import SubspaceKernel, flat_distance, flat_distance_matrix
 from fls.landmarks import (
     _LANDMARK_SWEEPS,
     _PRUNE_WINDOW,
@@ -42,8 +42,10 @@ from fls.linalg import (
     pca_spectrum,
     round_up,
 )
+from fls.rng import make_rng
 
 from test_cli import subprocess_env
+from test_kernels import random_flats
 from test_linalg import oracle_kmeans
 
 
@@ -71,6 +73,19 @@ def five_planes(m, seed):
     pts += 0.05 * gen.standard_normal(pts.shape)
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     return pts
+
+
+def per_flat_sigma(points, flats, seed):
+    """default_sigma's sampled median from the same draw, one projected
+    fill (``flat_distance_matrix``) per distinct sampled flat."""
+    rng = make_rng(seed)
+    pt_idx = rng.integers(len(points), size=landmarks._SIGMA_PAIRS)
+    flat_idx = rng.integers(len(flats), size=landmarks._SIGMA_PAIRS)
+    sample = np.empty(landmarks._SIGMA_PAIRS)
+    for k in np.unique(flat_idx):
+        sel = flat_idx == k
+        sample[sel] = flat_distance_matrix(flats[k : k + 1], points[pt_idx[sel]])[0]
+    return max(float(np.median(sample)), 1e-6)
 
 
 def oracle_kmeans_landmarks(points, count, seed, reseeds=None):
@@ -698,6 +713,42 @@ class TestDefaultSigma:
         # an empty flat list has no median distance to return
         with pytest.raises(InvalidParam, match="at least one flat"):
             default_sigma(np.zeros((4, 2)), [])
+
+    @pytest.mark.parametrize("n", [20, 100])
+    def test_dimension_mismatch_rejected(self, rng, n):
+        # both the exact (20 x 400 pairs) and the sampled path check R^d
+        flats = random_flats(rng, 400, 10, 2, False)
+        with pytest.raises(DimensionMismatch):
+            default_sigma(rng.standard_normal((n, 9)), flats)
+
+    def test_sampled_path_runs_no_projected_fill(self, rng, monkeypatch):
+        calls = []
+        fill = kernels._map_flat_sq_dists
+
+        def counted(*args):
+            calls.append(args[0].shape[0])
+            return fill(*args)
+
+        monkeypatch.setattr(kernels, "_map_flat_sq_dists", counted)
+        pts = rng.standard_normal((100, 10))
+        flats = random_flats(rng, 400, 10, 2, False)
+        default_sigma(pts, flats)
+        assert calls == []
+        default_sigma(pts[:25], flats)  # 10 000 pairs: the exact path, one fill
+        assert calls == [400]
+
+    @pytest.mark.parametrize(
+        "n, count, d, l, affine",
+        [(2000, 400, 10, 2, False), (3000, 50, 6, 2, True), (1625, 100, 80, 7, False)],
+        # R^80: d l = 560, so the 10 000 pairs take 43 steps of 234
+        ids=["linear-R10", "affine-R6", "linear-R80"],
+    )
+    def test_sampled_matches_per_flat_fills(self, rng, n, count, d, l, affine):
+        pts = rng.standard_normal((n, d))
+        flats = random_flats(rng, count, d, l, affine)
+        for seed in (0, 7):
+            want = per_flat_sigma(pts, flats, seed)
+            assert default_sigma(pts, flats, seed=seed) == pytest.approx(want, rel=1e-15, abs=0)
 
 
 class TestLandmarkConfig:

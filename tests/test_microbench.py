@@ -1,14 +1,16 @@
 """Micro-benchmarks of k-means and k-means landmark selection at a small
 landmark-selection shape, of the local flat fits at the R^80 benchmark
-shape and at the five-plane shape, of the embed + spectral_embed stages
-at the five-plane shape (lifted fill) and of embed at the R^80 shape
-(projected fill).
+shape and at the five-plane shape, of the sampled sigma median at the
+kmeans-landmarks shape, of the embed + spectral_embed stages at the
+five-plane shape (lifted fill) and of embed at the R^80 shape (projected
+fill).
 
 In the tier-1 run each is a quick check: a few timed rounds, then the
 result must equal its reference (the unblocked k-means, the capped
 unblocked Lloyd run, the unpruned flat ladder and the projected
-embedding bit for bit; the lifted embedding within its roundoff bound of
-a longdouble reference, the unblocked Gram SVD to roundoff).  For timings only,
+embedding bit for bit; the sampled sigma within 1e-15 of one projected
+fill per flat; the lifted embedding within its roundoff bound of a
+longdouble reference, the unblocked Gram SVD to roundoff).  For timings only,
 with the statistics table:
 
     python -m pytest tests/test_microbench.py --benchmark-only
@@ -23,11 +25,16 @@ from fls.datagen import gen_synthetic, sphere_normalize
 from fls.evaluation import synthetic_suite
 from fls import kernels
 from fls.kernels import SubspaceKernel, embed
-from fls.landmarks import best_fit_flats, select_landmarks
+from fls.landmarks import best_fit_flats, default_sigma, select_landmarks
 from fls.linalg import kmeans, truncated_svd
 
 from test_kernels import lifted_tolerance, longdouble_sq_dists, oracle_embed, random_flats
-from test_landmarks import five_planes, oracle_kmeans_landmarks, unpruned_fit_ladders
+from test_landmarks import (
+    five_planes,
+    oracle_kmeans_landmarks,
+    per_flat_sigma,
+    unpruned_fit_ladders,
+)
 from test_linalg import assert_same_kmeans, oracle_kmeans
 
 
@@ -73,6 +80,16 @@ def test_best_fit_flats_five_planes(benchmark):
     want = unpruned_fit_ladders(pts, centers, sizes, 2, True)[2]
     assert np.array_equal(got.base, want.base)
     assert np.array_equal(got.basis, want.basis)
+
+
+def test_default_sigma_sampled(benchmark):
+    # the kmeans-landmarks shape: 31 500 points on the sphere in R^10 and
+    # 400 linear 2-flats, so sigma is the median of 10 000 sampled pairs
+    pts = five_planes(31_500, 5)
+    flats = kernels._stack_flats(random_flats(np.random.default_rng(5), 400, 10, 2, False))
+    got = benchmark.pedantic(default_sigma, args=(pts, flats), rounds=15)
+    want = per_flat_sigma(pts, flats, 0)
+    assert abs(got - want) <= 1e-15 * want
 
 
 def test_embed_and_spectral_embed(benchmark):

@@ -28,6 +28,7 @@ from fls.landmarks import (
     best_fit_flats,
     build_subspace_spec,
     default_sigma,
+    fit_subspace_kernel,
     landmark_flat_pool,
     select_landmarks,
 )
@@ -59,6 +60,9 @@ TAKES_POINTS = {
     "best_fit_flats": lambda p: best_fit_flats(p, DATA.points[:3], 2, 2, 5),
     "build_subspace_spec": lambda p: build_subspace_spec(p, CONFIG),
     "default_sigma": lambda p: default_sigma(p, FLATS),
+    "fit_subspace_kernel": lambda p: fit_subspace_kernel(
+        p, DATA.points[:8], LandmarkConfig(n_landmarks=8, flat_dim=2)
+    ),
     "landmark_flat_pool": lambda p: landmark_flat_pool(p, 2),
     "flat_distance_matrix": lambda p: flat_distance_matrix(FLATS, p),
     "feature_matrix": lambda p: feature_matrix(SPEC, p),
