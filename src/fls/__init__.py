@@ -28,7 +28,6 @@ _EXPORTS = {
     "linalg": [
         "AffineFlat",
         "SvdResult",
-        "truncated_svd",
         "kmeans",
         "hungarian_match",
     ],
@@ -39,15 +38,11 @@ _EXPORTS = {
         "EmbeddingMatrix",
         "sample_gaussian_rff",
         "haar_frame_batch",
-        "flat_distance",
         "flat_distance_matrix",
         "feature_matrix",
         "embed",
-        "exact_gaussian_kernel",
         "gaussian_kernel_matrix",
         "approx_kernel_matrix",
-        "spec_to_json",
-        "spec_from_json",
     ],
     "landmarks": [
         "LandmarkConfig",
@@ -56,7 +51,6 @@ _EXPORTS = {
         "best_fit_flats",
         "default_sigma",
         "fit_subspace_kernel",
-        "build_subspace_spec",
         "landmark_flat_pool",
     ],
     "datagen": [

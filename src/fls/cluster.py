@@ -173,7 +173,7 @@ def fls_cluster(
     if normalize_sphere:
         pts = sphere_normalize(pts)
     # the third stream is unused; k-means keeps the fourth so labels stay
-    # bit-identical, and the first two stay those of build_subspace_spec
+    # bit-identical, and the first two stay those of split(seed, 2)
     select_seed, sigma_seed, _, kmeans_seed = split(seed, 4)
     timings: dict = {}
 

@@ -8,21 +8,13 @@ fill a cube sized to the data.  Outliers carry label -1.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParam, ParseError, RaggedRows
-from .linalg import as_points, haar_frames
+from .linalg import as_integer, as_points, haar_frames
 from .rng import make_rng, split
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int; a bool or a non-integer (1.5, "6") is refused."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise InvalidParam(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -37,11 +29,11 @@ class SyntheticModel:
 
     def __post_init__(self):
         try:
-            dims = tuple(_integer(d, "subspace dim") for d in self.dims)
+            dims = tuple(as_integer(d, "subspace dim") for d in self.dims)
         except TypeError:
             raise InvalidParam(f"dims must be a sequence, got {self.dims!r}") from None
-        ambient = _integer(self.ambient, "ambient")
-        pts = _integer(self.pts_per_subspace, "pts_per_subspace")
+        ambient = as_integer(self.ambient, "ambient")
+        pts = as_integer(self.pts_per_subspace, "pts_per_subspace")
         if len(dims) == 0:
             raise InvalidParam("need at least one subspace")
         for d in dims:

@@ -190,18 +190,6 @@ def haar_frame_batch(dim: int, flat_dim: int, count: int, seed=0) -> np.ndarray:
     return haar_frames(make_rng(seed), (count, dim, flat_dim))
 
 
-def flat_distance(x: np.ndarray, flat: AffineFlat) -> float:
-    """Euclidean distance from a point to one affine flat (not a stack)."""
-    if flat.stacked:
-        raise InvalidParam("flat_distance takes one flat; use flat_distance_matrix for a stack")
-    x = check_finite(x, "point")
-    if x.shape != (flat.ambient,):
-        raise DimensionMismatch(f"point has shape {x.shape}, flat lives in R^{flat.ambient}")
-    diff = x - flat.base
-    proj = flat.basis.T @ diff
-    return math.sqrt(max(0.0, float(diff @ diff) - float(proj @ proj)))
-
-
 # Frame-projection entries one column block of the flat stack holds (32 MiB
 # of float64).  A GEMM's sums can depend on its shape, so the block
 # boundaries are part of the bits.
@@ -230,7 +218,7 @@ def _map_flat_sq_dists(bases, frames, pts, finish):
     g, l = frames.shape[0], frames.shape[2]
     out = np.empty((g, n))
     x_sq = (pts**2).sum(axis=1)
-    chunk = max(COL_ALIGN, _BLOCK_ENTRIES // (g * max(l, 1)) // COL_ALIGN * COL_ALIGN)
+    chunk = max(COL_ALIGN, _BLOCK_ENTRIES // max(1, g * max(l, 1)) // COL_ALIGN * COL_ALIGN)
     width = min(chunk, n)
     base_proj = np.einsum("gdl,gd->gl", frames, bases)[:, :, None]
     b_sq = (bases**2).sum(axis=1)[:, None]
@@ -454,12 +442,6 @@ def embed(spec: FeatureSpec, points) -> EmbeddingMatrix:
     return EmbeddingMatrix(data=values)
 
 
-def exact_gaussian_kernel(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
-    """exp(-|x - y|^2 / (2 sigma^2)), the GaussianRFF limit kernel."""
-    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return math.exp(-float(diff @ diff) / (2.0 * float(sigma) ** 2))
-
-
 def gaussian_kernel_matrix(points: np.ndarray, sigma: float) -> np.ndarray:
     """Pairwise exact Gaussian kernel matrix of one point set."""
     pts = as_points(points)
@@ -483,51 +465,3 @@ def approx_kernel_matrix(spec: FeatureSpec, points) -> np.ndarray:
     psi = embed(spec, pts).data
     w = psi.T @ psi
     return (w + w.T) / 2.0
-
-
-def spec_to_json(spec: FeatureSpec) -> dict:
-    """JSON-ready dict with a variant tag; inverse of spec_from_json."""
-    if isinstance(spec, GaussianRFF):
-        return {
-            "kind": "gaussian_rff",
-            "sigma": spec.sigma,
-            "frequencies": spec.frequencies.tolist(),
-            "phases": spec.phases.tolist(),
-        }
-    if isinstance(spec, LandmarkGaussian):
-        return {
-            "kind": "landmark_gaussian",
-            "sigma": spec.sigma,
-            "centers": spec.centers.tolist(),
-        }
-    if isinstance(spec, SubspaceKernel):
-        return {
-            "kind": "subspace",
-            "sigma": spec.sigma,
-            "flats": [
-                {"base": base.tolist(), "basis": basis.tolist()}
-                for base, basis in zip(spec.flats.base, spec.flats.basis)
-            ],
-        }
-    raise InvalidParam(f"unknown feature spec type {type(spec).__name__}")
-
-
-def spec_from_json(doc: dict) -> FeatureSpec:
-    try:
-        kind = doc["kind"]
-        if kind == "gaussian_rff":
-            return GaussianRFF(
-                sigma=doc["sigma"],
-                frequencies=np.asarray(doc["frequencies"], dtype=float),
-                phases=np.asarray(doc["phases"], dtype=float),
-            )
-        if kind == "landmark_gaussian":
-            return LandmarkGaussian(
-                sigma=doc["sigma"], centers=np.asarray(doc["centers"], dtype=float)
-            )
-        if kind == "subspace":
-            flats = [AffineFlat(base=f["base"], basis=f["basis"]) for f in doc["flats"]]
-            return SubspaceKernel(sigma=doc["sigma"], flats=flats)
-    except KeyError as exc:
-        raise InvalidParam(f"feature spec document missing key {exc}") from exc
-    raise InvalidParam(f"unknown feature spec kind {doc.get('kind')!r}")

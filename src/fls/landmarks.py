@@ -34,9 +34,9 @@ import numpy as np
 from .errors import DegenerateInput, DimensionMismatch, InvalidParam
 from .kernels import AffineFlat, SubspaceKernel, _stack_flats, flat_distance_matrix
 from .linalg import (
-    COL_ALIGN, ROW_ALIGN, as_points, check_finite, flip_signs, kmeans_centers, round_up
+    COL_ALIGN, ROW_ALIGN, as_integer, as_points, check_finite, flip_signs, kmeans_centers, round_up
 )
-from .rng import make_rng, split
+from .rng import make_rng
 
 log = logging.getLogger(__name__)
 
@@ -109,6 +109,10 @@ class LandmarkConfig:
     linear: bool = False
 
     def __post_init__(self):
+        for name in ("n_landmarks", "flat_dim", "init_neighbors", "max_scales"):
+            value = getattr(self, name)
+            if value is not None or name in ("n_landmarks", "flat_dim"):
+                object.__setattr__(self, name, as_integer(value, name))
         if self.n_landmarks < 1:
             raise InvalidParam(f"n_landmarks={self.n_landmarks} must be >= 1")
         if self.flat_dim < 1:
@@ -483,6 +487,8 @@ def best_fit_flats(
         )
     if not 1 <= flat_dim <= d:
         raise InvalidParam(f"flat_dim={flat_dim} not in [1, {d}]")
+    if max_scales < 1:
+        raise InvalidParam(f"max_scales={max_scales} must be >= 1")
     if init_neighbors < flat_dim + 1:
         raise InvalidParam("init_neighbors must be >= flat_dim + 1")
     if n < init_neighbors:
@@ -518,12 +524,15 @@ def default_sigma(points: np.ndarray, flats, seed=0) -> float:
     ``flats`` is an AffineFlat stack or a sequence of flats.  Exact when
     n * D <= _SIGMA_PAIRS; otherwise the median of _SIGMA_PAIRS uniformly
     sampled (point, flat) pairs, gathered in steps of _BLOCK_ENTRIES basis
-    entries.  An empty ``flats`` raises InvalidParam.
+    entries.  An empty ``flats`` raises InvalidParam, no points
+    DegenerateInput.
     """
     pts, flats = as_points(points), _stack_flats(flats)
     if pts.shape[1] != flats.ambient:
         raise DimensionMismatch(f"points in R^{pts.shape[1]}, flats in R^{flats.ambient}")
     n, count = pts.shape[0], len(flats)
+    if n == 0:
+        raise DegenerateInput("default_sigma needs at least one point")
     if n * count <= _SIGMA_PAIRS:
         sample = flat_distance_matrix(flats, pts).ravel()
     else:
@@ -558,20 +567,6 @@ def fit_subspace_kernel(
     if sigma is None:
         sigma = default_sigma(pts, flats, seed=sigma_seed)
     return SubspaceKernel(sigma=sigma, flats=flats)
-
-
-def build_subspace_spec(points: np.ndarray, config: LandmarkConfig, seed=0) -> SubspaceKernel:
-    """Select landmarks, fit their local flats, resolve sigma.
-
-    Always returns a spec with exactly ``config.n_landmarks`` flats;
-    duplicated data points can produce duplicated flats, which is fine.
-    Its two streams are the first two of ``rng.split(seed, 4)``, so on the
-    same points and seed it is the spec ``fls_cluster`` builds.
-    """
-    pts = as_points(points)
-    select_seed, sigma_seed = split(seed, 2)
-    centers = select_landmarks(pts, config.n_landmarks, config.method, select_seed)
-    return fit_subspace_kernel(pts, centers, config, sigma_seed)
 
 
 def landmark_flat_pool(points: np.ndarray, flat_dim: int, config: LandmarkConfig | None = None):

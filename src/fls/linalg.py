@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,13 @@ def as_points(data, name: str = "points") -> np.ndarray:
     if a.ndim != 2:
         raise InvalidParam(f"{name} must be a 2-D array")
     return a
+
+
+def as_integer(value, name: str) -> int:
+    """``value`` as an int; a bool or a non-integer (1.5, "6") is refused."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise InvalidParam(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 # The n-sized GEMMs pad with zeros to whole multiples of ROW_ALIGN rows
@@ -188,42 +196,6 @@ class SvdResult:
     right_vectors: np.ndarray
 
 
-def pca_spectrum(points: np.ndarray):
-    """Centroid, scatter eigenvalues (descending) and eigenvectors.
-
-    Eigenvalues are those of the scatter matrix sum((x-c)(x-c)^T), so the
-    trailing d-l of them equal the total squared residual of the best
-    l-flat exactly.  Computed through a thin SVD of the centered data,
-    not an eigendecomposition of the scatter, for accuracy.  The
-    eigenvalue vector is padded with zeros to length d; the eigenvector
-    matrix holds the leading min(m, d) directions as columns.
-    """
-    pts = as_points(points)
-    m, d = pts.shape
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    eigvals = np.zeros(d)
-    eigvals[: svals.shape[0]] = svals**2
-    return centroid, eigvals, flip_signs(vt.T)
-
-
-def moment_spectrum(points: np.ndarray):
-    """Uncentered analogue of pca_spectrum: eigenpairs of sum(x x^T).
-
-    The trailing d-l eigenvalues equal the squared residual of the best
-    l-dimensional *linear* subspace (through the origin), which is the
-    right fit target when the data model is a union of linear subspaces,
-    e.g. sphere-projected points.
-    """
-    pts = as_points(points)
-    m, d = pts.shape
-    svals, vt = np.linalg.svd(pts, full_matrices=False)[1:]
-    eigvals = np.zeros(d)
-    eigvals[: svals.shape[0]] = svals**2
-    return eigvals, flip_signs(vt.T)
-
-
 def svd_from_gram(gram: np.ndarray, n_cols: int, k: int, transpose_times) -> SvdResult:
     """Top-k singular triples of a D x n matrix A from its Gram matrix A A^T.
 
@@ -252,20 +224,6 @@ def svd_from_gram(gram: np.ndarray, n_cols: int, k: int, transpose_times) -> Svd
     # the flip_signs convention on the right vectors, carried to the left ones
     signs = _pivot_signs(right)
     return SvdResult(left * signs, svals, right * signs)
-
-
-def truncated_svd(a: np.ndarray, k: int) -> SvdResult:
-    """Top-k singular triples via the D x D Gram matrix (``svd_from_gram``).
-
-    For a D x n input, forms A @ A.T (cost O(n D^2 + D^3)) and recovers
-    right vectors as (u.T @ A).T / s, a GEMM that reads A in its own
-    layout (A.T @ u takes a multiple of its time and BLAS work memory).
-    Intended for D << n.  Raises
-    RankDeficient when s_k falls under the Gram noise floor
-    sqrt(D * eps) * s_1.
-    """
-    a = as_points(a, "matrix")
-    return svd_from_gram(a @ a.T, a.shape[1], k, lambda u: (u.T @ a).T)
 
 
 # Entries of one row block of the assignment pass (4 MiB of float64): a

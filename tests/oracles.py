@@ -1,0 +1,42 @@
+"""Reference formulas that several test modules compare the library with.
+
+Each is the plain computation written once: a scalar distance or kernel
+value, the Gram route to a truncated SVD, and the spec ``fls_cluster``
+builds from its first two seed streams.
+"""
+
+import math
+
+import numpy as np
+
+from fls.landmarks import fit_subspace_kernel, select_landmarks
+from fls.linalg import svd_from_gram
+from fls.rng import split
+
+
+def flat_distance(x, flat):
+    """Distance from one point to one affine flat, sqrt(|x - b|^2 - |F^T (x - b)|^2)."""
+    diff = np.asarray(x, dtype=float) - flat.base
+    proj = flat.basis.T @ diff
+    return math.sqrt(max(0.0, float(diff @ diff) - float(proj @ proj)))
+
+
+def gaussian_kernel(x, y, sigma):
+    """exp(-|x - y|^2 / (2 sigma^2)) of two points."""
+    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    return math.exp(-float(diff @ diff) / (2.0 * float(sigma) ** 2))
+
+
+def gram_svd(a, k):
+    """Top-k singular triples of a D x n matrix from its Gram matrix,
+    right vectors read as (u^T a)^T: the route ``spectral_embed`` takes."""
+    return svd_from_gram(a @ a.T, a.shape[1], k, lambda u: (u.T @ a).T)
+
+
+def subspace_spec(points, config, seed=0):
+    """Landmarks, their local flats and sigma from the streams of
+    ``split(seed, 2)``, the first two of ``fls_cluster``'s
+    ``split(seed, 4)``: the spec ``fls_cluster`` builds on these points."""
+    select_seed, sigma_seed = split(seed, 2)
+    centers = select_landmarks(points, config.n_landmarks, config.method, select_seed)
+    return fit_subspace_kernel(points, centers, config, sigma_seed)

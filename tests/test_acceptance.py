@@ -36,9 +36,11 @@ from fls.evaluation import (
     verify_rotation_invariance,
 )
 from fls.kernels import approx_kernel_matrix, embed
-from fls.landmarks import LandmarkConfig, build_subspace_spec, landmark_flat_pool
+from fls.landmarks import LandmarkConfig, landmark_flat_pool
 from fls.linalg import kmeans
 from fls.rng import make_rng, split
+
+from oracles import subspace_spec
 
 # reference configuration for the synthetic benchmark (checks 1 and 2);
 # identical to the CLI `bench` defaults
@@ -153,7 +155,7 @@ def test_embedding_path_matches_dense_path():
     for child in split(88, 10):
         data_seed, spec_seed, km_seed = split(child, 3)
         pts = two_cluster_points(150, data_seed)  # n=300
-        spec = build_subspace_spec(
+        spec = subspace_spec(
             pts, LandmarkConfig(n_landmarks=50, flat_dim=2), seed=spec_seed
         )
         rows, svals = spectral_embed(embed(spec, pts), 2)

@@ -30,7 +30,6 @@ from fls.kernels import (
     LandmarkGaussian,
     SubspaceKernel,
     feature_matrix,
-    flat_distance,
     gaussian_kernel_matrix,
     haar_frame_batch,
     sample_gaussian_rff,
@@ -38,6 +37,8 @@ from fls.kernels import (
 from fls.landmarks import landmark_flat_pool
 from fls.linalg import hungarian_match
 from fls.rng import make_rng, split
+
+from oracles import flat_distance
 
 
 def two_far_clusters(rng, n_per=25, d=3, spread=0.3):

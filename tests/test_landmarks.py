@@ -17,7 +17,7 @@ from fls import kernels, landmarks
 from fls.datagen import gen_synthetic, sphere_normalize
 from fls.errors import DegenerateInput, DimensionMismatch, InvalidParam
 from fls.evaluation import synthetic_suite
-from fls.kernels import SubspaceKernel, flat_distance, flat_distance_matrix
+from fls.kernels import SubspaceKernel, flat_distance_matrix
 from fls.landmarks import (
     _LANDMARK_SWEEPS,
     _PRUNE_WINDOW,
@@ -27,7 +27,6 @@ from fls.landmarks import (
     _score_bounds,
     best_fit_flat,
     best_fit_flats,
-    build_subspace_spec,
     default_sigma,
     fit_subspace_kernel,
     landmark_flat_pool,
@@ -36,14 +35,14 @@ from fls.landmarks import (
 from fls.linalg import (
     ROW_ALIGN,
     AffineFlat,
+    flip_signs,
     haar_frames,
     kmeans,
-    moment_spectrum,
-    pca_spectrum,
     round_up,
 )
 from fls.rng import make_rng
 
+from oracles import flat_distance, subspace_spec
 from test_cli import subprocess_env
 from test_kernels import random_flats
 from test_linalg import oracle_kmeans
@@ -242,6 +241,17 @@ def ladder_sizes(n, max_scales, init_neighbors):
     return sorted({min(int(round(init_neighbors * 2**j)), n) for j in range(max_scales)})
 
 
+def hood_spectrum(hood, linear):
+    """Base, scatter eigenvalues (descending, zero-padded to d) and
+    eigenvectors (``flip_signs`` convention) of a neighborhood, from the
+    thin SVD of its centered rows, or of its raw rows when ``linear``."""
+    base = np.zeros(hood.shape[1]) if linear else hood.mean(axis=0)
+    _, svals, vt = np.linalg.svd(hood if linear else hood - base, full_matrices=False)
+    eigvals = np.zeros(hood.shape[1])
+    eigvals[: svals.shape[0]] = svals**2
+    return base, eigvals, flip_signs(vt.T)
+
+
 def svd_ladder(pts, center, flat_dim, max_scales, init_neighbors, linear=False):
     """Reference ladder: one SVD per neighborhood size, strictly lower score wins.
 
@@ -252,12 +262,7 @@ def svd_ladder(pts, center, flat_dim, max_scales, init_neighbors, linear=False):
     order = np.argsort(((pts - center) ** 2).sum(axis=1), kind="stable")
     scores, flats = [], []
     for size in sizes:
-        hood = pts[order[:size]]
-        if linear:
-            base = np.zeros(pts.shape[1])
-            eigvals, eigvecs = moment_spectrum(hood)
-        else:
-            base, eigvals, eigvecs = pca_spectrum(hood)
+        base, eigvals, eigvecs = hood_spectrum(pts[order[:size]], linear)
         scores.append(eigvals[flat_dim:].sum() / eigvals.sum())
         flats.append(AffineFlat(base=base, basis=eigvecs[:, :flat_dim]))
     win = int(np.argmin(scores))
@@ -409,7 +414,7 @@ class TestBestFitFlats:
         # S = n: the one size is the shared all-points neighborhood
         pts = rng.standard_normal((30, 4)) + 2.0
         flats = best_fit_flats(pts, pts[:3], 2, 3, 30)
-        base, _, vecs = pca_spectrum(pts)
+        base, _, vecs = hood_spectrum(pts, linear=False)
         for flat in flats:
             assert np.allclose(flat.base, base, rtol=0, atol=1e-12)
             assert largest_principal_angle(flat.basis, vecs[:, :2]) < 1e-7
@@ -420,6 +425,12 @@ class TestBestFitFlats:
             best_fit_flats(pts, np.zeros((2, 2)), 1, 2, 3)
         with pytest.raises(InvalidParam):
             best_fit_flats(pts, np.zeros(3), 1, 2, 3)
+
+    @pytest.mark.parametrize("max_scales", [0, -1])
+    def test_empty_ladder_refused(self, rng, max_scales):
+        # no neighborhood size to score
+        with pytest.raises(InvalidParam, match="max_scales"):
+            best_fit_flats(rng.standard_normal((10, 3)), np.zeros((2, 3)), 1, max_scales, 3)
 
 
 def suite_ladder(index, count=20):
@@ -714,6 +725,11 @@ class TestDefaultSigma:
         with pytest.raises(InvalidParam, match="at least one flat"):
             default_sigma(np.zeros((4, 2)), [])
 
+    def test_no_points_rejected(self, rng):
+        # nor has an empty point set: no NaN from an empty median
+        with pytest.raises(DegenerateInput, match="at least one point"):
+            default_sigma(np.zeros((0, 4)), random_flats(rng, 3, 4, 2, False))
+
     @pytest.mark.parametrize("n", [20, 100])
     def test_dimension_mismatch_rejected(self, rng, n):
         # both the exact (20 x 400 pairs) and the sampled path check R^d
@@ -779,6 +795,30 @@ class TestLandmarkConfig:
         with pytest.raises(InvalidParam):
             LandmarkConfig(n_landmarks=1, flat_dim=2, max_scales=0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("n_landmarks", 5.5),
+            ("n_landmarks", True),
+            ("flat_dim", 2.0),
+            ("init_neighbors", 7.5),
+            ("max_scales", 2.5),
+            ("max_scales", "3"),
+        ],
+    )
+    def test_counts_must_be_integers(self, name, value):
+        kwargs = {"n_landmarks": 5, "flat_dim": 2, "sigma": 0.5, name: value}
+        with pytest.raises(InvalidParam, match=f"{name} must be an integer"):
+            LandmarkConfig(**kwargs)
+
+    def test_numpy_integer_counts_become_ints(self):
+        cfg = LandmarkConfig(
+            n_landmarks=np.int64(5), flat_dim=np.int32(2), init_neighbors=np.uint8(4)
+        )
+        counts = (cfg.n_landmarks, cfg.flat_dim, cfg.init_neighbors)
+        assert counts == (5, 2, 4) and all(type(c) is int for c in counts)
+        assert cfg.max_scales is None
+
 
 class TestBuildSubspaceSpec:
     def test_orthogonal_planes_recovered(self, rng):
@@ -790,7 +830,7 @@ class TestBuildSubspaceSpec:
             [plane_points(rng, a, 150), plane_points(rng, b, 150, center=offset)]
         )
         cfg = LandmarkConfig(n_landmarks=12, flat_dim=2)
-        spec = build_subspace_spec(pts, cfg, seed=0)
+        spec = subspace_spec(pts, cfg, seed=0)
         assert spec.n_features == 12
         for f in spec.flats:
             angle = min(
@@ -803,18 +843,18 @@ class TestBuildSubspaceSpec:
         # all points on one plane: every flat contains every point
         pts = plane_points(rng, haar_frames(rng, (5, 2)), 80)
         cfg = LandmarkConfig(n_landmarks=6, flat_dim=2)
-        assert build_subspace_spec(pts, cfg, seed=1).sigma == 1e-6
+        assert subspace_spec(pts, cfg, seed=1).sigma == 1e-6
 
     def test_explicit_sigma_passes_through(self, rng):
         pts = rng.standard_normal((50, 3))
         cfg = LandmarkConfig(n_landmarks=4, flat_dim=1, sigma=0.37)
-        assert build_subspace_spec(pts, cfg, seed=0).sigma == 0.37
+        assert subspace_spec(pts, cfg, seed=0).sigma == 0.37
 
     def test_deterministic(self, rng):
         pts = rng.standard_normal((60, 3))
         cfg = LandmarkConfig(n_landmarks=5, flat_dim=2, method="kmeans")
-        s1 = build_subspace_spec(pts, cfg, seed=9)
-        s2 = build_subspace_spec(pts, cfg, seed=9)
+        s1 = subspace_spec(pts, cfg, seed=9)
+        s2 = subspace_spec(pts, cfg, seed=9)
         assert s1.sigma == s2.sigma
         for f1, f2 in zip(s1.flats, s2.flats):
             assert np.array_equal(f1.base, f2.base)
@@ -844,7 +884,7 @@ class TestBuildSubspaceSpec:
 
     def test_single_landmark(self, rng):
         pts = rng.standard_normal((20, 3))
-        spec = build_subspace_spec(pts, LandmarkConfig(n_landmarks=1, flat_dim=1), seed=0)
+        spec = subspace_spec(pts, LandmarkConfig(n_landmarks=1, flat_dim=1), seed=0)
         assert spec.n_features == 1
 
 

