@@ -29,7 +29,6 @@ _EXPORTS = {
         "AffineFlat",
         "SvdResult",
         "kmeans",
-        "hungarian_match",
     ],
     "kernels": [
         "GaussianRFF",

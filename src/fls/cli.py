@@ -320,8 +320,6 @@ def cmd_bench(opts) -> int:
     from .evaluation import benchmark_suite, format_benchmark_table
 
     models = _load_suite(opts["suite"])
-    if opts["trials"] < 0:
-        raise UsageError("--trials must be >= 0")
     rows = benchmark_suite(
         models,
         n_trials=opts["trials"],

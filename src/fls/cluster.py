@@ -27,7 +27,7 @@ from .errors import (
 from .kernels import _DENSE_LIMIT, EmbeddingMatrix, embed
 from .landmarks import LandmarkConfig, fit_subspace_kernel, select_landmarks
 from .linalg import (
-    ROW_ALIGN, as_points, check_finite, flip_signs, kmeans, round_up, svd_from_gram
+    ROW_ALIGN, as_integer, as_points, check_finite, flip_signs, kmeans, round_up, svd_from_gram
 )
 from .rng import split
 
@@ -130,8 +130,7 @@ def spectral_embed(
     """
     if svd_path != "gram":
         raise InvalidParam(f"unknown svd_path {svd_path!r}")
-    if n_clusters < 1:
-        raise InvalidParam(f"n_clusters={n_clusters} must be >= 1")
+    n_clusters = as_integer(n_clusters, "n_clusters", 1)
     if drop_first and n_clusters < 2:
         raise InvalidParam("drop_first needs n_clusters >= 2")
     psi = embedding.data
@@ -165,7 +164,7 @@ def fls_cluster(
     those names; any stage failure is re-raised as PipelineError naming
     the stage.  Requires n >= max(n_landmarks, n_clusters).
     """
-    pts = as_points(data)
+    pts, n_clusters = as_points(data), as_integer(n_clusters, "n_clusters", 1)
     if pts.shape[0] < n_clusters:
         raise DegenerateInput(
             f"{pts.shape[0]} points cannot form {n_clusters} clusters"
@@ -239,7 +238,8 @@ def dense_spectral_cluster(
     w = check_finite(w, "kernel matrix")
     if w.shape[0] > _DENSE_LIMIT:
         raise DenseLimitExceeded(f"n={w.shape[0]} exceeds dense limit {_DENSE_LIMIT}")
-    if n_clusters < 1 or n_clusters > w.shape[0]:
+    n_clusters = as_integer(n_clusters, "n_clusters", 1)
+    if n_clusters > w.shape[0]:
         raise InvalidParam(f"n_clusters={n_clusters} not in [1, {w.shape[0]}]")
     if drop_first and n_clusters < 2:
         raise InvalidParam("drop_first needs n_clusters >= 2")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParam, ParseError, RaggedRows
-from .linalg import as_integer, as_points, haar_frames
+from .linalg import as_integer, as_labels, as_points, haar_frames
 from .rng import make_rng, split
 
 
@@ -33,14 +33,12 @@ class SyntheticModel:
         except TypeError:
             raise InvalidParam(f"dims must be a sequence, got {self.dims!r}") from None
         ambient = as_integer(self.ambient, "ambient")
-        pts = as_integer(self.pts_per_subspace, "pts_per_subspace")
+        pts = as_integer(self.pts_per_subspace, "pts_per_subspace", 1)
         if len(dims) == 0:
             raise InvalidParam("need at least one subspace")
         for d in dims:
             if not 1 <= d < ambient:
                 raise InvalidParam(f"subspace dim {d} not in [1, {ambient - 1}]")
-        if pts < 1:
-            raise InvalidParam("pts_per_subspace must be >= 1")
         if not 0.0 <= self.noise_sigma < math.inf:
             raise InvalidParam(f"noise_sigma={self.noise_sigma} must be finite and >= 0")
         if not 0.0 <= self.outlier_ratio < 1.0:
@@ -76,7 +74,7 @@ class DataSet:
         object.__setattr__(self, "points", pts)
         labels = self.labels
         if labels is not None:
-            labels = np.asarray(labels, dtype=int)
+            labels = as_labels(labels, "labels")
             if labels.shape != (pts.shape[0],):
                 raise InvalidParam("labels length does not match points")
             object.__setattr__(self, "labels", labels)

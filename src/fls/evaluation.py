@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .cluster import dense_normalized, fls_cluster
 from .datagen import SyntheticModel, gen_synthetic
@@ -30,7 +31,7 @@ from .kernels import (
     haar_frame_batch,
 )
 from .landmarks import LandmarkConfig
-from .linalg import as_points, haar_frames, hungarian_match
+from .linalg import as_integer, as_labels, as_points, haar_frames
 from .rng import make_rng, split
 
 
@@ -50,12 +51,13 @@ def clustering_rate(pred, truth, outlier_mask=None) -> EvalReport:
     Outliers (mask true, or truth label -1 when no mask is given) are
     dropped before building the confusion matrix.  Predicted and true
     class sets may differ in size; the confusion matrix is padded square
-    and a maximum-diagonal permutation aligns them, so surplus classes
-    simply match nothing.
+    and a maximum-diagonal permutation aligns them (one
+    ``linear_sum_assignment``, the package's only SciPy call), so surplus
+    classes simply match nothing.  Among equal maxima the permutation is
+    whichever the solver returns.  Labels go through ``linalg.as_labels``.
     """
-    pred = np.asarray(pred, dtype=int)
-    truth = np.asarray(truth, dtype=int)
-    if pred.shape != truth.shape or pred.ndim != 1:
+    pred, truth = as_labels(pred, "pred"), as_labels(truth, "truth")
+    if pred.shape != truth.shape:
         raise InvalidParam("pred and truth must be equal-length 1-D arrays")
     if outlier_mask is None:
         outlier_mask = truth == -1
@@ -70,7 +72,7 @@ def clustering_rate(pred, truth, outlier_mask=None) -> EvalReport:
     p_classes, p_index = np.unique(pred[keep], return_inverse=True)
     k = max(t_classes.shape[0], p_classes.shape[0])
     confusion = np.bincount(t_index * k + p_index, minlength=k * k).reshape(k, k).astype(float)
-    perm = hungarian_match(confusion)
+    perm = linear_sum_assignment(confusion, maximize=True)[1]
     matched = float(confusion[np.arange(k), perm].sum())
     return EvalReport(
         rate=matched / n_inliers,
@@ -111,7 +113,7 @@ class FlatPoolFamily:
     sigma: float
 
     def sample(self, count, seed):
-        idx = make_rng(seed).integers(len(self.flats), size=count)
+        idx = make_rng(seed).integers(len(self.flats), size=as_integer(count, "count", 1))
         return SubspaceKernel(self.sigma, self.flats[idx])
 
     def exact_matrix(self, points):
@@ -128,7 +130,7 @@ class LandmarkGaussianFamily:
     sigma: float
 
     def sample(self, count, seed):
-        idx = make_rng(seed).integers(self.data.shape[0], size=count)
+        idx = make_rng(seed).integers(self.data.shape[0], size=as_integer(count, "count", 1))
         return LandmarkGaussian(self.sigma, self.data[idx])
 
     def exact_matrix(self, points):
@@ -154,9 +156,7 @@ def verify_kernel_convergence(family, points, counts, reps: int = 10, seed=0):
     Carlo averaging predicts the median max error to shrink like
     1/sqrt(D).
     """
-    if reps < 1:
-        raise InvalidParam(f"reps={reps} must be >= 1")
-    pts = as_points(points)
+    reps, pts = as_integer(reps, "reps", 1), as_points(points)
     if pts.shape[0] < 1:
         raise InvalidParam("verify_kernel_convergence needs at least one point")
     children = split(seed, len(counts) * reps)
@@ -198,8 +198,7 @@ def hoeffding_check(family, x, y, counts, eps_values, reps: int = 200, seed=0):
     often |psi(x)^T psi(y) - k(x, y)| >= eps.  Passes when the frequency
     stays within three binomial standard errors of the bound.
     """
-    if reps < 1:
-        raise InvalidParam(f"reps={reps} must be >= 1")
+    reps = as_integer(reps, "reps", 1)
     pair = np.vstack([x, y]).astype(float)
     k_true = float(family.exact_matrix(pair)[0, 1])
     children = split(seed, len(counts) * reps)
@@ -340,7 +339,7 @@ def verify_eigvec_convergence(
     EigengapTooSmall when the reference gap
     dist(lambda_2, {0} union rest of spectrum) is below 1e-3.
     """
-    pts = as_points(points)
+    pts, n_clusters = as_points(points), as_integer(n_clusters, "n_clusters", 1)
     children = split(seed, len(counts) + 1)
     w_ref = approx_kernel_matrix(family.sample(ref_count, children[-1]), pts)
     ref_vecs, gap = _second_eigvec(w_ref, max(n_clusters, 2))
@@ -394,10 +393,8 @@ def verify_rotation_invariance(
     three times the sum of their standard errors.  Returns
     (records, fraction_within).
     """
-    if n_pairs < 1:
-        raise InvalidParam(f"n_pairs={n_pairs} must be >= 1")
-    if count < 2:
-        raise InvalidParam(f"count={count} must be >= 2 for a standard error")
+    dim, n_pairs = as_integer(dim, "dim", 2), as_integer(n_pairs, "n_pairs", 1)
+    count = as_integer(count, "count", 2)  # two flats for a standard error
     if not 0.0 <= pair_distance <= 2.0:
         raise InvalidParam("pair_distance must lie in [0, 2] for sphere pairs")
     cos_angle = 1.0 - pair_distance**2 / 2.0
@@ -520,8 +517,9 @@ def benchmark_suite(
     trial whose pipeline raises PipelineError is recorded in the row's
     failures and left out of its means; the other trials still run.
     """
-    if n_trials < 0:
-        raise InvalidParam("n_trials must be >= 0")
+    n_trials = as_integer(n_trials, "n_trials", 0)
+    # checked here, not as a failure of every trial's kmeans stage
+    kmeans_restarts = as_integer(kmeans_restarts, "kmeans_restarts", 1)
     if n_trials == 0:
         return []
     rows = []

@@ -32,11 +32,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DenseLimitExceeded, DimensionMismatch, InvalidParam
-from .linalg import COL_ALIGN, AffineFlat, aligned_matmul, as_points, check_finite, haar_frames
+from .linalg import (
+    COL_ALIGN, AffineFlat, aligned_matmul, as_integer, as_points, check_finite, haar_frames
+)
 from .rng import make_rng
 
 
 def _check_sigma(sigma):
+    """A bandwidth as a positive finite float; a bool, a string or anything
+    else without ``__float__`` raises InvalidParam."""
+    if isinstance(sigma, (bool, np.bool_)) or not hasattr(sigma, "__float__"):
+        raise InvalidParam(f"sigma must be a number, got {sigma!r}")
     sigma = float(sigma)
     if not math.isfinite(sigma) or sigma <= 0.0:
         raise InvalidParam(f"sigma={sigma} must be positive and finite")
@@ -172,8 +178,7 @@ class EmbeddingMatrix:
 def sample_gaussian_rff(sigma: float, n_features: int, dim: int, seed=0) -> GaussianRFF:
     """Draw frequencies ~ N(0, sigma^-2 I_d) and phases ~ U[0, 2 pi)."""
     sigma = _check_sigma(sigma)
-    if n_features < 1 or dim < 1:
-        raise InvalidParam("n_features and dim must be >= 1")
+    n_features, dim = as_integer(n_features, "n_features", 1), as_integer(dim, "dim", 1)
     rng = make_rng(seed)
     freqs = rng.normal(0.0, 1.0 / sigma, size=(n_features, dim))
     phases = rng.uniform(0.0, 2.0 * math.pi, size=n_features)
@@ -183,11 +188,10 @@ def sample_gaussian_rff(sigma: float, n_features: int, dim: int, seed=0) -> Gaus
 def haar_frame_batch(dim: int, flat_dim: int, count: int, seed=0) -> np.ndarray:
     """(count, dim, flat_dim) stack of Haar-distributed orthonormal frames,
     drawn by ``linalg.haar_frames`` from the ``seed`` stream."""
+    dim, flat_dim = as_integer(dim, "dim"), as_integer(flat_dim, "flat_dim")
     if not 1 <= flat_dim < dim:
         raise InvalidParam(f"flat_dim={flat_dim} not in [1, {dim - 1}]")
-    if count < 1:
-        raise InvalidParam("count must be >= 1")
-    return haar_frames(make_rng(seed), (count, dim, flat_dim))
+    return haar_frames(make_rng(seed), (as_integer(count, "count", 1), dim, flat_dim))
 
 
 # Frame-projection entries one column block of the flat stack holds (32 MiB
@@ -445,7 +449,7 @@ def embed(spec: FeatureSpec, points) -> EmbeddingMatrix:
 def gaussian_kernel_matrix(points: np.ndarray, sigma: float) -> np.ndarray:
     """Pairwise exact Gaussian kernel matrix of one point set."""
     pts = as_points(points)
-    return _gaussian_bumps(pts, pts, float(sigma))
+    return _gaussian_bumps(pts, pts, _check_sigma(sigma))
 
 
 # Largest n of a dense n x n matrix (200 MB of float64), here and in cluster.dense_spectral_cluster

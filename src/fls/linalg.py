@@ -15,7 +15,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DegenerateInput, InvalidParam, RankDeficient
 from .rng import make_rng, split
@@ -59,11 +58,29 @@ def as_points(data, name: str = "points") -> np.ndarray:
     return a
 
 
-def as_integer(value, name: str) -> int:
-    """``value`` as an int; a bool or a non-integer (1.5, "6") is refused."""
+def as_integer(value, name: str, low: int | None = None) -> int:
+    """``value`` as an int of at least ``low``; a bool, a non-integer (1.5,
+    "6") or a smaller value raises InvalidParam."""
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise InvalidParam(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
+    value = operator.index(value)
+    if low is not None and value < low:
+        raise InvalidParam(f"{name}={value} must be >= {low}")
+    return value
+
+
+def as_labels(values, name: str) -> np.ndarray:
+    """``values`` as a 1-D int array: an integer dtype, or floats that are
+    whole numbers.  Anything else (1.5, NaN, a string, a bool, 2-D) raises
+    InvalidParam rather than being truncated."""
+    a = np.asarray(values)
+    if a.ndim == 1 and a.dtype.kind in "iu":
+        return a.astype(int, copy=False)
+    # NaN, +-Inf and floats beyond int64 fail the bound
+    whole = a.dtype.kind == "f" and np.all(np.abs(a) < 2.0**63) and np.all(a == np.floor(a))
+    if a.ndim == 1 and whole:
+        return a.astype(int)
+    raise InvalidParam(f"{name} must be a 1-D array of whole numbers")
 
 
 # The n-sized GEMMs pad with zeros to whole multiples of ROW_ALIGN rows
@@ -338,12 +355,11 @@ def _lloyd(points, k, rng, max_iter):
 
 
 def _kmeans_points(points, k):
-    pts = as_points(points)
-    if k < 1:
-        raise InvalidParam(f"k={k} must be >= 1")
+    """(points, k) checked: ``as_points``, a count k >= 1, and k <= n."""
+    pts, k = as_points(points), as_integer(k, "k", 1)
     if pts.shape[0] < k:
         raise DegenerateInput(f"{pts.shape[0]} points cannot fill {k} clusters")
-    return pts
+    return pts, k
 
 
 def kmeans(
@@ -367,9 +383,8 @@ def kmeans(
     Returns (labels, centroids, inertia); every point is assigned to its
     nearest returned centroid.
     """
-    if restarts < 1:
-        raise InvalidParam(f"restarts={restarts} must be >= 1")
-    pts = _kmeans_points(points, k)
+    restarts, max_iter = as_integer(restarts, "restarts", 1), as_integer(max_iter, "max_iter", 1)
+    pts, k = _kmeans_points(points, k)
     best, unconverged = None, 0
     for child in split(seed, restarts):
         *run, converged = _lloyd(pts, k, make_rng(child), max_iter)
@@ -396,43 +411,8 @@ def kmeans_centers(points: np.ndarray, k: int, seed, sweeps: int) -> np.ndarray:
     the last update, and no warning when ``sweeps`` runs out before the
     inertia settles, for callers that cap the sweeps on purpose.
     """
-    pts = _kmeans_points(points, k)
+    pts, k = _kmeans_points(points, k)
     x_sq = (pts**2).sum(axis=1)
     centers = _kmeanspp(pts, x_sq, k, make_rng(split(seed, 1)[0]))
     _sweeps(pts, x_sq, centers, sweeps)
     return centers
-
-
-def hungarian_match(confusion: np.ndarray) -> np.ndarray:
-    """Permutation maximizing the matched diagonal of a K x K count matrix.
-
-    Returns p such that sum_i confusion[i, p[i]] is maximal; among
-    maximizers, the lexicographically smallest p is returned.
-    """
-    c = check_finite(confusion, "confusion")
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise InvalidParam("confusion matrix must be square")
-    if np.any(c < 0):
-        raise InvalidParam("confusion matrix must be nonnegative")
-    k = c.shape[0]
-
-    def best_total(sub):
-        if sub.size == 0:
-            return 0.0
-        rows, cols = linear_sum_assignment(-sub)
-        return float(sub[rows, cols].sum())
-
-    target = best_total(c)
-    remaining = list(range(k))
-    perm = np.empty(k, dtype=int)
-    fixed = 0.0
-    for i in range(k):
-        for j in remaining:  # ascending, so the first feasible j is smallest
-            rest_cols = [col for col in remaining if col != j]
-            rest = c[np.ix_(range(i + 1, k), rest_cols)]
-            if fixed + c[i, j] + best_total(rest) >= target - 1e-9:
-                perm[i] = j
-                fixed += c[i, j]
-                remaining.remove(j)
-                break
-    return perm

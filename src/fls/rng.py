@@ -17,13 +17,20 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidParam
+
 SeedLike = "int | np.random.SeedSequence"
 
 
 def seed_sequence(seed) -> np.random.SeedSequence:
+    """A fresh SeedSequence for ``seed``; a seed numpy refuses (negative,
+    fractional, a string) raises InvalidParam naming it."""
     if isinstance(seed, np.random.SeedSequence):
         return np.random.SeedSequence(entropy=seed.entropy, spawn_key=seed.spawn_key)
-    return np.random.SeedSequence(seed)
+    try:
+        return np.random.SeedSequence(seed)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParam(f"seed {seed!r} is not a valid seed: {exc}") from None
 
 
 def make_rng(seed) -> np.random.Generator:

@@ -557,6 +557,17 @@ class TestEnvAndThreads:
         assert rc == 2
         assert "FLS_SEED" in capsys.readouterr().err
 
+    def test_negative_seed_is_usage_error(self, data_dir, tmp_path, monkeypatch, capsys):
+        # an int that numpy's SeedSequence refuses: a named error, not its traceback
+        args = TestCluster().base_args(data_dir)
+        args[args.index("--seed") + 1] = "-1"
+        capsys.readouterr()
+        assert run(args) == 2
+        assert "seed -1" in capsys.readouterr().err
+        monkeypatch.setenv("FLS_SEED", "-3")
+        assert run(gen_args(tmp_path / "x")[:-2]) == 2  # strip --seed 5
+        assert "seed -3" in capsys.readouterr().err
+
     def test_threads_zero_is_usage_error(self, capsys):
         rc = run(["bench", "--suite", "synthetic5", "--trials", "0", "--threads", "0"])
         assert rc == 2

@@ -896,10 +896,3 @@ class TestLandmarkFlatPool:
         assert len(pool) == 25
         for p, f in zip(pts, pool):
             assert flat_distance(p, f) < 1e-7
-
-    def test_linear_config_respected(self, rng):
-        pts = plane_points(rng, haar_frames(rng, (4, 2)), 25)
-        cfg = LandmarkConfig(n_landmarks=1, flat_dim=2, linear=True)
-        pool = landmark_flat_pool(pts, 2, cfg)
-        for f in pool:
-            assert np.all(f.base == 0.0)

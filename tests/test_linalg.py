@@ -1,6 +1,5 @@
-"""Core linear algebra: PCA flats, truncated SVD, k-means, matching."""
+"""Core linear algebra: PCA flats, truncated SVD, k-means."""
 
-import itertools
 import logging
 import math
 import tracemalloc
@@ -15,7 +14,6 @@ from fls.linalg import (
     _assign,
     flip_signs,
     haar_frames,
-    hungarian_match,
     kmeans,
     svd_from_gram,
 )
@@ -351,44 +349,3 @@ class TestKmeans:
         with caplog.at_level(logging.WARNING, logger="fls.linalg"):
             kmeans(pts, 2, seed=0, restarts=3)
         assert not caplog.records
-
-
-class TestHungarianMatch:
-    def test_identity(self):
-        perm = hungarian_match(np.diag([5, 4, 3]))
-        assert list(perm) == [0, 1, 2]
-
-    def test_antidiagonal(self):
-        c = np.array([[0, 0, 7], [0, 6, 0], [5, 0, 0]])
-        perm = hungarian_match(c)
-        assert list(perm) == [2, 1, 0]
-
-    def test_matches_brute_force(self, rng):
-        for _ in range(50):
-            c = rng.integers(0, 20, size=(4, 4))
-            perm = hungarian_match(c)
-            # oracle: exhaustive search, ties to lexicographically smallest
-            best = max(
-                itertools.permutations(range(4)),
-                key=lambda p: (sum(c[i, p[i]] for i in range(4)), [-x for x in p]),
-            )
-            score = sum(c[i, perm[i]] for i in range(4))
-            best_score = sum(c[i, best[i]] for i in range(4))
-            assert score == best_score
-            assert list(perm) == list(best)
-
-    def test_beats_random_permutations(self, rng):
-        c = rng.integers(0, 50, size=(6, 6))
-        perm = hungarian_match(c)
-        score = sum(c[i, perm[i]] for i in range(6))
-        for _ in range(1000):
-            p = rng.permutation(6)
-            assert score >= sum(c[i, p[i]] for i in range(6))
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(InvalidParam):
-            hungarian_match(np.ones((2, 3)))
-
-    def test_rejects_negative(self):
-        with pytest.raises(InvalidParam):
-            hungarian_match(np.array([[1, -1], [0, 2]]))
