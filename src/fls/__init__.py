@@ -49,7 +49,6 @@ _EXPORTS = {
         "best_fit_flat",
         "best_fit_flats",
         "default_sigma",
-        "fit_subspace_kernel",
         "landmark_flat_pool",
     ],
     "datagen": [

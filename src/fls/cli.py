@@ -267,7 +267,7 @@ def cmd_cluster(opts) -> int:
         normalize_sphere=opts["normalize_sphere"],
         kmeans_restarts=opts["restarts"],
     )
-    neighbors, scales = config.resolve_scales(data.n)
+    neighbors, scales = result.ladder
     payload = result.to_json()
     payload["config"] = {
         "k": opts["k"],

@@ -24,8 +24,8 @@ from .errors import (
     InvalidParam,
     PipelineError,
 )
-from .kernels import _DENSE_LIMIT, EmbeddingMatrix, embed
-from .landmarks import LandmarkConfig, fit_subspace_kernel, select_landmarks
+from .kernels import _DENSE_LIMIT, EmbeddingMatrix, SubspaceKernel, embed
+from .landmarks import LandmarkConfig, best_fit_flats, default_sigma, select_landmarks
 from .linalg import (
     ROW_ALIGN, as_integer, as_points, check_finite, flip_signs, kmeans, round_up, svd_from_gram
 )
@@ -39,9 +39,10 @@ class ClusterResult:
     singular_values are those of Psi D^-1/2; the dense oracle path stores
     sqrt(max(eigenvalue, 0)) so the two are directly comparable.  sigma
     is the kernel bandwidth the embedding used, resolved when the config
-    left it to the data (None on the dense path, which takes a kernel
-    matrix).  timings holds per-stage wall-clock seconds and is the only
-    nondeterministic field.
+    left it to the data, and ladder the neighborhood ladder (S, T) the
+    flats were fitted over (both None on the dense path, which takes a
+    kernel matrix).  timings holds per-stage wall-clock seconds and is
+    the only nondeterministic field.
     """
 
     labels: np.ndarray
@@ -49,6 +50,7 @@ class ClusterResult:
     singular_values: np.ndarray
     timings: dict = field(default_factory=dict)
     sigma: float | None = None
+    ladder: tuple[int, int] | None = None
 
     def to_json(self) -> dict:
         return {
@@ -158,11 +160,11 @@ def fls_cluster(
 ) -> ClusterResult:
     """Fast landmark subspace clustering.
 
-    Stages: select landmarks, fit local flats (and resolve sigma), embed,
-    truncated SVD of the degree-normalized embedding, k-means on the
-    row-normalized vectors.  Per-stage wall times are recorded under
-    those names; any stage failure is re-raised as PipelineError naming
-    the stage.  Requires n >= max(n_landmarks, n_clusters).
+    Stages, timed under these names: landmarks, flats (over the ladder of
+    ``config.resolve_scales(n)``), sigma (also when the config gives it),
+    embed, svd (of the degree-normalized embedding) and kmeans (on the
+    row-normalized vectors).  Any stage failure is re-raised as
+    PipelineError naming the stage.  Requires n >= max(n_landmarks, n_clusters).
     """
     pts, n_clusters = as_points(data), as_integer(n_clusters, "n_clusters", 1)
     if pts.shape[0] < n_clusters:
@@ -174,6 +176,7 @@ def fls_cluster(
     # the third stream is unused; k-means keeps the fourth so labels stay
     # bit-identical, and the first two stay those of split(seed, 2)
     select_seed, sigma_seed, _, kmeans_seed = split(seed, 4)
+    init_neighbors, max_scales = config.resolve_scales(pts.shape[0])
     timings: dict = {}
 
     def run(stage, fn):
@@ -189,8 +192,17 @@ def fls_cluster(
         "landmarks",
         lambda: select_landmarks(pts, config.n_landmarks, config.method, select_seed),
     )
-    spec = run("flats", lambda: fit_subspace_kernel(pts, centers, config, sigma_seed))
-    embedding = run("embed", lambda: embed(spec, pts))
+    flats = run(
+        "flats",
+        lambda: best_fit_flats(
+            pts, centers, config.flat_dim, max_scales, init_neighbors, linear=config.linear
+        ),
+    )
+    sigma = run(
+        "sigma",
+        lambda: default_sigma(pts, flats, sigma_seed) if config.sigma is None else config.sigma,
+    )
+    embedding = run("embed", lambda: embed(SubspaceKernel(sigma, flats), pts))
     rows, svals = run(
         "svd",
         lambda: spectral_embed(embedding, n_clusters, drop_first=drop_first),
@@ -204,7 +216,8 @@ def fls_cluster(
         embedding=rows,
         singular_values=svals,
         timings=timings,
-        sigma=spec.sigma,
+        sigma=sigma,
+        ladder=(init_neighbors, max_scales),
     )
 
 

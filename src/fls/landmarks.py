@@ -1,4 +1,4 @@
-"""Landmark selection and local flat fitting.
+"""Landmark selection, local flat fitting and the default bandwidth.
 
 Landmarks are either points sampled from the data or k-means centroids.
 Around each landmark a best-fit flat is chosen over a ladder of k-NN
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch, InvalidParam
-from .kernels import AffineFlat, SubspaceKernel, _check_sigma, _stack_flats, flat_distance_matrix
+from .kernels import AffineFlat, _check_sigma, _stack_flats, flat_distance_matrix
 from .linalg import (
     COL_ALIGN, ROW_ALIGN, as_integer, as_points, check_finite, flip_signs, kmeans_centers, round_up
 )
@@ -87,7 +87,7 @@ _LANDMARK_SWEEPS = 3
 
 @dataclass(frozen=True)
 class LandmarkConfig:
-    """Settings for building a SubspaceKernel spec from data.
+    """Settings of ``fls_cluster``'s landmarks, flats and sigma stages.
 
     n_landmarks: number of flats D.
     flat_dim: dimension l of each fitted flat.
@@ -533,26 +533,6 @@ def default_sigma(points: np.ndarray, flats, seed=0) -> float:
             sample[pair] = np.einsum("pd,pd->p", diff, diff) - np.einsum("pl,pl->p", proj, proj)
         sample = np.sqrt(np.maximum(sample, 0.0))
     return max(float(np.median(sample)), 1e-6)
-
-
-def fit_subspace_kernel(
-    points: np.ndarray, centers: np.ndarray, config: LandmarkConfig, sigma_seed=0
-) -> SubspaceKernel:
-    """Fit the local flat at each landmark and resolve sigma into a spec.
-
-    The neighborhood ladder comes from ``config.resolve_scales(n)``;
-    sigma is ``config.sigma``, or ``default_sigma`` drawn with
-    ``sigma_seed`` when the config leaves it to the data.
-    """
-    pts = as_points(points)
-    init_neighbors, max_scales = config.resolve_scales(len(pts))
-    flats = best_fit_flats(
-        pts, centers, config.flat_dim, max_scales, init_neighbors, linear=config.linear
-    )
-    sigma = config.sigma
-    if sigma is None:
-        sigma = default_sigma(pts, flats, seed=sigma_seed)
-    return SubspaceKernel(sigma=sigma, flats=flats)
 
 
 def landmark_flat_pool(points: np.ndarray, flat_dim: int):

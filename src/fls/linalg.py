@@ -306,8 +306,10 @@ def _kmeanspp(points, x_sq, k, rng):
     return centers
 
 
-# relative inertia change at which Lloyd sweeps stop
+# relative inertia change at which Lloyd sweeps stop, and the most sweeps
+# a kmeans restart takes
 _KMEANS_TOL = 1e-6
+_KMEANS_MAX_ITER = 100
 
 
 def _sweeps(points, x_sq, centers, max_iter):
@@ -344,11 +346,11 @@ def _sweeps(points, x_sq, centers, max_iter):
     return labels, mins, False
 
 
-def _lloyd(points, k, rng, max_iter):
+def _lloyd(points, k, rng):
     """One seeded Lloyd run: (labels, centers, inertia, converged)."""
     x_sq = (points**2).sum(axis=1)
     centers = _kmeanspp(points, x_sq, k, rng)
-    labels, mins, converged = _sweeps(points, x_sq, centers, max_iter)
+    labels, mins, converged = _sweeps(points, x_sq, centers, _KMEANS_MAX_ITER)
     if not converged:
         _assign(points, x_sq, centers, labels, mins)
     return labels, centers, float(mins.sum()), converged
@@ -367,14 +369,14 @@ def kmeans(
     k: int,
     seed=0,
     restarts: int = 1,
-    max_iter: int = 100,
 ):
     """Lloyd's algorithm with kmeans++ seeding.
 
     Iterates until the relative inertia change drops below ``_KMEANS_TOL``
-    or ``max_iter`` passes; one warning is logged naming how many restarts
-    reached ``max_iter`` first.  Each pass assigns the points in row
-    blocks, so its temporary memory is O(block * k), not O(n * k).
+    or ``_KMEANS_MAX_ITER`` passes; one warning is logged naming how many
+    restarts reached ``_KMEANS_MAX_ITER`` first.  Each pass assigns the
+    points in row blocks, so its temporary memory is O(block * k), not
+    O(n * k).
     Clusters emptied by an update are re-seeded at the point farthest
     from its current centroid.  Deterministic for a given seed; with
     ``restarts`` > 1 the lowest-inertia run wins (child streams are
@@ -383,28 +385,29 @@ def kmeans(
     Returns (labels, centroids, inertia); every point is assigned to its
     nearest returned centroid.
     """
-    restarts, max_iter = as_integer(restarts, "restarts", 1), as_integer(max_iter, "max_iter", 1)
+    restarts = as_integer(restarts, "restarts", 1)
     pts, k = _kmeans_points(points, k)
     best, unconverged = None, 0
     for child in split(seed, restarts):
-        *run, converged = _lloyd(pts, k, make_rng(child), max_iter)
+        *run, converged = _lloyd(pts, k, make_rng(child))
         unconverged += not converged
         if best is None or run[2] < best[2]:
             best = tuple(run)
     if unconverged:
         log.warning(
-            "k-means did not converge: %d of %d restarts stopped at max_iter=%d "
+            "k-means did not converge: %d of %d restarts stopped after %d sweeps "
             "with relative inertia change above tol=%.1e",
             unconverged,
             restarts,
-            max_iter,
+            _KMEANS_MAX_ITER,
             _KMEANS_TOL,
         )
     return best
 
 
 def kmeans_centers(points: np.ndarray, k: int, seed, sweeps: int) -> np.ndarray:
-    """Centroids of ``kmeans(points, k, seed, max_iter=sweeps)``.
+    """Centroids of ``kmeans(points, k, seed)`` stopped after ``sweeps``
+    Lloyd sweeps in place of ``_KMEANS_MAX_ITER``.
 
     The same kmeans++ seeds from the same stream and the same Lloyd
     sweeps, bit for bit, but only the centroids: no assignment pass after

@@ -19,14 +19,15 @@ import numpy as np
 
 from .errors import InvalidParam
 
-SeedLike = "int | np.random.SeedSequence"
-
 
 def seed_sequence(seed) -> np.random.SeedSequence:
     """A fresh SeedSequence for ``seed``; a seed numpy refuses (negative,
-    fractional, a string) raises InvalidParam naming it."""
+    fractional, a string), a bool or None (numpy would read 1 or OS entropy)
+    raises InvalidParam naming it."""
     if isinstance(seed, np.random.SeedSequence):
         return np.random.SeedSequence(entropy=seed.entropy, spawn_key=seed.spawn_key)
+    if seed is None or isinstance(seed, bool):
+        raise InvalidParam(f"seed {seed!r} is not a valid seed: pass an integer")
     try:
         return np.random.SeedSequence(seed)
     except (TypeError, ValueError) as exc:

@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from fls.landmarks import fit_subspace_kernel, select_landmarks
+from fls.kernels import SubspaceKernel
+from fls.landmarks import best_fit_flats, default_sigma, select_landmarks
 from fls.linalg import svd_from_gram
 from fls.rng import split
 
@@ -36,7 +37,15 @@ def gram_svd(a, k):
 def subspace_spec(points, config, seed=0):
     """Landmarks, their local flats and sigma from the streams of
     ``split(seed, 2)``, the first two of ``fls_cluster``'s
-    ``split(seed, 4)``: the spec ``fls_cluster`` builds on these points."""
+    ``split(seed, 4)``: the spec ``fls_cluster`` embeds these points with,
+    composed from the same public calls."""
     select_seed, sigma_seed = split(seed, 2)
     centers = select_landmarks(points, config.n_landmarks, config.method, select_seed)
-    return fit_subspace_kernel(points, centers, config, sigma_seed)
+    init_neighbors, max_scales = config.resolve_scales(len(points))
+    flats = best_fit_flats(
+        points, centers, config.flat_dim, max_scales, init_neighbors, linear=config.linear
+    )
+    sigma = config.sigma
+    if sigma is None:
+        sigma = default_sigma(points, flats, sigma_seed)
+    return SubspaceKernel(sigma, flats)

@@ -57,7 +57,6 @@ TAKES_COUNT = {
     "select_landmarks count": (lambda c: select_landmarks(PTS, c), 1, 5),
     "kmeans k": (lambda c: kmeans(PTS, c), 1, 2),
     "kmeans restarts": (lambda c: kmeans(PTS, 2, restarts=c), 1, 2),
-    "kmeans max_iter": (lambda c: kmeans(PTS, 2, max_iter=c), 1, 3),
     "best_fit_flats flat_dim": (lambda c: best_fit_flats(PTS, CENTERS, c, 2, 5), 1, 2),
     "best_fit_flats max_scales": (lambda c: best_fit_flats(PTS, CENTERS, 2, c, 5), 1, 2),
     "best_fit_flats init_neighbors": (lambda c: best_fit_flats(PTS, CENTERS, 2, 2, c), 3, 5),
@@ -196,7 +195,7 @@ TAKES_SEED = {
 @pytest.mark.parametrize("name", sorted(TAKES_SEED))
 def test_seeds_are_refused_by_name(name):
     fn = TAKES_SEED[name]
-    for seed in (-1, 1.5, "7"):
+    for seed in (-1, 1.5, "7", True, None):
         with pytest.raises(InvalidParam, match="seed"):
             fn(seed)
     fn(3)

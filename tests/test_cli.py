@@ -84,15 +84,18 @@ class TestCluster:
 
     def test_end_to_end_json_stdout(self, data_dir, capsys):
         capsys.readouterr()  # drop the gen fixture's status line
-        rc = run(self.base_args(data_dir))
-        assert rc == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert len(doc["labels"]) == 20
-        assert set(doc["labels"]) == {0, 1}
-        assert doc["config"]["k"] == 2
-        assert doc["config"]["seed"] == 3
-        assert len(doc["singular_values"]) == 2
-        assert set(doc["timings"]) == {"landmarks", "flats", "embed", "svd", "kmeans"}
+        for sigma in ("auto", "0.3"):
+            rc = run(self.base_args(data_dir) + ["--sigma", sigma])
+            assert rc == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert len(doc["labels"]) == 20
+            assert set(doc["labels"]) == {0, 1}
+            assert doc["config"]["k"] == 2
+            assert doc["config"]["seed"] == 3
+            assert len(doc["singular_values"]) == 2
+            assert set(doc["timings"]) == {
+                "landmarks", "flats", "sigma", "embed", "svd", "kmeans"
+            }
 
     def test_out_file_and_embedding_csv(self, data_dir, tmp_path, capsys):
         out = tmp_path / "result.json"
@@ -187,6 +190,21 @@ class TestConfigFile:
         capsys.readouterr()
         assert run(["cluster", "--config", str(cfg)]) == 0
         assert len(json.loads(capsys.readouterr().out)["labels"]) == 20
+
+    @pytest.mark.parametrize("sigma", ["auto", "0.3"])
+    def test_result_config_block_round_trips(self, data_dir, tmp_path, sigma):
+        # the config block of a cluster run, fed back as --config with the
+        # same --in, repeats the run: the resolved sigma and ladder included
+        points = str(data_dir / "points.csv")
+        first, again, cfg = (tmp_path / name for name in ("first.json", "again.json", "cfg.json"))
+        flags = ["--k", "2", "--d", "1", "--landmarks", "8", "--seed", "3", "--drop-first"]
+        assert run(["cluster", "--in", points, "--sigma", sigma, "--out", str(first)] + flags) == 0
+        doc = json.loads(first.read_text())
+        cfg.write_text(json.dumps(doc["config"]))
+        assert run(["cluster", "--in", points, "--config", str(cfg), "--out", str(again)]) == 0
+        redo = json.loads(again.read_text())
+        for key in ("labels", "singular_values", "config"):
+            assert redo[key] == doc[key], key
 
     @pytest.mark.parametrize(
         "key, value",

@@ -288,11 +288,15 @@ class TestFlsCluster:
         assert "landmarks" in str(err.value)
 
     def test_timings_cover_stages(self, rng):
+        # the sigma stage is timed whether sigma is given or resolved
         data = two_plane_data(rng, n_per=30)
-        cfg = LandmarkConfig(n_landmarks=8, flat_dim=2)
-        result = fls_cluster(data, 2, cfg, seed=2)
-        assert set(result.timings) == {"landmarks", "flats", "embed", "svd", "kmeans"}
-        assert all(t >= 0.0 for t in result.timings.values())
+        for sigma in (0.3, None):
+            cfg = LandmarkConfig(n_landmarks=8, flat_dim=2, sigma=sigma)
+            result = fls_cluster(data, 2, cfg, seed=2)
+            assert set(result.timings) == {
+                "landmarks", "flats", "sigma", "embed", "svd", "kmeans"
+            }
+            assert all(t >= 0.0 for t in result.timings.values())
 
     @pytest.mark.parametrize("method", ["random", "kmeans"])
     @pytest.mark.parametrize("sigma", [0.3, None])

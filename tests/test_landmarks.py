@@ -28,7 +28,6 @@ from fls.landmarks import (
     best_fit_flat,
     best_fit_flats,
     default_sigma,
-    fit_subspace_kernel,
     landmark_flat_pool,
     select_landmarks,
 )
@@ -40,7 +39,7 @@ from fls.linalg import (
     kmeans,
     round_up,
 )
-from fls.rng import make_rng
+from fls.rng import make_rng, split
 
 from oracles import flat_distance, subspace_spec
 from test_cli import subprocess_env
@@ -121,12 +120,14 @@ class TestSelectLandmarks:
         assert reseeds, "case does not reach the empty-cluster re-seed"
         assert np.array_equal(select_landmarks(pts, 3, "kmeans", seed=9), want)
 
-    def test_kmeans_sweep_budget_logs_no_warning(self, caplog):
+    def test_kmeans_sweep_budget_logs_no_warning(self, caplog, monkeypatch):
         pts = five_planes(4000, 3)
+        monkeypatch.setattr("fls.linalg._KMEANS_MAX_ITER", _LANDMARK_SWEEPS)
         with caplog.at_level(logging.WARNING, logger="fls"):
-            kmeans(pts, 100, seed=3, max_iter=_LANDMARK_SWEEPS)
+            kmeans(pts, 100, seed=3)
         assert caplog.records, "the budget reaches tol on this shape"
         caplog.clear()
+        monkeypatch.undo()
         with caplog.at_level(logging.WARNING, logger="fls"):
             select_landmarks(pts, 100, "kmeans", seed=3)
         assert not caplog.records
@@ -861,22 +862,23 @@ class TestBuildSubspaceSpec:
             assert np.array_equal(f1.basis, f2.basis)
 
     @pytest.mark.parametrize("sigma", [None, 0.4])
-    def test_per_landmark_calls_match_fit_subspace_kernel(self, rng, sigma):
+    def test_per_landmark_calls_match_subspace_spec(self, rng, sigma):
         # the call shapes bench/replay.py makes: one best_fit_flat per
         # landmark, default_sigma on the list of flats (here on its sampled
         # path, n * D > 10 000) and SubspaceKernel on a tuple of them
         pts = sphere_normalize(two_planes(rng, 0.03, 6, 2))
         pts = np.vstack([pts, -pts])
         cfg = LandmarkConfig(n_landmarks=40, flat_dim=2, sigma=sigma, linear=True)
-        centers = select_landmarks(pts, cfg.n_landmarks, seed=3)
+        select_seed, sigma_seed = split(8, 2)
+        centers = select_landmarks(pts, cfg.n_landmarks, cfg.method, select_seed)
         init_neighbors, max_scales = cfg.resolve_scales(len(pts))
         flats = [
             best_fit_flat(pts, c, cfg.flat_dim, max_scales, init_neighbors, linear=cfg.linear)
             for c in centers
         ]
-        got_sigma = sigma if sigma is not None else default_sigma(pts, flats, seed=8)
+        got_sigma = sigma if sigma is not None else default_sigma(pts, flats, seed=sigma_seed)
         got = SubspaceKernel(sigma=got_sigma, flats=tuple(flats))
-        want = fit_subspace_kernel(pts, centers, cfg, sigma_seed=8)
+        want = subspace_spec(pts, cfg, seed=8)
         assert len(pts) * len(flats) > 10_000
         assert np.array_equal(got.flats.base, want.flats.base)
         assert np.array_equal(got.flats.basis, want.flats.basis)

@@ -325,27 +325,30 @@ class TestKmeans:
         assert reseeds, "case does not reach the empty-cluster re-seed"
         assert_same_kmeans(kmeans(pts, 3, seed=9), want)
 
-    def test_peak_memory_is_one_block(self):
+    def test_peak_memory_is_one_block(self, monkeypatch):
         # the unblocked version holds several n x K float64 arrays per sweep
         m, k = 20_000, 400
         pts = np.random.default_rng(0).standard_normal((m, 10))
+        monkeypatch.setattr("fls.linalg._KMEANS_MAX_ITER", 3)
         tracemalloc.start()
         try:
-            kmeans(pts, k, seed=0, max_iter=3)
+            kmeans(pts, k, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < m * k * 8 / 4
 
-    def test_unconverged_restarts_warn_once(self, caplog):
+    def test_unconverged_restarts_warn_once(self, caplog, monkeypatch):
         gen = np.random.default_rng(0)
         pts = np.concatenate([gen.standard_normal((50, 2)), gen.standard_normal((50, 2)) + 20])
+        monkeypatch.setattr("fls.linalg._KMEANS_MAX_ITER", 1)
         with caplog.at_level(logging.WARNING, logger="fls.linalg"):
-            kmeans(pts, 2, seed=0, restarts=3, max_iter=1)
+            kmeans(pts, 2, seed=0, restarts=3)
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
         assert "3 of 3 restarts" in warnings[0].getMessage()
         caplog.clear()
+        monkeypatch.undo()
         with caplog.at_level(logging.WARNING, logger="fls.linalg"):
             kmeans(pts, 2, seed=0, restarts=3)
         assert not caplog.records

@@ -27,7 +27,6 @@ from fls.landmarks import (
     LandmarkConfig,
     best_fit_flats,
     default_sigma,
-    fit_subspace_kernel,
     landmark_flat_pool,
     select_landmarks,
 )
@@ -47,9 +46,6 @@ TAKES_POINTS = {
     "select_landmarks": lambda p: select_landmarks(p, 4),
     "best_fit_flats": lambda p: best_fit_flats(p, DATA.points[:3], 2, 2, 5),
     "default_sigma": lambda p: default_sigma(p, FLATS),
-    "fit_subspace_kernel": lambda p: fit_subspace_kernel(
-        p, DATA.points[:8], LandmarkConfig(n_landmarks=8, flat_dim=2)
-    ),
     "landmark_flat_pool": lambda p: landmark_flat_pool(p, 2),
     "flat_distance_matrix": lambda p: flat_distance_matrix(FLATS, p),
     "feature_matrix": lambda p: feature_matrix(SPEC, p),

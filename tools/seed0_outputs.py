@@ -1,16 +1,21 @@
 """Print the outputs of the benchmark's seed-0 calls of one source tree.
 
     OPENBLAS_NUM_THREADS=2 python3 tools/seed0_outputs.py TREE > out.txt
+    diff tools/seed0_outputs.txt out.txt
 
 TREE is a checkout of this repository.  The script imports ``fls`` from
 TREE/src and the workload definitions from TREE/bench/workloads.py, then
 runs each of the 12 full-size seed-0 calls (subspace-ref, large-n,
 kmeans-landmarks) through ``fls_cluster`` with the settings the
-benchmark gives it.  It prints one line per call: a hash of the labels,
-sigma, the singular values to full precision and a hash of the spectral
-rows.  Two trees whose outputs are bit-identical print the same lines,
-so ``diff`` of two runs checks a change that must not move any output.
-The thread count is part of the bits: compare runs on the same one.
+benchmark gives it.  It prints the OPENBLAS_NUM_THREADS setting, then
+one line per call: a hash of the labels, sigma, the singular values to
+full precision and a hash of the spectral rows.  Two trees whose outputs
+are bit-identical print the same lines, so ``diff`` of two runs checks a
+change that must not move any output.  The thread count is part of the
+bits (the D = 400 calls differ between 1 and 2 threads), so runs on
+different counts differ from the first line on.  ``seed0_outputs.txt``
+beside this script holds the output on 2 threads; a change that moves
+these bits on purpose updates it.
 """
 
 import hashlib
@@ -36,6 +41,7 @@ def main(argv) -> int:
     from fls.cluster import fls_cluster
     from fls.datagen import gen_synthetic
 
+    print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
     for name in WORKLOADS:
         for i, call in enumerate(workloads.make(name, "full", 0).calls):
             s = call.settings
