@@ -37,7 +37,6 @@ _EXPORTS = {
         "EmbeddingMatrix",
         "sample_gaussian_rff",
         "haar_frame_batch",
-        "flat_distance_matrix",
         "feature_matrix",
         "embed",
         "gaussian_kernel_matrix",

@@ -164,13 +164,16 @@ def fls_cluster(
     ``config.resolve_scales(n)``), sigma (also when the config gives it),
     embed, svd (of the degree-normalized embedding) and kmeans (on the
     row-normalized vectors).  Any stage failure is re-raised as
-    PipelineError naming the stage.  Requires n >= max(n_landmarks, n_clusters).
+    PipelineError naming the stage.  Requires n >= max(n_landmarks,
+    n_clusters) and flat_dim < d (a d-flat holds every point).
     """
     pts, n_clusters = as_points(data), as_integer(n_clusters, "n_clusters", 1)
     if pts.shape[0] < n_clusters:
         raise DegenerateInput(
             f"{pts.shape[0]} points cannot form {n_clusters} clusters"
         )
+    if config.flat_dim >= pts.shape[1]:
+        raise InvalidParam(f"flat_dim={config.flat_dim} must be below d={pts.shape[1]}")
     if normalize_sphere:
         pts = sphere_normalize(pts)
     # the third stream is unused; k-means keeps the fourth so labels stay

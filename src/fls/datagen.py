@@ -8,12 +8,12 @@ fill a cube sized to the data.  Outliers carry label -1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import InvalidParam, ParseError, RaggedRows
-from .linalg import as_integer, as_labels, as_points, haar_frames
+from .linalg import as_integer, as_labels, as_number, as_points, haar_frames
 from .rng import make_rng, split
 
 
@@ -39,6 +39,8 @@ class SyntheticModel:
         for d in dims:
             if not 1 <= d < ambient:
                 raise InvalidParam(f"subspace dim {d} not in [1, {ambient - 1}]")
+        for name in ("noise_sigma", "outlier_ratio"):
+            object.__setattr__(self, name, as_number(getattr(self, name), name))
         if not 0.0 <= self.noise_sigma < math.inf:
             raise InvalidParam(f"noise_sigma={self.noise_sigma} must be finite and >= 0")
         if not 0.0 <= self.outlier_ratio < 1.0:
@@ -52,13 +54,7 @@ class SyntheticModel:
         return len(self.dims)
 
     def to_json(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "ambient": self.ambient,
-            "pts_per_subspace": self.pts_per_subspace,
-            "noise_sigma": self.noise_sigma,
-            "outlier_ratio": self.outlier_ratio,
-        }
+        return dict(asdict(self), dims=list(self.dims))
 
 
 @dataclass(frozen=True)

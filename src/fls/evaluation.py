@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .cluster import dense_normalized, fls_cluster
 from .datagen import SyntheticModel, gen_synthetic
-from .errors import DeltaTooLarge, EigengapTooSmall, InvalidParam, PipelineError
+from .errors import DeltaTooLarge, DimensionMismatch, EigengapTooSmall, InvalidParam, PipelineError
 from .kernels import (
     AffineFlat,
     LandmarkGaussian,
@@ -99,6 +99,13 @@ class RffFamily:
         return gaussian_kernel_matrix(points, self.sigma)
 
 
+def _pool_kernel(spec, points):
+    """f^T f / D of the D unscaled features of ``spec``, symmetrized: its pool's exact kernel."""
+    f = feature_matrix(spec, points)
+    w = f.T @ f / spec.n_features
+    return (w + w.T) / 2.0
+
+
 @dataclass(frozen=True)
 class FlatPoolFamily:
     """Uniform distribution over a finite pool of flats, drawn i.i.d.
@@ -117,9 +124,7 @@ class FlatPoolFamily:
         return SubspaceKernel(self.sigma, self.flats[idx])
 
     def exact_matrix(self, points):
-        f = feature_matrix(SubspaceKernel(self.sigma, self.flats), points)
-        w = f.T @ f / len(self.flats)
-        return (w + w.T) / 2.0
+        return _pool_kernel(SubspaceKernel(self.sigma, self.flats), points)
 
 
 @dataclass(frozen=True)
@@ -134,9 +139,7 @@ class LandmarkGaussianFamily:
         return LandmarkGaussian(self.sigma, self.data[idx])
 
     def exact_matrix(self, points):
-        f = feature_matrix(LandmarkGaussian(self.sigma, self.data), points)
-        w = f.T @ f / self.data.shape[0]
-        return (w + w.T) / 2.0
+        return _pool_kernel(LandmarkGaussian(self.sigma, self.data), points)
 
 
 @dataclass(frozen=True)
@@ -196,9 +199,12 @@ def hoeffding_check(family, x, y, counts, eps_values, reps: int = 200, seed=0):
 
     Draws ``reps`` independent specs per feature count and measures how
     often |psi(x)^T psi(y) - k(x, y)| >= eps.  Passes when the frequency
-    stays within three binomial standard errors of the bound.
+    stays within three binomial standard errors of the bound.  ``x`` and
+    ``y`` are two 1-D points of one length (DimensionMismatch otherwise).
     """
     reps = as_integer(reps, "reps", 1)
+    if np.ndim(x) != 1 or np.shape(x) != np.shape(y):
+        raise DimensionMismatch(f"x and y must be 1-D of one length: {np.shape(x)}, {np.shape(y)}")
     pair = np.vstack([x, y]).astype(float)
     k_true = float(family.exact_matrix(pair)[0, 1])
     children = split(seed, len(counts) * reps)

@@ -18,7 +18,7 @@ feature families share this interface:
   point-to-flat distance comes from that stack.
 
 Flat and bump features are filled block by block into one (D, n) array,
-by one of two routines.  The projected fill (``_map_flat_sq_dists``)
+by one of two routines.  The projected fill (``_projected_fill``)
 projects every point on every frame; the lifted fill (``_lifted_fill``)
 writes -d2 / sigma^2 as one GEMM of per-flat quadratic-form coefficients
 with the points' monomials.  ``_lifted_wins(d, l)`` picks the cheaper.
@@ -33,17 +33,15 @@ import numpy as np
 
 from .errors import DenseLimitExceeded, DimensionMismatch, InvalidParam
 from .linalg import (
-    COL_ALIGN, AffineFlat, aligned_matmul, as_integer, as_points, check_finite, haar_frames
+    COL_ALIGN, AffineFlat, aligned_matmul, as_integer, as_number, as_points, check_finite,
+    haar_frames,
 )
 from .rng import make_rng
 
 
 def _check_sigma(sigma):
-    """A bandwidth as a positive finite float; a bool, a string or anything
-    else without ``__float__`` raises InvalidParam."""
-    if isinstance(sigma, (bool, np.bool_)) or not hasattr(sigma, "__float__"):
-        raise InvalidParam(f"sigma must be a number, got {sigma!r}")
-    sigma = float(sigma)
+    """A bandwidth as a positive finite float (``linalg.as_number``)."""
+    sigma = as_number(sigma, "sigma")
     if not math.isfinite(sigma) or sigma <= 0.0:
         raise InvalidParam(f"sigma={sigma} must be positive and finite")
     return sigma
@@ -200,23 +198,23 @@ def haar_frame_batch(dim: int, flat_dim: int, count: int, seed=0) -> np.ndarray:
 _BLOCK_ENTRIES = 4_000_000
 
 
-def _map_flat_sq_dists(bases, frames, pts, finish):
-    """New (D, n) array of finish(d2), d2 the squared distance from every
-    point to every flat of one stack: the projected fill.
+def _projected_fill(bases, frames, pts, scale, norm=1.0):
+    """New (D, n) array of norm * exp(-d2 / scale), d2 the squared distance
+    from every point to every flat of one stack: the projected fill.
 
-    It serves ``flat_distance_matrix``, the Gaussian point bumps and the
-    subspace stacks for which ``_lifted_wins(d, l)`` is false (high d:
-    the R^80 reference model).  ``bases`` (D, d) and ``frames`` (D, d, l)
-    hold the D flats; l may be 0 (a point is a flat of dimension 0).  Then
+    It serves the Gaussian point bumps and the subspace stacks for which
+    ``_lifted_wins(d, l)`` is false (high d: the R^80 reference model).
+    ``bases`` (D, d) and ``frames`` (D, d, l) hold the D flats; l may be
+    0 (a point is a flat of dimension 0).  Then
 
-        d2 = (|x|^2 - 2 b.x + |b|^2) - |F^T x - F^T b|^2,
+        d2 = (|x|^2 - 2 b.x + |b|^2) - |F^T x - F^T b|^2
 
-    clipped at zero and passed to ``finish``, which transforms its
-    argument in place.  It runs one column block of 4e6 // (D l) points
-    (rounded down to a multiple of ``linalg.COL_ALIGN``) at a time: one
-    ``aligned_matmul`` of the bases written straight into the result, one
-    of the frames, so beside the result only the (D l, m) projection
-    (32 MiB) and its (D, m) row sums exist.
+    is clipped at zero, negated, divided by ``scale``, exponentiated and
+    multiplied by ``norm``, all in place.  It runs one column block of
+    4e6 // (D l) points (rounded down to a multiple of ``linalg.COL_ALIGN``)
+    at a time: one ``aligned_matmul`` of the bases written straight into
+    the result, one of the frames, so beside the result only the (D l, m)
+    projection (32 MiB) and its (D, m) row sums exist.
     """
     n, d = pts.shape
     g, l = frames.shape[0], frames.shape[2]
@@ -246,7 +244,11 @@ def _map_flat_sq_dists(bases, frames, pts, finish):
         if l:
             dest -= sq
         np.clip(dest, 0.0, None, out=dest)
-        finish(dest)
+        np.negative(dest, out=dest)
+        dest /= scale
+        np.exp(dest, out=dest)
+        if norm != 1.0:
+            dest *= norm
     return out
 
 
@@ -323,7 +325,7 @@ def _lifted_fill(flats, pts, scale, shift=0.0):
     one ``aligned_matmul`` of the (D, q) coefficients
     (``_lifted_coefficients``) with the block's (q, m) lifted monomials,
     written straight into the result; a minimum at ``shift`` (d2 >= 0)
-    and one exp finish it in place, ``_PASS_ENTRIES`` entries at a time.
+    and one exp complete it in place, ``_PASS_ENTRIES`` entries at a time.
     Linear flats leave out the d rows of x_i terms, which are zero.
     Beside the result only the coefficients and one monomial block of at
     most ``_LIFT_ENTRIES`` entries exist.
@@ -351,38 +353,10 @@ def _lifted_fill(flats, pts, scale, shift=0.0):
     return out
 
 
-def flat_distance_matrix(flats, points: np.ndarray) -> np.ndarray:
-    """Distances from every point to every flat, shape (len(flats), n).
-
-    ``flats`` is a nonempty AffineFlat stack, or a sequence of flats of
-    one ambient and one flat dimension (InvalidParam when empty,
-    DimensionMismatch when mixed).
-    """
-    pts = as_points(points)
-    flats = _stack_flats(flats)
-    if pts.shape[1] != flats.ambient:
-        raise DimensionMismatch(f"points in R^{pts.shape[1]}, flats in R^{flats.ambient}")
-    return _map_flat_sq_dists(flats.base, flats.basis, pts, lambda blk: np.sqrt(blk, out=blk))
-
-
-def _neg_exp(scale, norm=1.0):
-    """In-place finish blk -> norm * exp(-blk / scale)."""
-
-    def finish(blk):
-        np.negative(blk, out=blk)
-        blk /= scale
-        np.exp(blk, out=blk)
-        if norm != 1.0:
-            blk *= norm
-
-    return finish
-
-
 def _gaussian_bumps(centers, pts, sigma, norm=1.0):
-    """norm * exp(-|x - c|^2 / (2 sigma^2)), shape (len(centers), n): the
-    flat fill with every center a flat of dimension 0."""
+    """norm * exp(-|x - c|^2 / (2 sigma^2)): the projected fill of 0-flats at ``centers``."""
     frames = np.empty(centers.shape + (0,))
-    return _map_flat_sq_dists(centers, frames, pts, _neg_exp(2.0 * sigma**2, norm))
+    return _projected_fill(centers, frames, pts, 2.0 * sigma**2, norm)
 
 
 def _spec_points(spec, points):
@@ -403,7 +377,7 @@ def feature_matrix(spec: FeatureSpec, points) -> np.ndarray:
 
     The result is one freshly allocated (D, n) array, filled in place.
     Subspace features take the lifted fill (``_lifted_fill``) when
-    ``_lifted_wins(d, l)``, the projected fill (``_map_flat_sq_dists``)
+    ``_lifted_wins(d, l)``, the projected fill (``_projected_fill``)
     otherwise; landmark features take the projected fill with l = 0,
     cosine features one GEMM.  Either fill holds only block-sized
     temporaries beside the result.  embed() scales by 1/sqrt(D); the raw
@@ -423,7 +397,7 @@ def feature_matrix(spec: FeatureSpec, points) -> np.ndarray:
     if isinstance(spec, SubspaceKernel):
         if _takes_lifted_fill(spec):
             return _lifted_fill(spec.flats, pts, spec.sigma**2)
-        return _map_flat_sq_dists(spec.flats.base, spec.flats.basis, pts, _neg_exp(spec.sigma**2))
+        return _projected_fill(spec.flats.base, spec.flats.basis, pts, spec.sigma**2)
     raise InvalidParam(f"unknown feature spec type {type(spec).__name__}")
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch, InvalidParam
-from .kernels import AffineFlat, _check_sigma, _stack_flats, flat_distance_matrix
+from .kernels import AffineFlat, _check_sigma, _stack_flats
 from .linalg import (
     COL_ALIGN, ROW_ALIGN, as_integer, as_points, check_finite, flip_signs, kmeans_centers, round_up
 )
@@ -440,9 +440,10 @@ def best_fit_flats(
     matrix or scatter, lies beyond that center's best score so far plus
     the tie window and a roundoff margin.  Such a size can neither win
     nor tie, so the flats are those of scoring every size.  Each call
-    logs at DEBUG how many ladder eigen-solves it took and skipped.  The winner's basis is its top l
-    directions (``flip_signs`` convention): from the thin SVD of the
-    m x d neighborhood when m < d, else from ``eigh`` of its scatter.
+    logs at DEBUG how many ladder eigen-solves it took and skipped.  The
+    winner's basis is its top l directions (``flip_signs`` convention):
+    from the thin SVD of the m x d neighborhood when m < d, else from
+    ``eigh`` of its scatter.
     Its base is the neighborhood centroid.  A neighborhood with zero
     total variance scores 0 and yields a coordinate-axis flat through
     the center (logged, since the basis carries no information).
@@ -508,10 +509,10 @@ def default_sigma(points: np.ndarray, flats, seed=0) -> float:
     """Median point-to-flat distance, floored at 1e-6.
 
     ``flats`` is an AffineFlat stack or a sequence of flats.  Exact when
-    n * D <= _SIGMA_PAIRS; otherwise the median of _SIGMA_PAIRS uniformly
-    sampled (point, flat) pairs, gathered in steps of _BLOCK_ENTRIES basis
-    entries.  An empty ``flats`` raises InvalidParam, no points
-    DegenerateInput.
+    n * D <= _SIGMA_PAIRS, over every (point, flat) pair; otherwise the
+    median of _SIGMA_PAIRS uniformly sampled pairs.  Either way the pairs
+    are gathered in steps of _BLOCK_ENTRIES basis entries.  An empty
+    ``flats`` raises InvalidParam, no points DegenerateInput.
     """
     pts, flats = as_points(points), _stack_flats(flats)
     if pts.shape[1] != flats.ambient:
@@ -520,19 +521,18 @@ def default_sigma(points: np.ndarray, flats, seed=0) -> float:
     if n == 0:
         raise DegenerateInput("default_sigma needs at least one point")
     if n * count <= _SIGMA_PAIRS:
-        sample = flat_distance_matrix(flats, pts).ravel()
+        pt_idx, flat_idx = np.divmod(np.arange(n * count), count)
     else:
         rng = make_rng(seed)
         pt_idx = rng.integers(n, size=_SIGMA_PAIRS)
         flat_idx = rng.integers(count, size=_SIGMA_PAIRS)
-        sample, step = np.empty(_SIGMA_PAIRS), max(1, _BLOCK_ENTRIES // flats.basis[0].size)
-        for lo in range(0, _SIGMA_PAIRS, step):
-            pair = slice(lo, lo + step)
-            diff = pts[pt_idx[pair]] - flats.base[flat_idx[pair]]
-            proj = np.einsum("pdl,pd->pl", flats.basis[flat_idx[pair]], diff)
-            sample[pair] = np.einsum("pd,pd->p", diff, diff) - np.einsum("pl,pl->p", proj, proj)
-        sample = np.sqrt(np.maximum(sample, 0.0))
-    return max(float(np.median(sample)), 1e-6)
+    sample, step = np.empty(len(pt_idx)), max(1, _BLOCK_ENTRIES // flats.basis[0].size)
+    for lo in range(0, len(pt_idx), step):
+        pair = slice(lo, lo + step)
+        diff = pts[pt_idx[pair]] - flats.base[flat_idx[pair]]
+        proj = np.einsum("pdl,pd->pl", flats.basis[flat_idx[pair]], diff)
+        sample[pair] = np.einsum("pd,pd->p", diff, diff) - np.einsum("pl,pl->p", proj, proj)
+    return max(float(np.median(np.sqrt(np.maximum(sample, 0.0)))), 1e-6)
 
 
 def landmark_flat_pool(points: np.ndarray, flat_dim: int):

@@ -69,6 +69,13 @@ def as_integer(value, name: str, low: int | None = None) -> int:
     return value
 
 
+def as_number(value, name: str) -> float:
+    """``value`` as a float; a bool or anything without ``__float__`` raises InvalidParam."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__float__"):
+        raise InvalidParam(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def as_labels(values, name: str) -> np.ndarray:
     """``values`` as a 1-D int array: an integer dtype, or floats that are
     whole numbers.  Anything else (1.5, NaN, a string, a bool, 2-D) raises

@@ -1,9 +1,9 @@
-"""The count, bandwidth, label and seed contracts, beside the point one in
-test_points.py: every public function that takes one of these refuses a
-value of the wrong kind with InvalidParam (``linalg.as_integer``,
-``kernels._check_sigma``, ``linalg.as_labels``, ``rng.seed_sequence``), or,
-inside a stage of ``fls_cluster``, with a PipelineError caused by one,
-and each call still runs with a valid value."""
+"""The count, bandwidth, rate, label and seed contracts, beside the point
+one in test_points.py: every public function that takes one of these
+refuses a value of the wrong kind with InvalidParam (``linalg.as_integer``,
+``kernels._check_sigma``, ``linalg.as_number``, ``linalg.as_labels``,
+``rng.seed_sequence``), or, inside a stage of ``fls_cluster``, with a
+PipelineError caused by one, and each call still runs with a valid value."""
 
 import math
 
@@ -153,6 +153,27 @@ def test_sigma_is_a_positive_number(name):
 def test_config_stores_sigma_as_float():
     sigma = LandmarkConfig(n_landmarks=8, flat_dim=2, sigma=np.float32(0.5)).sigma
     assert type(sigma) is float and sigma == 0.5
+
+
+# name -> call returning the float it stored from a number >= 0
+TAKES_RATE = {
+    "SyntheticModel noise_sigma": lambda v: SyntheticModel((1, 1), 3, noise_sigma=v).noise_sigma,
+    "SyntheticModel outlier_ratio": lambda v: SyntheticModel(
+        (1, 1), 3, outlier_ratio=v
+    ).outlier_ratio,
+}
+
+BAD_RATES = (True, np.True_, "0.1", None, -0.5, math.nan, math.inf)
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_RATE))
+def test_model_rates_are_numbers(name):
+    fn = TAKES_RATE[name]
+    for value in BAD_RATES:
+        refused(fn, value)
+    value = fn(np.float32(0.25))
+    assert type(value) is float and value == 0.25
+    assert type(fn(0)) is float
 
 
 TAKES_LABELS = {

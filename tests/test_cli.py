@@ -151,6 +151,17 @@ class TestCluster:
         assert rc == 3
         assert "40" in capsys.readouterr().err
 
+    def test_flat_of_the_data_dimension_is_usage_error(self, tmp_path, capsys):
+        # --d 6 on points in R^6: refused before any stage runs
+        out = tmp_path / "r6"
+        gen = ["gen", "--dims", "2,2", "--ambient", "6", "--pts", "30", "--out", str(out)]
+        assert run(gen) == 0
+        capsys.readouterr()
+        for sigma in ("auto", "0.3"):
+            args = ["cluster", "--in", str(out / "points.csv"), "--k", "2", "--d", "6"]
+            assert run(args + ["--landmarks", "20", "--sigma", sigma]) == 2
+            assert "flat_dim=6" in capsys.readouterr().err
+
     def test_missing_input_file_is_runtime_error(self, tmp_path):
         rc = run(["cluster", "--in", str(tmp_path / "nope.csv"), "--k", "2", "--d", "1"])
         assert rc == 3

@@ -279,6 +279,17 @@ class TestFlsCluster:
         with pytest.raises(DegenerateInput):
             fls_cluster(rng.standard_normal((2, 3)), 3, cfg)
 
+    @pytest.mark.parametrize("sigma", [None, 0.3])
+    def test_flat_of_the_ambient_dimension_refused(self, sigma):
+        # a 6-flat in R^6 holds every point, so every distance is roundoff:
+        # an auto sigma fell to its 1e-6 floor and labels came back, a
+        # given one failed in the svd stage.  Refused before the stages.
+        model = SyntheticModel(dims=(2, 2, 2), ambient=6, pts_per_subspace=300)
+        data = gen_synthetic(model, seed=0)
+        for flat_dim in (6, 7):
+            with pytest.raises(InvalidParam, match=f"flat_dim={flat_dim}"):
+                fls_cluster(data, 3, LandmarkConfig(100, flat_dim, sigma=sigma))
+
     def test_stage_named_on_failure(self, rng):
         # more landmarks than points fails inside the landmarks stage
         cfg = LandmarkConfig(n_landmarks=50, flat_dim=1)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fls.datagen import SyntheticModel, gen_synthetic
-from fls.errors import DeltaTooLarge, EigengapTooSmall, InvalidParam
+from fls.errors import DeltaTooLarge, DimensionMismatch, EigengapTooSmall, InvalidParam
 from fls.evaluation import (
     FlatPoolFamily,
     LandmarkGaussianFamily,
@@ -210,6 +210,13 @@ class TestHoeffding:
         fam = RffFamily(sigma=1.0, dim=3)
         with pytest.raises(InvalidParam, match="reps"):
             hoeffding_check(fam, np.zeros(3), np.ones(3), [50], [0.1], reps=0)
+
+    def test_points_of_different_lengths_rejected(self):
+        # two rows each would be read as four points and scored on x's own pair
+        fam = RffFamily(sigma=1.0, dim=3)
+        for x, y in ((np.zeros(3), np.ones(4)), (np.zeros((2, 3)), np.ones((2, 3)))):
+            with pytest.raises(DimensionMismatch):
+                hoeffding_check(fam, x, y, [50], [0.1], reps=2)
 
 
 class TestPerturbation:

@@ -23,11 +23,11 @@ from fls.kernels import (
     approx_kernel_matrix,
     embed,
     feature_matrix,
-    flat_distance_matrix,
     gaussian_kernel_matrix,
     haar_frame_batch,
     sample_gaussian_rff,
 )
+from fls.landmarks import default_sigma
 from fls.linalg import haar_frames
 
 from oracles import flat_distance, gaussian_kernel
@@ -175,13 +175,18 @@ class TestSampling:
 
 
 def one_distance(x, flat):
-    """``flat_distance_matrix`` of one point and a one-flat stack."""
-    return flat_distance_matrix([flat], x[None])[0, 0]
+    """``default_sigma`` of one point and one flat: the median of its one
+    pair is that point's distance, floored at 1e-6."""
+    return default_sigma(x[None], [flat])
 
 
 class TestFlatDistance:
+    """Point-to-flat distances through ``default_sigma``, the one public
+    call that returns them: one pair gives the distance itself, and a
+    stack of n * D <= 10 000 pairs takes its exact branch over all of them."""
+
     def test_point_on_flat(self):
-        assert one_distance(np.array([7.0, 0.0]), xaxis_flat(2)) == 0.0
+        assert one_distance(np.array([7.0, 0.0]), xaxis_flat(2)) == 1e-6
 
     def test_known_offsets(self):
         flat = xaxis_flat(3)
@@ -201,33 +206,29 @@ class TestFlatDistance:
             assert got == pytest.approx(expected, abs=1e-10)
 
     def test_matrix_matches_scalar(self, rng):
-        # one stack per flat dimension: a stack holds flats of one shape
+        # the exact branch over all 7 x 4 pairs is the median of the scalar
+        # oracle, for one stack per flat dimension, linear and affine
         pts = rng.standard_normal((7, 4))
-        for flat_dim in (1, 2, 3):
-            flats = [
-                AffineFlat(base=rng.standard_normal(4), basis=haar_frames(rng, (4, flat_dim)))
-                for _ in range(4)
-            ]
-            mat = flat_distance_matrix(flats, pts)
-            assert mat.shape == (4, 7)
-            for i, f in enumerate(flats):
-                for j in range(7):
-                    assert mat[i, j] == pytest.approx(flat_distance(pts[j], f), abs=1e-10)
+        for affine in (False, True):
+            for flat_dim in (1, 2, 3):
+                flats = random_flats(rng, 4, 4, flat_dim, affine)
+                want = np.median([flat_distance(x, f) for x in pts for f in flats])
+                assert default_sigma(pts, flats) == pytest.approx(want, rel=1e-15, abs=0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             one_distance(np.zeros(3), xaxis_flat(2))
         with pytest.raises(DimensionMismatch):
-            flat_distance_matrix([xaxis_flat(2)], np.zeros((5, 3)))
+            default_sigma(np.zeros((5, 3)), [xaxis_flat(2)])
 
     def test_matrix_rejects_mixed_flat_dimensions(self, rng):
         line, plane = (AffineFlat(np.zeros(4), haar_frames(rng, (4, l))) for l in (1, 2))
         with pytest.raises(DimensionMismatch, match="same ambient and flat dimension"):
-            flat_distance_matrix([line, plane], rng.standard_normal((3, 4)))
+            default_sigma(rng.standard_normal((3, 4)), [line, plane])
 
     def test_matrix_rejects_empty_stack(self):
         with pytest.raises(InvalidParam, match="at least one flat"):
-            flat_distance_matrix([], np.zeros((3, 2)))
+            default_sigma(np.zeros((3, 2)), [])
 
 
 class TestFeatureValues:
@@ -291,10 +292,10 @@ class TestEmbed:
 
 
 class TestBlockedFill:
-    """embed, feature_matrix and flat_distance_matrix against the oracle.
+    """embed and feature_matrix against the oracle.
 
-    The projected fill (flat distances, point bumps, subspace stacks the
-    branch rule gives it) is bit-identical to the oracle; the lifted fill
+    The projected fill (point bumps and the subspace stacks the branch
+    rule gives it) is bit-identical to the oracle; the lifted fill
     agrees with a longdouble reference within its roundoff bound.  Most
     cases shrink the block so that a few hundred points span several
     blocks; the first keeps the default block.  dims holds the one flat
@@ -324,7 +325,6 @@ class TestBlockedFill:
         pts = gen.standard_normal((n, 6))
         spec = SubspaceKernel(sigma=0.8, flats=flats)
         d2 = oracle_flat_sq_dists(flats, pts, block_entries)
-        assert np.array_equal(flat_distance_matrix(flats, pts), np.sqrt(d2))
         assert np.array_equal(feature_matrix(spec, pts), np.exp(-d2 / 0.8**2))
         assert np.array_equal(embed(spec, pts).data, oracle_embed(spec, pts, block_entries))
 
@@ -378,9 +378,10 @@ class TestBlockedFill:
         assert np.all(np.abs(got - want) <= rtol * want)
         got = embed(spec, pts).data * np.longdouble(math.sqrt(30))
         assert np.all(np.abs(got - want) <= (rtol + 4 * np.finfo(float).eps) * want)
-        assert np.array_equal(
-            flat_distance_matrix(flats, pts), np.sqrt(oracle_flat_sq_dists(flats, pts))
-        )
+        # forced onto the projected fill, the same stack gives the oracle's bits
+        monkeypatch.setattr(kernels, "_lifted_wins", lambda d, l: False)
+        d2 = oracle_flat_sq_dists(flats, pts)
+        assert np.array_equal(feature_matrix(spec, pts), np.exp(-d2 / sigma**2))
 
     def test_lifted_fill_on_the_flat_is_one(self):
         # d2 = 0 is clipped exactly: features 1 and embedding 1/sqrt(D) in
@@ -436,17 +437,20 @@ class TestBlockedFill:
 
     @pytest.mark.threads
     def test_flat_distances_do_not_depend_on_blas_threads(self, tmp_path):
-        # 200 affine 2-flats in R^10 on 5 113 points, a width at which an
-        # unaligned GEMM gives other last bits on 2 threads than on 1
+        # the projected fill's features of 200 affine 2-flats in R^10 on
+        # 5 113 points, a width at which an unaligned GEMM gives other last
+        # bits on 2 threads than on 1; the child forces the projected fill
         code = (
             "import sys\n"
             "import numpy as np\n"
-            "from fls.kernels import AffineFlat, flat_distance_matrix\n"
-            "from fls.linalg import haar_frames\n"
+            "from fls import kernels\n"
+            "from fls.linalg import AffineFlat, haar_frames\n"
+            "kernels._lifted_wins = lambda d, l: False\n"
             "gen = np.random.default_rng(35)\n"
             "flats = AffineFlat(gen.standard_normal((200, 10)), haar_frames(gen, (200, 10, 2)))\n"
             "pts = gen.standard_normal((5113, 10))\n"
-            "np.save(sys.argv[1], flat_distance_matrix(flats, pts))\n"
+            "spec = kernels.SubspaceKernel(3.0, flats)\n"
+            "np.save(sys.argv[1], kernels.feature_matrix(spec, pts))\n"
         )
         got = []
         for threads in ("1", "2"):

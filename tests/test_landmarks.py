@@ -17,7 +17,7 @@ from fls import kernels, landmarks
 from fls.datagen import gen_synthetic, sphere_normalize
 from fls.errors import DegenerateInput, DimensionMismatch, InvalidParam
 from fls.evaluation import synthetic_suite
-from fls.kernels import SubspaceKernel, flat_distance_matrix
+from fls.kernels import SubspaceKernel, feature_matrix
 from fls.landmarks import (
     _LANDMARK_SWEEPS,
     _PRUNE_WINDOW,
@@ -74,15 +74,12 @@ def five_planes(m, seed):
 
 
 def per_flat_sigma(points, flats, seed):
-    """default_sigma's sampled median from the same draw, one projected
-    fill (``flat_distance_matrix``) per distinct sampled flat."""
+    """default_sigma's sampled median from the same draw, each distance
+    from the scalar ``oracles.flat_distance``."""
     rng = make_rng(seed)
     pt_idx = rng.integers(len(points), size=landmarks._SIGMA_PAIRS)
     flat_idx = rng.integers(len(flats), size=landmarks._SIGMA_PAIRS)
-    sample = np.empty(landmarks._SIGMA_PAIRS)
-    for k in np.unique(flat_idx):
-        sel = flat_idx == k
-        sample[sel] = flat_distance_matrix(flats[k : k + 1], points[pt_idx[sel]])[0]
+    sample = [flat_distance(points[i], flats[k]) for i, k in zip(pt_idx, flat_idx)]
     return max(float(np.median(sample)), 1e-6)
 
 
@@ -739,20 +736,25 @@ class TestDefaultSigma:
             default_sigma(rng.standard_normal((n, 9)), flats)
 
     def test_sampled_path_runs_no_projected_fill(self, rng, monkeypatch):
+        # neither branch fills features: both run the gathered pair pass
         calls = []
-        fill = kernels._map_flat_sq_dists
 
-        def counted(*args):
-            calls.append(args[0].shape[0])
-            return fill(*args)
+        def counted(fill):
+            def run(*args):
+                calls.append(fill.__name__)
+                return fill(*args)
 
-        monkeypatch.setattr(kernels, "_map_flat_sq_dists", counted)
+            return run
+
+        for name in ("_projected_fill", "_lifted_fill"):
+            monkeypatch.setattr(kernels, name, counted(getattr(kernels, name)))
         pts = rng.standard_normal((100, 10))
         flats = random_flats(rng, 400, 10, 2, False)
         default_sigma(pts, flats)
+        default_sigma(pts[:25], flats)  # 10 000 pairs: the exact path
         assert calls == []
-        default_sigma(pts[:25], flats)  # 10 000 pairs: the exact path, one fill
-        assert calls == [400]
+        feature_matrix(SubspaceKernel(1.0, flats), pts[:1])  # the counters count
+        assert calls == ["_lifted_fill"]
 
     @pytest.mark.parametrize(
         "n, count, d, l, affine",

@@ -20,7 +20,6 @@ from fls.kernels import (
     approx_kernel_matrix,
     embed,
     feature_matrix,
-    flat_distance_matrix,
     gaussian_kernel_matrix,
 )
 from fls.landmarks import (
@@ -47,7 +46,6 @@ TAKES_POINTS = {
     "best_fit_flats": lambda p: best_fit_flats(p, DATA.points[:3], 2, 2, 5),
     "default_sigma": lambda p: default_sigma(p, FLATS),
     "landmark_flat_pool": lambda p: landmark_flat_pool(p, 2),
-    "flat_distance_matrix": lambda p: flat_distance_matrix(FLATS, p),
     "feature_matrix": lambda p: feature_matrix(SPEC, p),
     "embed": lambda p: embed(SPEC, p),
     "gaussian_kernel_matrix": lambda p: gaussian_kernel_matrix(p, 1.0),
