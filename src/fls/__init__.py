@@ -25,11 +25,7 @@ _EXPORTS = {
         "PipelineError",
     ],
     "rng": ["seed_sequence", "make_rng", "split"],
-    "linalg": [
-        "AffineFlat",
-        "SvdResult",
-        "kmeans",
-    ],
+    "linalg": ["AffineFlat", "kmeans"],
     "kernels": [
         "GaussianRFF",
         "LandmarkGaussian",

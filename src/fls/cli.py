@@ -269,19 +269,13 @@ def cmd_cluster(opts) -> int:
     )
     neighbors, scales = result.ladder
     payload = result.to_json()
-    payload["config"] = {
-        "k": opts["k"],
-        "d": config.flat_dim,
-        "landmarks": config.n_landmarks,
-        "method": config.method,
+    # the options that shaped the run, with the values it resolved: fed
+    # back as --config with the same --in, this block repeats the run
+    io_keys = ("in", "out", "embedding_csv", "threads")
+    payload["config"] = {key: value for key, value in opts.items() if key not in io_keys} | {
         "sigma": result.sigma,
-        "linear": config.linear,
         "neighbors": neighbors,
         "scales": scales,
-        "drop_first": opts["drop_first"],
-        "normalize_sphere": opts["normalize_sphere"],
-        "restarts": opts["restarts"],
-        "seed": opts["seed"],
     }
     if opts["embedding_csv"]:
         save_csv(opts["embedding_csv"], DataSet(points=result.embedding))

@@ -10,6 +10,7 @@ implement the n x n route as a verification oracle.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -23,12 +24,11 @@ from .errors import (
     FLSError,
     InvalidParam,
     PipelineError,
+    RankDeficient,
 )
 from .kernels import _DENSE_LIMIT, EmbeddingMatrix, SubspaceKernel, embed
 from .landmarks import LandmarkConfig, best_fit_flats, default_sigma, select_landmarks
-from .linalg import (
-    ROW_ALIGN, as_integer, as_points, check_finite, flip_signs, kmeans, round_up, svd_from_gram
-)
+from .linalg import ROW_ALIGN, as_integer, as_points, check_finite, flip_signs, kmeans, round_up
 from .rng import split
 
 
@@ -117,9 +117,12 @@ def spectral_embed(
     same bits on any BLAS thread count.  Its eigenpairs do not from D = 256
     on (``np.linalg.eigh`` and every ``scipy.linalg.eigh`` driver; D = 200
     agrees), so at D = 400 the output depends on the thread count.  The
-    right vectors are (U^T Psi)^T D^-1/2 / s: one K x n GEMM that streams
-    Psi in its own layout (``linalg.svd_from_gram`` does the eigensolve and
-    the RankDeficient floor).  Beside the embedding it holds the n degrees,
+    singular values s are the square roots of its top K eigenvalues, with
+    eigenvectors U.  They are resolved only to about sqrt(D eps) s_1, below
+    which the right vectors would be noise, so RankDeficient is raised when
+    s_K falls under that floor.  The right vectors are (U^T Psi)^T D^-1/2 / s
+    in the ``linalg.flip_signs`` convention: one K x n GEMM that streams Psi
+    in its own layout.  Beside the embedding it holds the n degrees,
     a few D x D matrices, a few n x K arrays and one 2^21-entry block.
     Psi^T U, the same product against Psi's layout, takes the BLAS tens of
     MiB of work memory of its own on 2 threads.  tracemalloc does not see
@@ -136,17 +139,23 @@ def spectral_embed(
     if drop_first and n_clusters < 2:
         raise InvalidParam("drop_first needs n_clusters >= 2")
     psi = embedding.data
+    if n_clusters > min(psi.shape):
+        raise InvalidParam(f"n_clusters={n_clusters} not in [1, {min(psi.shape)}]")
     inv_sqrt = degrees(embedding) ** -0.5
-    result = svd_from_gram(
-        _normalized_gram(psi, inv_sqrt),
-        psi.shape[1],
-        n_clusters,
-        lambda u: (u.T @ psi).T * inv_sqrt[:, None],
-    )
-    vectors = result.right_vectors
+    gram = _normalized_gram(psi, inv_sqrt)
+    eigvals, eigvecs = np.linalg.eigh((gram + gram.T) / 2.0)
+    order = np.argsort(eigvals)[::-1][:n_clusters]
+    svals = np.sqrt(np.clip(eigvals[order], 0.0, None))
+    floor = math.sqrt(psi.shape[0] * np.finfo(float).eps) * svals[0]
+    if svals[0] <= 0.0 or svals[-1] < floor:
+        raise RankDeficient(
+            f"singular value {svals[-1]:.3e} below the Gram noise floor "
+            f"{floor:.3e}; request fewer vectors"
+        )
+    vectors = flip_signs((eigvecs[:, order].T @ psi).T * inv_sqrt[:, None] / svals)
     if drop_first:
         vectors = vectors[:, 1:]
-    return sphere_normalize(vectors), result.singular_values
+    return sphere_normalize(vectors), svals
 
 
 def fls_cluster(
@@ -165,7 +174,9 @@ def fls_cluster(
     embed, svd (of the degree-normalized embedding) and kmeans (on the
     row-normalized vectors).  Any stage failure is re-raised as
     PipelineError naming the stage.  Requires n >= max(n_landmarks,
-    n_clusters) and flat_dim < d (a d-flat holds every point).
+    n_clusters), flat_dim < d (a d-flat holds every point) and, with
+    drop_first, n_clusters >= 2; all but n >= n_landmarks are checked
+    before any stage runs.
     """
     pts, n_clusters = as_points(data), as_integer(n_clusters, "n_clusters", 1)
     if pts.shape[0] < n_clusters:
@@ -174,6 +185,8 @@ def fls_cluster(
         )
     if config.flat_dim >= pts.shape[1]:
         raise InvalidParam(f"flat_dim={config.flat_dim} must be below d={pts.shape[1]}")
+    if drop_first and n_clusters < 2:
+        raise InvalidParam("drop_first needs n_clusters >= 2")
     if normalize_sphere:
         pts = sphere_normalize(pts)
     # the third stream is unused; k-means keeps the fourth so labels stay

@@ -31,7 +31,7 @@ from .kernels import (
     haar_frame_batch,
 )
 from .landmarks import LandmarkConfig
-from .linalg import as_integer, as_labels, as_points, haar_frames
+from .linalg import as_integer, as_labels, as_number, as_points, haar_frames
 from .rng import make_rng, split
 
 
@@ -201,8 +201,13 @@ def hoeffding_check(family, x, y, counts, eps_values, reps: int = 200, seed=0):
     often |psi(x)^T psi(y) - k(x, y)| >= eps.  Passes when the frequency
     stays within three binomial standard errors of the bound.  ``x`` and
     ``y`` are two 1-D points of one length (DimensionMismatch otherwise).
+    Each eps must be positive and finite: at eps = 0 the bound is 2 and
+    every check passes.
     """
     reps = as_integer(reps, "reps", 1)
+    eps_values = [as_number(eps, "eps") for eps in eps_values]
+    if not all(0.0 < eps < math.inf for eps in eps_values):
+        raise InvalidParam(f"eps values {eps_values} must be positive and finite")
     if np.ndim(x) != 1 or np.shape(x) != np.shape(y):
         raise DimensionMismatch(f"x and y must be 1-D of one length: {np.shape(x)}, {np.shape(y)}")
     pair = np.vstack([x, y]).astype(float)
@@ -401,6 +406,7 @@ def verify_rotation_invariance(
     """
     dim, n_pairs = as_integer(dim, "dim", 2), as_integer(n_pairs, "n_pairs", 1)
     count = as_integer(count, "count", 2)  # two flats for a standard error
+    pair_distance = as_number(pair_distance, "pair_distance")
     if not 0.0 <= pair_distance <= 2.0:
         raise InvalidParam("pair_distance must lie in [0, 2] for sphere pairs")
     cos_angle = 1.0 - pair_distance**2 / 2.0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, InvalidParam, RankDeficient
+from .errors import DegenerateInput, InvalidParam
 from .rng import make_rng, split
 
 log = logging.getLogger(__name__)
@@ -126,18 +126,14 @@ def _signs(values: np.ndarray) -> np.ndarray:
     return signs
 
 
-def _pivot_signs(vectors: np.ndarray) -> np.ndarray:
-    idx = np.argmax(np.abs(vectors), axis=0)
-    return _signs(vectors[idx, np.arange(vectors.shape[1])])
-
-
 def flip_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive.
 
     This is the sign convention used for every singular/eigen vector the
     package returns; it makes results comparable across code paths.
     """
-    return vectors * _pivot_signs(vectors)
+    idx = np.argmax(np.abs(vectors), axis=0)
+    return vectors * _signs(vectors[idx, np.arange(vectors.shape[1])])
 
 
 def haar_frames(gen: np.random.Generator, shape) -> np.ndarray:
@@ -205,49 +201,6 @@ class AffineFlat:
         if not self.stacked:
             raise TypeError("a single flat cannot be indexed; only a stack can")
         return AffineFlat(self.base[idx], self.basis[idx])
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Top-K singular triples of a D x n matrix.
-
-    left_vectors is D x K, right_vectors is n x K, singular_values is
-    descending.  Right vectors carry the flip_signs convention.
-    """
-
-    left_vectors: np.ndarray
-    singular_values: np.ndarray
-    right_vectors: np.ndarray
-
-
-def svd_from_gram(gram: np.ndarray, n_cols: int, k: int, transpose_times) -> SvdResult:
-    """Top-k singular triples of a D x n matrix A from its Gram matrix A A^T.
-
-    Eigendecomposes the symmetrized D x D ``gram`` (O(D^3)); left
-    vectors are its top eigenvectors u and right vectors A^T u / s, with
-    ``transpose_times(u)`` supplying A^T u, so the caller decides how A
-    is held.  Gram eigenvalues are resolved only to about D * eps * s_1^2,
-    below which A^T u / s is noise; raises RankDeficient when s_k^2
-    falls under that floor.
-    """
-    d_rows = gram.shape[0]
-    if not 1 <= k <= min(d_rows, n_cols):
-        raise InvalidParam(f"k={k} not in [1, {min(d_rows, n_cols)}]")
-    gram = (gram + gram.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    order = np.argsort(eigvals)[::-1][:k]
-    svals = np.sqrt(np.clip(eigvals[order], 0.0, None))
-    left = eigvecs[:, order]
-    floor = math.sqrt(d_rows * np.finfo(float).eps) * svals[0]
-    if svals[0] <= 0.0 or svals[-1] < floor:
-        raise RankDeficient(
-            f"singular value {svals[-1]:.3e} below the Gram noise floor "
-            f"{floor:.3e}; request fewer vectors"
-        )
-    right = transpose_times(left) / svals
-    # the flip_signs convention on the right vectors, carried to the left ones
-    signs = _pivot_signs(right)
-    return SvdResult(left * signs, svals, right * signs)
 
 
 # Entries of one row block of the assignment pass (4 MiB of float64): a

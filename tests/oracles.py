@@ -11,7 +11,7 @@ import numpy as np
 
 from fls.kernels import SubspaceKernel
 from fls.landmarks import best_fit_flats, default_sigma, select_landmarks
-from fls.linalg import svd_from_gram
+from fls.linalg import flip_signs
 from fls.rng import split
 
 
@@ -29,9 +29,13 @@ def gaussian_kernel(x, y, sigma):
 
 
 def gram_svd(a, k):
-    """Top-k singular triples of a D x n matrix from its Gram matrix,
-    right vectors read as (u^T a)^T: the route ``spectral_embed`` takes."""
-    return svd_from_gram(a @ a.T, a.shape[1], k, lambda u: (u.T @ a).T)
+    """Top-k singular values and right vectors of a D x n matrix from its
+    unblocked Gram matrix: the eigenpairs of a a^T in descending order,
+    right vectors (u^T a)^T / s in the ``flip_signs`` convention."""
+    eigvals, eigvecs = np.linalg.eigh(a @ a.T)
+    order = np.argsort(eigvals)[::-1][:k]
+    svals = np.sqrt(np.clip(eigvals[order], 0.0, None))
+    return svals, flip_signs((eigvecs[:, order].T @ a).T / svals)
 
 
 def subspace_spec(points, config, seed=0):

@@ -1,5 +1,5 @@
-"""The count, bandwidth, rate, label and seed contracts, beside the point
-one in test_points.py: every public function that takes one of these
+"""The count, bandwidth, rate, number, label and seed contracts, beside
+the point one in test_points.py: every public function that takes one of these
 refuses a value of the wrong kind with InvalidParam (``linalg.as_integer``,
 ``kernels._check_sigma``, ``linalg.as_number``, ``linalg.as_labels``,
 ``rng.seed_sequence``), or, inside a stage of ``fls_cluster``, with a
@@ -19,6 +19,7 @@ from fls.evaluation import (
     RffFamily,
     benchmark_suite,
     clustering_rate,
+    hoeffding_check,
     verify_eigvec_convergence,
     verify_kernel_convergence,
     verify_rotation_invariance,
@@ -174,6 +175,36 @@ def test_model_rates_are_numbers(name):
     value = fn(np.float32(0.25))
     assert type(value) is float and value == 0.25
     assert type(fn(0)) is float
+
+
+# name -> call taking a real-valued argument, and a valid value of it
+TAKES_NUMBER = {
+    "verify_rotation_invariance pair_distance": (
+        lambda v: verify_rotation_invariance(3, 1, n_pairs=1, count=50, pair_distance=v),
+        0.5,
+    ),
+    "hoeffding_check eps": (
+        lambda v: hoeffding_check(RFF, PTS[0], PTS[1], (10,), (v,), reps=2),
+        0.5,
+    ),
+}
+
+BAD_NUMBERS = (True, np.True_, "a", "0.5", None, math.nan)
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_NUMBER))
+def test_real_arguments_are_numbers(name):
+    fn, valid = TAKES_NUMBER[name]
+    for value in BAD_NUMBERS:
+        refused(fn, value)
+    fn(np.float32(valid))
+
+
+def test_hoeffding_eps_is_positive_and_finite():
+    # at eps = 0 every |err| >= eps and the bound is 2: a vacuous pass
+    check = TAKES_NUMBER["hoeffding_check eps"][0]
+    for eps in (0, 0.0, -0.1, math.inf):
+        refused(check, eps)
 
 
 TAKES_LABELS = {

@@ -151,6 +151,14 @@ class TestCluster:
         assert rc == 3
         assert "40" in capsys.readouterr().err
 
+    def test_drop_first_with_one_cluster_is_usage_error(self, data_dir, capsys):
+        # a usage error, refused before any stage runs
+        args = self.base_args(data_dir)
+        args[args.index("--k") + 1] = "1"
+        assert run(args + ["--drop-first"]) == 2
+        err = capsys.readouterr().err
+        assert "drop_first" in err and "stage" not in err
+
     def test_flat_of_the_data_dimension_is_usage_error(self, tmp_path, capsys):
         # --d 6 on points in R^6: refused before any stage runs
         out = tmp_path / "r6"
@@ -471,6 +479,12 @@ class TestVerifyCommands:
             ]
         )
         assert rc == 2
+
+    def test_kernel_eps_zero_is_usage_error(self, capsys):
+        # at eps = 0 the bound is 2, so every tail check passed vacuously
+        small = ["--counts", "20", "--reps", "1", "--grid-points", "5", "--hoeffding-reps", "2"]
+        assert run(["verify", "kernel", *small, "--eps", "0", "--seed", "0"]) == 2
+        assert "eps" in capsys.readouterr().err
 
     def test_rotation_smoke(self, capsys):
         rc = run(

@@ -27,6 +27,7 @@ from fls.errors import (
     PipelineError,
     RankDeficient,
 )
+from fls.evaluation import benchmark_suite
 from fls.kernels import EmbeddingMatrix, SubspaceKernel, approx_kernel_matrix, embed
 from fls.landmarks import (
     LandmarkConfig,
@@ -131,9 +132,9 @@ class TestSpectralEmbed:
         emb = positive_embedding(rng, 12, 45)
         rows, svals = spectral_embed(emb, 3, drop_first=True)
         a = emb.data * degrees(emb)[None, :] ** -0.5
-        want = gram_svd(a, 3)
-        assert np.allclose(svals, want.singular_values, rtol=1e-13, atol=0)
-        assert np.allclose(rows, sphere_normalize(want.right_vectors[:, 1:]), atol=1e-12)
+        want_svals, want_vectors = gram_svd(a, 3)
+        assert np.allclose(svals, want_svals, rtol=1e-13, atol=0)
+        assert np.allclose(rows, sphere_normalize(want_vectors[:, 1:]), atol=1e-12)
 
     def test_embedding_left_unchanged(self, rng):
         emb = positive_embedding(rng, 10, 30)
@@ -159,6 +160,11 @@ class TestSpectralEmbed:
         psi = np.outer(rng.random(20) + 0.5, rng.random(300) + 0.5)
         with pytest.raises(RankDeficient):
             spectral_embed(EmbeddingMatrix(data=psi), 2)
+
+    def test_more_vectors_than_features_refused(self, rng):
+        # K > D: the D x D Gram matrix has only D eigenpairs
+        with pytest.raises(InvalidParam, match="n_clusters=5"):
+            spectral_embed(positive_embedding(rng, 4, 10), 5)
 
     def test_bad_params(self, rng):
         emb = positive_embedding(rng, 5, 10)
@@ -289,6 +295,19 @@ class TestFlsCluster:
         for flat_dim in (6, 7):
             with pytest.raises(InvalidParam, match=f"flat_dim={flat_dim}"):
                 fls_cluster(data, 3, LandmarkConfig(100, flat_dim, sigma=sigma))
+
+    def test_drop_first_with_one_cluster_refused_before_stages(self, monkeypatch):
+        # checked before landmarks, flats and embed do work the svd stage would discard
+        def fail(*args, **kwargs):
+            raise AssertionError("a stage ran before the drop_first check")
+
+        monkeypatch.setattr(cluster, "select_landmarks", fail)
+        pts = gen_synthetic(SyntheticModel(dims=(1,), ambient=3), seed=0).points
+        with pytest.raises(InvalidParam, match="drop_first"):
+            fls_cluster(pts, 1, LandmarkConfig(n_landmarks=4, flat_dim=1), drop_first=True)
+        # the suite refuses it too, rather than record every trial as failed
+        with pytest.raises(InvalidParam, match="drop_first"):
+            benchmark_suite([SyntheticModel(dims=(1,), ambient=3)], n_trials=1, n_landmarks=4)
 
     def test_stage_named_on_failure(self, rng):
         # more landmarks than points fails inside the landmarks stage

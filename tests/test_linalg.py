@@ -1,4 +1,5 @@
-"""Core linear algebra: PCA flats, truncated SVD, k-means."""
+"""Core linear algebra: flats, the truncated SVD of ``spectral_embed``, the
+sign convention, k-means."""
 
 import logging
 import math
@@ -8,18 +9,18 @@ import numpy as np
 import pytest
 import scipy.cluster.vq
 
+from fls.cluster import degrees, spectral_embed
+from fls.datagen import sphere_normalize
 from fls.errors import DegenerateInput, InvalidParam, RankDeficient
+from fls.kernels import EmbeddingMatrix
 from fls.linalg import (
     AffineFlat,
     _assign,
     flip_signs,
     haar_frames,
     kmeans,
-    svd_from_gram,
 )
 from fls.rng import make_rng, split
-
-from oracles import gram_svd
 
 
 # Reference k-means: the unblocked implementation kmeans must reproduce
@@ -142,66 +143,97 @@ class TestAffineFlat:
             one[0]
 
 
+# spectral_embed's truncated SVD is that of A = Psi D^-1/2.  Any A with a
+# positive right singular vector c of singular value 1 is reached exactly:
+# Psi = A diag(c) has degrees c (A^T A c) = c^2, so D^-1/2 undoes diag(c).
+def _frame_with_positive_column(rng, n, k):
+    """n x k orthonormal columns, the first one constant and positive."""
+    q, _ = np.linalg.qr(np.column_stack([np.ones(n), rng.standard_normal((n, k - 1))]))
+    q[:, 0] = np.abs(q[:, 0])
+    return q
+
+
+def _embedding_of(a, c):
+    return EmbeddingMatrix(data=a * c)
+
+
+def _normalized(emb):
+    return emb.data * degrees(emb) ** -0.5
+
+
+def _right_vectors(a, rows):
+    """Undo spectral_embed's row normalization when K = D = rank(a): the
+    rows of V then have the squared norms diag(a^+ a) of the projector
+    onto a's row space."""
+    return rows * np.sqrt(np.diag(np.linalg.pinv(a) @ a))[:, None]
+
+
+def _positive_embedding(rng, n_features, n_points):
+    return EmbeddingMatrix(data=np.abs(rng.standard_normal((n_features, n_points))) + 0.1)
+
+
 class TestTruncatedSvd:
-    def test_diagonal(self):
-        res = gram_svd(np.diag([3.0, 2.0, 1.0]), 2)
-        assert np.allclose(res.singular_values, [3.0, 2.0])
+    def test_diagonal(self, rng):
+        # A A^T = diag(1, 9, 4)
+        v = _frame_with_positive_column(rng, 5, 3)
+        emb = _embedding_of(np.diag([1.0, 3.0, 2.0]) @ v.T, v[:, 0])
+        rows, svals = spectral_embed(emb, 2)
+        assert np.allclose(svals, [3.0, 2.0])
+        assert np.allclose(rows, sphere_normalize(flip_signs(v[:, 1:])), atol=1e-10)
 
     def test_orthonormal_rows_give_unit_singular_values(self, rng):
-        a = haar_frames(rng, (12, 4)).T  # 4x12 with orthonormal rows
-        res = gram_svd(a, 4)
-        assert np.allclose(res.singular_values, np.ones(4), atol=1e-10)
+        v = _frame_with_positive_column(rng, 12, 4)  # A = v^T: 4x12, orthonormal rows
+        _, svals = spectral_embed(_embedding_of(v.T, v[:, 0]), 4)
+        assert np.allclose(svals, np.ones(4), atol=1e-10)
 
     def test_matches_full_svd_oracle(self, rng):
-        a = rng.standard_normal((8, 20))
-        res = gram_svd(a, 3)
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-        assert np.allclose(res.singular_values, s[:3], atol=1e-8)
+        emb = _positive_embedding(rng, 8, 20)
+        rows, svals = spectral_embed(emb, 3)
+        _, s, vt = np.linalg.svd(_normalized(emb), full_matrices=False)
+        assert np.allclose(svals, s[:3], atol=1e-8)
         # the shared sign convention makes columns directly comparable
-        assert np.allclose(res.right_vectors, flip_signs(vt[:3].T), atol=1e-8)
-        assert np.allclose(np.abs(res.left_vectors), np.abs(u[:, :3]), atol=1e-8)
+        assert np.allclose(rows, sphere_normalize(flip_signs(vt[:3].T)), atol=1e-8)
 
     def test_triple_identity(self, rng):
-        a = rng.standard_normal((6, 15))
-        res = gram_svd(a, 4)
-        s1 = res.singular_values[0]
-        for i in range(4):
-            lhs = a @ res.right_vectors[:, i]
-            rhs = res.singular_values[i] * res.left_vectors[:, i]
-            assert np.linalg.norm(lhs - rhs) <= 1e-6 * s1
+        # with u = A v / s, A^T u = s v
+        emb = _positive_embedding(rng, 6, 15)
+        rows, svals = spectral_embed(emb, 6)
+        a = _normalized(emb)
+        v = _right_vectors(a, rows)
+        for i in range(6):
+            lhs = a.T @ (a @ v[:, i])
+            rhs = svals[i] ** 2 * v[:, i]
+            assert np.linalg.norm(lhs - rhs) <= 1e-6 * svals[0] ** 2
 
     def test_orthonormal_outputs(self, rng):
-        res = gram_svd(rng.standard_normal((7, 11)), 3)
-        assert np.allclose(res.right_vectors.T @ res.right_vectors, np.eye(3), atol=1e-8)
-        assert np.allclose(res.left_vectors.T @ res.left_vectors, np.eye(3), atol=1e-8)
+        emb = _positive_embedding(rng, 7, 11)
+        rows, svals = spectral_embed(emb, 7)
+        a = _normalized(emb)
+        v = _right_vectors(a, rows)
+        u = a @ v / svals
+        assert np.allclose(v.T @ v, np.eye(7), atol=1e-8)
+        assert np.allclose(u.T @ u, np.eye(7), atol=1e-8)
 
-    def test_rank_deficient(self):
-        # s2/s1 = 1e-13, below the 1e-12 relative cutoff
-        with pytest.raises(RankDeficient):
-            gram_svd(np.diag([1.0, 1e-13]), 2)
-        with pytest.raises(RankDeficient):
-            gram_svd(np.zeros((3, 4)), 1)
+    def test_rank_deficient(self, rng):
+        # s2/s1 = 1e-13, below the sqrt(D eps) relative cutoff; then s2 = 0
+        v = _frame_with_positive_column(rng, 5, 2)
+        for s2 in (1e-13, 0.0):
+            with pytest.raises(RankDeficient):
+                spectral_embed(_embedding_of(np.diag([1.0, s2]) @ v.T, v[:, 0]), 2)
 
     def test_rank_one_below_gram_noise_floor(self, rng):
         # the Gram path resolves s2 only to ~1e-8 * s1 here; its right
         # vectors would be noise, so it must refuse rather than return them
-        a = np.outer(rng.standard_normal(50), rng.standard_normal(5000))
+        psi = np.outer(rng.random(50) + 0.5, rng.random(5000) + 0.5)
         with pytest.raises(RankDeficient):
-            gram_svd(a, 2)
+            spectral_embed(EmbeddingMatrix(data=psi), 2)
 
-    def test_k_too_large(self, rng):
-        with pytest.raises(InvalidParam):
-            gram_svd(rng.standard_normal((4, 10)), 5)
 
-    def test_right_vectors_bit_identical_to_transposed_product(self):
-        # (u.T @ a).T reads a in its own layout; at D = 400 it gives the
-        # bits of a.T @ u, which took the BLAS extra time and work memory
-        a = np.random.default_rng(400).standard_normal((400, 3000))
-        got = gram_svd(a, 5)
-        want = svd_from_gram(a @ a.T, a.shape[1], 5, lambda u: a.T @ u)
-        assert np.array_equal(got.right_vectors, want.right_vectors)
-        assert np.array_equal(got.left_vectors, want.left_vectors)
-        assert np.array_equal(got.singular_values, want.singular_values)
+def test_flip_signs_makes_largest_entry_positive():
+    # a tie in magnitude goes to the first entry; a zero column stays zero
+    vectors = np.array([[0.5, -0.2, 0.0, -0.3], [-0.9, 0.1, 0.0, 0.3]])
+    want = np.array([[-0.5, 0.2, 0.0, 0.3], [0.9, -0.1, 0.0, -0.3]])
+    assert np.array_equal(flip_signs(vectors), want)
 
 
 class TestKmeans:
