@@ -158,6 +158,16 @@ def spectral_embed(
     return sphere_normalize(vectors), svals
 
 
+def _check_settings(n_clusters: int, flat_dim: int, ambient: int, drop_first: bool):
+    """The settings ``fls_cluster`` refuses whatever the points: a
+    flat_dim of at least the ambient dimension (a d-flat holds every
+    point) and drop_first with fewer than 2 clusters (InvalidParam)."""
+    if flat_dim >= ambient:
+        raise InvalidParam(f"flat_dim={flat_dim} must be below d={ambient}")
+    if drop_first and n_clusters < 2:
+        raise InvalidParam("drop_first needs n_clusters >= 2")
+
+
 def fls_cluster(
     data,
     n_clusters: int,
@@ -183,10 +193,7 @@ def fls_cluster(
         raise DegenerateInput(
             f"{pts.shape[0]} points cannot form {n_clusters} clusters"
         )
-    if config.flat_dim >= pts.shape[1]:
-        raise InvalidParam(f"flat_dim={config.flat_dim} must be below d={pts.shape[1]}")
-    if drop_first and n_clusters < 2:
-        raise InvalidParam("drop_first needs n_clusters >= 2")
+    _check_settings(n_clusters, config.flat_dim, pts.shape[1], drop_first)
     if normalize_sphere:
         pts = sphere_normalize(pts)
     # the third stream is unused; k-means keeps the fourth so labels stay

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .cluster import dense_normalized, fls_cluster
+from .cluster import _check_settings, dense_normalized, fls_cluster
 from .datagen import SyntheticModel, gen_synthetic
 from .errors import DeltaTooLarge, DimensionMismatch, EigengapTooSmall, InvalidParam, PipelineError
 from .kernels import (
@@ -527,15 +527,18 @@ def benchmark_suite(
     projection far-out outliers get vanishing kernel rows.  Time is the
     sum of the pipeline stage timings (data generation excluded).  A
     trial whose pipeline raises PipelineError is recorded in the row's
-    failures and left out of its means; the other trials still run.
+    failures and left out of its means; the other trials still run.  A
+    model that ``fls_cluster`` would refuse whatever its points (flat_dim
+    >= its ambient dimension, or drop_first with one cluster) raises
+    InvalidParam naming it before any trial runs.
     """
     n_trials = as_integer(n_trials, "n_trials", 0)
     # checked here, not as a failure of every trial's kmeans stage
     kmeans_restarts = as_integer(kmeans_restarts, "kmeans_restarts", 1)
     if n_trials == 0:
         return []
-    rows = []
-    for m, model in enumerate(models):
+    configs = []
+    for model in models:
         config = LandmarkConfig(
             n_landmarks=n_landmarks,
             flat_dim=flat_dim if flat_dim is not None else max(model.dims),
@@ -543,6 +546,14 @@ def benchmark_suite(
             sigma=sigma,
             linear=linear,
         )
+        # refused before any trial, not after the earlier models have run
+        try:
+            _check_settings(model.n_clusters, config.flat_dim, model.ambient, drop_first)
+        except InvalidParam as exc:
+            raise InvalidParam(f"model {model_label(model)}: {exc}") from None
+        configs.append(config)
+    rows = []
+    for m, (model, config) in enumerate(zip(models, configs)):
         rates, times, failures = [], [], []
         for trial, child in enumerate(
             split(seed, n_trials * len(models))[m * n_trials : (m + 1) * n_trials]

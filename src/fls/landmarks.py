@@ -14,13 +14,20 @@ its matrix shows it could still win, which on the R^80 benchmark model
 skips about 98 % of the 80 x 80 eigen-solves.  The lowest score wins, with
 scores within roundoff (about d * eps) of it tied and ties going to the
 smallest neighborhood; only the winner is decomposed for its basis.
-Landmarks are fitted in blocks whose gathered neighborhoods take about
-1 MiB.  One GEMM per block fills the distance rows of its landmarks; each
-row is cut at a threshold from a strided sample of it, and only the
-points at or below the cut are partitioned and sorted, unless fewer
-than the neighborhood size survive, when every point is.  The
-neighborhoods are exact: the nearest points sorted by (distance, index),
-so equal distances go to the lower index.
+Landmarks are fitted in blocks.  One GEMM per block fills the distance
+rows of its landmarks; each row is cut at a threshold from a strided
+sample of it, and only the points at or below the cut are partitioned
+and sorted, unless fewer than the neighborhood size survive, when every
+point is.  The neighborhoods are exact: the nearest points sorted by
+(distance, index), so equal distances go to the lower index.  A block
+keeps only their indices and reads the points of each band of sizes
+(m_{j-1}, m_j] in sub-chunks of a row count set by d alone (at least
+512 rows up to d = 16, 64 in R^80), scoring each size as soon as its
+moments are summed, so it never holds a whole neighborhood or a stack
+of scatters.  A block takes as many landmarks as have about 1 MiB of
+neighborhood entries (``_BLOCK_ENTRIES``), or, where that is fewer
+than 8, as many up to 8 as fit 2 MiB of working set: 8 in R^80, where
+one neighborhood alone takes 1 MiB.
 """
 
 from __future__ import annotations
@@ -53,9 +60,18 @@ _TIE_TOL = 16 * _EPS
 # operations, a few sqrt(d) * eps
 _PRUNE_WINDOW = 2 * _TIE_TOL
 
-# Entries of one block's gathered neighborhoods (1 MiB of float64): the
-# centers are fitted this many neighborhood entries at a time
+# Entries of one block's neighborhoods (1 MiB of float64): the centers
+# are fitted this many neighborhood entries at a time (see _block_centers)
 _BLOCK_ENTRIES = 2**17
+
+# Entries of one sub-chunk of a neighborhood band (64 KiB of float64):
+# a band's second moments are summed over chunks of the largest power of
+# two of rows that fits (_chunk_rows).  Up to d = 16 a chunk holds at
+# least 512 rows, so each band of the benchmark ladders (at most 448
+# rows) is one product; from d = 17 on it holds at most 256, below the
+# depths 384 < k < 768 that OpenBLAS splits differently on one thread
+# and on several
+_CHUNK_ENTRIES = 2**13
 
 # Entries of one block's distance rows (16 MiB of float64): a block holds
 # at most this many, or ROW_ALIGN rows when one row is longer
@@ -199,76 +215,161 @@ def _score_bounds(mats, totals, flat_dim):
     return np.where(pos, bounds, -np.inf)
 
 
-def _local_scores(hood, sizes, flat_dim, linear):
-    """Score the nested prefixes ``sizes`` of every neighborhood in ``hood``.
+def _chunk_rows(d):
+    """Rows per sub-chunk of a band: the largest power of two whose rows
+    hold at most _CHUNK_ENTRIES entries, and at least one row."""
+    return 1 << (max(1, _CHUNK_ENTRIES // d).bit_length() - 1)
 
-    ``hood`` is a (b, m_max, d) stack of distance-sorted neighborhoods,
-    already shifted to their nearest point when the flats are affine.
-    Returns (scores, positive, solved, sums, fits): (b, T) scores (0 where
-    the prefix has zero total variance), which totals are positive and
-    which scores ``eigvalsh`` computed, the (b, T, d) prefix sums, and per
-    size the stack the winners' bases come from: the centered (b, m, d)
-    prefixes when m < d, the (b, d, d) scatters otherwise.
 
-    The sizes are scored smallest first.  A size whose ``_score_bounds``
-    lies more than ``_PRUNE_WINDOW * d`` above the center's best score so
-    far can neither win nor tie, so its eigenvalues are not taken and its
-    score holds the bound instead.
+def _take_rows(pts, near, origin, out):
+    """Points ``near`` (b, k) into ``out`` (b, k, d), or a new array when
+    ``out`` is None, minus ``origin`` (b, d) when the flats are affine
+    (``origin`` None: linear)."""
+    # the indices are in range; mode="raise" would copy through a buffer
+    out = pts.take(near, axis=0, out=out, mode="clip")
+    if origin is not None:
+        out -= origin[:, None]
+    return out
+
+
+def _band_moments(pts, near, origin, sizes, first):
+    """Second moments of the nested prefixes ``sizes[first:]`` of the
+    neighborhoods ``near``, one size at a time.
+
+    Yields (t, second, band, spare) for t = first, first + 1, ...:
+    ``second`` the (b, d, d) sum of x x^T over the first sizes[t] rows,
+    ``band`` the (b, d) sum of the rows in (sizes[t - 1], sizes[t]]
+    (None for linear flats, which need no sums: ``origin`` None), and
+    ``spare`` a (b, d, d) buffer free until the next step, when
+    ``second`` is updated in place.  The rows are read in sub-chunks of
+    ``_chunk_rows(d)`` rows per band, in an order fixed by ``sizes`` and
+    d alone, so a center's moments have the same bits whichever other
+    centers share its stack.
     """
-    b, _, d = hood.shape
+    b, d = len(near), pts.shape[1]
+    length = _chunk_rows(d)
+    buf = np.empty(b * min(length, sizes[-1]) * d)
+    second, spare = np.zeros((b, d, d)), np.empty((b, d, d))
+    start = 0
+    for t in range(first, len(sizes)):
+        low, band = sizes[t - 1] if t else 0, None
+        for lo in range(start, sizes[t], length):
+            hi = min(sizes[t], lo + length)
+            out = buf[: b * (hi - lo) * d].reshape(b, -1, d)
+            chunk = _take_rows(pts, near[:, lo:hi], origin, out)
+            second += np.matmul(chunk.transpose(0, 2, 1), chunk, out=spare)
+            if origin is not None and hi > low:
+                part = chunk[:, max(lo, low) - lo :].sum(axis=1)
+                band = part if band is None else band + part
+        yield t, second, band, spare
+        start = sizes[t]
+
+
+def _centered(second, sums, size, out):
+    """The scatter second - s s^T / size of a stack, written into ``out``."""
+    np.multiply(sums[:, :, None], sums[:, None, :], out=out)
+    out /= size
+    return np.subtract(second, out, out=out)
+
+
+def _local_scores(pts, near, origin, sizes, flat_dim, linear):
+    """Score the nested prefixes ``sizes`` of every neighborhood ``near``.
+
+    ``near`` is a (b, m_max) array of distance-sorted neighbor indices;
+    ``origin`` (b, d) is the nearest point of each, which the rows of
+    affine flats are shifted to (None for linear flats).  Returns
+    (scores, positive, solved, sums, last): (b, T) scores (0 where the
+    prefix has zero total variance), which totals are positive and which
+    scores ``eigvalsh`` computed, the (b, T, d) prefix sums of affine
+    flats (None for linear ones, which need none) and the (b, d, d)
+    scatters of the largest size (None when it is below d).
+
+    The sizes are scored smallest first, each as soon as its matrix is
+    formed.  A size whose ``_score_bounds`` lies more than
+    ``_PRUNE_WINDOW * d`` above the center's best score so far can
+    neither win nor tie, so its eigenvalues are not taken and its score
+    holds the bound instead.
+    """
+    b, d = len(near), pts.shape[1]
     count = len(sizes)
-    totals, bounds = np.empty((b, count)), np.empty((b, count))
-    sums, fits, mats = np.empty((b, count, d)), [None] * count, [None] * count
-    first, start = np.zeros((b, d)), 0
-    for t, size in enumerate(sizes):
-        first = first + hood[:, start:size].sum(axis=1)
-        sums[:, t], start = first, size
+    totals, scores = np.empty((b, count)), np.empty((b, count))
+    solved, sums = np.empty((b, count), dtype=bool), None if linear else np.empty((b, count, d))
+    best = np.full(b, np.inf)
+
+    def score(t, mat):
+        # the score overwrites the bound where eigvalsh runs: a pruned size keeps its bound
+        total = totals[:, t] = mat.trace(axis1=1, axis2=2)
+        scores[:, t] = _score_bounds(mat, total, flat_dim)
+        rows = solved[:, t] = ~(scores[:, t] > best + _PRUNE_WINDOW * d)
+        if rows.any():
+            mat, total = (mat, total) if rows.all() else (mat[rows], total[rows])
+            residual = np.linalg.eigvalsh(mat)[:, : mat.shape[-1] - flat_dim].sum(axis=1)
+            share = np.zeros(len(residual))
+            np.divide(residual, total, out=share, where=total > 0.0)
+            scores[rows, t] = share
+        np.minimum(best, scores[:, t], out=best)
 
     # m < d: the scatter has rank below d, and its nonzero eigenvalues are
     # those of the m x m Gram matrix, whose trailing m - l sum the residual
-    small = [t for t, size in enumerate(sizes) if size < d]
-    for t in small:
-        size = sizes[t]
-        prefix = hood[:, :size]
+    small = sum(size < d for size in sizes)
+    prefix = _take_rows(pts, near[:, : sizes[small - 1] if small else 0], origin, None)
+    first, start = np.zeros((b, d)), 0
+    for t, size in enumerate(sizes[:small]):
+        rows = prefix[:, :size]
         if not linear:
-            prefix = prefix - sums[:, t, None] / size
-        mats[t] = np.matmul(prefix, prefix.transpose(0, 2, 1))
-        totals[:, t] = np.trace(mats[t], axis1=1, axis2=2)
-        bounds[:, t] = _score_bounds(mats[t], totals[:, t], flat_dim)
-        fits[t] = prefix
+            first = first + prefix[:, start:size].sum(axis=1)
+            sums[:, t], start = first, size
+            rows = rows - sums[:, t, None] / size
+        score(t, np.matmul(rows, rows.transpose(0, 2, 1)))
+    prefix = rows = None  # not held while the bands are read
 
     # m >= d: the sizes are nested prefixes of one order, so their second
-    # moments accumulate one block product per step
-    large = [t for t, size in enumerate(sizes) if size >= d]
-    if large:
-        scatters = np.empty((b, len(large), d, d))
-        second, start = np.zeros((b, d, d)), 0
-        for j, t in enumerate(large):
-            blk = hood[:, start : sizes[t]]
-            second = second + np.matmul(blk.transpose(0, 2, 1), blk)
-            scatters[:, j], start = second, sizes[t]
+    # moments accumulate band by band
+    last = None
+    for t, second, band, spare in _band_moments(pts, near, origin, sizes, small):
         if not linear:
-            counts = np.asarray([sizes[t] for t in large], dtype=float)
-            s = sums[:, large]
-            scatters -= s[..., :, None] * s[..., None, :] / counts[:, None, None]
-        totals[:, large] = np.trace(scatters, axis1=2, axis2=3)
-        bounds[:, large] = _score_bounds(scatters, totals[:, large], flat_dim)
-        for j, t in enumerate(large):
-            fits[t] = mats[t] = scatters[:, j]
+            first = first + band
+            sums[:, t] = first
+            second = _centered(second, sums[:, t], sizes[t], spare)
+        score(t, second)
+        last = second
+    return scores, totals > 0.0, solved, sums, last
 
-    # scores overwrite the bounds where eigvalsh runs: a pruned size keeps its bound
-    positive, scores = totals > 0.0, bounds
-    solved = np.empty((b, count), dtype=bool)
-    best = np.full(b, np.inf)
-    for t, mat in enumerate(mats):
-        rows = solved[:, t] = ~(bounds[:, t] > best + _PRUNE_WINDOW * d)
-        if rows.any():
-            residual = np.linalg.eigvalsh(mat[rows])[:, : mat.shape[-1] - flat_dim].sum(axis=1)
-            score = np.zeros(len(residual))
-            np.divide(residual, totals[rows, t], out=score, where=positive[rows, t])
-            scores[rows, t] = score
-        best = np.minimum(best, scores[:, t])
-    return scores, positive, solved, sums, fits
+
+def _winner_fits(pts, near, origin, sizes, wins, sums, last, linear):
+    """What each neighborhood takes its basis from at its winning size
+    ``wins`` (-1: none): its centered m x d rows when m < d, else its
+    d x d scatter, or None.
+
+    Both are formed as ``_local_scores`` formed them, so they have the
+    bits it scored.  The scatters of the largest size are ``last``, the
+    ones it ended with; those of the sizes between are summed again by
+    ``_band_moments``.
+    """
+    d = pts.shape[1]
+    fits, small, top = [None] * len(near), sum(size < d for size in sizes), len(sizes) - 1
+    for t in range(small):
+        at = np.flatnonzero(wins == t)
+        rows = _take_rows(pts, near[at, : sizes[t]], None if linear else origin[at], None)
+        if not linear:
+            rows -= sums[at, t, None] / sizes[t]
+        for i, fit in zip(at, rows):
+            fits[i] = fit
+    if top >= small:
+        for i in np.flatnonzero(wins == top):
+            fits[i] = last[i]
+    big = np.flatnonzero((wins >= small) & (wins < top))
+    if big.size:
+        origin = None if linear else origin[big]
+        steps = _band_moments(pts, near[big], origin, sizes[: wins[big].max() + 1], small)
+        for t, second, _, _ in steps:
+            at = np.flatnonzero(wins[big] == t)
+            mats = second[at]
+            if not linear:
+                mats = _centered(mats, sums[big[at], t], sizes[t], np.empty_like(mats))
+            for i, fit in zip(big[at], mats):
+                fits[i] = fit
+    return fits
 
 
 def _top_directions(fit, flat_dim):
@@ -295,8 +396,8 @@ def _scan_layout(pts):
 
 
 def _gather(pts, pts_t, x_sq, centers, dists, out):
-    """Write the nearest ``out.shape[1]`` points of each center into
-    ``out``, sorted by (distance, index).
+    """Write the indices of the nearest ``out.shape[1]`` points of each
+    center into the int array ``out``, sorted by (distance, index).
 
     One GEMM fills the distance rows of all ``centers`` into ``dists``,
     the center rows padded with zero rows to a multiple of ROW_ALIGN.
@@ -315,7 +416,7 @@ def _gather(pts, pts_t, x_sq, centers, dists, out):
     rows = rows[: len(centers)]
     rows += x_sq
     stride = max(1, size // (_SAMPLE_RANK // 2))
-    for row, hood in zip(rows, out):
+    for row, near in zip(rows, out):
         row = row[:n]
         sample = row[::stride]
         cand = None
@@ -328,8 +429,32 @@ def _gather(pts, pts_t, x_sq, centers, dists, out):
         # order, so the stable sort sends equal distances to the lower index
         vals = row[cand]
         keep = cand[vals <= np.partition(vals, size - 1)[size - 1]]
-        nearest = keep[np.argsort(row[keep], kind="stable")[:size]]
-        np.take(pts, nearest, axis=0, out=hood)
+        near[:] = keep[np.argsort(row[keep], kind="stable")[:size]]
+
+
+def _block_centers(width, d, sizes):
+    """Centers per block of ``_fit_ladders`` on points in R^d padded to
+    ``width`` columns, for the local ladder ``sizes``.
+
+    A block holds at most _DIST_ENTRIES of distance rows (at least
+    ROW_ALIGN rows) and about _BLOCK_ENTRIES of neighborhood entries,
+    m_max d per center, in whole multiples of ROW_ALIGN centers when
+    that many fit.  No neighborhood is held whole, though: per center
+    ``_local_scores`` holds one band sub-chunk and four d x d arrays (the
+    running moments, the product buffer, the ``_score_bounds`` temporary
+    and the matrices ``eigvalsh`` takes).  So where fewer than ROW_ALIGN
+    centers fit, a block takes as many as ROW_ALIGN whose working set
+    fits 2 * _BLOCK_ENTRIES.
+    """
+    m_max = sizes[-1] if sizes else 0
+    step = max(1, _BLOCK_ENTRIES // max(1, m_max * d))
+    if step < ROW_ALIGN:
+        work = min(_chunk_rows(d), m_max) * d + 4 * d * d
+        step = max(step, min(ROW_ALIGN, 2 * _BLOCK_ENTRIES // work))
+    step = min(step, max(ROW_ALIGN, _DIST_ENTRIES // width // ROW_ALIGN * ROW_ALIGN))
+    if step >= ROW_ALIGN:
+        step -= step % ROW_ALIGN  # no zero rows in a full block's GEMM
+    return step
 
 
 def _fit_ladders(pts, centers, sizes, flat_dim, linear):
@@ -341,13 +466,14 @@ def _fit_ladders(pts, centers, sizes, flat_dim, linear):
     either per center or a stacked operation that treats each center
     alike, so a flat has the same bits whichever block it lands in.
 
-    A block holds about _BLOCK_ENTRIES of gathered neighborhoods and at
-    most _DIST_ENTRIES of distance rows (at least ROW_ALIGN rows), in
-    whole multiples of ROW_ALIGN centers when that many fit.  Its
-    neighborhoods come from ``_gather``: one GEMM of the block's centers
+    A block's size comes from ``_block_centers``.  Its neighborhoods come
+    from ``_gather`` as sorted indices: one GEMM of the block's centers
     against a (d, n) copy of the points, both zero-padded to the
     alignment of ``linalg``, so each distance has the same bits on any
-    BLAS thread count and in any block.
+    BLAS thread count and in any block.  Their rows are read a band
+    sub-chunk at a time (``_local_scores``); the bases of winners at sizes
+    m >= d below the largest come from their scatters summed again, the
+    same way (``_winner_fits``).
     """
     n, d = pts.shape
     shared = sizes[-1] == n
@@ -361,32 +487,33 @@ def _fit_ladders(pts, centers, sizes, flat_dim, linear):
     wins = np.empty(len(centers), dtype=int)
 
     pts_t, x_sq = _scan_layout(pts)
-    width = pts_t.shape[1]
-    m_max = local[-1] if local else 0
-    dist_rows = max(ROW_ALIGN, _DIST_ENTRIES // width // ROW_ALIGN * ROW_ALIGN)
-    step = max(1, min(_BLOCK_ENTRIES // max(1, m_max * d), dist_rows))
-    if step >= ROW_ALIGN:
-        step -= step % ROW_ALIGN  # no zero rows in a full block's GEMM
-    hood = np.empty((min(step, len(centers)), m_max, d))
-    dists = np.empty((round_up(len(hood), ROW_ALIGN), width))
+    step = _block_centers(pts_t.shape[1], d, local)
+    near = np.empty((min(step, len(centers)), local[-1] if local else 0), dtype=np.intp)
+    dists = np.empty((round_up(len(near), ROW_ALIGN), pts_t.shape[1]))
     bases, frames = np.empty((len(centers), d)), np.empty((len(centers), d, flat_dim))
     taken = 0
     for lo in range(0, len(centers), step):
         block = centers[lo : lo + step]
-        rows, buf = slice(lo, lo + len(block)), hood[: len(block)]
+        rows, idx = slice(lo, lo + len(block)), near[: len(block)]
         if local:
-            _gather(pts, pts_t, x_sq, block, dists, buf)
-        if local and not linear:
-            # relative to the nearest point, so a neighborhood of identical
-            # points has exactly zero scatter and the centering cancels little
-            origin = buf[:, 0].copy()
-            buf -= origin[:, None]
-        score, pos, solved, sums, fits = _local_scores(buf, local, flat_dim, linear)
-        scores[rows, : len(local)], positive[rows, : len(local)] = score, pos
-        taken += int(solved.sum())
+            _gather(pts, pts_t, x_sq, block, dists, idx)
+            # affine rows are taken relative to the nearest point, so a
+            # neighborhood of identical points has exactly zero scatter and
+            # the centering cancels little
+            origin = None if linear else pts[idx[:, 0]]
+            score, pos, solved, sums, last = _local_scores(
+                pts, idx, origin, local, flat_dim, linear
+            )
+            scores[rows, : len(local)], positive[rows, : len(local)] = score, pos
+            taken += int(solved.sum())
         score = scores[rows]
-        wins[rows] = np.argmax(score <= score.min(axis=1, keepdims=True) + _TIE_TOL * d, axis=1)
-        for i, (center, t) in enumerate(zip(block, wins[rows])):
+        win = np.argmax(score <= score.min(axis=1, keepdims=True) + _TIE_TOL * d, axis=1)
+        wins[rows] = win
+        if local:
+            fitted = (win < len(local)) & positive[rows][np.arange(len(block)), win]
+            need = np.where(fitted, win, -1)
+            fits = _winner_fits(pts, idx, origin, local, need, sums, last, linear)
+        for i, (center, t) in enumerate(zip(block, win)):
             j = lo + i
             if not positive[j, t]:
                 log.warning(
@@ -401,7 +528,8 @@ def _fit_ladders(pts, centers, sizes, flat_dim, linear):
                 bases[j], frames[j] = shared_base, shared_basis
             else:
                 bases[j] = 0.0 if linear else origin[i] + sums[i, t] / local[t]
-                frames[j] = _top_directions(fits[t][i], flat_dim)
+                frames[j] = _top_directions(fits[i], flat_dim)
+        last = fits = None  # not held while the next block is scored
     log.debug(
         "ladder eigen-solves: %d taken, %d pruned by the trace/Frobenius bound",
         taken,
@@ -428,7 +556,7 @@ def best_fit_flats(
       trailing m - l eigenvalues of the m x m Gram matrix of its
       (centered, for affine flats) neighborhood;
     - the sizes m >= d are nested prefixes of one sorted order, so
-      their second moments accumulate block by block;
+      their second moments accumulate band by band;
     - a size of all n points is the same neighborhood for every center,
       so its scatter and score are computed once per call, and its
       basis at most once.
@@ -456,15 +584,21 @@ def best_fit_flats(
 
     The neighborhoods are the nearest points sorted by (distance,
     index): equal distances go to the lower index.  The centers are
-    fitted in blocks whose gathered neighborhoods take about 1 MiB
-    (``_BLOCK_ENTRIES``), at least one center per block.  One GEMM per
-    block scans the points for all of its centers; each distance row is
-    cut at a threshold taken from a strided sample of it, so only about
-    twice the largest local size is partitioned and sorted, and a row
-    whose cut keeps too few points falls back to all n.  Each step
-    treats every center of a block alike and the GEMM's shapes are
-    aligned, so a flat is bit-identical whatever block, call or BLAS
-    thread count it lands in.
+    fitted in blocks (``_block_centers``): as many as have about 1 MiB
+    of neighborhood entries (``_BLOCK_ENTRIES``), or, where that is
+    fewer than 8, as many up to 8 as fit 2 MiB of working set (8 in
+    R^80).  One GEMM per block scans the points for all of its centers;
+    each distance row is cut at a threshold taken from a strided sample
+    of it, so only about twice the largest local size is partitioned and
+    sorted, and a row whose cut keeps too few points falls back to all
+    n.  A block keeps the sorted indices, not the points: each band of
+    sizes is read in sub-chunks of a row count fixed by d
+    (``_chunk_rows``), and the scatters of winners below the largest
+    size are summed again the same way.  Each step treats every center
+    of a block alike and the GEMMs' shapes are aligned or fixed, so a
+    flat is bit-identical whatever block or call it lands in, and on any
+    BLAS thread count for d <= 96 or d a multiple of 8 (beyond that,
+    OpenBLAS splits the x^T x products differently between threads).
     """
     pts = as_points(points)
     n, d = pts.shape

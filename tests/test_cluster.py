@@ -1,10 +1,12 @@
 """Spectral pipeline: degrees, embedding SVD route, end-to-end clustering."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,6 +310,19 @@ class TestFlsCluster:
         # the suite refuses it too, rather than record every trial as failed
         with pytest.raises(InvalidParam, match="drop_first"):
             benchmark_suite([SyntheticModel(dims=(1,), ambient=3)], n_trials=1, n_landmarks=4)
+
+    def test_subspace_ref_seed0_outputs(self, monkeypatch):
+        # the benchmark's paper workload (D = 100, the same bits on 1 and 2
+        # BLAS threads) reproduces its committed seed-0 lines
+        root = Path(__file__).resolve().parents[1]
+        monkeypatch.syspath_prepend(str(root / "bench"))
+        spec = importlib.util.spec_from_file_location("seed0", root / "tools" / "seed0_outputs.py")
+        seed0 = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(seed0)
+        want = (root / "tools" / "seed0_outputs.txt").read_text().splitlines()
+        want = [line for line in want if line.startswith("subspace-ref ")]
+        assert len(want) == 4
+        assert list(seed0.workload_lines("subspace-ref")) == want
 
     def test_stage_named_on_failure(self, rng):
         # more landmarks than points fails inside the landmarks stage

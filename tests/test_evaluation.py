@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
+from fls import evaluation
 from fls.datagen import SyntheticModel, gen_synthetic
 from fls.errors import DeltaTooLarge, DimensionMismatch, EigengapTooSmall, InvalidParam
 from fls.evaluation import (
@@ -357,6 +359,21 @@ class TestBenchmarkHarness:
         assert rows_b[0].rates == row.rates
         assert all(0.0 <= r <= 1.0 for r in row.rates)
         assert all(t > 0.0 for t in row.times)
+
+    @pytest.mark.parametrize(
+        "late, flat_dim",
+        [(SyntheticModel(dims=(2,), ambient=4), None), (SyntheticModel(dims=(1, 1), ambient=3), 3)],
+        ids=["one-cluster", "flat-dim"],
+    )
+    def test_refused_model_runs_no_trial(self, monkeypatch, late, flat_dim):
+        # the second model has one cluster (drop_first) or flat_dim = d:
+        # the suite is refused, naming it, before the first model's trials
+        calls = []
+        monkeypatch.setattr(evaluation, "fls_cluster", lambda *a, **k: calls.append(a))
+        model = SyntheticModel(dims=(1, 1), ambient=4, pts_per_subspace=40)
+        with pytest.raises(InvalidParam, match=re.escape(model_label(late))):
+            benchmark_suite([model, late], n_trials=2, n_landmarks=8, flat_dim=flat_dim)
+        assert calls == []
 
     def test_row_json(self):
         model = SyntheticModel(dims=(1, 1), ambient=4, pts_per_subspace=40)

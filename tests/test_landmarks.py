@@ -267,56 +267,15 @@ def svd_ladder(pts, center, flat_dim, max_scales, init_neighbors, linear=False):
     return sizes, np.array(scores), win, flats[win]
 
 
-def unpruned_local_scores(hood, sizes, flat_dim, linear):
-    """``landmarks._local_scores`` without pruning: every size of every
-    center goes through ``eigvalsh``, one batched call for all m >= d.
+def unpruned_fit_ladders(*args):
+    """``_fit_ladders`` with an infinite prune window: every size of every
+    center goes through ``eigvalsh``.
 
     The reference the pruned ladder must match bit for bit wherever it
-    takes eigenvalues; returns the same tuple, every score solved.
+    takes eigenvalues: the same matrices, every score solved.
     """
-    b, _, d = hood.shape
-    count = len(sizes)
-    totals, residuals = np.empty((b, count)), np.empty((b, count))
-    sums, fits = np.empty((b, count, d)), [None] * count
-    first, start = np.zeros((b, d)), 0
-    for t, size in enumerate(sizes):
-        first = first + hood[:, start:size].sum(axis=1)
-        sums[:, t], start = first, size
-    for t in [t for t, size in enumerate(sizes) if size < d]:
-        size = sizes[t]
-        prefix = hood[:, :size]
-        if not linear:
-            prefix = prefix - sums[:, t, None] / size
-        gram = np.matmul(prefix, prefix.transpose(0, 2, 1))
-        totals[:, t] = np.trace(gram, axis1=1, axis2=2)
-        residuals[:, t] = np.linalg.eigvalsh(gram)[:, : size - flat_dim].sum(axis=1)
-        fits[t] = prefix
-    large = [t for t, size in enumerate(sizes) if size >= d]
-    if large:
-        scatters = np.empty((b, len(large), d, d))
-        second, start = np.zeros((b, d, d)), 0
-        for j, t in enumerate(large):
-            blk = hood[:, start : sizes[t]]
-            second = second + np.matmul(blk.transpose(0, 2, 1), blk)
-            scatters[:, j], start = second, sizes[t]
-        if not linear:
-            counts = np.asarray([sizes[t] for t in large], dtype=float)
-            s = sums[:, large]
-            scatters -= s[..., :, None] * s[..., None, :] / counts[:, None, None]
-        totals[:, large] = np.trace(scatters, axis1=2, axis2=3)
-        residuals[:, large] = np.linalg.eigvalsh(scatters)[..., : d - flat_dim].sum(axis=2)
-        for j, t in enumerate(large):
-            fits[t] = scatters[:, j]
-    positive = totals > 0.0
-    scores = np.zeros((b, count))
-    np.divide(residuals, totals, out=scores, where=positive)
-    return scores, positive, np.ones((b, count), dtype=bool), sums, fits
-
-
-def unpruned_fit_ladders(*args):
-    """``_fit_ladders`` scoring every size through ``eigvalsh``."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(landmarks, "_local_scores", unpruned_local_scores)
+        mp.setattr(landmarks, "_PRUNE_WINDOW", np.inf)
         return _fit_ladders(*args)
 
 
@@ -544,11 +503,22 @@ class TestBlockedLadder:
     """best_fit_flats fits its centers a block at a time: the flats must
     not depend on the block size, nor on which block a center lands in."""
 
-    # (T, m_max): 64 is the largest size; with T = 7 the largest is all 300
-    # points, fitted once, and m_max = 256 the largest size gathered per center
-    @pytest.mark.parametrize("scales, m_max", [(4, 64), (7, 256)])
+    # ids T-m_max: with T = 4 the largest size is 64; with T = 7 it is all
+    # 300 points, fitted once, and 256 the largest gathered per center.
+    # Sizes 8, 16 and 32 are scored from Gram matrices, 64 on from
+    # scatters.  Chunks of 16 rows read every band in several, and the
+    # first scatter's rows [0, 64) in four, whose last two also give the
+    # sum of the band (32, 64]
+    @pytest.mark.parametrize(
+        "scales, chunk",
+        [
+            pytest.param(4, None, id="4-64"),
+            pytest.param(7, None, id="7-256"),
+            pytest.param(7, 16, id="7-256-chunk16"),
+        ],
+    )
     @pytest.mark.parametrize("linear", [False, True])
-    def test_flats_do_not_depend_on_block(self, monkeypatch, linear, scales, m_max):
+    def test_flats_do_not_depend_on_block(self, monkeypatch, linear, scales, chunk):
         # 30 points on a sphere around each of 10 centers in R^40: their
         # distances to it are equal, so roundoff alone sets the order, and
         # any distance arithmetic that depends on the block changes flats
@@ -557,9 +527,12 @@ class TestBlockedLadder:
         dirs = gen.standard_normal((10, 30, 40))
         dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
         pts = (centers[:, None] + 0.5 * dirs).reshape(300, 40)
+        if chunk is not None:
+            monkeypatch.setattr(landmarks, "_CHUNK_ENTRIES", chunk * 40)
+            assert landmarks._chunk_rows(40) == chunk
         want = best_fit_flats(pts, centers, 3, scales, 8, linear=linear)
         for per_block in (1, 3):
-            monkeypatch.setattr(landmarks, "_BLOCK_ENTRIES", per_block * m_max * 40)
+            monkeypatch.setattr(landmarks, "_block_centers", lambda *args: per_block)
             got = best_fit_flats(pts, centers, 3, scales, 8, linear=linear)
             for fb, fw in zip(got, want):
                 assert np.array_equal(fb.base, fw.base)
@@ -584,6 +557,23 @@ class TestBlockedLadder:
         monkeypatch.setattr(landmarks, "_gather", spy)
         best_fit_flats(pts, pts[:40], 2, 8, 6, linear=True)
         assert blocks == [16, 16, 8]
+
+    def test_r80_blocks_fill_aligned_rows(self, monkeypatch):
+        # the subspace-ref R^80 ladder (l = 7, sizes 16 to 1024): the
+        # neighborhoods of one center would take 2^17 entries, but a
+        # block reads them a band sub-chunk at a time, so it takes
+        # ROW_ALIGN centers
+        gen = np.random.default_rng(80)
+        pts = gen.standard_normal((1625, 80))
+        blocks, gather = [], landmarks._gather
+
+        def spy(pts, pts_t, x_sq, centers, dists, out):
+            blocks.append(len(centers))
+            gather(pts, pts_t, x_sq, centers, dists, out)
+
+        monkeypatch.setattr(landmarks, "_gather", spy)
+        best_fit_flats(pts, pts[:20], 7, 8, 16, linear=True)
+        assert blocks == [8, 8, 4]
 
     def test_peak_memory(self):
         # the R^80 benchmark shape: the peak is the transposed copy of the
@@ -636,6 +626,43 @@ class TestBlockedLadder:
         assert np.array_equal(one["base"], two["base"])
         assert np.array_equal(one["basis"], two["basis"])
 
+    @pytest.mark.threads
+    def test_r80_flats_do_not_depend_on_blas_threads(self, tmp_path):
+        # the subspace-ref R^80 model on 24 landmarks, whose bands of 128
+        # to 512 rows are summed in 64-row sub-chunks: the scores (a
+        # pruned size's bound comes from its scatter too), wins and flats
+        # have the same bits on 1 and 2 threads, affine and linear
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from fls.datagen import gen_synthetic, sphere_normalize\n"
+            "from fls.evaluation import synthetic_suite\n"
+            "from fls.landmarks import _fit_ladders\n"
+            "pts = sphere_normalize(gen_synthetic(synthetic_suite(0.30)[3], 5).points)\n"
+            "centers = pts[np.random.default_rng(5).choice(len(pts), 24, replace=False)]\n"
+            "sizes = [16 * 2**j for j in range(7)] + [len(pts)]\n"
+            "out = {}\n"
+            "for linear in (False, True):\n"
+            "    scores, wins, flats = _fit_ladders(pts, centers, sizes, 7, linear)\n"
+            "    for name, a in zip(('scores', 'wins', 'base', 'basis'),\n"
+            "                       (scores, wins, flats.base, flats.basis)):\n"
+            "        out[f'{name}{linear}'] = a\n"
+            "np.savez(sys.argv[1], **out)\n"
+        )
+        got = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"flats{threads}.npz"
+            env = dict(subprocess_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c", code, str(out)], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            got.append(np.load(out))
+        one, two = got
+        assert landmarks._chunk_rows(80) == 64
+        for key in one.files:
+            assert np.array_equal(one[key], two[key]), key
+
 
 def oracle_gather(pts, centers, size):
     """The ``size`` nearest points of each center, sorted by (|x - c|^2,
@@ -650,9 +677,9 @@ def gather(pts, centers, size):
     """``landmarks._gather`` of every center in one block."""
     pts_t, x_sq = landmarks._scan_layout(pts)
     rows = round_up(len(centers), ROW_ALIGN)
-    out = np.empty((len(centers), size, pts.shape[1]))
+    out = np.empty((len(centers), size), dtype=np.intp)
     landmarks._gather(pts, pts_t, x_sq, centers, np.empty((rows, pts_t.shape[1])), out)
-    return out
+    return pts[out]
 
 
 class TestGather:

@@ -15,7 +15,9 @@ change that must not move any output.  The thread count is part of the
 bits (the D = 400 calls differ between 1 and 2 threads), so runs on
 different counts differ from the first line on.  ``seed0_outputs.txt``
 beside this script holds the output on 2 threads; a change that moves
-these bits on purpose updates it.
+these bits on purpose updates it.  ``workload_lines`` yields the lines
+of one workload; ``tests/test_cluster.py`` checks the subspace-ref ones
+(D = 100, the same on 1 and 2 threads) against that file.
 """
 
 import hashlib
@@ -29,6 +31,34 @@ def _digest(array) -> str:
     return hashlib.sha256(array.tobytes()).hexdigest()[:16]
 
 
+def workload_lines(name):
+    """Yield the output line of each seed-0 call of workload ``name``.
+
+    ``fls`` and the benchmark's ``workloads`` module must be importable.
+    """
+    import numpy as np
+    import workloads
+    from fls.cluster import fls_cluster
+    from fls.datagen import gen_synthetic
+
+    for i, call in enumerate(workloads.make(name, "full", 0).calls):
+        s = call.settings
+        result = fls_cluster(
+            gen_synthetic(call.model, seed=call.gen_seed).points,
+            s.k,
+            s.config(),
+            seed=call.fit_seed,
+            drop_first=True,
+            normalize_sphere=True,
+            kmeans_restarts=workloads.RESTARTS,
+        )
+        svals = " ".join(repr(float(v)) for v in result.singular_values)
+        yield (
+            f"{name} {i} labels={_digest(np.asarray(result.labels, dtype=np.int64))} "
+            f"sigma={result.sigma!r} svals=[{svals}] rows={_digest(result.embedding)}"
+        )
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -36,30 +66,10 @@ def main(argv) -> int:
     tree = os.path.abspath(argv[0])
     sys.dont_write_bytecode = True  # leave TREE as it is
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "bench")]
-    import numpy as np
-    import workloads
-    from fls.cluster import fls_cluster
-    from fls.datagen import gen_synthetic
-
     print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
     for name in WORKLOADS:
-        for i, call in enumerate(workloads.make(name, "full", 0).calls):
-            s = call.settings
-            result = fls_cluster(
-                gen_synthetic(call.model, seed=call.gen_seed).points,
-                s.k,
-                s.config(),
-                seed=call.fit_seed,
-                drop_first=True,
-                normalize_sphere=True,
-                kmeans_restarts=workloads.RESTARTS,
-            )
-            svals = " ".join(repr(float(v)) for v in result.singular_values)
-            print(
-                f"{name} {i} labels={_digest(np.asarray(result.labels, dtype=np.int64))} "
-                f"sigma={result.sigma!r} svals=[{svals}] rows={_digest(result.embedding)}",
-                flush=True,
-            )
+        for line in workload_lines(name):
+            print(line, flush=True)
     return 0
 
 
