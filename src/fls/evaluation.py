@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .cluster import _check_settings, dense_normalized, fls_cluster
 from .datagen import SyntheticModel, gen_synthetic
@@ -45,16 +44,60 @@ class EvalReport:
     n_inliers: int
 
 
+def _max_assignment(weights):
+    """Column of each row in a maximum-weight perfect matching of the
+    square ``weights``.
+
+    Shortest augmenting paths with row and column potentials (Kuhn 1955;
+    Jonker & Volgenant 1987): rows join one at a time, each along the
+    path of least reduced cost -weights[i, j] - u[i] - v[j] from a dummy
+    column 0, so the solve takes O(k^3) with one vectorized slack update
+    per step.  Among equal slacks the lowest column index is taken.  For
+    integer weights every potential is an integer, so the float
+    arithmetic is exact.
+    """
+    k = len(weights)
+    cost = np.zeros((k + 1, k + 1))
+    cost[1:, 1:] = -weights
+    u, v = np.zeros(k + 1), np.zeros(k + 1)
+    # match[j]: the row (from 1) on column j, 0 for none; way[j]: the
+    # column before j on the current shortest path
+    match, way = np.zeros(k + 1, dtype=np.intp), np.zeros(k + 1, dtype=np.intp)
+    for row in range(1, k + 1):
+        match[0], col = row, 0
+        slack = np.full(k + 1, np.inf)
+        used = np.zeros(k + 1, dtype=bool)
+        while match[col]:
+            used[col] = True
+            tail = match[col]
+            reduced = cost[tail] - u[tail] - v
+            closer = ~used & (reduced < slack)
+            slack[closer], way[closer] = reduced[closer], col
+            col = int(np.argmin(np.where(used, np.inf, slack)))
+            delta = slack[col]
+            u[match[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+        while col:
+            match[col] = match[way[col]]
+            col = way[col]
+    perm = np.empty(k, dtype=np.intp)
+    perm[match[1:] - 1] = np.arange(k)
+    return perm
+
+
 def clustering_rate(pred, truth, outlier_mask=None) -> EvalReport:
     """Fraction of inliers whose predicted cluster matches the truth.
 
     Outliers (mask true, or truth label -1 when no mask is given) are
     dropped before building the confusion matrix.  Predicted and true
     class sets may differ in size; the confusion matrix is padded square
-    and a maximum-diagonal permutation aligns them (one
-    ``linear_sum_assignment``, the package's only SciPy call), so surplus
-    classes simply match nothing.  Among equal maxima the permutation is
-    whichever the solver returns.  Labels go through ``linalg.as_labels``.
+    and a maximum-diagonal permutation aligns them (an exact assignment
+    solve, ``_max_assignment``), so surplus classes simply match nothing.
+    Among equal maxima the permutation is the one the solve reaches:
+    true classes are matched in sorted order, each along its shortest
+    augmenting path, with ties going to the lowest predicted class.
+    Labels go through ``linalg.as_labels``.
     """
     pred, truth = as_labels(pred, "pred"), as_labels(truth, "truth")
     if pred.shape != truth.shape:
@@ -72,7 +115,7 @@ def clustering_rate(pred, truth, outlier_mask=None) -> EvalReport:
     p_classes, p_index = np.unique(pred[keep], return_inverse=True)
     k = max(t_classes.shape[0], p_classes.shape[0])
     confusion = np.bincount(t_index * k + p_index, minlength=k * k).reshape(k, k).astype(float)
-    perm = linear_sum_assignment(confusion, maximize=True)[1]
+    perm = _max_assignment(confusion)
     matched = float(confusion[np.arange(k), perm].sum())
     return EvalReport(
         rate=matched / n_inliers,

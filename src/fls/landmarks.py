@@ -24,10 +24,12 @@ keeps only their indices and reads the points of each band of sizes
 (m_{j-1}, m_j] in sub-chunks of a row count set by d alone (at least
 512 rows up to d = 16, 64 in R^80), scoring each size as soon as its
 moments are summed, so it never holds a whole neighborhood or a stack
-of scatters.  A block takes as many landmarks as have about 1 MiB of
-neighborhood entries (``_BLOCK_ENTRIES``), or, where that is fewer
-than 8, as many up to 8 as fit 2 MiB of working set: 8 in R^80, where
-one neighborhood alone takes 1 MiB.
+of scatters.  A block takes as many landmarks, in whole multiples of 8
+where that many fit, as have about 2 MiB of that working set (one band
+sub-chunk and four d x d arrays each): 104 in R^6, 40 in R^10, 32 in
+R^20 and 8 in R^80, where one neighborhood alone would take 1 MiB.  The
+winners' bases are taken with one stacked decomposition per winning
+size of a block.
 """
 
 from __future__ import annotations
@@ -60,8 +62,9 @@ _TIE_TOL = 16 * _EPS
 # operations, a few sqrt(d) * eps
 _PRUNE_WINDOW = 2 * _TIE_TOL
 
-# Entries of one block's neighborhoods (1 MiB of float64): the centers
-# are fitted this many neighborhood entries at a time (see _block_centers)
+# 1 MiB of float64: a block of centers holds twice this many entries of
+# working set (see _block_centers), and default_sigma gathers its pairs
+# this many basis entries at a time
 _BLOCK_ENTRIES = 2**17
 
 # Entries of one sub-chunk of a neighborhood band (64 KiB of float64):
@@ -336,49 +339,54 @@ def _local_scores(pts, near, origin, sizes, flat_dim, linear):
     return scores, totals > 0.0, solved, sums, last
 
 
-def _winner_fits(pts, near, origin, sizes, wins, sums, last, linear):
-    """What each neighborhood takes its basis from at its winning size
-    ``wins`` (-1: none): its centered m x d rows when m < d, else its
-    d x d scatter, or None.
+def _winner_frames(pts, near, origin, sizes, wins, sums, last, flat_dim, out):
+    """Write into ``out`` (b, d, l) the basis of each neighborhood at its
+    winning size ``wins`` (-1: none), with one stacked ``_top_directions``
+    per winning size: of its centered m x d rows when m < d, else of its
+    d x d scatter.
 
     Both are formed as ``_local_scores`` formed them, so they have the
     bits it scored.  The scatters of the largest size are ``last``, the
     ones it ended with; those of the sizes between are summed again by
-    ``_band_moments``.
+    ``_band_moments``.  ``origin`` is None for linear flats.
     """
     d = pts.shape[1]
-    fits, small, top = [None] * len(near), sum(size < d for size in sizes), len(sizes) - 1
+    small, top = sum(size < d for size in sizes), len(sizes) - 1
     for t in range(small):
         at = np.flatnonzero(wins == t)
-        rows = _take_rows(pts, near[at, : sizes[t]], None if linear else origin[at], None)
-        if not linear:
-            rows -= sums[at, t, None] / sizes[t]
-        for i, fit in zip(at, rows):
-            fits[i] = fit
+        if at.size:
+            if origin is None:
+                rows = _take_rows(pts, near[at, : sizes[t]], None, None)
+            else:
+                rows = _take_rows(pts, near[at, : sizes[t]], origin[at], None)
+                rows -= sums[at, t, None] / sizes[t]
+            out[at] = _top_directions(rows, flat_dim)
     if top >= small:
-        for i in np.flatnonzero(wins == top):
-            fits[i] = last[i]
+        at = np.flatnonzero(wins == top)
+        if at.size:
+            out[at] = _top_directions(last[at], flat_dim)
     big = np.flatnonzero((wins >= small) & (wins < top))
     if big.size:
-        origin = None if linear else origin[big]
-        steps = _band_moments(pts, near[big], origin, sizes[: wins[big].max() + 1], small)
+        big_origin = None if origin is None else origin[big]
+        steps = _band_moments(pts, near[big], big_origin, sizes[: wins[big].max() + 1], small)
         for t, second, _, _ in steps:
             at = np.flatnonzero(wins[big] == t)
-            mats = second[at]
-            if not linear:
-                mats = _centered(mats, sums[big[at], t], sizes[t], np.empty_like(mats))
-            for i, fit in zip(big[at], mats):
-                fits[i] = fit
-    return fits
+            if at.size:
+                mats = second[at]
+                if origin is not None:
+                    mats = _centered(mats, sums[big[at], t], sizes[t], np.empty_like(mats))
+                out[big[at]] = _top_directions(mats, flat_dim)
 
 
-def _top_directions(fit, flat_dim):
-    """Top ``flat_dim`` directions (``flip_signs`` convention) of one fit:
-    the thin SVD of an m x d neighborhood with m < d, else ``eigh`` of a
-    d x d scatter."""
-    if fit.shape[0] < fit.shape[1]:
-        return flip_signs(np.linalg.svd(fit, full_matrices=False)[2][:flat_dim].T)
-    return flip_signs(np.linalg.eigh(fit)[1][:, ::-1][:, :flat_dim])
+def _top_directions(fits, flat_dim):
+    """Top ``flat_dim`` directions (``flip_signs`` convention) of one fit
+    or a stack of them: the thin SVD of m x d neighborhoods with m < d,
+    else ``eigh`` of d x d scatters.  A stacked call gives each member the
+    bits of its own call."""
+    if fits.shape[-2] < fits.shape[-1]:
+        vt = np.linalg.svd(fits, full_matrices=False)[2]
+        return flip_signs(vt[..., :flat_dim, :].swapaxes(-1, -2))
+    return flip_signs(np.linalg.eigh(fits)[1][..., ::-1][..., :flat_dim])
 
 
 def _scan_layout(pts):
@@ -436,21 +444,16 @@ def _block_centers(width, d, sizes):
     """Centers per block of ``_fit_ladders`` on points in R^d padded to
     ``width`` columns, for the local ladder ``sizes``.
 
-    A block holds at most _DIST_ENTRIES of distance rows (at least
-    ROW_ALIGN rows) and about _BLOCK_ENTRIES of neighborhood entries,
-    m_max d per center, in whole multiples of ROW_ALIGN centers when
-    that many fit.  No neighborhood is held whole, though: per center
-    ``_local_scores`` holds one band sub-chunk and four d x d arrays (the
-    running moments, the product buffer, the ``_score_bounds`` temporary
-    and the matrices ``eigvalsh`` takes).  So where fewer than ROW_ALIGN
-    centers fit, a block takes as many as ROW_ALIGN whose working set
-    fits 2 * _BLOCK_ENTRIES.
+    No neighborhood is held whole: per center ``_local_scores`` holds one
+    band sub-chunk and four d x d arrays (the running moments, the product
+    buffer, the ``_score_bounds`` temporary and the matrices ``eigvalsh``
+    takes).  A block takes as many centers as have 2 * _BLOCK_ENTRIES of
+    that working set, in whole multiples of ROW_ALIGN when that many fit,
+    and at most _DIST_ENTRIES of distance rows (at least ROW_ALIGN rows).
     """
     m_max = sizes[-1] if sizes else 0
-    step = max(1, _BLOCK_ENTRIES // max(1, m_max * d))
-    if step < ROW_ALIGN:
-        work = min(_chunk_rows(d), m_max) * d + 4 * d * d
-        step = max(step, min(ROW_ALIGN, 2 * _BLOCK_ENTRIES // work))
+    work = min(_chunk_rows(d), m_max) * d + 4 * d * d
+    step = max(1, 2 * _BLOCK_ENTRIES // work)
     step = min(step, max(ROW_ALIGN, _DIST_ENTRIES // width // ROW_ALIGN * ROW_ALIGN))
     if step >= ROW_ALIGN:
         step -= step % ROW_ALIGN  # no zero rows in a full block's GEMM
@@ -473,7 +476,8 @@ def _fit_ladders(pts, centers, sizes, flat_dim, linear):
     BLAS thread count and in any block.  Their rows are read a band
     sub-chunk at a time (``_local_scores``); the bases of winners at sizes
     m >= d below the largest come from their scatters summed again, the
-    same way (``_winner_fits``).
+    same way, and are decomposed in one stacked call per winning size
+    (``_winner_frames``).
     """
     n, d = pts.shape
     shared = sizes[-1] == n
@@ -509,27 +513,29 @@ def _fit_ladders(pts, centers, sizes, flat_dim, linear):
         score = scores[rows]
         win = np.argmax(score <= score.min(axis=1, keepdims=True) + _TIE_TOL * d, axis=1)
         wins[rows] = win
+        varied = positive[rows][np.arange(len(block)), win]
         if local:
-            fitted = (win < len(local)) & positive[rows][np.arange(len(block)), win]
-            need = np.where(fitted, win, -1)
-            fits = _winner_fits(pts, idx, origin, local, need, sums, last, linear)
-        for i, (center, t) in enumerate(zip(block, win)):
-            j = lo + i
-            if not positive[j, t]:
-                log.warning(
-                    "neighborhood around %s has zero variance; returning axis-aligned flat",
-                    np.array2string(center, precision=3),
-                )
-                bases[j] = 0.0 if linear else center
-                frames[j] = np.eye(d)[:, :flat_dim]
-            elif t == len(local):
-                if shared_basis is None:
-                    shared_basis = _top_directions(shared_scatter, flat_dim)
-                bases[j], frames[j] = shared_base, shared_basis
+            need = np.where(varied & (win < len(local)), win, -1)
+            _winner_frames(pts, idx, origin, local, need, sums, last, flat_dim, frames[rows])
+            fitted = np.flatnonzero(need >= 0)
+            t = need[fitted]
+            if linear:
+                bases[lo + fitted] = 0.0
             else:
-                bases[j] = 0.0 if linear else origin[i] + sums[i, t] / local[t]
-                frames[j] = _top_directions(fits[i], flat_dim)
-        last = fits = None  # not held while the next block is scored
+                bases[lo + fitted] = origin[fitted] + sums[fitted, t] / np.take(local, t)[:, None]
+        picked = lo + np.flatnonzero(varied & (win == len(local)))
+        if picked.size:
+            if shared_basis is None:
+                shared_basis = _top_directions(shared_scatter, flat_dim)
+            bases[picked], frames[picked] = shared_base, shared_basis
+        for i in np.flatnonzero(~varied):
+            log.warning(
+                "neighborhood around %s has zero variance; returning axis-aligned flat",
+                np.array2string(block[i], precision=3),
+            )
+            bases[lo + i] = 0.0 if linear else block[i]
+            frames[lo + i] = np.eye(d)[:, :flat_dim]
+        last = None  # not held while the next block is scored
     log.debug(
         "ladder eigen-solves: %d taken, %d pruned by the trace/Frobenius bound",
         taken,
@@ -584,17 +590,17 @@ def best_fit_flats(
 
     The neighborhoods are the nearest points sorted by (distance,
     index): equal distances go to the lower index.  The centers are
-    fitted in blocks (``_block_centers``): as many as have about 1 MiB
-    of neighborhood entries (``_BLOCK_ENTRIES``), or, where that is
-    fewer than 8, as many up to 8 as fit 2 MiB of working set (8 in
-    R^80).  One GEMM per block scans the points for all of its centers;
-    each distance row is cut at a threshold taken from a strided sample
-    of it, so only about twice the largest local size is partitioned and
-    sorted, and a row whose cut keeps too few points falls back to all
-    n.  A block keeps the sorted indices, not the points: each band of
-    sizes is read in sub-chunks of a row count fixed by d
-    (``_chunk_rows``), and the scatters of winners below the largest
-    size are summed again the same way.  Each step treats every center
+    fitted in blocks (``_block_centers``): as many as have about 2 MiB
+    of working set, in whole multiples of 8 where that many fit (40 in
+    R^10, 8 in R^80).  One GEMM per block scans the points for all of
+    its centers; each distance row is cut at a threshold taken from a
+    strided sample of it, so only about twice the largest local size is
+    partitioned and sorted, and a row whose cut keeps too few points
+    falls back to all n.  A block keeps the sorted indices, not the
+    points: each band of sizes is read in sub-chunks of a row count
+    fixed by d (``_chunk_rows``), and the scatters of winners below the
+    largest size are summed again the same way.  The winners of one size
+    are decomposed in one stacked call.  Each step treats every center
     of a block alike and the GEMMs' shapes are aligned or fixed, so a
     flat is bit-identical whatever block or call it lands in, and on any
     BLAS thread count for d <= 96 or d a multiple of 8 (beyond that,

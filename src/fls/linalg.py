@@ -129,11 +129,13 @@ def _signs(values: np.ndarray) -> np.ndarray:
 def flip_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive.
 
-    This is the sign convention used for every singular/eigen vector the
-    package returns; it makes results comparable across code paths.
+    ``vectors`` is one (d, l) matrix or a stack (..., d, l), each matrix
+    flipped on its own.  This is the sign convention used for every
+    singular/eigen vector the package returns; it makes results
+    comparable across code paths.
     """
-    idx = np.argmax(np.abs(vectors), axis=0)
-    return vectors * _signs(vectors[idx, np.arange(vectors.shape[1])])
+    idx = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
+    return vectors * _signs(np.take_along_axis(vectors, idx, axis=-2))
 
 
 def haar_frames(gen: np.random.Generator, shape) -> np.ndarray:

@@ -6,6 +6,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
 from fls import evaluation
 from fls.datagen import SyntheticModel, gen_synthetic
@@ -121,6 +125,38 @@ class TestClusteringRate:
         assert np.array_equal(np.sort(perm), np.arange(k))
         assert report.rate == confusion[np.arange(k), perm].sum() / keep.sum()
         assert report.n_inliers == keep.sum()
+
+    def test_one_class(self):
+        report = clustering_rate([4, 4, 4], [1, 1, 1])
+        assert report.rate == 1.0
+        assert np.array_equal(report.permutation, [0])
+        assert np.array_equal(report.confusion, [[3.0]])
+
+    def test_padded_confusion_against_scipy(self):
+        # two true classes against four predicted ones: the 4 x 4 matrix
+        # has two zero rows, so every matching of the surplus classes ties
+        truth = np.array([0, 0, 0, 0, 1, 1, 1, 1, 1])
+        pred = np.array([3, 3, 2, 2, 1, 1, 1, 0, 3])
+        report = clustering_rate(pred, truth)
+        rows, cols = linear_sum_assignment(report.confusion, maximize=True)
+        assert report.confusion.shape == (4, 4)
+        assert np.array_equal(np.sort(report.permutation), np.arange(4))
+        assert report.confusion[rows, cols].sum() == 5.0
+        assert report.rate == 5 / 9
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda k: arrays(np.int64, (k, k), elements=st.integers(0, 3))
+        )
+    )
+    def test_assignment_matches_scipy(self, weights):
+        # entries in 0..3, so most matrices have many tied maxima
+        perm = evaluation._max_assignment(weights.astype(float))
+        k = len(weights)
+        assert np.array_equal(np.sort(perm), np.arange(k))
+        rows, cols = linear_sum_assignment(weights, maximize=True)
+        assert weights[np.arange(k), perm].sum() == weights[rows, cols].sum()
 
     def test_all_outliers(self):
         with pytest.raises(InvalidParam):

@@ -10,8 +10,9 @@ imported name (its positional count and keywords) to its signature.
 
 Two fresh interpreters pin what loads what: the CLI's parser loads no
 numpy (``--threads`` sets the BLAS pools through environment variables
-before numpy is first imported), and the pipeline loads no SciPy (only
-``evaluation`` scores, with one assignment solve).
+before numpy is first imported), and no module of the package loads
+SciPy, not even to score a ``fls bench`` run (``evaluation`` solves its
+assignments in numpy); the tests keep SciPy as an oracle.
 """
 
 import ast
@@ -85,7 +86,7 @@ def loaded_modules(code):
         [sys.executable, "-c", probe], capture_output=True, text=True, env=subprocess_env()
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    return proc.stdout.splitlines()[-1].split()
 
 
 def test_cli_parser_loads_no_numpy():
@@ -95,7 +96,11 @@ def test_cli_parser_loads_no_numpy():
 
 
 def test_pipeline_loads_no_scipy():
-    modules = ("linalg", "datagen", "kernels", "landmarks", "cluster")
-    names = loaded_modules("".join(f"import fls.{m}\n" for m in modules))
-    assert "fls.cluster" in names
+    # every module of the package, then a scored benchmark run
+    modules = sorted(f"fls.{path.stem}" for path in (ROOT / "src" / "fls").glob("[!_]*.py"))
+    names = loaded_modules(
+        "".join(f"import {m}\n" for m in modules)
+        + "fls.cli.main(['bench', '--suite', 'synthetic5', '--trials', '1', '--landmarks', '20'])\n"
+    )
+    assert "fls.cli" in modules and set(modules) <= set(names)
     assert not [n for n in names if n.split(".")[0] == "scipy"]

@@ -543,9 +543,10 @@ class TestBlockedLadder:
             assert np.array_equal(single.basis, fw.basis)
 
     def test_blocks_are_whole_aligned_rows(self, monkeypatch):
-        # the kmeans-landmarks ladder (d = 10, sizes 6 to 768): 2^17
-        # entries of neighborhoods hold 17 centers, rounded down to 16, so
-        # no full block's distance GEMM has zero rows
+        # the kmeans-landmarks ladder (d = 10, sizes 6 to 768): 2^18
+        # entries of working set, 512 rows of a band sub-chunk and four
+        # 10 x 10 arrays per center, hold 47 centers, rounded down to 40,
+        # so no full block's distance GEMM has zero rows
         gen = np.random.default_rng(16)
         pts = gen.standard_normal((2000, 10))
         blocks, gather = [], landmarks._gather
@@ -555,8 +556,8 @@ class TestBlockedLadder:
             gather(pts, pts_t, x_sq, centers, dists, out)
 
         monkeypatch.setattr(landmarks, "_gather", spy)
-        best_fit_flats(pts, pts[:40], 2, 8, 6, linear=True)
-        assert blocks == [16, 16, 8]
+        best_fit_flats(pts, pts[:100], 2, 8, 6, linear=True)
+        assert blocks == [40, 40, 20]
 
     def test_r80_blocks_fill_aligned_rows(self, monkeypatch):
         # the subspace-ref R^80 ladder (l = 7, sizes 16 to 1024): the

@@ -236,6 +236,13 @@ def test_flip_signs_makes_largest_entry_positive():
     assert np.array_equal(flip_signs(vectors), want)
 
 
+def test_flip_signs_flips_each_matrix_of_a_stack(rng):
+    stack = rng.standard_normal((2, 3, 6, 4))
+    flipped = flip_signs(stack)
+    for index in np.ndindex(stack.shape[:2]):
+        assert np.array_equal(flipped[index], flip_signs(stack[index]))
+
+
 class TestKmeans:
     def test_duplicate_pairs(self):
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [9.0, 9.0], [9.0, 9.0]])
