@@ -42,7 +42,9 @@ class ClusterResult:
     left it to the data, and ladder the neighborhood ladder (S, T) the
     flats were fitted over (both None on the dense path, which takes a
     kernel matrix).  timings holds per-stage wall-clock seconds and is
-    the only nondeterministic field.
+    the only nondeterministic field.  ``to_json`` writes every field except
+    the embedding, plus n_points; sigma and ladder are null on the dense
+    path.
     """
 
     labels: np.ndarray
@@ -58,6 +60,8 @@ class ClusterResult:
             "singular_values": [float(v) for v in self.singular_values],
             "n_points": int(self.labels.shape[0]),
             "timings": {k: float(v) for k, v in self.timings.items()},
+            "sigma": None if self.sigma is None else float(self.sigma),
+            "ladder": None if self.ladder is None else [int(v) for v in self.ladder],
         }
 
 

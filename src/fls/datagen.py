@@ -7,6 +7,8 @@ fill a cube sized to the data.  Outliers carry label -1.
 
 from __future__ import annotations
 
+import io
+import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -107,49 +109,53 @@ def gen_synthetic(model: SyntheticModel, seed=0) -> DataSet:
 
     Streams are split so that the subspace bases and pre-noise points do
     not depend on noise_sigma or outlier_ratio: the same seed with
-    noise_sigma=0 yields the exact pre-noise points.
+    noise_sigma=0 yields the exact pre-noise points.  Every block is
+    written into one (n, d) array and the noise is added in place, so
+    beside the points only one draw exists at a time.
     """
     children = split(seed, model.n_clusters + 2)
     noise_seed, outlier_seed = children[-2], children[-1]
-    blocks = []
+    per, n_in = model.pts_per_subspace, model.n_clusters * model.pts_per_subspace
+    n_out = int(math.floor(model.outlier_ratio * n_in + 0.5))
+    points = np.empty((n_in + n_out, model.ambient))
     for k, dim_k in enumerate(model.dims):
         rng = make_rng(children[k])
         basis = haar_frames(rng, (model.ambient, dim_k))
-        dirs = rng.standard_normal((model.pts_per_subspace, dim_k))
+        dirs = rng.standard_normal((per, dim_k))
         norms = np.linalg.norm(dirs, axis=1)
         norms[norms == 0] = 1.0
-        radii = rng.random(model.pts_per_subspace) ** (1.0 / dim_k)
-        blocks.append((dirs / norms[:, None] * radii[:, None]) @ basis.T)
-    inliers = np.vstack(blocks)
-    inliers = inliers + model.noise_sigma * make_rng(noise_seed).standard_normal(
-        inliers.shape
-    )
-    labels = np.repeat(np.arange(model.n_clusters), model.pts_per_subspace)
-
-    n_in = inliers.shape[0]
-    n_out = int(math.floor(model.outlier_ratio * n_in + 0.5))
+        radii = rng.random(per) ** (1.0 / dim_k)
+        dirs /= norms[:, None]
+        dirs *= radii[:, None]
+        np.matmul(dirs, basis.T, out=points[k * per : (k + 1) * per])
+    inliers = points[:n_in]
+    noise = make_rng(noise_seed).standard_normal(inliers.shape)
+    noise *= model.noise_sigma
+    inliers += noise
+    del noise
+    labels = np.repeat(np.arange(model.n_clusters), per)
     if n_out > 0:
         half_side = float(np.linalg.norm(inliers, axis=1).max())
-        outliers = make_rng(outlier_seed).uniform(
+        points[n_in:] = make_rng(outlier_seed).uniform(
             -half_side, half_side, size=(n_out, model.ambient)
         )
-        points = np.vstack([inliers, outliers])
         labels = np.concatenate([labels, np.full(n_out, -1)])
-    else:
-        points = inliers
     return DataSet(points=points, labels=labels)
 
 
-# Rows per formatted write of save_csv: bounds the Python objects one
-# write holds to about this many rows' worth.
-_CSV_WRITE_ROWS = 65536
+# Rows per formatted write of save_csv: the string and the Python objects
+# one write holds are about this many rows' worth (under 1 MiB of text
+# for 10 coordinates).
+_CSV_WRITE_ROWS = 4096
 
 
 def save_csv(path, data: DataSet) -> None:
     """Write points (and labels, when present) with a header row.
 
     Floats use %.17g so a round trip reproduces them exactly; each block
-    of rows is one %-format of one row template repeated.
+    of ``_CSV_WRITE_ROWS`` (4096) rows is one %-format of one row
+    template repeated, so beside the data only one block's text and
+    cells exist.
     """
     cols = [f"x{i}" for i in range(data.dim)]
     row = ",".join(["%.17g"] * data.dim)
@@ -209,23 +215,63 @@ def _parse_cells(lines, width, n_coords, has_labels, offset):
     return points, labels
 
 
-def _parse_fast(lines, n_coords, has_labels):
-    """One vectorized parse of the data lines: (points, labels or None).
+def _parse_fast(blocks, width, has_labels):
+    """One vectorized parse of the data lines, given as lists of str:
+    (points, labels or None).
 
     Raises ValueError (or OverflowError) on any file the cell parser
     might reject or read differently, non-finite cells included; it
-    names no position.
+    names no position.  ``np.loadtxt`` takes the lines one list at a
+    time and holds only the points it parsed.  With labels it reads the
+    coordinate columns alone, and each list's field counts and labels
+    are checked as the list passes.
     """
-    table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    points = np.ascontiguousarray(table[:, :n_coords])
+    labels = []
+
+    def checked(block):
+        if {line.count(",") for line in block} != {width - 1}:
+            raise ValueError("ragged row")
+        labels.extend([int(line.rpartition(",")[2].strip()) for line in block])
+        return block
+
+    points = np.loadtxt(
+        itertools.chain.from_iterable(map(checked, blocks) if has_labels else blocks),
+        delimiter=",",
+        comments=None,
+        ndmin=2,
+        usecols=range(width - 1) if has_labels else None,
+    )
     if not np.isfinite(points).all():
         raise ValueError("non-finite cell")
-    labels = None
-    if has_labels:
-        labels = np.array(
-            [int(line.rpartition(",")[2].strip()) for line in lines], dtype=int
-        )
-    return points, labels
+    return points, np.array(labels, dtype=int) if has_labels else None
+
+
+# Characters load_csv decodes per read: beside the points, the fast pass
+# holds this much text and one list of the lines it splits into (under
+# 512 KiB together).
+_CSV_READ_CHARS = 2**16
+
+
+def _line_blocks(fh):
+    """Nonempty lists of the lines of an open text file that hold more
+    than whitespace, split as ``str.splitlines`` splits the whole text,
+    one list per read of ``_CSV_READ_CHARS`` characters.
+
+    Reading turns each CR LF and lone CR into an LF, so no line break
+    of two characters is left, and cutting each read after its last LF
+    splits no break.
+    """
+    tail = ""
+    while True:
+        chunk = fh.read(_CSV_READ_CHARS)
+        text = tail + chunk
+        cut = text.rfind("\n") + 1 if chunk else len(text)
+        tail = text[cut:]
+        lines = [line for line in text[:cut].splitlines() if line.strip() != ""]
+        if lines:
+            yield lines
+        if not chunk:
+            return
 
 
 def load_csv(path) -> DataSet:
@@ -237,35 +283,46 @@ def load_csv(path) -> DataSet:
     or RaggedRows when widths differ, the header's included (blank lines
     are not counted).
 
-    The cells are parsed in one vectorized pass; only when that pass
-    fails does the cell-by-cell parser run, to return what it accepts or
-    name the bad cell.
+    The file is read ``_CSV_READ_CHARS`` (2^16) characters at a time and
+    its cells are parsed in one vectorized pass as the lines go by, so
+    beside the points only one read's text and lines exist.  Only when
+    that pass fails is the file read again, whole, for the cell-by-cell
+    parser, to return what it accepts or name the bad cell (a pipe's
+    text is held from the start, since it cannot be read again).
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip() != ""]
-    if not lines:
-        raise ParseError("file contains no data rows", row=1)
+        if not fh.seekable():
+            # a pipe cannot be read again for the cell parser: hold its text
+            fh = io.StringIO(fh.read())
+        blocks = _line_blocks(fh)
+        lines = next(blocks, None)
+        if lines is None:
+            raise ParseError("file contains no data rows", row=1)
+        head = lines[0].split(",")
+        has_header = False
+        try:
+            [float(f) for f in head]
+        except ValueError:
+            has_header = True
+        has_labels = has_header and head[-1].strip().lower() == "label"
+        if has_header:
+            lines = lines[1:] or next(blocks, None)
+        if lines is None:
+            raise ParseError("file contains no data rows", row=2)
 
-    head = lines[0].split(",")
-    has_header = False
-    try:
-        [float(f) for f in head]
-    except ValueError:
-        has_header = True
-    has_labels = has_header and head[-1].strip().lower() == "label"
-    data_lines = lines[1:] if has_header else lines
-    if not data_lines:
-        raise ParseError("file contains no data rows", row=2)
-
-    width = data_lines[0].count(",") + 1
-    if has_header and len(head) != width:
-        raise RaggedRows(f"header has {len(head)} fields, found {width}", row=2)
-    n_coords = width - 1 if has_labels else width
-    if n_coords < 1:
-        raise ParseError("rows have no coordinate columns", row=1)
-    try:
-        points, labels = _parse_fast(data_lines, n_coords, has_labels)
-    except (ValueError, OverflowError):
-        offset = 2 if has_header else 1
-        points, labels = _parse_cells(data_lines, width, n_coords, has_labels, offset)
+        width = lines[0].count(",") + 1
+        if has_header and len(head) != width:
+            raise RaggedRows(f"header has {len(head)} fields, found {width}", row=2)
+        n_coords = width - 1 if has_labels else width
+        if n_coords < 1:
+            raise ParseError("rows have no coordinate columns", row=1)
+        try:
+            points, labels = _parse_fast(itertools.chain([lines], blocks), width, has_labels)
+        except (ValueError, OverflowError):
+            fh.seek(0)
+            data_lines = [line for block in _line_blocks(fh) for line in block]
+            if has_header:
+                del data_lines[0]
+            offset = 2 if has_header else 1
+            points, labels = _parse_cells(data_lines, width, n_coords, has_labels, offset)
     return DataSet(points=points, labels=labels)

@@ -192,10 +192,15 @@ def haar_frame_batch(dim: int, flat_dim: int, count: int, seed=0) -> np.ndarray:
     return haar_frames(make_rng(seed), (as_integer(count, "count", 1), dim, flat_dim))
 
 
-# Frame-projection entries one column block of the flat stack holds (32 MiB
-# of float64).  A GEMM's sums can depend on its shape, so the block
-# boundaries are part of the bits.
-_BLOCK_ENTRIES = 4_000_000
+# Entries of one column block of the projected fill's temporaries: the
+# (D l, m) frame projection and its (D, m) row sums together (2 MiB of
+# float64).  Every GEMM runs whole COL_ALIGN columns (``aligned_matmul``),
+# so a block's width does not move the bits.
+_PROJ_ENTRIES = 2**18
+
+# Entries of one column block of the result when there is no projection
+# (Gaussian bumps, l = 0): a pass's width only, nothing else is held.
+_BUMP_ENTRIES = 4_000_000
 
 
 def _projected_fill(bases, frames, pts, scale, norm=1.0):
@@ -211,16 +216,19 @@ def _projected_fill(bases, frames, pts, scale, norm=1.0):
 
     is clipped at zero, negated, divided by ``scale``, exponentiated and
     multiplied by ``norm``, all in place.  It runs one column block of
-    4e6 // (D l) points (rounded down to a multiple of ``linalg.COL_ALIGN``)
-    at a time: one ``aligned_matmul`` of the bases written straight into
-    the result, one of the frames, so beside the result only the (D l, m)
-    projection (32 MiB) and its (D, m) row sums exist.
+    m points at a time (whole ``linalg.COL_ALIGN`` columns, at least
+    one): one ``aligned_matmul`` of the bases written straight into the
+    result, one of the frames.  For l >= 1, m = 2^18 // (D (l + 1)), so
+    beside the result only the (D l, m) projection and its (D, m) row
+    sums exist, 2 MiB together (more only when one COL_ALIGN block is
+    larger, D (l + 1) > 8192); bumps hold neither and take 4e6 // D.
     """
     n, d = pts.shape
     g, l = frames.shape[0], frames.shape[2]
     out = np.empty((g, n))
     x_sq = (pts**2).sum(axis=1)
-    chunk = max(COL_ALIGN, _BLOCK_ENTRIES // max(1, g * max(l, 1)) // COL_ALIGN * COL_ALIGN)
+    entries, per_column = (_PROJ_ENTRIES, g * (l + 1)) if l else (_BUMP_ENTRIES, g)
+    chunk = max(COL_ALIGN, entries // max(1, per_column) // COL_ALIGN * COL_ALIGN)
     width = min(chunk, n)
     base_proj = np.einsum("gdl,gd->gl", frames, bases)[:, :, None]
     b_sq = (bases**2).sum(axis=1)[:, None]
@@ -379,8 +387,11 @@ def feature_matrix(spec: FeatureSpec, points) -> np.ndarray:
     Subspace features take the lifted fill (``_lifted_fill``) when
     ``_lifted_wins(d, l)``, the projected fill (``_projected_fill``)
     otherwise; landmark features take the projected fill with l = 0,
-    cosine features one GEMM.  Either fill holds only block-sized
-    temporaries beside the result.  embed() scales by 1/sqrt(D); the raw
+    cosine features one GEMM.  Either fill holds only fixed-size block
+    temporaries beside the result: the lifted one a monomial block of at
+    most 2^20 entries (8 MiB), the projected one a projection and its
+    row sums of at most 2^18 entries (2 MiB) together, nothing for the
+    bumps.  embed() scales by 1/sqrt(D); the raw
     values are useful when the per-sample spread matters (standard errors
     of kernel estimates).
     """
@@ -409,7 +420,8 @@ def embed(spec: FeatureSpec, points) -> EmbeddingMatrix:
     peak is that array, the (D, q) coefficients and one monomial block
     of at most 2^20 entries.  Otherwise ``feature_matrix`` fills the
     array block by block and the scaling divides it in place, with one
-    projected block's temporaries (O(4e6) entries) beside it.
+    projected block's temporaries (at most 2^18 entries, 2 MiB) beside
+    it.
     """
     if _takes_lifted_fill(spec):
         shift = -0.5 * math.log(spec.n_features)

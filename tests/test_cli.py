@@ -96,6 +96,9 @@ class TestCluster:
             assert set(doc["timings"]) == {
                 "landmarks", "flats", "sigma", "embed", "svd", "kmeans"
             }
+            # the result's own record of sigma and the ladder repeats the config's
+            assert doc["sigma"] == doc["config"]["sigma"]
+            assert doc["ladder"] == [doc["config"]["neighbors"], doc["config"]["scales"]]
 
     def test_out_file_and_embedding_csv(self, data_dir, tmp_path, capsys):
         out = tmp_path / "result.json"

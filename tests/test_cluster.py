@@ -324,6 +324,23 @@ class TestFlsCluster:
         assert len(want) == 4
         assert list(seed0.workload_lines("subspace-ref")) == want
 
+    @pytest.mark.threads
+    def test_all_seed0_outputs_on_two_threads(self):
+        # every committed seed-0 line, the D = 400 ones too, whose bits
+        # depend on the BLAS thread count: a fresh process on 2 threads
+        root = Path(__file__).resolve().parents[1]
+        env = dict(subprocess_env(), OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+        proc = subprocess.run(
+            [sys.executable, str(root / "tools" / "seed0_outputs.py"), str(root)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        want = (root / "tools" / "seed0_outputs.txt").read_text()
+        assert len(want.splitlines()) == 13
+        assert proc.stdout == want
+
     def test_stage_named_on_failure(self, rng):
         # more landmarks than points fails inside the landmarks stage
         cfg = LandmarkConfig(n_landmarks=50, flat_dim=1)
@@ -380,6 +397,18 @@ class TestFlsCluster:
         assert doc["n_points"] == 50
         assert len(doc["labels"]) == 50
         assert len(doc["singular_values"]) == 2
+
+    def test_to_json_records_sigma_and_ladder(self, rng):
+        # the resolved bandwidth and neighborhood ladder travel with the
+        # labels; the dense path takes a kernel matrix and has neither
+        data = two_plane_data(rng, n_per=25)
+        result = fls_cluster(data, 2, LandmarkConfig(n_landmarks=8, flat_dim=2), seed=3)
+        doc = json.loads(json.dumps(result.to_json()))
+        assert doc["sigma"] == result.sigma > 0
+        assert doc["ladder"] == list(result.ladder) == [6, result.ladder[1]]
+        w = np.kron(np.eye(2), np.ones((5, 5))) + 0.01
+        doc = json.loads(json.dumps(dense_spectral_cluster(w, 2, seed=0).to_json()))
+        assert doc["sigma"] is None and doc["ladder"] is None
 
 
 class TestDenseNormalized:

@@ -1,6 +1,8 @@
 """Synthetic data generation and CSV round-tripping."""
 
 import math
+import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -19,6 +21,25 @@ from fls.datagen import (
     sphere_normalize,
 )
 from fls.errors import InvalidParam, ParseError, RaggedRows
+
+
+def traced_peak(fn):
+    """The tracemalloc peak, in bytes, of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def five_plane_data():
+    """21 000 points of five planes in R^10 with 5 % outliers: 1.6 MiB of
+    points, about 4.8 MB of CSV."""
+    model = SyntheticModel(
+        dims=(2,) * 5, ambient=10, pts_per_subspace=4000, outlier_ratio=0.05
+    )
+    return gen_synthetic(model, seed=3)
 
 
 def two_plane_model(**kw):
@@ -122,6 +143,14 @@ class TestGenSynthetic:
         assert np.array_equal(a.labels, b.labels)
         assert not np.array_equal(a.points, c.points)
 
+    def test_peak_is_points_and_one_draw(self):
+        # blocks, noise and outliers are written into one (n, d) array:
+        # beside it one n x d temporary at a time (the noise draw, then
+        # the squares of the outlier cube's norms), not four copies
+        five_plane_data()  # first-call imports are not the generator's memory
+        peak = traced_peak(five_plane_data)
+        assert peak <= 2.5 * 21_000 * 10 * 8
+
 
 class TestDataSet:
     def test_label_length_checked(self, rng):
@@ -209,6 +238,16 @@ class TestCsvRoundTrip:
             load_csv(path)
         assert err.value.row == 3
 
+    def test_ragged_labelled_rows_position(self, tmp_path):
+        # the fast pass parses only the coordinate columns of labelled
+        # rows, so a wider or narrower row is still refused where it is
+        path = tmp_path / "bad.csv"
+        for bad in ("3.0,4.0,5.0,1", "3.0,1"):
+            path.write_text(f"x0,x1,label\n1.0,2.0,0\n\n{bad}\n")
+            with pytest.raises(RaggedRows) as err:
+                load_csv(path)
+            assert err.value.row == 3
+
     def test_header_wider_than_rows(self, tmp_path):
         # read as labelled 1-D points, x1 would silently become the labels
         path = tmp_path / "bad.csv"
@@ -278,6 +317,48 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.points, data.points)
         assert np.array_equal(back.labels, data.labels)
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_parsed_and_bad_cells_named(self):
+        # a pipe cannot be read twice, yet a bad cell is still named
+        for text, want in [
+            ("x0,x1\n1.0,2.0\n3.0,4\n", None),
+            ("x0,x1\n1.0,2.0\n3.0,oops\n", (3, 2)),
+        ]:
+            read, write = os.pipe()
+            os.write(write, text.encode())
+            os.close(write)
+            try:
+                if want is None:
+                    assert np.array_equal(load_csv(f"/dev/fd/{read}").points, [[1, 2], [3, 4]])
+                else:
+                    with pytest.raises(ParseError) as err:
+                        load_csv(f"/dev/fd/{read}")
+                    assert (err.value.row, err.value.col) == want
+            finally:
+                os.close(read)
+
+    @pytest.mark.parametrize("labels", [False, True])
+    def test_load_peak_is_points_and_one_read(self, tmp_path, labels):
+        # beside the points np.loadtxt holds its growth room and load_csv
+        # one read of 2^16 characters and its lines, never the whole text
+        data = five_plane_data()
+        path = tmp_path / "pts.csv"
+        save_csv(path, data if labels else DataSet(points=data.points))
+        load_csv(path)  # first-call imports are not the reader's memory
+        peak = traced_peak(lambda: load_csv(path))
+        assert peak <= 1.5 * data.points.nbytes + 2**20
+
+    @pytest.mark.parametrize("labels, bound", [(False, 2.5 * 2**20), (True, 3 * 2**20)])
+    def test_save_peak_is_one_block(self, tmp_path, labels, bound):
+        # one block of 4096 rows is formatted at a time: its text, its
+        # Python floats and the tuple that holds them (labelled rows go
+        # through an object array, so the ints format as %d)
+        data = five_plane_data()
+        data = data if labels else DataSet(points=data.points)
+        save_csv(tmp_path / "warm.csv", data)
+        peak = traced_peak(lambda: save_csv(tmp_path / "pts.csv", data))
+        assert peak <= bound
+
 
 # Cells the two parsers must agree on: decimals in several spellings,
 # integers, and text that one or both of them reject.
@@ -337,3 +418,27 @@ def test_fast_parse_matches_cell_parser(tmp_path, text):
     with mock.patch.object(datagen, "_parse_fast", side_effect=ValueError):
         cells = _outcome(path)
     assert fast == cells
+
+
+# Line breaks that str.splitlines knows beside LF.  Reading turns CR and
+# CR LF into LF; the others must split lines as they split the whole text.
+_BREAKS = ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028"]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    text=_csv_texts(),
+    breaks=st.lists(st.tuples(st.integers(0, 400), st.sampled_from(_BREAKS)), max_size=3),
+    read_chars=st.sampled_from([1, 2, 3, 7, 64]),
+)
+def test_small_reads_match_one_whole_read(tmp_path, text, breaks, read_chars):
+    # a generated file is far below 2^16 characters, so with the fast
+    # pass refused the cell parser reads it whole, in one read
+    for pos, brk in breaks:
+        text = text[:pos] + brk + text[pos:]
+    path = tmp_path / "gen.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with mock.patch.object(datagen, "_parse_fast", side_effect=ValueError):
+        whole = _outcome(path)
+    with mock.patch.object(datagen, "_CSV_READ_CHARS", read_chars):
+        assert _outcome(path) == whole

@@ -44,9 +44,10 @@ def aligned_product(a, b):
     return np.hstack([a @ b[:, :whole], (a @ tail)[:, : n - whole]])
 
 
-def oracle_sq_dists(bases, frames, pts, block_entries=4_000_000):
+def oracle_sq_dists(bases, frames, pts, block_entries=2**18):
     """Squared distances from the two-GEMM formula, one column block of
-    block_entries // (D l) points (a multiple of 32) at a time:
+    block_entries // (D (l + 1)) points (block_entries // D for l = 0; a
+    multiple of 32) at a time:
     |x|^2 - 2 b.x + |b|^2 minus |F^T x - F^T b|^2, clipped at zero, with
     both products from ``aligned_product``.  l may be 0."""
     n, d = pts.shape
@@ -56,7 +57,7 @@ def oracle_sq_dists(bases, frames, pts, block_entries=4_000_000):
     x_sq = (pts**2).sum(axis=1)
     stacked = frames.transpose(0, 2, 1).reshape(g * flat_dim, d)
     base_proj = np.einsum("gdl,gd->gl", frames, bases)
-    chunk = max(32, int(block_entries // (g * max(flat_dim, 1))) // 32 * 32)
+    chunk = max(32, int(block_entries // (g * (flat_dim + 1 if flat_dim else 1))) // 32 * 32)
     for s in range(0, n, chunk):
         e = min(n, s + chunk)
         x = pts[s:e].T
@@ -69,13 +70,13 @@ def oracle_sq_dists(bases, frames, pts, block_entries=4_000_000):
     return out
 
 
-def oracle_flat_sq_dists(flats, pts, block_entries=4_000_000):
+def oracle_flat_sq_dists(flats, pts, block_entries=2**18):
     """``oracle_sq_dists`` of a sequence or stack of flats."""
     flats = kernels._stack_flats(flats)
     return oracle_sq_dists(flats.base, flats.basis, pts, block_entries)
 
 
-def oracle_embed(spec, pts, block_entries=4_000_000):
+def oracle_embed(spec, pts, block_entries=2**18):
     """exp(-d2 / sigma^2) / sqrt(D) over the oracle distances."""
     d2 = oracle_flat_sq_dists(spec.flats, pts, block_entries)
     return np.exp(-d2 / spec.sigma**2) / math.sqrt(spec.n_features)
@@ -304,7 +305,7 @@ class TestBlockedFill:
     @pytest.mark.parametrize(
         "block_entries, count, dims, affine, n",
         [
-            (4_000_000, 400, (2,), False, 2 * 5000 + 1),
+            (2**18, 400, (2,), False, 2 * 5000 + 1),
             (4000, 40, (2,), False, 3 * 50 + 1),
             (4000, 40, (2,), True, 3 * 50 + 1),
             (4000, 40, (2,), True, 3 * 50 + 17),
@@ -318,7 +319,7 @@ class TestBlockedFill:
     def test_bit_identical_to_oracle(self, monkeypatch, block_entries, count, dims, affine, n):
         # these R^6 stacks take the lifted fill; forced onto the projected
         # one, every output is the oracle's bit for bit
-        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_entries, raising=False)
+        monkeypatch.setattr(kernels, "_PROJ_ENTRIES", block_entries)
         monkeypatch.setattr(kernels, "_lifted_wins", lambda d, l: False)
         gen = np.random.default_rng(count + n)
         flats = random_flats(gen, count, 6, dims[0], affine)
@@ -331,7 +332,7 @@ class TestBlockedFill:
     @pytest.mark.parametrize("affine", [False, True])
     def test_projected_branch_is_bit_identical_at_high_d(self, monkeypatch, affine):
         # l-flats in R^40 take the projected fill by the branch rule itself
-        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 4000, raising=False)
+        monkeypatch.setattr(kernels, "_PROJ_ENTRIES", 4000)
         gen = np.random.default_rng(40)
         flats = random_flats(gen, 20, 40, 3, affine)
         pts = gen.standard_normal((2 * 66 + 5, 40))
@@ -422,7 +423,7 @@ class TestBlockedFill:
         assert kernels._lifted_wins(d, l) is lifted
 
     def test_point_bumps_match_whole_array_formula(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 4000, raising=False)
+        monkeypatch.setattr(kernels, "_BUMP_ENTRIES", 4000)
         gen = np.random.default_rng(6)
         centers, pts = gen.standard_normal((40, 5)), gen.standard_normal((301, 5))
         spec = LandmarkGaussian(sigma=1.3, centers=centers)
@@ -486,6 +487,25 @@ class TestBlockedFill:
             tracemalloc.stop()
         assert kernels._LIFT_ENTRIES == 2**20
         assert peak <= (count * n + 2**20 + count * q) * 8 + 2**16
+
+    def test_projected_embed_peak_is_the_block_budget(self):
+        # the R^80 reference shape (100 linear 7-flats, 1625 points) takes
+        # the projected fill: beside the D x n result it holds the stacked
+        # (D l, d) frames, one (D l, m) projection with its (D, m) row sums
+        # within 2^18 entries, and the (D l, 32) product of the ragged edge
+        gen = np.random.default_rng(80)
+        count, n, d, l = 100, 1625, 80, 7
+        spec = SubspaceKernel(sigma=3.0, flats=random_flats(gen, count, d, l, False))
+        pts = gen.standard_normal((n, d))
+        assert not kernels._lifted_wins(d, l)
+        tracemalloc.start()
+        try:
+            embed(spec, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kernels._PROJ_ENTRIES == 2**18
+        assert peak <= (count * n + 2**18 + count * l * (d + 32)) * 8 + 2**17
 
 
 class TestKernelEstimates:
