@@ -60,7 +60,6 @@ _EXPORTS = {
         "spectral_embed",
         "fls_cluster",
         "dense_normalized",
-        "dense_spectral_cluster",
     ],
     "evaluation": [
         "EvalReport",

@@ -4,8 +4,9 @@ The pipeline never forms the n x n kernel matrix: with W-hat = Psi^T Psi
 and degrees d_i = psi(x_i)^T sum_j psi(x_j), the top eigenvectors of the
 normalized matrix D^-1/2 W-hat D^-1/2 are exactly the top right singular
 vectors of A = Psi D^-1/2 (eigenvalues are squared singular values), so a
-D x n truncated SVD suffices.  dense_normalized / dense_spectral_cluster
-implement the n x n route as a verification oracle.
+D x n truncated SVD suffices.  dense_normalized forms the n x n matrix
+for the checks in ``evaluation`` (the tests' dense clustering oracle is
+built on it).
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ from .datagen import sphere_normalize
 from .errors import (
     DegenerateInput,
     DegreeNotPositive,
-    DenseLimitExceeded,
     FLSError,
     InvalidParam,
     PipelineError,
     RankDeficient,
 )
-from .kernels import _DENSE_LIMIT, EmbeddingMatrix, SubspaceKernel, embed
+from .kernels import EmbeddingMatrix, SubspaceKernel, embed
 from .landmarks import LandmarkConfig, best_fit_flats, default_sigma, select_landmarks
 from .linalg import ROW_ALIGN, as_integer, as_points, check_finite, flip_signs, kmeans, round_up
 from .rng import split
@@ -261,42 +261,3 @@ def dense_normalized(w: np.ndarray) -> np.ndarray:
         raise DegreeNotPositive(f"minimum row sum {degs.min():.3e}")
     inv_sqrt = degs**-0.5
     return w * np.outer(inv_sqrt, inv_sqrt)
-
-
-def dense_spectral_cluster(
-    w: np.ndarray,
-    n_clusters: int,
-    seed=0,
-    drop_first: bool = False,
-    kmeans_restarts: int = 1,
-) -> ClusterResult:
-    """Spectral clustering by dense eigendecomposition of D^-1/2 W D^-1/2.
-
-    The unapproximated counterpart of the embedding route, kept as an
-    oracle for equivalence tests; refuses n beyond ``_DENSE_LIMIT``.
-    """
-    w = check_finite(w, "kernel matrix")
-    if w.shape[0] > _DENSE_LIMIT:
-        raise DenseLimitExceeded(f"n={w.shape[0]} exceeds dense limit {_DENSE_LIMIT}")
-    n_clusters = as_integer(n_clusters, "n_clusters", 1)
-    if n_clusters > w.shape[0]:
-        raise InvalidParam(f"n_clusters={n_clusters} not in [1, {w.shape[0]}]")
-    if drop_first and n_clusters < 2:
-        raise InvalidParam("drop_first needs n_clusters >= 2")
-    start = time.perf_counter()
-    normalized = dense_normalized(w)
-    eigvals, eigvecs = np.linalg.eigh(normalized)
-    order = np.argsort(eigvals)[::-1][:n_clusters]
-    top = flip_signs(eigvecs[:, order])
-    svals = np.sqrt(np.clip(eigvals[order], 0.0, None))
-    eig_time = time.perf_counter() - start
-    vectors = top[:, 1:] if drop_first else top
-    rows = sphere_normalize(vectors)
-    start = time.perf_counter()
-    labels, _, _ = kmeans(rows, n_clusters, seed=seed, restarts=kmeans_restarts)
-    return ClusterResult(
-        labels=labels,
-        embedding=rows,
-        singular_values=svals,
-        timings={"eig": eig_time, "kmeans": time.perf_counter() - start},
-    )

@@ -104,6 +104,11 @@ def sphere_normalize(points: np.ndarray) -> np.ndarray:
     return pts / safe[:, None]
 
 
+# Rows per block of the inlier norms that size the outlier cube, so the
+# squares are never an n x d temporary
+_NORM_ROWS = 4096
+
+
 def gen_synthetic(model: SyntheticModel, seed=0) -> DataSet:
     """Draw a dataset from the model, deterministically per seed.
 
@@ -111,7 +116,8 @@ def gen_synthetic(model: SyntheticModel, seed=0) -> DataSet:
     not depend on noise_sigma or outlier_ratio: the same seed with
     noise_sigma=0 yields the exact pre-noise points.  Every block is
     written into one (n, d) array and the noise is added in place, so
-    beside the points only one draw exists at a time.
+    beside the points only one draw exists at a time; the outlier cube's
+    half side, the largest inlier norm, is taken over row blocks.
     """
     children = split(seed, model.n_clusters + 2)
     noise_seed, outlier_seed = children[-2], children[-1]
@@ -135,7 +141,12 @@ def gen_synthetic(model: SyntheticModel, seed=0) -> DataSet:
     del noise
     labels = np.repeat(np.arange(model.n_clusters), per)
     if n_out > 0:
-        half_side = float(np.linalg.norm(inliers, axis=1).max())
+        half_side = float(
+            max(
+                np.linalg.norm(inliers[s : s + _NORM_ROWS], axis=1).max()
+                for s in range(0, n_in, _NORM_ROWS)
+            )
+        )
         points[n_in:] = make_rng(outlier_seed).uniform(
             -half_side, half_side, size=(n_out, model.ambient)
         )

@@ -438,7 +438,8 @@ def gaussian_kernel_matrix(points: np.ndarray, sigma: float) -> np.ndarray:
     return _gaussian_bumps(pts, pts, _check_sigma(sigma))
 
 
-# Largest n of a dense n x n matrix (200 MB of float64), here and in cluster.dense_spectral_cluster
+# Largest n of a dense n x n matrix (200 MB of float64), here and in the
+# dense clustering oracle of the tests
 _DENSE_LIMIT = 5000
 
 

@@ -45,7 +45,7 @@ from .kernels import AffineFlat, _check_sigma, _stack_flats
 from .linalg import (
     COL_ALIGN, ROW_ALIGN, as_integer, as_points, check_finite, flip_signs, kmeans_centers, round_up
 )
-from .rng import make_rng
+from .rng import make_rng, split
 
 log = logging.getLogger(__name__)
 
@@ -95,13 +95,26 @@ _SAMPLE_RANK = 64
 
 # Lloyd sweeps after kmeans++ seeding for "kmeans" landmarks, which only
 # need to cover the data.  Mean clustering rate on the 48 datasets of
-# kmeans-landmarks benchmark seeds 0-11 (n = 31 500, K = 400), by sweeps:
-# 0: 0.914, 1: 0.908, 2: 0.929, 3: 0.940, 5: 0.935, converged: 0.941.
-# Three is the fewest within 0.002 of converged on these tuning seeds;
-# converged takes 36-46 sweeps of about 45 ms each at that size.  On
-# other seeds, 3 sweeps against converged: 51-62 0.933 / 0.934, 41-50
-# 0.945 / 0.968 (see CHANGES.md).
+# kmeans-landmarks benchmark seeds 0-11 (n = 31 500, K = 400), by sweeps
+# over all 31 500 points: 0: 0.914, 1: 0.908, 2: 0.929, 3: 0.940, 5:
+# 0.935, converged: 0.941.  Three is the fewest within 0.002 of
+# converged on these tuning seeds; converged takes 36-46 sweeps of about
+# 45 ms each at that size.  On other seeds, 3 sweeps against converged:
+# 51-62 0.933 / 0.934, 41-50 0.945 / 0.968 (see CHANGES.md).  At that
+# shape the row sample below holds 8 000 of the points.
 _LANDMARK_SWEEPS = 3
+
+# "kmeans" landmarks are fitted on at most max(_SAMPLE_FLOOR,
+# _ROWS_PER_LANDMARK * count) distinct rows drawn uniformly, so their
+# cost follows the landmark count, not n.  Twenty rows per landmark is
+# the order of candidates per center that oversampled seeding
+# (k-means||) reclusters; at 8 per landmark with no floor (3 200 rows)
+# the mean sigma-auto rate on the 24 datasets of kmeans-landmarks
+# benchmark seeds 0-5 fell from 0.929 to 0.895.  Up to the floor every
+# row is used, which keeps the paper benchmark's shapes (n <= 1625) and
+# small data on all their points.
+_SAMPLE_FLOOR = 4096
+_ROWS_PER_LANDMARK = 20
 
 
 @dataclass(frozen=True)
@@ -111,7 +124,9 @@ class LandmarkConfig:
     n_landmarks: number of flats D.
     flat_dim: dimension l of each fitted flat.
     method: "random" (sample data points) or "kmeans" (kmeans++ seeds
-        refined by a few Lloyd sweeps; see ``select_landmarks``).
+        refined by a few Lloyd sweeps, on a uniform sample of
+        max(4096, 20 * n_landmarks) rows when n is larger; see
+        ``select_landmarks``).
     init_neighbors: smallest neighborhood size S; default 2 * (l + 1).
     max_scales: number of neighborhood doublings T; default
         min(8, ceil(log2(n / S)) + 1), clamped to at least 1.
@@ -159,6 +174,17 @@ def select_landmarks(points: np.ndarray, count: int, method: str = "random", see
     converged centroids: on the kmeans-landmarks benchmark it moves by
     up to 0.1 per seed either way, and its mean fell 0.001 over seeds
     51-62 and 0.023 over seeds 41-50, within the benchmark's rate bound.
+
+    Above cap = max(4096, 20 * count) points the centroids are fitted on
+    a sample: cap distinct rows, drawn uniformly from the first stream
+    of ``split(seed, 2)`` and kept in index order, with the second
+    stream seeding the fit.  Its cost then follows count, not n; at or
+    below the cap every point is used with ``seed`` itself.  Five-plane
+    model in R^10 with the reference settings and sigma = 0.3: at
+    n = 1.05e6, D = 200 the stage took 0.03 s against 6.1-6.3 s on all
+    points, and the rates of two fits went 0.9801 -> 0.9797 and
+    0.9819 -> 0.9816; at n = 1.05e5, D = 400 it took 0.07 s against
+    0.89-0.97 s, with rates within 0.0004 over four fits.
     """
     pts, count = as_points(points), as_integer(count, "count", 1)
     n = pts.shape[0]
@@ -168,6 +194,10 @@ def select_landmarks(points: np.ndarray, count: int, method: str = "random", see
         idx = make_rng(seed).choice(n, size=count, replace=False)
         return pts[idx]
     if method == "kmeans":
+        cap = max(_SAMPLE_FLOOR, _ROWS_PER_LANDMARK * count)
+        if n > cap:
+            draw, seed = split(seed, 2)
+            pts = pts[np.sort(make_rng(draw).choice(n, cap, replace=False))]
         return kmeans_centers(pts, count, seed, _LANDMARK_SWEEPS)
     raise InvalidParam(f"unknown landmark method {method!r}")
 

@@ -1,17 +1,23 @@
 """Reference formulas that several test modules compare the library with.
 
 Each is the plain computation written once: a scalar distance or kernel
-value, the Gram route to a truncated SVD, and the spec ``fls_cluster``
-builds from its first two seed streams.
+value, the Gram route to a truncated SVD, the spec ``fls_cluster``
+builds from its first two seed streams, and spectral clustering by a
+dense eigendecomposition of the n x n normalized matrix.
 """
 
 import math
+import time
 
 import numpy as np
 
+from fls import kernels
+from fls.cluster import ClusterResult, dense_normalized
+from fls.datagen import sphere_normalize
+from fls.errors import DenseLimitExceeded, InvalidParam
 from fls.kernels import SubspaceKernel
 from fls.landmarks import best_fit_flats, default_sigma, select_landmarks
-from fls.linalg import flip_signs
+from fls.linalg import as_integer, check_finite, flip_signs, kmeans
 from fls.rng import split
 
 
@@ -53,3 +59,35 @@ def subspace_spec(points, config, seed=0):
     if sigma is None:
         sigma = default_sigma(points, flats, sigma_seed)
     return SubspaceKernel(sigma, flats)
+
+
+def dense_spectral_cluster(w, n_clusters, seed=0, drop_first=False, kmeans_restarts=1):
+    """Spectral clustering by dense eigendecomposition of D^-1/2 W D^-1/2.
+
+    The unapproximated counterpart of the embedding route; refuses n
+    beyond ``kernels._DENSE_LIMIT``.  singular_values holds
+    sqrt(max(eigenvalue, 0)), comparable with those of Psi D^-1/2.
+    """
+    w = check_finite(w, "kernel matrix")
+    if w.shape[0] > kernels._DENSE_LIMIT:
+        raise DenseLimitExceeded(f"n={w.shape[0]} exceeds dense limit {kernels._DENSE_LIMIT}")
+    n_clusters = as_integer(n_clusters, "n_clusters", 1)
+    if n_clusters > w.shape[0]:
+        raise InvalidParam(f"n_clusters={n_clusters} not in [1, {w.shape[0]}]")
+    if drop_first and n_clusters < 2:
+        raise InvalidParam("drop_first needs n_clusters >= 2")
+    start = time.perf_counter()
+    eigvals, eigvecs = np.linalg.eigh(dense_normalized(w))
+    order = np.argsort(eigvals)[::-1][:n_clusters]
+    top = flip_signs(eigvecs[:, order])
+    svals = np.sqrt(np.clip(eigvals[order], 0.0, None))
+    eig_time = time.perf_counter() - start
+    rows = sphere_normalize(top[:, 1:] if drop_first else top)
+    start = time.perf_counter()
+    labels, _, _ = kmeans(rows, n_clusters, seed=seed, restarts=kmeans_restarts)
+    return ClusterResult(
+        labels=labels,
+        embedding=rows,
+        singular_values=svals,
+        timings={"eig": eig_time, "kmeans": time.perf_counter() - start},
+    )

@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from fls.cluster import dense_spectral_cluster, fls_cluster, spectral_embed
+from fls.cluster import fls_cluster, spectral_embed
 from fls.datagen import SyntheticModel, gen_synthetic
 from fls.evaluation import (
     FlatPoolFamily,
@@ -40,7 +40,7 @@ from fls.landmarks import LandmarkConfig, landmark_flat_pool
 from fls.linalg import kmeans
 from fls.rng import make_rng, split
 
-from oracles import subspace_spec
+from oracles import dense_spectral_cluster, subspace_spec
 
 # reference configuration for the synthetic benchmark (checks 1 and 2);
 # identical to the CLI `bench` defaults

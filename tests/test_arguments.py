@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from fls.cluster import dense_spectral_cluster, fls_cluster, spectral_embed
+from fls.cluster import fls_cluster, spectral_embed
 from fls.datagen import DataSet, SyntheticModel, gen_synthetic
 from fls.errors import InvalidParam, PipelineError
 from fls.evaluation import (
@@ -34,6 +34,8 @@ from fls.kernels import (
 from fls.landmarks import LandmarkConfig, best_fit_flats, select_landmarks
 from fls.linalg import AffineFlat, haar_frames, kmeans
 from fls.rng import make_rng, split
+
+from oracles import dense_spectral_cluster
 
 # two 2-planes in R^6, 30 points each
 DATA = gen_synthetic(SyntheticModel(dims=(2, 2), ambient=6, pts_per_subspace=30), seed=0)

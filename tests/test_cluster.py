@@ -11,12 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fls import cluster
+from fls import cluster, kernels
 from fls.cluster import (
     ClusterResult,
     degrees,
     dense_normalized,
-    dense_spectral_cluster,
     fls_cluster,
     spectral_embed,
 )
@@ -40,7 +39,7 @@ from fls.landmarks import (
 from fls.linalg import flip_signs, kmeans
 from fls.rng import split
 
-from oracles import gram_svd, subspace_spec
+from oracles import dense_spectral_cluster, gram_svd, subspace_spec
 from test_cli import subprocess_env
 
 
@@ -462,7 +461,7 @@ class TestDenseSpectralCluster:
         assert np.allclose(np.abs(rows), np.abs(dense.embedding), atol=1e-6)
 
     def test_dense_limit(self, monkeypatch):
-        monkeypatch.setattr(cluster, "_DENSE_LIMIT", 5)
+        monkeypatch.setattr(kernels, "_DENSE_LIMIT", 5)
         with pytest.raises(DenseLimitExceeded):
             dense_spectral_cluster(np.eye(10), 2)
         dense_spectral_cluster(np.eye(5) + 1.0, 2)

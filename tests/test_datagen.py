@@ -151,6 +151,14 @@ class TestGenSynthetic:
         peak = traced_peak(five_plane_data)
         assert peak <= 2.5 * 21_000 * 10 * 8
 
+    def test_outlier_cube_adds_no_copy(self):
+        # the inlier norms that size the outlier cube are taken over row
+        # blocks: with 5 % outliers the peak stays the points and the
+        # noise draw, as without outliers, not a third n x d array
+        five_plane_data()
+        peak = traced_peak(five_plane_data)
+        assert peak <= 2.15 * 21_000 * 10 * 8
+
 
 class TestDataSet:
     def test_label_length_checked(self, rng):

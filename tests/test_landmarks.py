@@ -37,6 +37,7 @@ from fls.linalg import (
     flip_signs,
     haar_frames,
     kmeans,
+    kmeans_centers,
     round_up,
 )
 from fls.rng import make_rng, split
@@ -83,11 +84,25 @@ def per_flat_sigma(points, flats, seed):
     return max(float(np.median(sample)), 1e-6)
 
 
+def landmark_sample(points, count, seed):
+    """The rows "kmeans" landmarks are fitted on and the seed of the fit:
+    above max(4096, 20 * count) rows, that many distinct rows in index
+    order, drawn from the first stream of split(seed, 2) and fitted from
+    the second; otherwise every row and ``seed`` itself."""
+    cap = max(4096, 20 * count)
+    if len(points) <= cap:
+        return points, seed
+    draw, fit = split(seed, 2)
+    return points[np.sort(make_rng(draw).choice(len(points), cap, replace=False))], fit
+
+
 def oracle_kmeans_landmarks(points, count, seed, reseeds=None):
-    # kmeans++ seeds and _LANDMARK_SWEEPS unblocked Lloyd updates, drawn
-    # from the child stream kmeans(points, count, seed) uses
+    # kmeans++ seeds and _LANDMARK_SWEEPS unblocked Lloyd updates on the
+    # landmark sample, drawn from the child stream kmeans(rows, count,
+    # fit) uses
+    rows, fit = landmark_sample(points, count, seed)
     return oracle_kmeans(
-        points, count, seed=seed, max_iter=_LANDMARK_SWEEPS, reseeds=reseeds
+        rows, count, seed=fit, max_iter=_LANDMARK_SWEEPS, reseeds=reseeds
     )[1]
 
 
@@ -107,6 +122,30 @@ class TestSelectLandmarks:
         pts = five_planes(8000, 2)
         got = select_landmarks(pts, 400, "kmeans", seed=2)
         assert np.array_equal(got, oracle_kmeans_landmarks(pts, 400, 2))
+
+    def test_kmeans_past_cap_fits_the_sample(self):
+        # one row past the 4096 floor: the centers of kmeans_centers on
+        # the sorted sample, fitted from the sample's sibling stream
+        pts = five_planes(4097, 6)
+        draw, fit = split(5, 2)
+        idx = np.sort(make_rng(draw).choice(4097, 4096, replace=False))
+        want = kmeans_centers(pts[idx], 10, fit, _LANDMARK_SWEEPS)
+        got = select_landmarks(pts, 10, "kmeans", seed=5)
+        assert np.array_equal(got, want)
+        assert np.array_equal(select_landmarks(pts, 10, "kmeans", seed=5), got)
+        assert not np.array_equal(got, kmeans_centers(pts, 10, 5, _LANDMARK_SWEEPS))
+
+    def test_kmeans_cap_grows_with_count(self):
+        # 250 landmarks raise the cap to 5000 rows: 4500 points are all
+        # used, 5001 are sampled down to 5000
+        pts = five_planes(5001, 7)
+        got = select_landmarks(pts[:4500], 250, "kmeans", seed=4)
+        assert np.array_equal(got, kmeans_centers(pts[:4500], 250, 4, _LANDMARK_SWEEPS))
+        rows, fit = landmark_sample(pts, 250, 4)
+        assert len(rows) == 5000
+        got = select_landmarks(pts, 250, "kmeans", seed=4)
+        assert np.array_equal(got, kmeans_centers(rows, 250, fit, _LANDMARK_SWEEPS))
+        assert np.array_equal(got, oracle_kmeans_landmarks(pts, 250, 4))
 
     def test_kmeans_reseed_matches_capped_oracle(self):
         # two distinct locations and three landmarks: kmeans++ seeds a

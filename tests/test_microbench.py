@@ -1,5 +1,6 @@
 """Micro-benchmarks of k-means and k-means landmark selection at a small
-landmark-selection shape, of the local flat fits at the R^80 benchmark
+landmark-selection shape, of k-means landmark selection on its row sample
+at the kmeans-landmarks shape, of the local flat fits at the R^80 benchmark
 shape and at the five-plane shape, of the sampled sigma median at the
 kmeans-landmarks shape, of the embed + spectral_embed stages at the
 five-plane shape (lifted fill) and of embed at the R^80 shape (projected
@@ -53,6 +54,16 @@ def test_select_kmeans_landmarks(benchmark):
         select_landmarks, args=(pts, 100, "kmeans"), kwargs={"seed": 1}, rounds=5
     )
     assert np.array_equal(got, oracle_kmeans_landmarks(pts, 100, 1))
+
+
+def test_select_kmeans_landmarks_sampled(benchmark):
+    # the kmeans-landmarks shape: 31 500 points in R^10 and 400 landmarks,
+    # fitted on a sample of 8000 rows
+    pts = five_planes(31_500, 5)
+    got = benchmark.pedantic(
+        select_landmarks, args=(pts, 400, "kmeans"), kwargs={"seed": 1}, rounds=3
+    )
+    assert np.array_equal(got, oracle_kmeans_landmarks(pts, 400, 1))
 
 
 def test_best_fit_flats(benchmark):
