@@ -26,7 +26,7 @@ from .errors import (
     PipelineError,
     RankDeficient,
 )
-from .kernels import EmbeddingMatrix, SubspaceKernel, embed
+from .kernels import EmbeddingMatrix, SubspaceKernel, _feature_rows, embed
 from .landmarks import LandmarkConfig, best_fit_flats, default_sigma, select_landmarks
 from .linalg import ROW_ALIGN, as_integer, as_points, check_finite, flip_signs, kmeans, round_up
 from .rng import split
@@ -80,26 +80,49 @@ def degrees(embedding: EmbeddingMatrix) -> np.ndarray:
     return degs
 
 
-# Entries of one column block of Psi D^-1/2 on the Gram path (16 MiB of
-# float64): the only piece of the normalized matrix that ever exists.
+# Entries of one column view of the scaled Psi that one Gram GEMM reads
+# (16 MiB of float64); its width sets the summation order of the Gram
+# matrix, so it is part of the bits.
 _GRAM_BLOCK_ENTRIES = 2**21
 
 
-def _normalized_gram(psi: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
-    """(Psi diag(w)) (Psi diag(w))^T, summed over column blocks of Psi
-    whose rows are padded with zero rows to a multiple of ROW_ALIGN."""
+def _padded_rows(psi: np.ndarray) -> np.ndarray:
+    """``psi`` as the first rows of a writable C-contiguous array whose
+    further rows, up to a multiple of ROW_ALIGN, are zero: the buffer
+    ``kernels.embed`` allocated (``kernels._feature_rows``), ``psi`` itself
+    when its row count is a multiple already, else one padded copy."""
     d_rows, n = psi.shape
     rows = round_up(d_rows, ROW_ALIGN)
+    if psi.flags.c_contiguous and psi.flags.writeable:
+        if rows == d_rows:
+            return psi
+        base = psi.base
+        if (
+            isinstance(base, np.ndarray)
+            and base.shape == (rows, n)
+            and base.dtype == psi.dtype
+            and base.flags.c_contiguous
+            and base.ctypes.data == psi.ctypes.data
+            and base[d_rows:].min() == 0.0 == base[d_rows:].max()
+        ):
+            return base
+    copy = _feature_rows(d_rows, n)
+    copy[...] = psi
+    return copy.base
+
+
+def _scaled_gram(padded: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
+    """Scale ``padded`` in place to ``padded`` diag(inv_sqrt) and return its
+    Gram matrix, summed over column views of ``_GRAM_BLOCK_ENTRIES`` entries,
+    each scaled just before its GEMM reads it."""
+    rows, n = padded.shape
     width = max(1, _GRAM_BLOCK_ENTRIES // rows)
-    buf = np.empty(rows * min(width, n))
     gram = np.zeros((rows, rows))
     for s in range(0, n, width):
-        e = min(n, s + width)
-        blk = buf[: rows * (e - s)].reshape(rows, e - s)
-        np.multiply(psi[:, s:e], inv_sqrt[s:e], out=blk[:d_rows])
-        blk[d_rows:] = 0.0
+        blk = padded[:, s : s + width]
+        blk *= inv_sqrt[s : s + width]
         gram += blk @ blk.T
-    return gram[:d_rows, :d_rows]
+    return gram
 
 
 def spectral_embed(
@@ -113,25 +136,32 @@ def spectral_embed(
 
     Returns (rows, singular_values) where rows is n x K (or n x (K-1)
     with drop_first, which discards the leading vector).  Rows that are
-    exactly zero stay zero.  ``embedding.data`` is left unchanged.
+    exactly zero stay zero.  ``spectral_embed`` may overwrite
+    ``embedding.data``: it scales Psi to A in place, so a caller that
+    reads Psi afterwards takes a copy first.
 
-    A is never formed: the D x D Gram matrix A A^T is summed over column
-    blocks of Psi, each scaled by D^-1/2 on its own and padded with zero
-    rows to a multiple of ``linalg.ROW_ALIGN``, so the Gram matrix has the
-    same bits on any BLAS thread count.  Its eigenpairs do not from D = 256
-    on (``np.linalg.eigh`` and every ``scipy.linalg.eigh`` driver; D = 200
+    The D x D Gram matrix A A^T is summed over column views of A, each
+    scaled by D^-1/2 just before its GEMM reads it.  Those views span
+    Psi's rows padded with zero rows to a multiple of ``linalg.ROW_ALIGN``,
+    so the Gram matrix has the same bits on any BLAS thread count.
+    ``kernels.embed`` allocates Psi with those pad rows, so A takes Psi's
+    memory; an embedding of a plain array whose D is not a multiple of
+    ROW_ALIGN (or that is read-only or not C-contiguous) is scaled in one
+    padded copy instead, and its data is left as it was.  The Gram
+    eigenpairs are not thread-independent from D = 256 on
+    (``np.linalg.eigh`` and every ``scipy.linalg.eigh`` driver; D = 200
     agrees), so at D = 400 the output depends on the thread count.  The
     singular values s are the square roots of its top K eigenvalues, with
     eigenvectors U.  They are resolved only to about sqrt(D eps) s_1, below
     which the right vectors would be noise, so RankDeficient is raised when
-    s_K falls under that floor.  The right vectors are (U^T Psi)^T D^-1/2 / s
-    in the ``linalg.flip_signs`` convention: one K x n GEMM that streams Psi
-    in its own layout.  Beside the embedding it holds the n degrees,
-    a few D x D matrices, a few n x K arrays and one 2^21-entry block.
-    Psi^T U, the same product against Psi's layout, takes the BLAS tens of
-    MiB of work memory of its own on 2 threads.  tracemalloc does not see
-    BLAS work memory, so the benchmark's ``cluster.spectral_embed_peak_mb``
-    cannot tell the two apart; only the process's peak RSS can.
+    s_K falls under that floor.  The right vectors are (U^T A)^T / s in the
+    ``linalg.flip_signs`` convention: one K x n GEMM that streams A in its
+    own layout.  Beside Psi it holds the n degrees, a few D x D matrices
+    and a few n x K arrays.  A^T U, the same product against A's layout,
+    takes the BLAS tens of MiB of work memory of its own on 2 threads.
+    tracemalloc does not see BLAS work memory, so the benchmark's
+    ``cluster.spectral_embed_peak_mb`` cannot tell the two apart; only the
+    process's peak RSS can.
 
     ``svd_path`` (only "gram" is accepted) and ``seed`` (ignored) exist
     only for the benchmark's stage replay, which passes both; the
@@ -143,20 +173,22 @@ def spectral_embed(
     if drop_first and n_clusters < 2:
         raise InvalidParam("drop_first needs n_clusters >= 2")
     psi = embedding.data
+    d_rows = psi.shape[0]
     if n_clusters > min(psi.shape):
         raise InvalidParam(f"n_clusters={n_clusters} not in [1, {min(psi.shape)}]")
     inv_sqrt = degrees(embedding) ** -0.5
-    gram = _normalized_gram(psi, inv_sqrt)
+    padded = _padded_rows(psi)
+    gram = _scaled_gram(padded, inv_sqrt)[:d_rows, :d_rows]
     eigvals, eigvecs = np.linalg.eigh((gram + gram.T) / 2.0)
     order = np.argsort(eigvals)[::-1][:n_clusters]
     svals = np.sqrt(np.clip(eigvals[order], 0.0, None))
-    floor = math.sqrt(psi.shape[0] * np.finfo(float).eps) * svals[0]
+    floor = math.sqrt(d_rows * np.finfo(float).eps) * svals[0]
     if svals[0] <= 0.0 or svals[-1] < floor:
         raise RankDeficient(
             f"singular value {svals[-1]:.3e} below the Gram noise floor "
             f"{floor:.3e}; request fewer vectors"
         )
-    vectors = flip_signs((eigvecs[:, order].T @ psi).T * inv_sqrt[:, None] / svals)
+    vectors = flip_signs((eigvecs[:, order].T @ padded[:d_rows]).T / svals)
     if drop_first:
         vectors = vectors[:, 1:]
     return sphere_normalize(vectors), svals
@@ -234,6 +266,7 @@ def fls_cluster(
         "svd",
         lambda: spectral_embed(embedding, n_clusters, drop_first=drop_first),
     )
+    del embedding  # scaled in place by spectral_embed; k-means runs beside the rows only
     labels = run(
         "kmeans",
         lambda: kmeans(rows, n_clusters, seed=kmeans_seed, restarts=kmeans_restarts)[0],

@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import DenseLimitExceeded, DimensionMismatch, InvalidParam
 from .linalg import (
-    COL_ALIGN, AffineFlat, aligned_matmul, as_integer, as_number, as_points, check_finite,
-    haar_frames,
+    COL_ALIGN, ROW_ALIGN, AffineFlat, aligned_matmul, as_integer, as_number, as_points,
+    check_finite, haar_frames, round_up,
 )
 from .rng import make_rng
 
@@ -192,6 +192,15 @@ def haar_frame_batch(dim: int, flat_dim: int, count: int, seed=0) -> np.ndarray:
     return haar_frames(make_rng(seed), (as_integer(count, "count", 1), dim, flat_dim))
 
 
+def _feature_rows(count, n):
+    """Uninitialized (count, n) feature array: the first rows of a C-contiguous
+    buffer whose count rounded up to ``linalg.ROW_ALIGN`` rows end in zero
+    rows, so ``cluster.spectral_embed`` scales it in place without a copy."""
+    buf = np.empty((round_up(count, ROW_ALIGN), n))
+    buf[count:] = 0.0
+    return buf[:count]
+
+
 # Entries of one column block of the projected fill's temporaries: the
 # (D l, m) frame projection and its (D, m) row sums together (2 MiB of
 # float64).  Every GEMM runs whole COL_ALIGN columns (``aligned_matmul``),
@@ -206,6 +215,7 @@ _BUMP_ENTRIES = 4_000_000
 def _projected_fill(bases, frames, pts, scale, norm=1.0):
     """New (D, n) array of norm * exp(-d2 / scale), d2 the squared distance
     from every point to every flat of one stack: the projected fill.
+    Its rows are padded to ``linalg.ROW_ALIGN`` (``_feature_rows``).
 
     It serves the Gaussian point bumps and the subspace stacks for which
     ``_lifted_wins(d, l)`` is false (high d: the R^80 reference model).
@@ -225,7 +235,7 @@ def _projected_fill(bases, frames, pts, scale, norm=1.0):
     """
     n, d = pts.shape
     g, l = frames.shape[0], frames.shape[2]
-    out = np.empty((g, n))
+    out = _feature_rows(g, n)
     x_sq = (pts**2).sum(axis=1)
     entries, per_column = (_PROJ_ENTRIES, g * (l + 1)) if l else (_BUMP_ENTRIES, g)
     chunk = max(COL_ALIGN, entries // max(1, per_column) // COL_ALIGN * COL_ALIGN)
@@ -260,8 +270,8 @@ def _projected_fill(bases, frames, pts, scale, norm=1.0):
     return out
 
 
-# Entries of one lifted monomial block (8 MiB of float64).
-_LIFT_ENTRIES = 2**20
+# Entries of one lifted monomial block (2 MiB of float64).
+_LIFT_ENTRIES = 2**18
 
 # Entries the lifted fill's minimum and exp cover per call (512 KiB): a
 # piece the GEMM wrote is clipped and exponentiated while it is in cache.
@@ -336,7 +346,8 @@ def _lifted_fill(flats, pts, scale, shift=0.0):
     and one exp complete it in place, ``_PASS_ENTRIES`` entries at a time.
     Linear flats leave out the d rows of x_i terms, which are zero.
     Beside the result only the coefficients and one monomial block of at
-    most ``_LIFT_ENTRIES`` entries exist.
+    most ``_LIFT_ENTRIES`` entries (2 MiB) exist.  The result's rows are
+    padded to ``linalg.ROW_ALIGN`` (``_feature_rows``).
     """
     n, d = pts.shape
     coef = _lifted_coefficients(flats.base, flats.basis, scale, shift)
@@ -346,7 +357,7 @@ def _lifted_fill(flats, pts, scale, shift=0.0):
     used = slice(q - coef.shape[1], q)
     chunk = max(COL_ALIGN, _LIFT_ENTRIES // q // COL_ALIGN * COL_ALIGN)
     lift_buf = np.empty(q * min(chunk, n))
-    out = np.empty((len(flats), n))
+    out = _feature_rows(len(flats), n)
     for s in range(0, n, chunk):
         e = min(n, s + chunk)
         m = e - s
@@ -383,13 +394,16 @@ def _takes_lifted_fill(spec):
 def feature_matrix(spec: FeatureSpec, points) -> np.ndarray:
     """Unscaled feature values f(x_i, y_j), shape (D, n), of an array or DataSet.
 
-    The result is one freshly allocated (D, n) array, filled in place.
+    The result is one freshly allocated (D, n) array, filled in place;
+    it is the first D rows of a buffer with zero pad rows up to a
+    multiple of ``linalg.ROW_ALIGN`` (at most 7 more rows), which
+    ``cluster.spectral_embed`` uses without a copy.
     Subspace features take the lifted fill (``_lifted_fill``) when
     ``_lifted_wins(d, l)``, the projected fill (``_projected_fill``)
     otherwise; landmark features take the projected fill with l = 0,
     cosine features one GEMM.  Either fill holds only fixed-size block
     temporaries beside the result: the lifted one a monomial block of at
-    most 2^20 entries (8 MiB), the projected one a projection and its
+    most 2^18 entries (2 MiB), the projected one a projection and its
     row sums of at most 2^18 entries (2 MiB) together, nothing for the
     bumps.  embed() scales by 1/sqrt(D); the raw
     values are useful when the per-sample spread matters (standard errors
@@ -397,7 +411,8 @@ def feature_matrix(spec: FeatureSpec, points) -> np.ndarray:
     """
     pts = _spec_points(spec, points)
     if isinstance(spec, GaussianRFF):
-        out = spec.frequencies @ pts.T
+        out = _feature_rows(spec.n_features, pts.shape[0])
+        np.matmul(spec.frequencies, pts.T, out=out)
         out += spec.phases[:, None]
         np.cos(out, out=out)
         out *= math.sqrt(2.0)
@@ -415,13 +430,16 @@ def feature_matrix(spec: FeatureSpec, points) -> np.ndarray:
 def embed(spec: FeatureSpec, points) -> EmbeddingMatrix:
     """Feature embedding psi(X) with the 1/sqrt(D) scaling applied.
 
-    Holds one (D, n) array.  On the lifted fill the scaling is folded
+    Holds one (D, n) array, the first rows of a buffer padded with zero
+    rows to a multiple of ``linalg.ROW_ALIGN``, which
+    ``cluster.spectral_embed`` scales in place (so it may overwrite the
+    result) without a copy.  On the lifted fill the scaling is folded
     into the exponent (-ln sqrt(D) in the constant coefficient), so the
     peak is that array, the (D, q) coefficients and one monomial block
-    of at most 2^20 entries.  Otherwise ``feature_matrix`` fills the
-    array block by block and the scaling divides it in place, with one
-    projected block's temporaries (at most 2^18 entries, 2 MiB) beside
-    it.
+    of at most 2^18 entries (2 MiB).  Otherwise ``feature_matrix`` fills
+    the array block by block and the scaling divides it in place, with
+    one projected block's temporaries (at most 2^18 entries, 2 MiB)
+    beside it.
     """
     if _takes_lifted_fill(spec):
         shift = -0.5 * math.log(spec.n_features)

@@ -14,12 +14,13 @@ its matrix shows it could still win, which on the R^80 benchmark model
 skips about 98 % of the 80 x 80 eigen-solves.  The lowest score wins, with
 scores within roundoff (about d * eps) of it tied and ties going to the
 smallest neighborhood; only the winner is decomposed for its basis.
-Landmarks are fitted in blocks.  One GEMM per block fills the distance
-rows of its landmarks; each row is cut at a threshold from a strided
-sample of it, and only the points at or below the cut are partitioned
-and sorted, unless fewer than the neighborhood size survive, when every
-point is.  The neighborhoods are exact: the nearest points sorted by
-(distance, index), so equal distances go to the lower index.  A block
+Landmarks are fitted in blocks.  The distance rows of a block's
+landmarks are filled 8 at a time, one GEMM each, into one 8-row buffer;
+each row is cut at a threshold from a strided sample of it, and only the
+points at or below the cut are partitioned and sorted, unless fewer than
+the neighborhood size survive, when every point is.  The neighborhoods
+are exact: the nearest points sorted by (distance, index), so equal
+distances go to the lower index.  A block
 keeps only their indices and reads the points of each band of sizes
 (m_{j-1}, m_j] in sub-chunks of a row count set by d alone (at least
 512 rows up to d = 16, 64 in R^80), scoring each size as soon as its
@@ -75,10 +76,6 @@ _BLOCK_ENTRIES = 2**17
 # depths 384 < k < 768 that OpenBLAS splits differently on one thread
 # and on several
 _CHUNK_ENTRIES = 2**13
-
-# Entries of one block's distance rows (16 MiB of float64): a block holds
-# at most this many, or ROW_ALIGN rows when one row is longer
-_DIST_ENTRIES = 2**21
 
 # Rows per step of the (d, n) copy of the points, small enough to stay in
 # cache: a whole-array transpose of a tall n x d array takes about twice
@@ -437,54 +434,63 @@ def _gather(pts, pts_t, x_sq, centers, dists, out):
     """Write the indices of the nearest ``out.shape[1]`` points of each
     center into the int array ``out``, sorted by (distance, index).
 
-    One GEMM fills the distance rows of all ``centers`` into ``dists``,
-    the center rows padded with zero rows to a multiple of ROW_ALIGN.
-    Each row is cut at the _SAMPLE_RANK-th smallest distance of every
-    stride-th point; only the candidates at or below the cut are
-    partitioned and sorted.  The nearest points are among them whenever
-    at least ``size`` survive; when fewer do, every point is a candidate.
+    The centers are scanned ROW_ALIGN at a time: one GEMM fills their
+    distance rows into the first ROW_ALIGN rows of ``dists`` (at least
+    (ROW_ALIGN, pts_t.shape[1])), a short last group padded with zero
+    rows, so every GEMM has the same shape.  Each row is cut at the
+    _SAMPLE_RANK-th smallest distance of every stride-th point; only the
+    candidates at or below the cut are partitioned and sorted.  The
+    nearest points are among them whenever at least ``size`` survive;
+    when fewer do, every point is a candidate.
     """
     n, d = pts.shape
     size = out.shape[1]
-    rows = dists[: round_up(len(centers), ROW_ALIGN)]
-    lhs = np.zeros((len(rows), d))
-    np.multiply(centers, -2.0, out=lhs[: len(centers)])
-    # |x|^2 - 2 x.c orders points as |x - c|^2 does; |c|^2 is left out
-    np.matmul(lhs, pts_t, out=rows)
-    rows = rows[: len(centers)]
-    rows += x_sq
     stride = max(1, size // (_SAMPLE_RANK // 2))
-    for row, near in zip(rows, out):
-        row = row[:n]
-        sample = row[::stride]
-        cand = None
-        if stride > 1 and sample.size >= _SAMPLE_RANK:
-            cut = np.partition(sample, _SAMPLE_RANK - 1)[_SAMPLE_RANK - 1]
-            cand = np.flatnonzero(row <= cut)
-        if cand is None or cand.size < size:
-            cand = np.arange(n)
-        # every candidate up to the size-th smallest distance, in index
-        # order, so the stable sort sends equal distances to the lower index
-        vals = row[cand]
-        keep = cand[vals <= np.partition(vals, size - 1)[size - 1]]
-        near[:] = keep[np.argsort(row[keep], kind="stable")[:size]]
+    rows, lhs = dists[:ROW_ALIGN], np.empty((ROW_ALIGN, d))
+    for lo in range(0, len(centers), ROW_ALIGN):
+        group = centers[lo : lo + ROW_ALIGN]
+        np.multiply(group, -2.0, out=lhs[: len(group)])
+        lhs[len(group) :] = 0.0
+        # |x|^2 - 2 x.c orders points as |x - c|^2 does; |c|^2 is left out
+        np.matmul(lhs, pts_t, out=rows)
+        rows[: len(group)] += x_sq
+        for row, near in zip(rows[: len(group)], out[lo : lo + ROW_ALIGN]):
+            _nearest(row[:n], size, stride, near)
 
 
-def _block_centers(width, d, sizes):
-    """Centers per block of ``_fit_ladders`` on points in R^d padded to
-    ``width`` columns, for the local ladder ``sizes``.
+def _nearest(row, size, stride, near):
+    """Write the indices of the ``size`` smallest entries of ``row`` into
+    ``near``, sorted by (value, index), candidates cut at a strided sample
+    (see ``_gather``)."""
+    sample = row[::stride]
+    cand = None
+    if stride > 1 and sample.size >= _SAMPLE_RANK:
+        cut = np.partition(sample, _SAMPLE_RANK - 1)[_SAMPLE_RANK - 1]
+        cand = np.flatnonzero(row <= cut)
+    if cand is None or cand.size < size:
+        cand = np.arange(row.shape[0])
+    # every candidate up to the size-th smallest distance, in index
+    # order, so the stable sort sends equal distances to the lower index
+    vals = row[cand]
+    keep = cand[vals <= np.partition(vals, size - 1)[size - 1]]
+    near[:] = keep[np.argsort(row[keep], kind="stable")[:size]]
+
+
+def _block_centers(d, sizes):
+    """Centers per block of ``_fit_ladders`` on points in R^d, for the
+    local ladder ``sizes``.
 
     No neighborhood is held whole: per center ``_local_scores`` holds one
     band sub-chunk and four d x d arrays (the running moments, the product
     buffer, the ``_score_bounds`` temporary and the matrices ``eigvalsh``
     takes).  A block takes as many centers as have 2 * _BLOCK_ENTRIES of
-    that working set, in whole multiples of ROW_ALIGN when that many fit,
-    and at most _DIST_ENTRIES of distance rows (at least ROW_ALIGN rows).
+    that working set, in whole multiples of ROW_ALIGN when that many fit.
+    The distance rows do not count: ``_gather`` scans ROW_ALIGN centers
+    at a time, whatever the block.
     """
     m_max = sizes[-1] if sizes else 0
     work = min(_chunk_rows(d), m_max) * d + 4 * d * d
     step = max(1, 2 * _BLOCK_ENTRIES // work)
-    step = min(step, max(ROW_ALIGN, _DIST_ENTRIES // width // ROW_ALIGN * ROW_ALIGN))
     if step >= ROW_ALIGN:
         step -= step % ROW_ALIGN  # no zero rows in a full block's GEMM
     return step
@@ -500,10 +506,11 @@ def _fit_ladders(pts, centers, sizes, flat_dim, linear):
     alike, so a flat has the same bits whichever block it lands in.
 
     A block's size comes from ``_block_centers``.  Its neighborhoods come
-    from ``_gather`` as sorted indices: one GEMM of the block's centers
-    against a (d, n) copy of the points, both zero-padded to the
-    alignment of ``linalg``, so each distance has the same bits on any
-    BLAS thread count and in any block.  Their rows are read a band
+    from ``_gather`` as sorted indices: one GEMM per ROW_ALIGN of the
+    block's centers against a (d, n) copy of the points, both zero-padded
+    to the alignment of ``linalg``, so each distance has the same bits on
+    any BLAS thread count and in any block.  Beside the points and that
+    copy the scan holds one (ROW_ALIGN, n) buffer of distance rows.  Their rows are read a band
     sub-chunk at a time (``_local_scores``); the bases of winners at sizes
     m >= d below the largest come from their scatters summed again, the
     same way, and are decomposed in one stacked call per winning size
@@ -521,9 +528,9 @@ def _fit_ladders(pts, centers, sizes, flat_dim, linear):
     wins = np.empty(len(centers), dtype=int)
 
     pts_t, x_sq = _scan_layout(pts)
-    step = _block_centers(pts_t.shape[1], d, local)
+    step = _block_centers(d, local)
     near = np.empty((min(step, len(centers)), local[-1] if local else 0), dtype=np.intp)
-    dists = np.empty((round_up(len(near), ROW_ALIGN), pts_t.shape[1]))
+    dists = np.empty((ROW_ALIGN, pts_t.shape[1]))
     bases, frames = np.empty((len(centers), d)), np.empty((len(centers), d, flat_dim))
     taken = 0
     for lo in range(0, len(centers), step):
@@ -622,8 +629,9 @@ def best_fit_flats(
     index): equal distances go to the lower index.  The centers are
     fitted in blocks (``_block_centers``): as many as have about 2 MiB
     of working set, in whole multiples of 8 where that many fit (40 in
-    R^10, 8 in R^80).  One GEMM per block scans the points for all of
-    its centers; each distance row is cut at a threshold taken from a
+    R^10, 8 in R^80).  The points are scanned for 8 centers at a time,
+    one GEMM into one (8, n) buffer of distance rows, however large the
+    block; each distance row is cut at a threshold taken from a
     strided sample of it, so only about twice the largest local size is
     partitioned and sorted, and a row whose cut keeps too few points
     falls back to all n.  A block keeps the sorted indices, not the

@@ -41,6 +41,7 @@ from fls.rng import split
 
 from oracles import dense_spectral_cluster, gram_svd, subspace_spec
 from test_cli import subprocess_env
+from test_kernels import random_flats
 
 
 def two_plane_data(rng, n_per=60, noise=0.02, d=4):
@@ -104,9 +105,9 @@ class TestSpectralEmbed:
 
     def test_matches_dense_eigenvectors(self, rng):
         emb = positive_embedding(rng, 10, 25)
+        w = emb.data.T @ emb.data  # before spectral_embed, which may scale Psi in place
         rows, svals = spectral_embed(emb, 3)
 
-        w = emb.data.T @ emb.data
         lap = dense_normalized(w)
         eigvals, eigvecs = np.linalg.eigh(lap)
         order = np.argsort(eigvals)[::-1][:3]
@@ -118,8 +119,9 @@ class TestSpectralEmbed:
     def test_point_permutation_equivariance(self, rng):
         emb = positive_embedding(rng, 8, 20)
         perm = rng.permutation(20)
+        permuted = EmbeddingMatrix(data=emb.data[:, perm])  # before emb is scaled in place
         rows, _ = spectral_embed(emb, 2)
-        rows_p, _ = spectral_embed(EmbeddingMatrix(data=emb.data[:, perm]), 2)
+        rows_p, _ = spectral_embed(permuted, 2)
         assert np.allclose(rows_p, rows[perm], atol=1e-8)
 
     def test_drop_first_shape(self, rng):
@@ -131,23 +133,43 @@ class TestSpectralEmbed:
         # 7-column blocks over 45 points: the last block is a partial one
         monkeypatch.setattr(cluster, "_GRAM_BLOCK_ENTRIES", 7 * 12, raising=False)
         emb = positive_embedding(rng, 12, 45)
-        rows, svals = spectral_embed(emb, 3, drop_first=True)
         a = emb.data * degrees(emb)[None, :] ** -0.5
+        rows, svals = spectral_embed(emb, 3, drop_first=True)
         want_svals, want_vectors = gram_svd(a, 3)
         assert np.allclose(svals, want_svals, rtol=1e-13, atol=0)
         assert np.allclose(rows, sphere_normalize(want_vectors[:, 1:]), atol=1e-12)
 
-    def test_embedding_left_unchanged(self, rng):
-        emb = positive_embedding(rng, 10, 30)
-        before = emb.data.copy()
-        spectral_embed(emb, 3)
-        assert np.array_equal(emb.data, before)
+    @pytest.mark.parametrize("count", [10, 16])
+    def test_overwritten_embedding_gives_the_result_of_a_copy(self, rng, count):
+        # spectral_embed may scale Psi in place (D = 16) or in a padded copy
+        # (D = 10); either way the result is that of a call on an untouched copy
+        emb = positive_embedding(rng, count, 30)
+        untouched = EmbeddingMatrix(data=emb.data.copy())
+        rows, svals = spectral_embed(emb, 3)
+        want_rows, want_svals = spectral_embed(untouched, 3)
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(svals, want_svals)
 
     def test_gram_path_peak_is_one_block(self, monkeypatch):
-        # no second D x n array: the peak is one column block plus n x K
+        # no second D x n array: Psi is scaled in place, so the peak is n x K arrays
         monkeypatch.setattr(cluster, "_GRAM_BLOCK_ENTRIES", 2**16, raising=False)
         count, n = 200, 20_000
         emb = positive_embedding(np.random.default_rng(3), count, n)
+        tracemalloc.start()
+        try:
+            spectral_embed(emb, 3, drop_first=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * count * n * 8
+
+    def test_embed_output_is_scaled_without_a_copy(self):
+        # D = 100 is not a multiple of ROW_ALIGN, but embed pads its buffer
+        # with zero rows, so no second D x n array is made
+        gen = np.random.default_rng(6)
+        count, n = 100, 20_000
+        spec = SubspaceKernel(sigma=0.5, flats=random_flats(gen, count, 10, 2, False))
+        emb = embed(spec, sphere_normalize(gen.standard_normal((n, 10))))
         tracemalloc.start()
         try:
             spectral_embed(emb, 3, drop_first=True)
@@ -230,17 +252,43 @@ class TestSpectralEmbedProcess:
         assert np.array_equal(one["svals"], two["svals"])
         assert np.array_equal(one["rows"], two["rows"])
 
-    def test_peak_growth_is_gram_block_plus_k_n(self, tmp_path):
-        # D = 400, n = 31 500 on 2 threads: the peak grows by the Gram
-        # block, a few n x K arrays, and 8 MiB for the D x D eigensolve
-        # and the interpreter.  Psi^T U would take the BLAS 28 MiB more.
+    def test_peak_growth_is_k_n(self, tmp_path):
+        # D = 400, n = 31 500 on 2 threads: Psi is scaled in place, so the
+        # peak grows by a few n x K arrays and 8 MiB for the D x D
+        # eigensolve and the interpreter.  Psi^T U would take the BLAS
+        # 28 MiB more.
         count, n, k = 400, 31_500, 5
         got = spectral_embed_in_child(tmp_path, 2, count, n)
-        budget = 8 * (cluster._GRAM_BLOCK_ENTRIES + 4 * k * n) + 8 * 2**20
+        budget = 8 * 4 * k * n + 8 * 2**20
         assert int(got["growth"]) <= budget
 
 
 class TestFlsCluster:
+    def test_kmeans_runs_without_the_embedding(self, monkeypatch):
+        # the kmeans-landmarks shape: 31 500 points in R^10, 400 k-means
+        # landmarks, sigma auto.  spectral_embed consumed the 400 x 31 500
+        # embedding (101 MB), so when k-means starts only the
+        # sphere-normalized points, the rows and small arrays are live
+        model = SyntheticModel(
+            dims=(2,) * 5, ambient=10, pts_per_subspace=6000, noise_sigma=0.05, outlier_ratio=0.05
+        )
+        pts = gen_synthetic(model, seed=0).points
+        live = []
+
+        def spy(rows, *args, **kwargs):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return kmeans(rows, *args, **kwargs)
+
+        monkeypatch.setattr(cluster, "kmeans", spy)
+        cfg = LandmarkConfig(n_landmarks=400, flat_dim=2, method="kmeans", linear=True)
+        tracemalloc.start()
+        try:
+            result = fls_cluster(pts, 5, cfg, seed=0, drop_first=True, normalize_sphere=True)
+        finally:
+            tracemalloc.stop()
+        assert len(live) == 1
+        assert live[0] <= pts.nbytes + result.embedding.nbytes + 2**20
+
     def test_two_planes_perfect(self, rng):
         data = two_plane_data(rng)
         cfg = LandmarkConfig(n_landmarks=20, flat_dim=2)

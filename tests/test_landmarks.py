@@ -32,6 +32,7 @@ from fls.landmarks import (
     select_landmarks,
 )
 from fls.linalg import (
+    COL_ALIGN,
     ROW_ALIGN,
     AffineFlat,
     flip_signs,
@@ -631,6 +632,23 @@ class TestBlockedLadder:
             tracemalloc.stop()
         assert peak <= 2 * pts.nbytes + 8 * landmarks._BLOCK_ENTRIES + 2**20
 
+    def test_five_plane_peak_holds_eight_distance_rows(self):
+        # the kmeans-landmarks shape (31 500 points in R^10, 400 landmarks,
+        # sizes 6 to 768): beside the points and their transposed copy the
+        # scan holds ROW_ALIGN distance rows, however many centers a block
+        # takes, and the ladder its 2 * _BLOCK_ENTRIES of working set
+        pts = five_planes(31_500, 3)
+        centers = pts[np.random.default_rng(3).choice(len(pts), 400, replace=False)]
+        best_fit_flats(pts, centers, 2, 8, 6, linear=True)
+        tracemalloc.start()
+        try:
+            best_fit_flats(pts, centers, 2, 8, 6, linear=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        width = round_up(len(pts), COL_ALIGN)
+        assert peak <= 2 * pts.nbytes + 8 * (ROW_ALIGN * width + 2 * landmarks._BLOCK_ENTRIES)
+
     @pytest.mark.threads
     def test_flats_do_not_depend_on_blas_threads(self, tmp_path):
         # 5 113 points, a width at which an unaligned distance GEMM gives
@@ -716,9 +734,8 @@ def oracle_gather(pts, centers, size):
 def gather(pts, centers, size):
     """``landmarks._gather`` of every center in one block."""
     pts_t, x_sq = landmarks._scan_layout(pts)
-    rows = round_up(len(centers), ROW_ALIGN)
     out = np.empty((len(centers), size), dtype=np.intp)
-    landmarks._gather(pts, pts_t, x_sq, centers, np.empty((rows, pts_t.shape[1])), out)
+    landmarks._gather(pts, pts_t, x_sq, centers, np.empty((ROW_ALIGN, pts_t.shape[1])), out)
     return pts[out]
 
 

@@ -158,6 +158,8 @@ def _embedding_of(a, c):
 
 
 def _normalized(emb):
+    """Psi D^-1/2 as a new array; taken before ``spectral_embed``, which
+    may scale Psi in place."""
     return emb.data * degrees(emb) ** -0.5
 
 
@@ -188,8 +190,9 @@ class TestTruncatedSvd:
 
     def test_matches_full_svd_oracle(self, rng):
         emb = _positive_embedding(rng, 8, 20)
+        a = _normalized(emb)
         rows, svals = spectral_embed(emb, 3)
-        _, s, vt = np.linalg.svd(_normalized(emb), full_matrices=False)
+        _, s, vt = np.linalg.svd(a, full_matrices=False)
         assert np.allclose(svals, s[:3], atol=1e-8)
         # the shared sign convention makes columns directly comparable
         assert np.allclose(rows, sphere_normalize(flip_signs(vt[:3].T)), atol=1e-8)
@@ -197,8 +200,8 @@ class TestTruncatedSvd:
     def test_triple_identity(self, rng):
         # with u = A v / s, A^T u = s v
         emb = _positive_embedding(rng, 6, 15)
-        rows, svals = spectral_embed(emb, 6)
         a = _normalized(emb)
+        rows, svals = spectral_embed(emb, 6)
         v = _right_vectors(a, rows)
         for i in range(6):
             lhs = a.T @ (a @ v[:, i])
@@ -207,8 +210,8 @@ class TestTruncatedSvd:
 
     def test_orthonormal_outputs(self, rng):
         emb = _positive_embedding(rng, 7, 11)
-        rows, svals = spectral_embed(emb, 7)
         a = _normalized(emb)
+        rows, svals = spectral_embed(emb, 7)
         v = _right_vectors(a, rows)
         u = a @ v / svals
         assert np.allclose(v.T @ v, np.eye(7), atol=1e-8)
