@@ -536,6 +536,9 @@ _COMMON = (
         "--threads", _positive_int, None, "BLAS thread cap, else env FLS_THREADS", env="FLS_THREADS"
     ),
 )
+_RESTARTS_HELP = (
+    "k-means restarts, run on at most max(4096, 20 k) sampled rows; the best is refined on all"
+)
 _VERIFY_FORMAT = Option("--format", ("table", "json"), "table", "report format")
 _VERIFY_OUT = Option("--out", str, None, "write the report here instead of stdout")
 _TWO_CLUSTER = (
@@ -579,7 +582,7 @@ _COMMANDS = {
             Option("--linear", bool, False, "fit linear flats through the origin"),
             Option("--drop-first", bool, False, "drop the top singular vector"),
             Option("--normalize-sphere", bool, False, "project points to the unit sphere"),
-            Option("--restarts", _positive_int, 1, "k-means restarts"),
+            Option("--restarts", _positive_int, 1, _RESTARTS_HELP),
             Option("--out", str, None, "result JSON path (default: stdout)"),
             Option("--embedding-csv", str, None, "save the spectral embedding rows here"),
         )
@@ -595,7 +598,7 @@ _COMMANDS = {
             Option("--method", ("random", "kmeans"), "kmeans", "landmark selection"),
             Option("--flat-dim", int, None, "flat dimension (default: largest model dim)"),
             Option("--sigma", _sigma_value, 0.3, "bandwidth or 'auto'"),
-            Option("--restarts", _positive_int, 3, "k-means restarts"),
+            Option("--restarts", _positive_int, 3, _RESTARTS_HELP),
             Option("--drop-first", bool, True, "drop the top singular vector"),
             Option("--normalize-sphere", bool, True, "project points to the unit sphere"),
             Option("--linear", bool, True, "fit linear flats through the origin"),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import sphere_normalize
+from .datagen import _sphere_in_place, sphere_normalize
 from .errors import (
     DegenerateInput,
     DegreeNotPositive,
@@ -28,7 +28,15 @@ from .errors import (
 )
 from .kernels import EmbeddingMatrix, SubspaceKernel, _feature_rows, embed
 from .landmarks import LandmarkConfig, best_fit_flats, default_sigma, select_landmarks
-from .linalg import ROW_ALIGN, as_integer, as_points, check_finite, flip_signs, kmeans, round_up
+from .linalg import (
+    ROW_ALIGN,
+    _largest_signs,
+    as_integer,
+    as_points,
+    check_finite,
+    kmeans,
+    round_up,
+)
 from .rng import split
 
 
@@ -56,8 +64,8 @@ class ClusterResult:
 
     def to_json(self) -> dict:
         return {
-            "labels": [int(v) for v in self.labels],
-            "singular_values": [float(v) for v in self.singular_values],
+            "labels": self.labels.tolist(),
+            "singular_values": self.singular_values.tolist(),
             "n_points": int(self.labels.shape[0]),
             "timings": {k: float(v) for k, v in self.timings.items()},
             "sigma": None if self.sigma is None else float(self.sigma),
@@ -156,8 +164,12 @@ def spectral_embed(
     which the right vectors would be noise, so RankDeficient is raised when
     s_K falls under that floor.  The right vectors are (U^T A)^T / s in the
     ``linalg.flip_signs`` convention: one K x n GEMM that streams A in its
-    own layout.  Beside Psi it holds the n degrees, a few D x D matrices
-    and a few n x K arrays.  A^T U, the same product against A's layout,
+    own layout (K - 1 rows with drop_first, which never computes the
+    leading vector).  Its output is divided by s, flipped and
+    sphere-normalized in place, and the rows returned are its (n, K)
+    transpose, a Fortran-ordered view.  Beside Psi it holds the n degrees
+    while the Gram matrix is summed, a few D x D matrices while it is
+    decomposed, and then that one n x K array.  A^T U, the same product against A's layout,
     takes the BLAS tens of MiB of work memory of its own on 2 threads.
     tracemalloc does not see BLAS work memory, so the benchmark's
     ``cluster.spectral_embed_peak_mb`` cannot tell the two apart; only the
@@ -176,9 +188,8 @@ def spectral_embed(
     d_rows = psi.shape[0]
     if n_clusters > min(psi.shape):
         raise InvalidParam(f"n_clusters={n_clusters} not in [1, {min(psi.shape)}]")
-    inv_sqrt = degrees(embedding) ** -0.5
     padded = _padded_rows(psi)
-    gram = _scaled_gram(padded, inv_sqrt)[:d_rows, :d_rows]
+    gram = _scaled_gram(padded, degrees(embedding) ** -0.5)[:d_rows, :d_rows]
     eigvals, eigvecs = np.linalg.eigh((gram + gram.T) / 2.0)
     order = np.argsort(eigvals)[::-1][:n_clusters]
     svals = np.sqrt(np.clip(eigvals[order], 0.0, None))
@@ -188,10 +199,15 @@ def spectral_embed(
             f"singular value {svals[-1]:.3e} below the Gram noise floor "
             f"{floor:.3e}; request fewer vectors"
         )
-    vectors = flip_signs((eigvecs[:, order].T @ padded[:d_rows]).T / svals)
-    if drop_first:
-        vectors = vectors[:, 1:]
-    return sphere_normalize(vectors), svals
+    kept = slice(1 if drop_first else 0, None)
+    u = eigvecs[:, order[kept]]
+    del gram, eigvecs  # the D x D matrices go before the n x K array comes
+    # one n x K array: (U^T A)^T is divided, flipped and normalized in place
+    vt = u.T @ padded[:d_rows]
+    vt /= svals[kept, None]
+    vectors = vt.T
+    vectors *= _largest_signs(vectors)
+    return _sphere_in_place(vectors), svals
 
 
 def _check_settings(n_clusters: int, flat_dim: int, ambient: int, drop_first: bool):
@@ -218,11 +234,13 @@ def fls_cluster(
     Stages, timed under these names: landmarks, flats (over the ladder of
     ``config.resolve_scales(n)``), sigma (also when the config gives it),
     embed, svd (of the degree-normalized embedding) and kmeans (on the
-    row-normalized vectors).  Any stage failure is re-raised as
-    PipelineError naming the stage.  Requires n >= max(n_landmarks,
-    n_clusters), flat_dim < d (a d-flat holds every point) and, with
-    drop_first, n_clusters >= 2; all but n >= n_landmarks are checked
-    before any stage runs.
+    row-normalized vectors: kmeans++ and the ``kmeans_restarts`` restarts
+    on at most max(4096, 20 n_clusters) sampled rows, then Lloyd sweeps
+    over all n from the best restart; see ``linalg.kmeans``).  Any stage
+    failure is re-raised as PipelineError naming the stage.  Requires
+    n >= max(n_landmarks, n_clusters), flat_dim < d (a d-flat holds every
+    point) and, with drop_first, n_clusters >= 2; all but
+    n >= n_landmarks are checked before any stage runs.
     """
     pts, n_clusters = as_points(data), as_integer(n_clusters, "n_clusters", 1)
     if pts.shape[0] < n_clusters:

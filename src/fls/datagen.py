@@ -96,17 +96,25 @@ class DataSet:
         return self.points.shape[1]
 
 
+# Rows per block of the row norms (the inlier norms that size the outlier
+# cube, ``sphere_normalize``), so the squares are never an n x d temporary
+_NORM_ROWS = 4096
+
+
 def sphere_normalize(points: np.ndarray) -> np.ndarray:
     """Scale each point to the unit sphere; zero points are left alone."""
-    pts = as_points(points)
-    norms = np.linalg.norm(pts, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    return pts / safe[:, None]
+    return _sphere_in_place(as_points(points).copy(order="K"))
 
 
-# Rows per block of the inlier norms that size the outlier cube, so the
-# squares are never an n x d temporary
-_NORM_ROWS = 4096
+def _sphere_in_place(a: np.ndarray) -> np.ndarray:
+    """Scale each row of ``a`` to unit norm in place, zero rows left alone,
+    and return ``a``.  Rows go ``_NORM_ROWS`` at a time; each row's norm
+    has the bits of ``np.linalg.norm(a, axis=1)``."""
+    for start in range(0, a.shape[0], _NORM_ROWS):
+        block = a[start : start + _NORM_ROWS]
+        norms = np.linalg.norm(block, axis=1)
+        block /= np.where(norms > 0, norms, 1.0)[:, None]
+    return a
 
 
 def gen_synthetic(model: SyntheticModel, seed=0) -> DataSet:

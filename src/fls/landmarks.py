@@ -44,9 +44,17 @@ import numpy as np
 from .errors import DegenerateInput, DimensionMismatch, InvalidParam
 from .kernels import AffineFlat, _check_sigma, _stack_flats
 from .linalg import (
-    COL_ALIGN, ROW_ALIGN, as_integer, as_points, check_finite, flip_signs, kmeans_centers, round_up
+    COL_ALIGN,
+    ROW_ALIGN,
+    as_integer,
+    as_points,
+    check_finite,
+    flip_signs,
+    kmeans_centers,
+    round_up,
+    sample_rows,
 )
-from .rng import make_rng, split
+from .rng import make_rng
 
 log = logging.getLogger(__name__)
 
@@ -98,21 +106,8 @@ _SAMPLE_RANK = 64
 # converged on these tuning seeds; converged takes 36-46 sweeps of about
 # 45 ms each at that size.  On other seeds, 3 sweeps against converged:
 # 51-62 0.933 / 0.934, 41-50 0.945 / 0.968 (see CHANGES.md).  At that
-# shape the row sample below holds 8 000 of the points.
+# shape the row sample (``linalg.sample_rows``) holds 8 000 of the points.
 _LANDMARK_SWEEPS = 3
-
-# "kmeans" landmarks are fitted on at most max(_SAMPLE_FLOOR,
-# _ROWS_PER_LANDMARK * count) distinct rows drawn uniformly, so their
-# cost follows the landmark count, not n.  Twenty rows per landmark is
-# the order of candidates per center that oversampled seeding
-# (k-means||) reclusters; at 8 per landmark with no floor (3 200 rows)
-# the mean sigma-auto rate on the 24 datasets of kmeans-landmarks
-# benchmark seeds 0-5 fell from 0.929 to 0.895.  Up to the floor every
-# row is used, which keeps the paper benchmark's shapes (n <= 1625) and
-# small data on all their points.
-_SAMPLE_FLOOR = 4096
-_ROWS_PER_LANDMARK = 20
-
 
 @dataclass(frozen=True)
 class LandmarkConfig:
@@ -173,9 +168,10 @@ def select_landmarks(points: np.ndarray, count: int, method: str = "random", see
     51-62 and 0.023 over seeds 41-50, within the benchmark's rate bound.
 
     Above cap = max(4096, 20 * count) points the centroids are fitted on
-    a sample: cap distinct rows, drawn uniformly from the first stream
-    of ``split(seed, 2)`` and kept in index order, with the second
-    stream seeding the fit.  Its cost then follows count, not n; at or
+    a sample (``linalg.sample_rows``, the rule of the final k-means):
+    cap distinct rows, drawn uniformly from the first stream of
+    ``split(seed, 2)`` and kept in index order, with the second stream
+    seeding the fit.  Its cost then follows count, not n; at or
     below the cap every point is used with ``seed`` itself.  Five-plane
     model in R^10 with the reference settings and sigma = 0.3: at
     n = 1.05e6, D = 200 the stage took 0.03 s against 6.1-6.3 s on all
@@ -191,11 +187,8 @@ def select_landmarks(points: np.ndarray, count: int, method: str = "random", see
         idx = make_rng(seed).choice(n, size=count, replace=False)
         return pts[idx]
     if method == "kmeans":
-        cap = max(_SAMPLE_FLOOR, _ROWS_PER_LANDMARK * count)
-        if n > cap:
-            draw, seed = split(seed, 2)
-            pts = pts[np.sort(make_rng(draw).choice(n, cap, replace=False))]
-        return kmeans_centers(pts, count, seed, _LANDMARK_SWEEPS)
+        rows, fit = sample_rows(pts, count, seed)
+        return kmeans_centers(rows, count, fit, _LANDMARK_SWEEPS)
     raise InvalidParam(f"unknown landmark method {method!r}")
 
 

@@ -134,8 +134,22 @@ def flip_signs(vectors: np.ndarray) -> np.ndarray:
     singular/eigen vector the package returns; it makes results
     comparable across code paths.
     """
-    idx = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
-    return vectors * _signs(np.take_along_axis(vectors, idx, axis=-2))
+    return vectors * _largest_signs(vectors)
+
+
+def _largest_signs(vectors: np.ndarray) -> np.ndarray:
+    """The sign of each column's largest-magnitude entry (the first one on
+    a tie; +1 for a zero column), shaped (..., 1, l) to multiply by.
+
+    That entry is the column's maximum or its minimum, so no temporary
+    of the size of ``vectors`` is made and a caller can flip in place.
+    """
+    hi = np.argmax(vectors, axis=-2)[..., None, :]
+    lo = np.argmin(vectors, axis=-2)[..., None, :]
+    top = np.take_along_axis(vectors, hi, axis=-2)
+    bottom = np.take_along_axis(vectors, lo, axis=-2)
+    low_wins = (-bottom > top) | ((-bottom == top) & (lo < hi))
+    return _signs(np.where(low_wins, bottom, top))
 
 
 def haar_frames(gen: np.random.Generator, shape) -> np.ndarray:
@@ -326,55 +340,107 @@ def _kmeans_points(points, k):
     return pts, k
 
 
+# k-means seeds on at most max(_SAMPLE_FLOOR, _ROWS_PER_CENTER * k) rows
+# (``sample_rows``).  Twenty rows per center is the order of candidates
+# per center that oversampled seeding (k-means||) reclusters; for k-means
+# landmarks at 8 per landmark with no floor (3 200 rows) the mean
+# sigma-auto rate on the 24 datasets of kmeans-landmarks benchmark seeds
+# 0-5 fell from 0.929 to 0.895.  Up to the floor every row is used, which
+# keeps the paper benchmark's shapes (n <= 1625) and small data on all
+# their points.
+_SAMPLE_FLOOR = 4096
+_ROWS_PER_CENTER = 20
+
+
+def sample_rows(points: np.ndarray, k: int, seed):
+    """The rows that k-means with k centers seeds on, and the seed of that fit.
+
+    Above cap = max(_SAMPLE_FLOOR, _ROWS_PER_CENTER * k) rows: cap
+    distinct rows drawn uniformly from the first stream of
+    ``split(seed, 2)``, kept in index order, and the second stream.  At or
+    below the cap: ``points`` itself and ``seed``.
+    """
+    n = points.shape[0]
+    cap = max(_SAMPLE_FLOOR, _ROWS_PER_CENTER * k)
+    if n <= cap:
+        return points, seed
+    draw, fit = split(seed, 2)
+    return points[np.sort(make_rng(draw).choice(n, cap, replace=False))], fit
+
+
+def _warn_unconverged(what: str):
+    log.warning(
+        "k-means did not converge: %s stopped after %d sweeps "
+        "with relative inertia change above tol=%.1e",
+        what,
+        _KMEANS_MAX_ITER,
+        _KMEANS_TOL,
+    )
+
+
 def kmeans(
     points: np.ndarray,
     k: int,
     seed=0,
     restarts: int = 1,
 ):
-    """Lloyd's algorithm with kmeans++ seeding.
+    """Lloyd's algorithm with kmeans++ seeding, seeded on a row sample.
 
-    Iterates until the relative inertia change drops below ``_KMEANS_TOL``
-    or ``_KMEANS_MAX_ITER`` passes; one warning is logged naming how many
-    restarts reached ``_KMEANS_MAX_ITER`` first.  Each pass assigns the
-    points in row blocks, so its temporary memory is O(block * k), not
-    O(n * k).
+    The seeding and the restarts run on ``sample_rows(points, k, seed)``:
+    every point up to cap = max(4096, 20 k) points, else cap distinct rows
+    drawn uniformly (Bradley and Fayyad, ICML 1998).  Each restart
+    iterates until the relative inertia change drops below
+    ``_KMEANS_TOL`` or ``_KMEANS_MAX_ITER`` sweeps; the lowest-inertia
+    restart wins (child streams are spawned, not reused).  On a sample,
+    the winner's centroids then take Lloyd sweeps over all points under
+    the same stopping rule, so labels, centroids and inertia are those of
+    the full data.  Each phase that stops at ``_KMEANS_MAX_ITER`` logs one
+    warning naming it: how many restarts (and on how large a sample), or
+    the refinement over all points.  Each sweep assigns the points in row
+    blocks, so its temporary memory is O(block * k), not O(n * k).
     Clusters emptied by an update are re-seeded at the point farthest
-    from its current centroid.  Deterministic for a given seed; with
-    ``restarts`` > 1 the lowest-inertia run wins (child streams are
-    spawned, not reused).
+    from its current centroid.  Deterministic for a given seed.
+
+    On the large-n benchmark datasets of seeds 0 and 7 (n = 105 000,
+    k = 5, 3 restarts, 2 cores) a call took 27-78 ms against 134-377 ms
+    with every restart over all points, and rates matched to 4 decimals.
 
     Returns (labels, centroids, inertia); every point is assigned to its
     nearest returned centroid.
     """
     restarts = as_integer(restarts, "restarts", 1)
     pts, k = _kmeans_points(points, k)
+    rows, fit = sample_rows(pts, k, seed)
     best, unconverged = None, 0
-    for child in split(seed, restarts):
-        *run, converged = _lloyd(pts, k, make_rng(child))
+    for child in split(fit, restarts):
+        *run, converged = _lloyd(rows, k, make_rng(child))
         unconverged += not converged
         if best is None or run[2] < best[2]:
             best = tuple(run)
     if unconverged:
-        log.warning(
-            "k-means did not converge: %d of %d restarts stopped after %d sweeps "
-            "with relative inertia change above tol=%.1e",
-            unconverged,
-            restarts,
-            _KMEANS_MAX_ITER,
-            _KMEANS_TOL,
-        )
-    return best
+        sample = "" if rows is pts else f" on a {rows.shape[0]}-row sample"
+        _warn_unconverged(f"{unconverged} of {restarts} restarts{sample}")
+    if rows is pts:
+        return best
+    x_sq = (pts**2).sum(axis=1)
+    centers = best[1]
+    labels, mins, converged = _sweeps(pts, x_sq, centers, _KMEANS_MAX_ITER)
+    if not converged:
+        _assign(pts, x_sq, centers, labels, mins)
+        _warn_unconverged(f"the refinement over all {pts.shape[0]} points")
+    return labels, centers, float(mins.sum())
 
 
 def kmeans_centers(points: np.ndarray, k: int, seed, sweeps: int) -> np.ndarray:
     """Centroids of ``kmeans(points, k, seed)`` stopped after ``sweeps``
-    Lloyd sweeps in place of ``_KMEANS_MAX_ITER``.
+    Lloyd sweeps in place of ``_KMEANS_MAX_ITER``, with every point.
 
-    The same kmeans++ seeds from the same stream and the same Lloyd
-    sweeps, bit for bit, but only the centroids: no assignment pass after
-    the last update, and no warning when ``sweeps`` runs out before the
-    inertia settles, for callers that cap the sweeps on purpose.
+    On at most ``sample_rows``' cap of points, the same kmeans++ seeds
+    from the same stream and the same Lloyd sweeps, bit for bit, but only
+    the centroids: no assignment pass after the last update, and no
+    warning when ``sweeps`` runs out before the inertia settles, for
+    callers that cap the sweeps on purpose.  Above the cap nothing is
+    sampled; a caller that wants the sample draws it with ``sample_rows``.
     """
     pts, k = _kmeans_points(points, k)
     x_sq = (pts**2).sum(axis=1)

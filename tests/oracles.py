@@ -1,9 +1,10 @@
 """Reference formulas that several test modules compare the library with.
 
 Each is the plain computation written once: a scalar distance or kernel
-value, the Gram route to a truncated SVD, the spec ``fls_cluster``
-builds from its first two seed streams, and spectral clustering by a
-dense eigendecomposition of the n x n normalized matrix.
+value, the Gram route to a truncated SVD, the row sample k-means seeds
+on, the spec ``fls_cluster`` builds from its first two seed streams, and
+spectral clustering by a dense eigendecomposition of the n x n
+normalized matrix.
 """
 
 import math
@@ -18,7 +19,7 @@ from fls.errors import DenseLimitExceeded, InvalidParam
 from fls.kernels import SubspaceKernel
 from fls.landmarks import best_fit_flats, default_sigma, select_landmarks
 from fls.linalg import as_integer, check_finite, flip_signs, kmeans
-from fls.rng import split
+from fls.rng import make_rng, split
 
 
 def flat_distance(x, flat):
@@ -42,6 +43,19 @@ def gram_svd(a, k):
     order = np.argsort(eigvals)[::-1][:k]
     svals = np.sqrt(np.clip(eigvals[order], 0.0, None))
     return svals, flip_signs((eigvecs[:, order].T @ a).T / svals)
+
+
+def landmark_sample(points, count, seed):
+    """The rows that k-means with ``count`` centers seeds on ("kmeans"
+    landmarks, the final k-means) and the seed of that fit: above
+    max(4096, 20 * count) rows, that many distinct rows in index order,
+    drawn from the first stream of split(seed, 2) and fitted from the
+    second; otherwise every row and ``seed`` itself."""
+    cap = max(4096, 20 * count)
+    if len(points) <= cap:
+        return points, seed
+    draw, fit = split(seed, 2)
+    return points[np.sort(make_rng(draw).choice(len(points), cap, replace=False))], fit
 
 
 def subspace_spec(points, config, seed=0):

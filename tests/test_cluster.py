@@ -178,6 +178,20 @@ class TestSpectralEmbed:
             tracemalloc.stop()
         assert peak < 0.25 * count * n * 8
 
+    def test_right_vectors_are_one_n_by_k_array(self):
+        # D = 16 and n = 200 000: the degrees take 1.6 MB each, the right
+        # vectors 8 MB, divided, flipped and normalized in that one array
+        count, n, k = 16, 200_000, 5
+        emb = positive_embedding(np.random.default_rng(8), count, n)
+        tracemalloc.start()
+        try:
+            rows, _ = spectral_embed(emb, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (n, k)
+        assert peak <= n * k * 8 + 2**20
+
     def test_rank_deficient_embedding_refused(self, rng):
         # rank-one Psi: s2 sits at the Gram noise floor, not a real value
         psi = np.outer(rng.random(20) + 0.5, rng.random(300) + 0.5)
@@ -444,6 +458,16 @@ class TestFlsCluster:
         assert doc["n_points"] == 50
         assert len(doc["labels"]) == 50
         assert len(doc["singular_values"]) == 2
+
+    def test_to_json_bytes_match_per_element_conversion(self, rng):
+        data = two_plane_data(rng, n_per=25)
+        result = fls_cluster(data, 2, LandmarkConfig(n_landmarks=8, flat_dim=2), seed=3)
+        want = dict(
+            result.to_json(),
+            labels=[int(v) for v in result.labels],
+            singular_values=[float(v) for v in result.singular_values],
+        )
+        assert json.dumps(result.to_json()) == json.dumps(want)
 
     def test_to_json_records_sigma_and_ladder(self, rng):
         # the resolved bandwidth and neighborhood ladder travel with the

@@ -43,7 +43,7 @@ from fls.linalg import (
 )
 from fls.rng import make_rng, split
 
-from oracles import flat_distance, subspace_spec
+from oracles import flat_distance, landmark_sample, subspace_spec
 from test_cli import subprocess_env
 from test_kernels import random_flats
 from test_linalg import oracle_kmeans
@@ -83,18 +83,6 @@ def per_flat_sigma(points, flats, seed):
     flat_idx = rng.integers(len(flats), size=landmarks._SIGMA_PAIRS)
     sample = [flat_distance(points[i], flats[k]) for i, k in zip(pt_idx, flat_idx)]
     return max(float(np.median(sample)), 1e-6)
-
-
-def landmark_sample(points, count, seed):
-    """The rows "kmeans" landmarks are fitted on and the seed of the fit:
-    above max(4096, 20 * count) rows, that many distinct rows in index
-    order, drawn from the first stream of split(seed, 2) and fitted from
-    the second; otherwise every row and ``seed`` itself."""
-    cap = max(4096, 20 * count)
-    if len(points) <= cap:
-        return points, seed
-    draw, fit = split(seed, 2)
-    return points[np.sort(make_rng(draw).choice(len(points), cap, replace=False))], fit
 
 
 def oracle_kmeans_landmarks(points, count, seed, reseeds=None):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.cluster.vq
 
+from fls import linalg
 from fls.cluster import degrees, spectral_embed
 from fls.datagen import sphere_normalize
 from fls.errors import DegenerateInput, InvalidParam, RankDeficient
@@ -21,6 +22,8 @@ from fls.linalg import (
     kmeans,
 )
 from fls.rng import make_rng, split
+
+from oracles import landmark_sample
 
 
 # Reference k-means: the unblocked implementation kmeans must reproduce
@@ -51,9 +54,8 @@ def _oracle_kmeanspp(points, k, rng):
     return centers
 
 
-def _oracle_lloyd(points, k, rng, max_iter, tol, reseeds):
-    m = points.shape[0]
-    centers = _oracle_kmeanspp(points, k, rng)
+def _oracle_lloyd(points, centers, max_iter, tol, reseeds):
+    m, k = points.shape[0], centers.shape[0]
     prev = math.inf
     for _ in range(max_iter):
         d2 = _oracle_sq_dists(points, centers)
@@ -80,14 +82,27 @@ def _oracle_lloyd(points, k, rng, max_iter, tol, reseeds):
     return labels, centers, inertia
 
 
-def oracle_kmeans(points, k, seed=0, restarts=1, max_iter=100, tol=1e-6, reseeds=None):
+def oracle_restarts(points, k, seed=0, restarts=1, max_iter=100, tol=1e-6, reseeds=None):
+    """The lowest-inertia seeded Lloyd run over every point."""
     reseeds = [] if reseeds is None else reseeds
     best = None
     for child in split(seed, restarts):
-        run = _oracle_lloyd(points, k, make_rng(child), max_iter, tol, reseeds)
+        centers = _oracle_kmeanspp(points, k, make_rng(child))
+        run = _oracle_lloyd(points, centers, max_iter, tol, reseeds)
         if best is None or run[2] < best[2]:
             best = run
     return best
+
+
+def oracle_kmeans(points, k, seed=0, restarts=1, max_iter=100, tol=1e-6, reseeds=None):
+    """The restarts on ``landmark_sample``'s rows; on a sample, the
+    winner's centroids then take Lloyd sweeps over every point."""
+    reseeds = [] if reseeds is None else reseeds
+    rows, fit = landmark_sample(points, k, seed)
+    best = oracle_restarts(rows, k, fit, restarts, max_iter, tol, reseeds)
+    if rows is points:
+        return best
+    return _oracle_lloyd(points, best[1], max_iter, tol, reseeds)
 
 
 def assert_same_kmeans(got, want):
@@ -330,6 +345,34 @@ class TestKmeans:
         got = kmeans(pts, k, seed=seed, restarts=restarts)
         assert_same_kmeans(got, oracle_kmeans(pts, k, seed=seed, restarts=restarts))
 
+    def test_at_the_cap_every_row_is_used(self):
+        # cap = max(4096, 20 k): 4096 points are not sampled, so the
+        # restarts run over all of them from the seed's own children
+        gen = np.random.default_rng(6)
+        pts = gen.standard_normal((5, 3))[gen.integers(5, size=4096)] * 4.0
+        pts += gen.standard_normal(pts.shape)
+        got = kmeans(pts, 5, seed=6, restarts=2)
+        assert_same_kmeans(got, oracle_restarts(pts, 5, seed=6, restarts=2))
+
+    def test_seeds_on_at_most_cap_rows(self, monkeypatch):
+        # the large-n shape: 105 000 rows, k = 5, so cap = 4096
+        seen = []
+        seed_on = linalg._kmeanspp
+
+        def spy(points, *args):
+            seen.append(points.shape[0])
+            return seed_on(points, *args)
+
+        monkeypatch.setattr(linalg, "_kmeanspp", spy)
+        gen = np.random.default_rng(7)
+        pts = sphere_normalize(gen.standard_normal((5, 4))[gen.integers(5, size=105_000)])
+        pts += 0.1 * gen.standard_normal(pts.shape)
+        labels, centers, inertia = kmeans(pts, 5, seed=7, restarts=3)
+        assert seen == [4096] * 3
+        d2 = _oracle_sq_dists(pts, centers)
+        assert np.array_equal(labels, d2.argmin(axis=1))
+        assert inertia == float(d2[np.arange(len(pts)), labels].sum())
+
     @pytest.mark.parametrize(
         "m, d, k",
         [
@@ -394,3 +437,32 @@ class TestKmeans:
         with caplog.at_level(logging.WARNING, logger="fls.linalg"):
             kmeans(pts, 2, seed=0, restarts=3)
         assert not caplog.records
+
+    def _two_blobs(self, m):
+        gen = np.random.default_rng(1)
+        return np.concatenate([gen.standard_normal((m, 2)), gen.standard_normal((m, 2)) + 20])
+
+    def test_unconverged_sample_restarts_are_named(self, caplog, monkeypatch):
+        # 5000 points, so the restarts run on a sample of 4096 rows
+        monkeypatch.setattr("fls.linalg._KMEANS_MAX_ITER", 1)
+        with caplog.at_level(logging.WARNING, logger="fls.linalg"):
+            kmeans(self._two_blobs(2500), 2, seed=0, restarts=3)
+        messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(messages) == 2
+        assert "3 of 3 restarts on a 4096-row sample stopped" in messages[0]
+        assert "the refinement over all 5000 points" in messages[1]
+
+    def test_unconverged_full_sweeps_are_named(self, caplog, monkeypatch):
+        # the restarts on the sample converge; only the sweeps over all
+        # 5000 points are cut to one
+        sweeps = linalg._sweeps
+
+        def capped(points, x_sq, centers, max_iter):
+            return sweeps(points, x_sq, centers, 1 if len(points) > 4096 else max_iter)
+
+        monkeypatch.setattr(linalg, "_sweeps", capped)
+        with caplog.at_level(logging.WARNING, logger="fls.linalg"):
+            kmeans(self._two_blobs(2500), 2, seed=0, restarts=3)
+        messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(messages) == 1
+        assert "the refinement over all 5000 points stopped after 100 sweeps" in messages[0]

@@ -1,17 +1,19 @@
 """Micro-benchmarks of k-means and k-means landmark selection at a small
-landmark-selection shape, of k-means landmark selection on its row sample
-at the kmeans-landmarks shape, of the local flat fits at the R^80 benchmark
+landmark-selection shape, of the final k-means on its row sample at the
+large-n shape, of k-means landmark selection on its row sample at the
+kmeans-landmarks shape, of the local flat fits at the R^80 benchmark
 shape and at the five-plane shape, of the sampled sigma median at the
 kmeans-landmarks shape, of the embed + spectral_embed stages at the
 five-plane shape (lifted fill) and of embed at the R^80 shape (projected
 fill).
 
 In the tier-1 run each is a quick check: a few timed rounds, then the
-result must equal its reference (the unblocked k-means, the capped
-unblocked Lloyd run, the unpruned flat ladder and the projected
-embedding bit for bit; the sampled sigma within 1e-15 of one projected
-fill per flat; the lifted embedding within its roundoff bound of a
-longdouble reference, the unblocked Gram SVD to roundoff).  For timings only,
+result must equal its reference (the unblocked k-means, on the same row
+sample where the library samples, the capped unblocked Lloyd run, the
+unpruned flat ladder and the projected embedding bit for bit; the
+sampled sigma within 1e-15 of one projected fill per flat; the lifted
+embedding within its roundoff bound of a longdouble reference, the
+unblocked Gram SVD to roundoff).  For timings only,
 with the statistics table:
 
     python -m pytest tests/test_microbench.py --benchmark-only
@@ -45,6 +47,16 @@ def test_kmeans_landmark_selection(benchmark):
     pts = five_planes(4000, 0)
     got = benchmark.pedantic(kmeans, args=(pts, 100), kwargs={"seed": 1}, rounds=5)
     assert_same_kmeans(got, oracle_kmeans(pts, 100, seed=1))
+
+
+def test_final_kmeans_sampled(benchmark):
+    # the large-n final k-means: 105 000 rows in R^4 near five directions,
+    # k = 5 and 3 restarts, seeded on a sample of 4096 rows
+    gen = np.random.default_rng(3)
+    pts = sphere_normalize(gen.standard_normal((5, 4))[gen.integers(5, size=105_000)])
+    pts = sphere_normalize(pts + 0.2 * gen.standard_normal(pts.shape))
+    got = benchmark.pedantic(kmeans, args=(pts, 5), kwargs={"seed": 3, "restarts": 3}, rounds=5)
+    assert_same_kmeans(got, oracle_kmeans(pts, 5, seed=3, restarts=3))
 
 
 def test_select_kmeans_landmarks(benchmark):
