@@ -536,8 +536,18 @@ _COMMON = (
         "--threads", _positive_int, None, "BLAS thread cap, else env FLS_THREADS", env="FLS_THREADS"
     ),
 )
-_RESTARTS_HELP = (
-    "k-means restarts, run on at most max(4096, 20 k) sampled rows; the best is refined on all"
+# the reference configuration: the defaults of cluster and bench, and of
+# LandmarkConfig, fls_cluster and benchmark_suite (a test binds them)
+_REFERENCE = (
+    Option("--landmarks", int, 100, "number of landmarks"),
+    Option("--method", ("random", "kmeans"), "kmeans", "landmark selection"),
+    Option("--sigma", _sigma_value, 0.3, "bandwidth, or 'auto' for the median rule"),
+    Option("--linear", bool, True, "fit linear flats through the origin"),
+    Option("--drop-first", bool, True, "drop the top singular vector; needs 2+ clusters"),
+    Option("--normalize-sphere", bool, True, "project points to the unit sphere"),
+    Option(
+        "--restarts", _positive_int, 3, "k-means restarts, on at most max(4096, 20 k) sampled rows"
+    ),
 )
 _VERIFY_FORMAT = Option("--format", ("table", "json"), "table", "report format")
 _VERIFY_OUT = Option("--out", str, None, "write the report here instead of stdout")
@@ -574,18 +584,12 @@ _COMMANDS = {
             Option("--in", str, None, "input points CSV", required=True),
             Option("--k", _positive_int, None, "number of clusters", required=True),
             Option("--d", int, None, "flat dimension", required=True),
-            Option("--landmarks", int, 100, "number of landmarks"),
-            Option("--method", ("random", "kmeans"), "random", "landmark selection"),
-            Option("--sigma", _sigma_value, None, "bandwidth, or 'auto' (default)"),
             Option("--neighbors", int, None, "smallest neighbourhood size"),
             Option("--scales", int, None, "number of neighbourhood sizes"),
-            Option("--linear", bool, False, "fit linear flats through the origin"),
-            Option("--drop-first", bool, False, "drop the top singular vector"),
-            Option("--normalize-sphere", bool, False, "project points to the unit sphere"),
-            Option("--restarts", _positive_int, 1, _RESTARTS_HELP),
             Option("--out", str, None, "result JSON path (default: stdout)"),
             Option("--embedding-csv", str, None, "save the spectral embedding rows here"),
         )
+        + _REFERENCE
         + _COMMON,
     ),
     "bench": Command(
@@ -594,18 +598,12 @@ _COMMANDS = {
         (
             Option("--suite", str, "synthetic5", "synthetic5 | synthetic30 | JSON file"),
             Option("--trials", int, 10, "trials per model"),
-            Option("--landmarks", int, 100, "number of landmarks"),
-            Option("--method", ("random", "kmeans"), "kmeans", "landmark selection"),
             Option("--flat-dim", int, None, "flat dimension (default: largest model dim)"),
-            Option("--sigma", _sigma_value, 0.3, "bandwidth or 'auto'"),
-            Option("--restarts", _positive_int, 3, _RESTARTS_HELP),
-            Option("--drop-first", bool, True, "drop the top singular vector"),
-            Option("--normalize-sphere", bool, True, "project points to the unit sphere"),
-            Option("--linear", bool, True, "fit linear flats through the origin"),
             Option("--format", ("table", "json", "csv"), "table", "report format"),
             Option("--out", str, None, "write the report here instead of stdout"),
             Option("--per-trial", str, None, "per-trial CSV"),
         )
+        + _REFERENCE
         + _COMMON,
     ),
     "verify kernel": Command(

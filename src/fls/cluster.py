@@ -217,7 +217,7 @@ def _check_settings(n_clusters: int, flat_dim: int, ambient: int, drop_first: bo
     if flat_dim >= ambient:
         raise InvalidParam(f"flat_dim={flat_dim} must be below d={ambient}")
     if drop_first and n_clusters < 2:
-        raise InvalidParam("drop_first needs n_clusters >= 2")
+        raise InvalidParam("drop_first needs n_clusters >= 2: drop_first=False / --no-drop-first")
 
 
 def fls_cluster(
@@ -225,9 +225,9 @@ def fls_cluster(
     n_clusters: int,
     config: LandmarkConfig,
     seed=0,
-    drop_first: bool = False,
-    normalize_sphere: bool = False,
-    kmeans_restarts: int = 1,
+    drop_first: bool = True,
+    normalize_sphere: bool = True,
+    kmeans_restarts: int = 3,
 ) -> ClusterResult:
     """Fast landmark subspace clustering.
 
@@ -240,7 +240,10 @@ def fls_cluster(
     failure is re-raised as PipelineError naming the stage.  Requires
     n >= max(n_landmarks, n_clusters), flat_dim < d (a d-flat holds every
     point) and, with drop_first, n_clusters >= 2; all but
-    n >= n_landmarks are checked before any stage runs.
+    n >= n_landmarks are checked before any stage runs.  The defaults,
+    with ``LandmarkConfig``'s, are the reference configuration, so one
+    cluster needs drop_first=False; by default points go to the unit
+    sphere, without which far-out outliers get vanishing kernel rows.
     """
     pts, n_clusters = as_points(data), as_integer(n_clusters, "n_clusters", 1)
     if pts.shape[0] < n_clusters:

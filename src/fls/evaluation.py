@@ -563,11 +563,10 @@ def benchmark_suite(
     """Clustering rate and wall time per model over seeded trials.
 
     Each trial regenerates the dataset and reruns the full pipeline with
-    a child seed.  The defaults are the reference configuration, the one
-    ``fls bench`` runs; flat_dim defaults to the largest subspace dimension
-    of each model.  Points are projected to the unit sphere by default; the
-    subspace kernel is built for spherical data, and without the
-    projection far-out outliers get vanishing kernel rows.  Time is the
+    a child seed.  The defaults are the reference configuration, those of
+    ``LandmarkConfig``, ``fls_cluster`` and ``fls bench`` (a test binds
+    them); flat_dim defaults to the largest subspace dimension of each
+    model, and points are projected to the unit sphere.  Time is the
     sum of the pipeline stage timings (data generation excluded).  A
     trial whose pipeline raises PipelineError is recorded in the row's
     failures and left out of its means; the other trials still run.  A

@@ -111,28 +111,28 @@ _LANDMARK_SWEEPS = 3
 
 @dataclass(frozen=True)
 class LandmarkConfig:
-    """Settings of ``fls_cluster``'s landmarks, flats and sigma stages.
+    """Settings of ``fls_cluster``'s landmarks, flats and sigma stages;
+    the defaults, with ``fls_cluster``'s, are the reference configuration.
 
     n_landmarks: number of flats D.
     flat_dim: dimension l of each fitted flat.
-    method: "random" (sample data points) or "kmeans" (kmeans++ seeds
-        refined by a few Lloyd sweeps, on a uniform sample of
-        max(4096, 20 * n_landmarks) rows when n is larger; see
-        ``select_landmarks``).
+    method: "kmeans" (kmeans++ seeds refined by a few Lloyd sweeps, on a
+        uniform sample of max(4096, 20 * n_landmarks) rows when n is
+        larger; see ``select_landmarks``) or "random" (sample data points).
     init_neighbors: smallest neighborhood size S; default 2 * (l + 1).
     max_scales: number of neighborhood doublings T; default
         min(8, ceil(log2(n / S)) + 1), clamped to at least 1.
     sigma: kernel bandwidth; None selects the sampled-median rule.
-    linear: force flats through the origin (base = 0).
+    linear: flats through the origin (base = 0); False fits affine flats.
     """
 
     n_landmarks: int
     flat_dim: int
-    method: str = "random"
+    method: str = "kmeans"
     init_neighbors: int | None = None
     max_scales: int | None = None
-    sigma: float | None = None
-    linear: bool = False
+    sigma: float | None = 0.3
+    linear: bool = True
 
     def __post_init__(self):
         for name in ("n_landmarks", "flat_dim"):

@@ -4,7 +4,8 @@ Each is the plain computation written once: a scalar distance or kernel
 value, the Gram route to a truncated SVD, the row sample k-means seeds
 on, the spec ``fls_cluster`` builds from its first two seed streams, and
 spectral clustering by a dense eigendecomposition of the n x n
-normalized matrix.
+normalized matrix.  Beside them, RANDOM_AFFINE and RAW_POINTS: the
+setting other than the reference configuration that many cases name.
 """
 
 import math
@@ -20,6 +21,11 @@ from fls.kernels import SubspaceKernel
 from fls.landmarks import best_fit_flats, default_sigma, select_landmarks
 from fls.linalg import as_integer, check_finite, flip_signs, kmeans
 from fls.rng import make_rng, split
+
+# random landmarks, the median sigma rule and affine flats (LandmarkConfig),
+# on the raw points with one k-means restart (fls_cluster)
+RANDOM_AFFINE = dict(method="random", sigma=None, linear=False)
+RAW_POINTS = dict(drop_first=False, normalize_sphere=False, kmeans_restarts=1)
 
 
 def flat_distance(x, flat):

@@ -40,7 +40,7 @@ from fls.landmarks import LandmarkConfig, landmark_flat_pool
 from fls.linalg import kmeans
 from fls.rng import make_rng, split
 
-from oracles import dense_spectral_cluster, subspace_spec
+from oracles import RANDOM_AFFINE, RAW_POINTS, dense_spectral_cluster, subspace_spec
 
 # reference configuration for the synthetic benchmark (checks 1 and 2);
 # identical to the CLI `bench` defaults
@@ -156,7 +156,7 @@ def test_embedding_path_matches_dense_path():
         data_seed, spec_seed, km_seed = split(child, 3)
         pts = two_cluster_points(150, data_seed)  # n=300
         spec = subspace_spec(
-            pts, LandmarkConfig(n_landmarks=50, flat_dim=2), seed=spec_seed
+            pts, LandmarkConfig(n_landmarks=50, flat_dim=2, **RANDOM_AFFINE), seed=spec_seed
         )
         rows, svals = spectral_embed(embed(spec, pts), 2)
         labels = kmeans(rows, 2, seed=km_seed, restarts=3)[0]
@@ -175,8 +175,10 @@ def test_embed_svd_linear_scaling():
             dims=(2,) * 5, ambient=10, pts_per_subspace=n // 5, noise_sigma=0.05
         )
         data = gen_synthetic(model, seed)
-        config = LandmarkConfig(n_landmarks=200, flat_dim=2, method="random", sigma=0.5)
-        res = fls_cluster(data, 5, config, seed=seed)
+        config = LandmarkConfig(
+            n_landmarks=200, flat_dim=2, method="random", sigma=0.5, linear=False
+        )
+        res = fls_cluster(data, 5, config, seed=seed, **RAW_POINTS)
         return res.timings["embed"] + res.timings["svd"]
 
     small = [stage_time(20_000, rep) for rep in range(5)]

@@ -35,14 +35,14 @@ from fls.landmarks import LandmarkConfig, best_fit_flats, select_landmarks
 from fls.linalg import AffineFlat, haar_frames, kmeans
 from fls.rng import make_rng, split
 
-from oracles import dense_spectral_cluster
+from oracles import RAW_POINTS, dense_spectral_cluster
 
 # two 2-planes in R^6, 30 points each
 DATA = gen_synthetic(SyntheticModel(dims=(2, 2), ambient=6, pts_per_subspace=30), seed=0)
 PTS = DATA.points
 CENTERS = PTS[:3]
 FLATS = AffineFlat(np.zeros((4, 6)), haar_frames(make_rng(0), (4, 6, 2)))
-CONFIG = LandmarkConfig(n_landmarks=8, flat_dim=2, sigma=0.5)
+CONFIG = LandmarkConfig(n_landmarks=8, flat_dim=2, method="random", sigma=0.5, linear=False)
 RFF = RffFamily(sigma=2.0, dim=6)
 TINY = SyntheticModel(dims=(1, 1), ambient=3, pts_per_subspace=20)
 EMB = EmbeddingMatrix(make_rng(1).random((5, 10)) + 0.1)
@@ -63,9 +63,9 @@ TAKES_COUNT = {
     "best_fit_flats flat_dim": (lambda c: best_fit_flats(PTS, CENTERS, c, 2, 5), 1, 2),
     "best_fit_flats max_scales": (lambda c: best_fit_flats(PTS, CENTERS, 2, c, 5), 1, 2),
     "best_fit_flats init_neighbors": (lambda c: best_fit_flats(PTS, CENTERS, 2, 2, c), 3, 5),
-    "fls_cluster n_clusters": (lambda c: fls_cluster(PTS, c, CONFIG), 1, 2),
+    "fls_cluster n_clusters": (lambda c: fls_cluster(PTS, c, CONFIG, **RAW_POINTS), 1, 2),
     "fls_cluster kmeans_restarts": (
-        lambda c: fls_cluster(PTS, 2, CONFIG, kmeans_restarts=c),
+        lambda c: fls_cluster(PTS, 2, CONFIG, **dict(RAW_POINTS, kmeans_restarts=c)),
         1,
         2,
     ),
@@ -242,7 +242,7 @@ TAKES_SEED = {
     "gen_synthetic": lambda s: gen_synthetic(SyntheticModel(dims=(1,), ambient=2), s),
     "kmeans": lambda s: kmeans(PTS, 2, seed=s),
     "select_landmarks": lambda s: select_landmarks(PTS, 5, seed=s),
-    "fls_cluster": lambda s: fls_cluster(PTS, 2, CONFIG, seed=s),
+    "fls_cluster": lambda s: fls_cluster(PTS, 2, CONFIG, seed=s, **RAW_POINTS),
 }
 
 

@@ -1,21 +1,44 @@
 """CLI behavior: exit codes, reproducibility, config merging, output files."""
 
 import csv
+import dataclasses
 import inspect
 import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from fls.cli import _COMMANDS, main
+from fls.cli import _COMMANDS, _build_parser, _resolve_options, main
 from test_acceptance import BENCH_KWARGS
 
 
 def run(argv):
     return main(list(argv))
+
+
+# random landmarks, sigma auto, affine flats on the raw points and one
+# k-means restart, as --config keys and as flags: the setting the cluster
+# cases below run, named since the defaults are the reference configuration
+RANDOM_AFFINE_CONFIG = {
+    "method": "random",
+    "sigma": "auto",
+    "linear": False,
+    "drop_first": False,
+    "normalize_sphere": False,
+    "restarts": 1,
+}
+RANDOM_AFFINE_FLAGS = [
+    "--method", "random",
+    "--sigma", "auto",
+    "--no-linear",
+    "--no-drop-first",
+    "--no-normalize-sphere",
+    "--restarts", "1",
+]
 
 
 def gen_args(out_dir, seed=5, pts=6):
@@ -80,6 +103,7 @@ class TestCluster:
             "--d", "1",
             "--landmarks", "8",
             "--seed", "3",
+            *RANDOM_AFFINE_FLAGS,
         ]
 
     def test_end_to_end_json_stdout(self, data_dir, capsys):
@@ -162,6 +186,39 @@ class TestCluster:
         err = capsys.readouterr().err
         assert "drop_first" in err and "stage" not in err
 
+    def test_one_cluster_needs_no_drop_first(self, data_dir, capsys):
+        # drop-first is a default, so one cluster asks for its --no- form by name
+        args = ["cluster", "--in", str(data_dir / "points.csv"), "--k", "1", "--d", "1"]
+        args += ["--landmarks", "8"]
+        capsys.readouterr()
+        assert run(args) == 2
+        assert "--no-drop-first" in capsys.readouterr().err
+        assert run(args + ["--no-drop-first"]) == 0
+        assert json.loads(capsys.readouterr().out)["labels"] == [0] * 20
+
+    def test_defaults_hold_rate_on_five_planes(self, tmp_path, capsys):
+        # `cluster --k 5 --d 2` and nothing else, five 2-planes in R^10 with
+        # 5 % outliers at n = 10 500: random landmarks, sigma auto and
+        # affine flats rated a median of 0.921 here
+        from fls.datagen import load_csv
+        from fls.evaluation import clustering_rate
+
+        rates = []
+        for seed in range(5):
+            out = tmp_path / f"data{seed}"
+            gen = ["gen", "--dims", "2,2,2,2,2", "--ambient", "10", "--pts", "2000"]
+            assert run(gen + ["--outliers", "0.05", "--out", str(out), "--seed", str(seed)]) == 0
+            points = str(out / "points.csv")
+            capsys.readouterr()
+            cluster = ["cluster", "--in", points, "--k", "5", "--d", "2"]
+            assert run(cluster + ["--seed", str(seed)]) == 0
+            labels = json.loads(capsys.readouterr().out)["labels"]
+            truth = load_csv(points)
+            assert truth.n == 10_500
+            rates.append(clustering_rate(labels, truth.labels, truth.outlier_mask).rate)
+        rates.sort()
+        assert rates[2] >= 0.97 and rates[0] >= 0.94, rates
+
     def test_flat_of_the_data_dimension_is_usage_error(self, tmp_path, capsys):
         # --d 6 on points in R^6: refused before any stage runs
         out = tmp_path / "r6"
@@ -170,7 +227,7 @@ class TestCluster:
         capsys.readouterr()
         for sigma in ("auto", "0.3"):
             args = ["cluster", "--in", str(out / "points.csv"), "--k", "2", "--d", "6"]
-            assert run(args + ["--landmarks", "20", "--sigma", sigma]) == 2
+            assert run(args + ["--landmarks", "20", *RANDOM_AFFINE_FLAGS, "--sigma", sigma]) == 2
             assert "flat_dim=6" in capsys.readouterr().err
 
     def test_missing_input_file_is_runtime_error(self, tmp_path):
@@ -186,7 +243,8 @@ class TestCluster:
 class TestConfigFile:
     def test_config_supplies_options(self, data_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"k": 2, "d": 1, "landmarks": 8, "seed": 3}))
+        doc = {"k": 2, "d": 1, "landmarks": 8, "seed": 3, **RANDOM_AFFINE_CONFIG}
+        cfg.write_text(json.dumps(doc))
         capsys.readouterr()
         rc = run(["cluster", "--in", str(data_dir / "points.csv"), "--config", str(cfg)])
         assert rc == 0
@@ -197,7 +255,8 @@ class TestConfigFile:
     def test_explicit_flag_overrides_config(self, data_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         # config asks for an impossible k; the flag must win
-        cfg.write_text(json.dumps({"k": 40, "d": 1, "landmarks": 8, "seed": 3}))
+        doc = {"k": 40, "d": 1, "landmarks": 8, "seed": 3, **RANDOM_AFFINE_CONFIG}
+        cfg.write_text(json.dumps(doc))
         capsys.readouterr()
         rc = run(
             ["cluster", "--in", str(data_dir / "points.csv"), "--config", str(cfg), "--k", "2"]
@@ -208,6 +267,7 @@ class TestConfigFile:
     def test_in_key_accepted(self, data_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         doc = {"in": str(data_dir / "points.csv"), "k": 2, "d": 1, "landmarks": 8, "seed": 3}
+        doc.update(RANDOM_AFFINE_CONFIG)
         cfg.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run(["cluster", "--config", str(cfg)]) == 0
@@ -220,6 +280,7 @@ class TestConfigFile:
         points = str(data_dir / "points.csv")
         first, again, cfg = (tmp_path / name for name in ("first.json", "again.json", "cfg.json"))
         flags = ["--k", "2", "--d", "1", "--landmarks", "8", "--seed", "3", "--drop-first"]
+        flags += ["--method", "random", "--no-linear", "--no-normalize-sphere", "--restarts", "1"]
         assert run(["cluster", "--in", points, "--sigma", sigma, "--out", str(first)] + flags) == 0
         doc = json.loads(first.read_text())
         cfg.write_text(json.dumps(doc["config"]))
@@ -661,9 +722,11 @@ class TestEnvAndThreads:
                     "--d", "2",
                     "--landmarks", "200",
                     "--method", "kmeans",
+                    "--sigma", "auto",
                     "--linear",
                     "--drop-first",
                     "--normalize-sphere",
+                    "--restarts", "1",
                     "--threads", threads,
                     "--out", str(out),
                 ],
@@ -690,7 +753,38 @@ class TestOptionTable:
         assert "--config" in out
 
     def test_bench_defaults_are_the_reference_configuration(self, monkeypatch):
+        # one configuration is the default of every entry point, and the
+        # benchmark's fixed settings restate it
         import fls.evaluation
+        from fls.cluster import fls_cluster
+        from fls.landmarks import LandmarkConfig
+
+        def resolved(argv):
+            opts = _resolve_options(_build_parser().parse_args(argv))
+            names = {"landmarks": "n_landmarks", "restarts": "kmeans_restarts"}
+            return {names.get(key, key): value for key, value in opts.items()}
+
+        def reference(settings, keys=BENCH_KWARGS):
+            return {key: settings[key] for key in keys}
+
+        cluster = ["cluster", "--in", "points.csv", "--k", "2", "--d", "1"]
+        assert reference(resolved(cluster)) == BENCH_KWARGS
+        assert reference(resolved(["bench"])) == BENCH_KWARGS
+        library = {f.name: f.default for f in dataclasses.fields(LandmarkConfig)}
+        library.update((k, p.default) for k, p in inspect.signature(fls_cluster).parameters.items())
+        # a LandmarkConfig is given its n_landmarks
+        given = [key for key in BENCH_KWARGS if key != "n_landmarks"]
+        assert reference(library, given) == reference(BENCH_KWARGS, given)
+        suite = inspect.signature(fls.evaluation.benchmark_suite).parameters
+        assert reference({key: suite[key].default for key in BENCH_KWARGS}) == BENCH_KWARGS
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import replay
+        import workloads
+
+        flags = workloads.Settings(k=2, d=1, landmarks=8, method="random", sigma=None).cli_flags()
+        fixed = ("linear", "drop_first", "normalize_sphere", "kmeans_restarts")
+        assert reference(resolved(cluster + flags), fixed) == reference(BENCH_KWARGS, fixed)
+        assert replay.RESTARTS == BENCH_KWARGS["kmeans_restarts"]
 
         calls = []
 
@@ -698,9 +792,6 @@ class TestOptionTable:
             calls.append(kwargs)
             return []
 
-        # the library's defaults are the same configuration
-        defaults = inspect.signature(fls.evaluation.benchmark_suite).parameters
-        assert {key: defaults[key].default for key in BENCH_KWARGS} == BENCH_KWARGS
         monkeypatch.setattr(fls.evaluation, "benchmark_suite", fake_suite)
         assert run(["bench", "--trials", "0", "--format", "json"]) == 0
         assert {key: calls[0][key] for key in BENCH_KWARGS} == BENCH_KWARGS

@@ -28,7 +28,7 @@ from fls.errors import (
     PipelineError,
     RankDeficient,
 )
-from fls.evaluation import benchmark_suite
+from fls.evaluation import benchmark_suite, clustering_rate
 from fls.kernels import EmbeddingMatrix, SubspaceKernel, approx_kernel_matrix, embed
 from fls.landmarks import (
     LandmarkConfig,
@@ -39,7 +39,7 @@ from fls.landmarks import (
 from fls.linalg import flip_signs, kmeans
 from fls.rng import split
 
-from oracles import dense_spectral_cluster, gram_svd, subspace_spec
+from oracles import RANDOM_AFFINE, RAW_POINTS, dense_spectral_cluster, gram_svd, subspace_spec
 from test_cli import subprocess_env
 from test_kernels import random_flats
 
@@ -294,59 +294,75 @@ class TestFlsCluster:
             return kmeans(rows, *args, **kwargs)
 
         monkeypatch.setattr(cluster, "kmeans", spy)
-        cfg = LandmarkConfig(n_landmarks=400, flat_dim=2, method="kmeans", linear=True)
+        cfg = LandmarkConfig(n_landmarks=400, flat_dim=2, method="kmeans", sigma=None, linear=True)
         tracemalloc.start()
         try:
-            result = fls_cluster(pts, 5, cfg, seed=0, drop_first=True, normalize_sphere=True)
+            result = fls_cluster(
+                pts, 5, cfg, seed=0, drop_first=True, normalize_sphere=True, kmeans_restarts=1
+            )
         finally:
             tracemalloc.stop()
         assert len(live) == 1
         assert live[0] <= pts.nbytes + result.embedding.nbytes + 2**20
 
+    def test_defaults_hold_rate_at_large_n(self):
+        # the defaults alone, five 2-planes in R^10 with 5 % outliers at
+        # n = 105 000: random landmarks, sigma auto and affine flats on the
+        # raw points rated 0.368 here
+        model = SyntheticModel(
+            dims=(2,) * 5, ambient=10, pts_per_subspace=20_000, outlier_ratio=0.05
+        )
+        data = gen_synthetic(model, seed=0)
+        assert data.n == 105_000
+        result = fls_cluster(data, 5, LandmarkConfig(100, 2), seed=0)
+        rate = clustering_rate(result.labels, data.labels, data.outlier_mask).rate
+        assert rate >= 0.97, rate
+
     def test_two_planes_perfect(self, rng):
         data = two_plane_data(rng)
-        cfg = LandmarkConfig(n_landmarks=20, flat_dim=2)
-        result = fls_cluster(data, 2, cfg, seed=0)
+        cfg = LandmarkConfig(n_landmarks=20, flat_dim=2, **RANDOM_AFFINE)
+        result = fls_cluster(data, 2, cfg, seed=0, **RAW_POINTS)
         agree = (result.labels == data.labels).mean()
         assert agree in (0.0, 1.0) or max(agree, 1 - agree) == 1.0
         assert max(agree, 1 - agree) == 1.0  # up to label swap
 
     def test_single_cluster(self, rng):
         pts = rng.standard_normal((12, 3))
-        cfg = LandmarkConfig(n_landmarks=4, flat_dim=1)
-        result = fls_cluster(pts, 1, cfg, seed=1)
+        cfg = LandmarkConfig(n_landmarks=4, flat_dim=1, **RANDOM_AFFINE)
+        result = fls_cluster(pts, 1, cfg, seed=1, **RAW_POINTS)
         assert np.all(result.labels == 0)
 
     def test_n_equals_k_rank_deficiency_surfaces(self, rng):
         # 3 points, 1-dim flats: two landmarks share the same 2-point line,
         # so the embedding has rank 2 < K and the svd stage refuses
         pts = rng.standard_normal((3, 2)) * 5
-        cfg = LandmarkConfig(n_landmarks=3, flat_dim=1, init_neighbors=2)
+        cfg = LandmarkConfig(n_landmarks=3, flat_dim=1, init_neighbors=2, **RANDOM_AFFINE)
         with pytest.raises(PipelineError) as err:
-            fls_cluster(pts, 3, cfg, seed=1)
+            fls_cluster(pts, 3, cfg, seed=1, **RAW_POINTS)
         assert err.value.stage == "svd"
 
     def test_scale_invariance_with_auto_sigma(self, rng):
         # distances and the median bandwidth scale together
         data = two_plane_data(rng)
-        cfg = LandmarkConfig(n_landmarks=15, flat_dim=2)
-        a = fls_cluster(data.points, 2, cfg, seed=4)
-        b = fls_cluster(data.points * 10.0, 2, cfg, seed=4)
+        cfg = LandmarkConfig(n_landmarks=15, flat_dim=2, **RANDOM_AFFINE)
+        a = fls_cluster(data.points, 2, cfg, seed=4, **RAW_POINTS)
+        b = fls_cluster(data.points * 10.0, 2, cfg, seed=4, **RAW_POINTS)
         assert np.array_equal(a.labels, b.labels)
         assert np.allclose(a.singular_values, b.singular_values, atol=1e-8)
 
     def test_deterministic(self, rng):
         data = two_plane_data(rng, n_per=40)
-        cfg = LandmarkConfig(n_landmarks=10, flat_dim=2, method="kmeans")
-        a = fls_cluster(data, 2, cfg, seed=7, normalize_sphere=True)
-        b = fls_cluster(data, 2, cfg, seed=7, normalize_sphere=True)
+        cfg = LandmarkConfig(n_landmarks=10, flat_dim=2, method="kmeans", sigma=None, linear=False)
+        pinned = dict(drop_first=False, normalize_sphere=True, kmeans_restarts=1)
+        a = fls_cluster(data, 2, cfg, seed=7, **pinned)
+        b = fls_cluster(data, 2, cfg, seed=7, **pinned)
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.embedding, b.embedding)
 
     def test_too_few_points(self, rng):
-        cfg = LandmarkConfig(n_landmarks=2, flat_dim=1)
+        cfg = LandmarkConfig(n_landmarks=2, flat_dim=1, **RANDOM_AFFINE)
         with pytest.raises(DegenerateInput):
-            fls_cluster(rng.standard_normal((2, 3)), 3, cfg)
+            fls_cluster(rng.standard_normal((2, 3)), 3, cfg, **RAW_POINTS)
 
     @pytest.mark.parametrize("sigma", [None, 0.3])
     def test_flat_of_the_ambient_dimension_refused(self, sigma):
@@ -357,7 +373,8 @@ class TestFlsCluster:
         data = gen_synthetic(model, seed=0)
         for flat_dim in (6, 7):
             with pytest.raises(InvalidParam, match=f"flat_dim={flat_dim}"):
-                fls_cluster(data, 3, LandmarkConfig(100, flat_dim, sigma=sigma))
+                cfg = LandmarkConfig(100, flat_dim, method="random", sigma=sigma, linear=False)
+                fls_cluster(data, 3, cfg, **RAW_POINTS)
 
     def test_drop_first_with_one_cluster_refused_before_stages(self, monkeypatch):
         # checked before landmarks, flats and embed do work the svd stage would discard
@@ -367,7 +384,8 @@ class TestFlsCluster:
         monkeypatch.setattr(cluster, "select_landmarks", fail)
         pts = gen_synthetic(SyntheticModel(dims=(1,), ambient=3), seed=0).points
         with pytest.raises(InvalidParam, match="drop_first"):
-            fls_cluster(pts, 1, LandmarkConfig(n_landmarks=4, flat_dim=1), drop_first=True)
+            cfg = LandmarkConfig(n_landmarks=4, flat_dim=1, **RANDOM_AFFINE)
+            fls_cluster(pts, 1, cfg, **dict(RAW_POINTS, drop_first=True))
         # the suite refuses it too, rather than record every trial as failed
         with pytest.raises(InvalidParam, match="drop_first"):
             benchmark_suite([SyntheticModel(dims=(1,), ambient=3)], n_trials=1, n_landmarks=4)
@@ -404,9 +422,9 @@ class TestFlsCluster:
 
     def test_stage_named_on_failure(self, rng):
         # more landmarks than points fails inside the landmarks stage
-        cfg = LandmarkConfig(n_landmarks=50, flat_dim=1)
+        cfg = LandmarkConfig(n_landmarks=50, flat_dim=1, **RANDOM_AFFINE)
         with pytest.raises(PipelineError) as err:
-            fls_cluster(rng.standard_normal((10, 3)), 2, cfg, seed=0)
+            fls_cluster(rng.standard_normal((10, 3)), 2, cfg, seed=0, **RAW_POINTS)
         assert err.value.stage == "landmarks"
         assert "landmarks" in str(err.value)
 
@@ -414,8 +432,10 @@ class TestFlsCluster:
         # the sigma stage is timed whether sigma is given or resolved
         data = two_plane_data(rng, n_per=30)
         for sigma in (0.3, None):
-            cfg = LandmarkConfig(n_landmarks=8, flat_dim=2, sigma=sigma)
-            result = fls_cluster(data, 2, cfg, seed=2)
+            cfg = LandmarkConfig(
+                n_landmarks=8, flat_dim=2, method="random", sigma=sigma, linear=False
+            )
+            result = fls_cluster(data, 2, cfg, seed=2, **RAW_POINTS)
             assert set(result.timings) == {
                 "landmarks", "flats", "sigma", "embed", "svd", "kmeans"
             }
@@ -451,8 +471,8 @@ class TestFlsCluster:
 
     def test_to_json_serializable(self, rng):
         data = two_plane_data(rng, n_per=25)
-        cfg = LandmarkConfig(n_landmarks=8, flat_dim=2)
-        result = fls_cluster(data, 2, cfg, seed=3)
+        cfg = LandmarkConfig(n_landmarks=8, flat_dim=2, **RANDOM_AFFINE)
+        result = fls_cluster(data, 2, cfg, seed=3, **RAW_POINTS)
         doc = result.to_json()
         json.dumps(doc)
         assert doc["n_points"] == 50
@@ -461,7 +481,8 @@ class TestFlsCluster:
 
     def test_to_json_bytes_match_per_element_conversion(self, rng):
         data = two_plane_data(rng, n_per=25)
-        result = fls_cluster(data, 2, LandmarkConfig(n_landmarks=8, flat_dim=2), seed=3)
+        cfg = LandmarkConfig(n_landmarks=8, flat_dim=2, **RANDOM_AFFINE)
+        result = fls_cluster(data, 2, cfg, seed=3, **RAW_POINTS)
         want = dict(
             result.to_json(),
             labels=[int(v) for v in result.labels],
@@ -473,7 +494,8 @@ class TestFlsCluster:
         # the resolved bandwidth and neighborhood ladder travel with the
         # labels; the dense path takes a kernel matrix and has neither
         data = two_plane_data(rng, n_per=25)
-        result = fls_cluster(data, 2, LandmarkConfig(n_landmarks=8, flat_dim=2), seed=3)
+        cfg = LandmarkConfig(n_landmarks=8, flat_dim=2, **RANDOM_AFFINE)
+        result = fls_cluster(data, 2, cfg, seed=3, **RAW_POINTS)
         doc = json.loads(json.dumps(result.to_json()))
         assert doc["sigma"] == result.sigma > 0
         assert doc["ladder"] == list(result.ladder) == [6, result.ladder[1]]
@@ -511,7 +533,7 @@ class TestDenseSpectralCluster:
     def test_two_blocks(self, rng):
         data = two_plane_data(rng, n_per=30)
         spec = subspace_spec(
-            data.points, LandmarkConfig(n_landmarks=10, flat_dim=2), seed=0
+            data.points, LandmarkConfig(n_landmarks=10, flat_dim=2, **RANDOM_AFFINE), seed=0
         )
         w = approx_kernel_matrix(spec, data.points)
         result = dense_spectral_cluster(w, 2, seed=0)
@@ -522,7 +544,7 @@ class TestDenseSpectralCluster:
         # identical W-hat: labels identical partitions, spectra within 1e-8
         data = two_plane_data(rng, n_per=25)
         spec = subspace_spec(
-            data.points, LandmarkConfig(n_landmarks=8, flat_dim=2), seed=1
+            data.points, LandmarkConfig(n_landmarks=8, flat_dim=2, **RANDOM_AFFINE), seed=1
         )
         from fls.kernels import embed
 

@@ -90,7 +90,14 @@ def loaded_modules(code):
 
 
 def test_cli_parser_loads_no_numpy():
-    names = loaded_modules("import fls, fls.cli\nfls.cli._build_parser()")
+    # the options resolve before --threads is applied: a default read from
+    # a numpy module would load numpy first and void the thread cap
+    names = loaded_modules(
+        "import fls, fls.cli\n"
+        "parser = fls.cli._build_parser()\n"
+        "for argv in (['cluster', '--in', 'x.csv', '--k', '2', '--d', '1'], ['bench']):\n"
+        "    fls.cli._resolve_options(parser.parse_args(argv))"
+    )
     assert "fls.cli" in names
     assert not [n for n in names if n.split(".")[0] == "numpy"]
 

@@ -43,7 +43,7 @@ from fls.linalg import (
 )
 from fls.rng import make_rng, split
 
-from oracles import flat_distance, landmark_sample, subspace_spec
+from oracles import RANDOM_AFFINE, flat_distance, landmark_sample, subspace_spec
 from test_cli import subprocess_env
 from test_kernels import random_flats
 from test_linalg import oracle_kmeans
@@ -904,7 +904,7 @@ class TestBuildSubspaceSpec:
         pts = np.vstack(
             [plane_points(rng, a, 150), plane_points(rng, b, 150, center=offset)]
         )
-        cfg = LandmarkConfig(n_landmarks=12, flat_dim=2)
+        cfg = LandmarkConfig(n_landmarks=12, flat_dim=2, **RANDOM_AFFINE)
         spec = subspace_spec(pts, cfg, seed=0)
         assert spec.n_features == 12
         for f in spec.flats:
@@ -917,17 +917,17 @@ class TestBuildSubspaceSpec:
     def test_noiseless_sigma_floor(self, rng):
         # all points on one plane: every flat contains every point
         pts = plane_points(rng, haar_frames(rng, (5, 2)), 80)
-        cfg = LandmarkConfig(n_landmarks=6, flat_dim=2)
+        cfg = LandmarkConfig(n_landmarks=6, flat_dim=2, **RANDOM_AFFINE)
         assert subspace_spec(pts, cfg, seed=1).sigma == 1e-6
 
     def test_explicit_sigma_passes_through(self, rng):
         pts = rng.standard_normal((50, 3))
-        cfg = LandmarkConfig(n_landmarks=4, flat_dim=1, sigma=0.37)
+        cfg = LandmarkConfig(n_landmarks=4, flat_dim=1, method="random", sigma=0.37, linear=False)
         assert subspace_spec(pts, cfg, seed=0).sigma == 0.37
 
     def test_deterministic(self, rng):
         pts = rng.standard_normal((60, 3))
-        cfg = LandmarkConfig(n_landmarks=5, flat_dim=2, method="kmeans")
+        cfg = LandmarkConfig(n_landmarks=5, flat_dim=2, method="kmeans", sigma=None, linear=False)
         s1 = subspace_spec(pts, cfg, seed=9)
         s2 = subspace_spec(pts, cfg, seed=9)
         assert s1.sigma == s2.sigma
@@ -942,7 +942,7 @@ class TestBuildSubspaceSpec:
         # path, n * D > 10 000) and SubspaceKernel on a tuple of them
         pts = sphere_normalize(two_planes(rng, 0.03, 6, 2))
         pts = np.vstack([pts, -pts])
-        cfg = LandmarkConfig(n_landmarks=40, flat_dim=2, sigma=sigma, linear=True)
+        cfg = LandmarkConfig(n_landmarks=40, flat_dim=2, method="random", sigma=sigma, linear=True)
         select_seed, sigma_seed = split(8, 2)
         centers = select_landmarks(pts, cfg.n_landmarks, cfg.method, select_seed)
         init_neighbors, max_scales = cfg.resolve_scales(len(pts))
@@ -960,7 +960,8 @@ class TestBuildSubspaceSpec:
 
     def test_single_landmark(self, rng):
         pts = rng.standard_normal((20, 3))
-        spec = subspace_spec(pts, LandmarkConfig(n_landmarks=1, flat_dim=1), seed=0)
+        cfg = LandmarkConfig(n_landmarks=1, flat_dim=1, **RANDOM_AFFINE)
+        spec = subspace_spec(pts, cfg, seed=0)
         assert spec.n_features == 1
 
 

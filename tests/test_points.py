@@ -32,11 +32,13 @@ from fls.landmarks import (
 from fls.linalg import AffineFlat, haar_frames, kmeans, kmeans_centers
 from fls.rng import make_rng
 
+from oracles import RAW_POINTS
+
 # two 2-planes in R^6, 30 points each
 DATA = gen_synthetic(SyntheticModel(dims=(2, 2), ambient=6, pts_per_subspace=30), seed=0)
 FLATS = AffineFlat(np.zeros((4, 6)), haar_frames(make_rng(0), (4, 6, 2)))
 SPEC = SubspaceKernel(1.0, FLATS)
-CONFIG = LandmarkConfig(n_landmarks=8, flat_dim=2, sigma=0.5)
+CONFIG = LandmarkConfig(n_landmarks=8, flat_dim=2, method="random", sigma=0.5, linear=False)
 RFF = RffFamily(sigma=2.0, dim=6)
 
 TAKES_POINTS = {
@@ -53,8 +55,10 @@ TAKES_POINTS = {
     "EmbeddingMatrix": EmbeddingMatrix,
     "DataSet": DataSet,
     "sphere_normalize": sphere_normalize,
-    "fls_cluster": lambda p: fls_cluster(p, 2, CONFIG),
-    "fls_cluster sphere": lambda p: fls_cluster(p, 2, CONFIG, normalize_sphere=True),
+    "fls_cluster": lambda p: fls_cluster(p, 2, CONFIG, **RAW_POINTS),
+    "fls_cluster sphere": lambda p: fls_cluster(
+        p, 2, CONFIG, **dict(RAW_POINTS, normalize_sphere=True)
+    ),
     "verify_kernel_convergence": lambda p: verify_kernel_convergence(RFF, p, (10,), reps=1),
     "verify_perturbation": lambda p: verify_perturbation(p, SPEC, SPEC),
     "verify_eigvec_convergence": lambda p: verify_eigvec_convergence(
