@@ -32,7 +32,6 @@ _EXPORTS = {
         "SubspaceKernel",
         "EmbeddingMatrix",
         "sample_gaussian_rff",
-        "haar_frame_batch",
         "feature_matrix",
         "embed",
         "gaussian_kernel_matrix",
@@ -65,8 +64,7 @@ _EXPORTS = {
         "EvalReport",
         "clustering_rate",
         "RffFamily",
-        "FlatPoolFamily",
-        "LandmarkGaussianFamily",
+        "PoolFamily",
         "verify_kernel_convergence",
         "hoeffding_check",
         "verify_perturbation",

@@ -180,15 +180,18 @@ def _resolve_options(args):
     options = args.command_spec.options
     flags = vars(args)
     config = _read_config(args.config)
-    unknown = sorted(set(config) - {opt.key for opt in options})
+    by_key = {opt.key: opt for opt in options}
+    unknown = sorted(set(config) - set(by_key))
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+    # every config value is checked, also one a flag overrides
+    config = {k: _parse_value(by_key[k], v, f"config key {k!r}") for k, v in config.items()}
     resolved = {}
     for opt in options:
         if opt.key in flags:
             value = flags[opt.key]
         elif opt.key in config:
-            value = _parse_value(opt, config[opt.key], f"config key {opt.key!r}")
+            value = config[opt.key]
         elif opt.env and opt.env in os.environ:
             value = _parse_value(opt, os.environ[opt.env], opt.env)
         elif opt.required:
@@ -364,26 +367,31 @@ def cmd_bench(opts) -> int:
     return 0
 
 
-def _verify_grid_data(opts):
+def _report(opts, payload, lines) -> int:
+    """End a verify command: ``payload`` as JSON or ``lines`` as a table, per --format."""
+    text = _dump_json(payload) if opts["format"] == "json" else "\n".join(lines) + "\n"
+    _emit(text, opts["out"])
+    return 0
+
+
+def _verify_grid_data(opts, seed):
     """Point grid plus kernel family for the verify kernel command."""
     from .datagen import SyntheticModel, gen_synthetic
-    from .evaluation import FlatPoolFamily, LandmarkGaussianFamily, RffFamily
+    from .evaluation import PoolFamily, RffFamily
+    from .kernels import LandmarkGaussian, SubspaceKernel
     from .landmarks import landmark_flat_pool
-    from .rng import make_rng, split
+    from .rng import make_rng
 
-    grid_seed, _ = split(opts["seed"], 2)
     m = opts["grid_points"]
-    family_name = opts["family"]
     sigma = opts["sigma"]
-    if family_name == "rff":
-        points = make_rng(grid_seed).uniform(-1.0, 1.0, size=(m, opts["dim"]))
+    if opts["family"] == "rff":
+        points = make_rng(seed).uniform(-1.0, 1.0, size=(m, opts["dim"]))
         return points, RffFamily(sigma=sigma, dim=opts["dim"])
     model = SyntheticModel(dims=(2, 2), ambient=6, pts_per_subspace=max(2, m // 2))
-    points = gen_synthetic(model, grid_seed).points
-    if family_name == "landmark":
-        return points, LandmarkGaussianFamily(data=points, sigma=sigma)
-    pool = landmark_flat_pool(points, flat_dim=2)
-    return points, FlatPoolFamily(flats=pool, sigma=sigma)
+    points = gen_synthetic(model, seed).points
+    if opts["family"] == "landmark":
+        return points, PoolFamily(LandmarkGaussian, points, sigma)
+    return points, PoolFamily(SubspaceKernel, landmark_flat_pool(points, flat_dim=2), sigma)
 
 
 def cmd_verify_kernel(opts) -> int:
@@ -395,8 +403,8 @@ def cmd_verify_kernel(opts) -> int:
             "--eps tail checks need the rff family: their bound is the random Fourier one"
         )
     counts = opts["counts"]
-    points, family = _verify_grid_data(opts)
-    conv_seed, tail_seed = split(opts["seed"], 3)[1:]
+    grid_seed, conv_seed, tail_seed = split(opts["seed"], 3)
+    points, family = _verify_grid_data(opts, grid_seed)
     records = verify_kernel_convergence(family, points, counts, reps=opts["reps"], seed=conv_seed)
     payload = {"family": opts["family"], "decay": [asdict(r) for r in records]}
     lines = [f"{'count':>8}  {'median_max_err':>15}  {'mean_err':>12}"]
@@ -406,27 +414,27 @@ def cmd_verify_kernel(opts) -> int:
     if opts["eps"] is not None:
         import numpy as np
 
-        x = np.zeros(opts["dim"])
-        y = np.zeros(opts["dim"])
+        x, y = np.zeros((2, opts["dim"]))
         y[0] = opts["sigma"]
         tail = hoeffding_check(
             family, x, y, counts, opts["eps"], reps=opts["hoeffding_reps"], seed=tail_seed
         )
         payload["tail"] = [asdict(t) for t in tail]
-        lines.append("")
-        lines.append(f"{'count':>8}  {'eps':>5}  {'empirical':>10}  {'bound':>8}  ok")
+        lines += ["", f"{'count':>8}  {'eps':>5}  {'empirical':>10}  {'bound':>8}  ok"]
         for t in tail:
             lines.append(
                 f"{t.count:>8}  {t.eps:>5.2f}  {t.empirical:>10.4f}  {t.bound:>8.4f}  "
                 f"{'yes' if t.passed else 'NO'}"
             )
-    text = _dump_json(payload) if opts["format"] == "json" else "\n".join(lines) + "\n"
-    _emit(text, opts["out"])
-    return 0
+    return _report(opts, payload, lines)
 
 
-def _two_cluster_points(opts, seed):
+def _two_cluster_family(opts, seed):
+    """The points of the two-cluster model and the family of their landmark flat pool."""
     from .datagen import SyntheticModel, gen_synthetic
+    from .evaluation import PoolFamily
+    from .kernels import SubspaceKernel
+    from .landmarks import landmark_flat_pool
 
     dims = opts["dims"]
     model = SyntheticModel(
@@ -435,26 +443,22 @@ def _two_cluster_points(opts, seed):
         pts_per_subspace=max(2, opts["n"] // len(dims)),
         noise_sigma=opts["noise"],
     )
-    return gen_synthetic(model, seed).points
+    points = gen_synthetic(model, seed).points
+    pool = landmark_flat_pool(points, flat_dim=opts["flat_dim"])
+    return points, PoolFamily(SubspaceKernel, pool, opts["sigma"])
 
 
 def cmd_verify_perturbation(opts) -> int:
-    from .evaluation import FlatPoolFamily, verify_perturbation
-    from .landmarks import landmark_flat_pool
+    from .evaluation import verify_perturbation
     from .rng import split
 
     rows = []
     for child in split(opts["seed"], opts["repeats"]):
         data_seed, ref_seed, test_seed = split(child, 3)
-        points = _two_cluster_points(opts, data_seed)
-        pool = landmark_flat_pool(points, flat_dim=opts["flat_dim"])
-        family = FlatPoolFamily(flats=pool, sigma=opts["sigma"])
-        record = verify_perturbation(
-            points,
-            family.sample(opts["count"], test_seed),
-            family.sample(opts["ref_count"], ref_seed),
-        )
-        rows.append(record)
+        points, family = _two_cluster_family(opts, data_seed)
+        test_spec = family.sample(opts["count"], test_seed)
+        ref_spec = family.sample(opts["ref_count"], ref_seed)
+        rows.append(verify_perturbation(points, test_spec, ref_spec))
     lines = [f"{'delta':>8}  {'norms (left/mid/right)':>28}  {'bounds':>28}  ok"]
     for r in rows:
         norms = f"{r.left_degree_norm:.4f}/{r.kernel_diff_norm:.4f}/{r.right_degree_norm:.4f}"
@@ -462,25 +466,17 @@ def cmd_verify_perturbation(opts) -> int:
         lines.append(
             f"{r.delta:>8.4f}  {norms:>28}  {bounds:>28}  {'yes' if r.bounds_hold else 'NO'}"
         )
-    if opts["format"] == "json":
-        text = _dump_json([asdict(r) for r in rows])
-    else:
-        text = "\n".join(lines) + "\n"
-    _emit(text, opts["out"])
-    return 0
+    return _report(opts, [asdict(r) for r in rows], lines)
 
 
 def cmd_verify_eigvec(opts) -> int:
-    from .evaluation import FlatPoolFamily, verify_eigvec_convergence
-    from .landmarks import landmark_flat_pool
+    from .evaluation import verify_eigvec_convergence
     from .rng import split
 
     repeats = []
     for child in split(opts["seed"], opts["repeats"]):
         data_seed, verify_seed = split(child, 2)
-        points = _two_cluster_points(opts, data_seed)
-        pool = landmark_flat_pool(points, flat_dim=opts["flat_dim"])
-        family = FlatPoolFamily(flats=pool, sigma=opts["sigma"])
+        points, family = _two_cluster_family(opts, data_seed)
         repeats.append(
             verify_eigvec_convergence(
                 points,
@@ -495,12 +491,7 @@ def cmd_verify_eigvec(opts) -> int:
     for records in repeats:
         for r in records:
             lines.append(f"{r.count:>8}  {r.eigvec_l2_error:>16.6f}  {r.eigengap:>10.4f}")
-    if opts["format"] == "json":
-        text = _dump_json([[asdict(r) for r in records] for records in repeats])
-    else:
-        text = "\n".join(lines) + "\n"
-    _emit(text, opts["out"])
-    return 0
+    return _report(opts, [[asdict(r) for r in records] for records in repeats], lines)
 
 
 def cmd_verify_rotation(opts) -> int:
@@ -515,12 +506,11 @@ def cmd_verify_rotation(opts) -> int:
         sigma=opts["sigma"],
         pair_distance=opts["distance"],
     )
-    if opts["format"] == "json":
-        text = _dump_json({"fraction_within": fraction, "pairs": [asdict(r) for r in records]})
-    else:
-        text = f"fraction of pairs within 3 SE: {fraction:.3f} ({len(records)} pairs)\n"
-    _emit(text, opts["out"])
-    return 0
+    return _report(
+        opts,
+        {"fraction_within": fraction, "pairs": [asdict(r) for r in records]},
+        [f"fraction of pairs within 3 SE: {fraction:.3f} ({len(records)} pairs)"],
+    )
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from .kernels import (
     feature_matrix,
     gaussian_kernel_matrix,
     sample_gaussian_rff,
-    haar_frame_batch,
 )
 from .landmarks import LandmarkConfig
 from .linalg import as_integer, as_labels, as_number, as_points, haar_frames
@@ -127,7 +126,7 @@ def clustering_rate(pred, truth, outlier_mask=None) -> EvalReport:
 
 # ---------------------------------------------------------------------------
 # Kernel families: a sampling distribution plus its exact kernel (closed
-# form for rff, the whole finite pool enumerated for the others).
+# form for rff, the whole finite pool enumerated for PoolFamily).
 
 
 @dataclass(frozen=True)
@@ -142,47 +141,35 @@ class RffFamily:
         return gaussian_kernel_matrix(points, self.sigma)
 
 
-def _pool_kernel(spec, points):
-    """f^T f / D of the D unscaled features of ``spec``, symmetrized: its pool's exact kernel."""
-    f = feature_matrix(spec, points)
-    w = f.T @ f / spec.n_features
-    return (w + w.T) / 2.0
-
-
 @dataclass(frozen=True)
-class FlatPoolFamily:
-    """Uniform distribution over a finite pool of flats, drawn i.i.d.
+class PoolFamily:
+    """Uniform distribution over a finite pool, drawn i.i.d.
 
-    ``flats`` is an AffineFlat stack (``landmark_flat_pool``).  Sampling
-    is with replacement, so spec sizes may exceed the pool (and the
-    dataset).  exact_matrix enumerates the pool, which is the exact
-    kernel under the empirical flat measure.
+    ``kind`` is SubspaceKernel, with ``pool`` an AffineFlat stack
+    (``landmark_flat_pool``), or LandmarkGaussian, with ``pool`` a point
+    array of bump centers.  Sampling is with replacement, so spec sizes
+    may exceed the pool (and the dataset).  exact_matrix enumerates the
+    pool, which is the exact kernel under its empirical measure.
     """
 
-    flats: AffineFlat
+    kind: type
+    pool: AffineFlat | np.ndarray
     sigma: float
 
-    def sample(self, count, seed):
-        idx = make_rng(seed).integers(len(self.flats), size=as_integer(count, "count", 1))
-        return SubspaceKernel(self.sigma, self.flats[idx])
-
-    def exact_matrix(self, points):
-        return _pool_kernel(SubspaceKernel(self.sigma, self.flats), points)
-
-
-@dataclass(frozen=True)
-class LandmarkGaussianFamily:
-    """Gaussian-bump features centered at points drawn from a dataset."""
-
-    data: np.ndarray
-    sigma: float
+    def __post_init__(self):
+        if self.kind not in (SubspaceKernel, LandmarkGaussian):
+            raise InvalidParam(f"pool kind {self.kind!r} is not SubspaceKernel or LandmarkGaussian")
 
     def sample(self, count, seed):
-        idx = make_rng(seed).integers(self.data.shape[0], size=as_integer(count, "count", 1))
-        return LandmarkGaussian(self.sigma, self.data[idx])
+        idx = make_rng(seed).integers(len(self.pool), size=as_integer(count, "count", 1))
+        return self.kind(self.sigma, self.pool[idx])
 
     def exact_matrix(self, points):
-        return _pool_kernel(LandmarkGaussian(self.sigma, self.data), points)
+        """f^T f / D of the D unscaled features of the whole pool, symmetrized."""
+        spec = self.kind(self.sigma, self.pool)
+        f = feature_matrix(spec, points)
+        w = f.T @ f / spec.n_features
+        return (w + w.T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -452,6 +439,9 @@ def verify_rotation_invariance(
     pair_distance = as_number(pair_distance, "pair_distance")
     if not 0.0 <= pair_distance <= 2.0:
         raise InvalidParam("pair_distance must lie in [0, 2] for sphere pairs")
+    flat_dim = as_integer(flat_dim, "flat_dim")
+    if not 1 <= flat_dim < dim:
+        raise InvalidParam(f"flat_dim={flat_dim} not in [1, {dim - 1}]")
     cos_angle = 1.0 - pair_distance**2 / 2.0
     sin_angle = math.sqrt(max(0.0, 1.0 - cos_angle**2))
     records = []
@@ -468,7 +458,7 @@ def verify_rotation_invariance(
         estimates = []
         for flats_seed, pair in ((flats_a_seed, (x1, x2)), (flats_b_seed, (rot @ x1, rot @ x2))):
             # the uniform flats through the origin: a zero-base stack of Haar frames
-            frames = haar_frame_batch(dim, flat_dim, count, flats_seed)
+            frames = haar_frames(make_rng(flats_seed), (count, dim, flat_dim))
             spec = SubspaceKernel(sigma, AffineFlat(np.zeros((count, dim)), frames))
             f = feature_matrix(spec, np.vstack(pair))
             prods = f[:, 0] * f[:, 1]

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DenseLimitExceeded, DimensionMismatch, InvalidParam
 from .linalg import (
     COL_ALIGN, ROW_ALIGN, AffineFlat, aligned_matmul, as_integer, as_number, as_points,
-    check_finite, haar_frames, round_up,
+    check_finite, round_up,
 )
 from .rng import make_rng
 
@@ -181,15 +181,6 @@ def sample_gaussian_rff(sigma: float, n_features: int, dim: int, seed=0) -> Gaus
     freqs = rng.normal(0.0, 1.0 / sigma, size=(n_features, dim))
     phases = rng.uniform(0.0, 2.0 * math.pi, size=n_features)
     return GaussianRFF(sigma=sigma, frequencies=freqs, phases=phases)
-
-
-def haar_frame_batch(dim: int, flat_dim: int, count: int, seed=0) -> np.ndarray:
-    """(count, dim, flat_dim) stack of Haar-distributed orthonormal frames,
-    drawn by ``linalg.haar_frames`` from the ``seed`` stream."""
-    dim, flat_dim = as_integer(dim, "dim"), as_integer(flat_dim, "flat_dim")
-    if not 1 <= flat_dim < dim:
-        raise InvalidParam(f"flat_dim={flat_dim} not in [1, {dim - 1}]")
-    return haar_frames(make_rng(seed), (as_integer(count, "count", 1), dim, flat_dim))
 
 
 def _feature_rows(count, n):

@@ -24,7 +24,7 @@ import numpy as np
 from fls.cluster import fls_cluster, spectral_embed
 from fls.datagen import SyntheticModel, gen_synthetic
 from fls.evaluation import (
-    FlatPoolFamily,
+    PoolFamily,
     RffFamily,
     benchmark_suite,
     clustering_rate,
@@ -35,7 +35,7 @@ from fls.evaluation import (
     verify_perturbation,
     verify_rotation_invariance,
 )
-from fls.kernels import approx_kernel_matrix, embed
+from fls.kernels import SubspaceKernel, approx_kernel_matrix, embed
 from fls.landmarks import LandmarkConfig, landmark_flat_pool
 from fls.linalg import kmeans
 from fls.rng import make_rng, split
@@ -112,7 +112,7 @@ def test_normalized_matrix_perturbation_bounds():
     for child in split(2025, 10):
         data_seed, ref_seed, test_seed = split(child, 3)
         pts = two_cluster_points(150, data_seed)
-        fam = FlatPoolFamily(flats=landmark_flat_pool(pts, 2), sigma=1.5)
+        fam = PoolFamily(SubspaceKernel, landmark_flat_pool(pts, 2), 1.5)
         rec = verify_perturbation(
             pts, fam.sample(400, test_seed), fam.sample(50_000, ref_seed)
         )
@@ -126,7 +126,7 @@ def test_second_eigvec_convergence():
         for child in split(2025, 10):
             data_seed, verify_seed = split(child, 2)
             pts = two_cluster_points(pts_per, data_seed)
-            fam = FlatPoolFamily(flats=landmark_flat_pool(pts, 2), sigma=0.7)
+            fam = PoolFamily(SubspaceKernel, landmark_flat_pool(pts, 2), 0.7)
             recs = verify_eigvec_convergence(
                 pts, fam, counts, ref_count=50_000, seed=verify_seed
             )

@@ -14,8 +14,7 @@ from fls.cluster import fls_cluster, spectral_embed
 from fls.datagen import DataSet, SyntheticModel, gen_synthetic
 from fls.errors import InvalidParam, PipelineError
 from fls.evaluation import (
-    FlatPoolFamily,
-    LandmarkGaussianFamily,
+    PoolFamily,
     RffFamily,
     benchmark_suite,
     clustering_rate,
@@ -26,9 +25,9 @@ from fls.evaluation import (
 )
 from fls.kernels import (
     EmbeddingMatrix,
+    LandmarkGaussian,
     SubspaceKernel,
     gaussian_kernel_matrix,
-    haar_frame_batch,
     sample_gaussian_rff,
 )
 from fls.landmarks import LandmarkConfig, best_fit_flats, select_landmarks
@@ -72,10 +71,13 @@ TAKES_COUNT = {
     "spectral_embed": (lambda c: spectral_embed(EMB, c), 1, 2),
     "dense_spectral_cluster": (lambda c: dense_spectral_cluster(np.eye(4) + 1.0, c), 1, 2),
     "sample_gaussian_rff": (lambda c: sample_gaussian_rff(1.0, c, 3), 1, 2),
-    "haar_frame_batch": (lambda c: haar_frame_batch(4, 2, c), 1, 2),
-    "FlatPoolFamily.sample": (lambda c: FlatPoolFamily(FLATS, 1.0).sample(c, 0), 1, 2),
-    "LandmarkGaussianFamily.sample": (
-        lambda c: LandmarkGaussianFamily(PTS, 1.0).sample(c, 0),
+    "PoolFamily.sample flats": (
+        lambda c: PoolFamily(SubspaceKernel, FLATS, 1.0).sample(c, 0),
+        1,
+        2,
+    ),
+    "PoolFamily.sample points": (
+        lambda c: PoolFamily(LandmarkGaussian, PTS, 1.0).sample(c, 0),
         1,
         2,
     ),
@@ -114,6 +116,11 @@ TAKES_COUNT = {
         2,
         50,
     ),
+    "verify_rotation_invariance flat_dim": (
+        lambda c: verify_rotation_invariance(3, c, n_pairs=1, count=50),
+        1,
+        2,
+    ),
     "benchmark_suite n_trials": (lambda c: benchmark_suite([], n_trials=c), 0, 1),
     "benchmark_suite kmeans_restarts": (
         lambda c: benchmark_suite([TINY], n_trials=1, n_landmarks=8, kmeans_restarts=c),
@@ -132,6 +139,14 @@ def test_counts_are_integers_within_bound(name):
     for value in BAD_COUNTS + (low - 1,):
         refused(fn, value)
     fn(np.int64(valid))
+
+
+def test_rotation_flat_dim_below_dim():
+    # a flat of the ambient dimension holds every point: no kernel to compare
+    for dim in (3, 4):
+        with pytest.raises(InvalidParam, match=rf"flat_dim={dim} not in \[1, {dim - 1}\]"):
+            verify_rotation_invariance(dim, dim, n_pairs=1, count=50)
+    verify_rotation_invariance(4, 3, n_pairs=1, count=50)
 
 
 TAKES_SIGMA = {

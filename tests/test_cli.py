@@ -2,10 +2,12 @@
 
 import csv
 import dataclasses
+import hashlib
 import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -306,6 +308,30 @@ class TestConfigFile:
         assert rc == 2
         assert f"--{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value, flag",
+        [
+            ("linear", "false", "--no-linear"),
+            ("seed", "abc", "--seed"),
+            ("k", "two", "--k"),
+            ("restarts", 2.7, "--restarts"),
+            ("method", "bogus", "--method"),
+        ],
+    )
+    def test_config_value_checked_under_its_flag(
+        self, data_dir, tmp_path, capsys, key, value, flag
+    ):
+        # a malformed value exits 2 even where a flag overrides it: every
+        # flag below is given, in RANDOM_AFFINE_FLAGS or beside them
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 2, "d": 1, "landmarks": 8, "seed": 3, key: value}))
+        argv = ["cluster", "--in", str(data_dir / "points.csv"), "--config", str(cfg)]
+        argv += ["--k", "2", "--seed", "3", *RANDOM_AFFINE_FLAGS]
+        assert flag in argv
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert f"config key {key!r} sets --{key} to {value!r}" in capsys.readouterr().err
+
     def test_config_list_value_matches_flag(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"dims": [1, 1], "ambient": 3, "pts": 6, "seed": 5}))
@@ -507,6 +533,40 @@ class TestBench:
         assert json.loads(capsys.readouterr().out)["models"] == []
 
 
+# SHA-256 of each verify report on 2 BLAS threads, json then table: a
+# change that moves a report's bytes updates its pin and says why
+VERIFY_REPORTS = {
+    "kernel --family subspace": (
+        "7e055388bbbd2e30a5ef402a618ce7a7e0cb6a45cb9f780d67271544148457b8",
+        "2e8c8bbafdeaf023871c92d2e35f3bac67e656477a33418dd1e83ea2baa558a1",
+    ),
+    "kernel --family landmark": (
+        "f3a9872bcb62d51dbe0289f58a7ee3169255c1a30cfbe6e873ff2f24e25e77cf",
+        "6d3a221ebca4c6205fa43f14e7ee46a5bf14c1e7d56032306ac54c438d48c99e",
+    ),
+    "kernel --family rff --eps 0.1,0.2 --hoeffding-reps 50": (
+        "3abe433dee25892c0993ff644af3800f615de40542d1bec0b1f0b77265c87320",
+        "c30047bcd67eb5278bc1278c91ed51130a5170f4de427aab11bae7915d387e9a",
+    ),
+    "perturbation --repeats 2": (
+        "ecd5c693354755252b68a6985e16d1db00f56718cd78791400c46f0c5393dae7",
+        "58b6507fbf79e99c0cf50753ab112b0e5851783a0b0c32f89afb96eabb8f23cc",
+    ),
+    "eigvec --seed 1": (
+        "418de56d7bd68335edd9983ae480bfb60a212c2c510116e98374097c2564cedf",
+        "4c97ae349a7000fe1c60708013f4a967f2570b221039c32b868b6b10b206449a",
+    ),
+    "eigvec --seed 3 --repeats 2": (
+        "a177a4b93fc54858efe35b23ebb97361a65f8007a66433b26f06ea6dc2c803ff",
+        "8645d66b4efc4dc07e54ddf2682480cf6c2fb780d1f046ddabbb8beaed3bfc44",
+    ),
+    "rotation --pairs 10 --count 2000 --flat-dim 2": (
+        "7379b47defd74593b8ad2300af6832ad285336067b70cd8c8c984f3fa803e123",
+        "7da1e7ae07faaee91f5bd41803bb3663d581d49a0703e74e743c93089b34cbc9",
+    ),
+}
+
+
 class TestVerifyCommands:
     def test_kernel_smoke_json(self, capsys):
         rc = run(
@@ -642,6 +702,38 @@ class TestVerifyCommands:
         rc = run(["verify", *argv[:1], *small, *argv[1:], "--seed", "0", "--format", "json"])
         assert rc == 2
         assert name in capsys.readouterr().err
+
+    def test_rotation_flat_of_the_ambient_dimension_is_usage_error(self, capsys):
+        argv = ["verify", "rotation", "--dim", "3", "--flat-dim", "3", "--pairs", "1"]
+        assert run([*argv, "--count", "50"]) == 2
+        assert "flat_dim=3 not in [1, 2]" in capsys.readouterr().err
+
+    @pytest.mark.threads
+    def test_reports_keep_their_bytes_on_two_threads(self, tmp_path):
+        # every report of VERIFY_REPORTS in both formats, written by one
+        # fresh process on 2 BLAS threads, hashes to its pinned value
+        jobs = [
+            (f"{i}.{fmt}", ["verify", *args.split(), "--format", fmt])
+            for i, args in enumerate(VERIFY_REPORTS)
+            for fmt in ("json", "table")
+        ]
+        script = (
+            "import sys\n"
+            "from fls.cli import main\n"
+            f"for name, argv in {jobs!r}:\n"
+            "    assert main([*argv, '--out', sys.argv[1] + '/' + name]) == 0, argv\n"
+        )
+        env = dict(subprocess_env(), OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        for i, (args, pinned) in enumerate(VERIFY_REPORTS.items()):
+            got = tuple(
+                hashlib.sha256((tmp_path / f"{i}.{fmt}").read_bytes()).hexdigest()
+                for fmt in ("json", "table")
+            )
+            assert got == pinned, args
 
     def test_missing_verify_subcommand(self):
         rc = run(["verify"])
@@ -804,6 +896,21 @@ def subprocess_env():
     src = os.path.dirname(os.path.dirname(fls.__file__))
     path = os.environ.get("PYTHONPATH")
     return dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+
+
+class TestReadme:
+    def test_library_quickstart_runs(self):
+        # both python blocks of the README's Library quickstart, as printed
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            section = fh.read().split("## Library quickstart\n", 1)[1].split("\n## ", 1)[0]
+        blocks = re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
+        assert len(blocks) == 2
+        clustered, kernel = {}, {}
+        exec(blocks[0], clustered)
+        exec(blocks[1], kernel)
+        assert clustered["report"].rate >= 0.99
+        assert abs(kernel["k_hat"] - kernel["k"]) < 0.05
 
 
 class TestEntryPoint:

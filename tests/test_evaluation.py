@@ -15,9 +15,8 @@ from fls import evaluation
 from fls.datagen import SyntheticModel, gen_synthetic
 from fls.errors import DeltaTooLarge, DimensionMismatch, EigengapTooSmall, InvalidParam
 from fls.evaluation import (
-    FlatPoolFamily,
-    LandmarkGaussianFamily,
     BenchmarkRow,
+    PoolFamily,
     RffFamily,
     TrialFailure,
     benchmark_suite,
@@ -33,14 +32,15 @@ from fls.evaluation import (
 )
 from fls.kernels import (
     AffineFlat,
+    GaussianRFF,
     LandmarkGaussian,
     SubspaceKernel,
     feature_matrix,
     gaussian_kernel_matrix,
-    haar_frame_batch,
     sample_gaussian_rff,
 )
 from fls.landmarks import landmark_flat_pool
+from fls.linalg import haar_frames
 from fls.rng import make_rng, split
 
 from oracles import flat_distance
@@ -176,7 +176,7 @@ class TestFamilies:
     def test_flat_pool_exact_matrix_by_enumeration(self, rng):
         pts = two_far_clusters(rng, n_per=4)
         pool = landmark_flat_pool(pts, 1)
-        fam = FlatPoolFamily(flats=pool, sigma=1.0)
+        fam = PoolFamily(SubspaceKernel, pool, 1.0)
         got = fam.exact_matrix(pts)
         n = pts.shape[0]
         expected = np.zeros((n, n))
@@ -192,22 +192,35 @@ class TestFamilies:
 
     def test_flat_pool_sampling_with_replacement(self, rng):
         pts = two_far_clusters(rng, n_per=4)
-        fam = FlatPoolFamily(flats=landmark_flat_pool(pts, 1), sigma=1.0)
+        fam = PoolFamily(SubspaceKernel, landmark_flat_pool(pts, 1), 1.0)
         spec = fam.sample(50, seed=0)  # 50 > pool size of 8
+        assert isinstance(spec, SubspaceKernel) and spec.sigma == 1.0
         assert spec.n_features == 50
         # the same draw indexes the pool stack
-        idx = make_rng(0).integers(len(fam.flats), size=50)
-        assert np.array_equal(spec.flats.base, fam.flats[idx].base)
-        assert np.array_equal(spec.flats.basis, fam.flats[idx].basis)
+        idx = make_rng(0).integers(len(fam.pool), size=50)
+        assert np.array_equal(spec.flats.base, fam.pool[idx].base)
+        assert np.array_equal(spec.flats.basis, fam.pool[idx].basis)
 
     def test_landmark_family_exact_matrix(self, rng):
         data = rng.standard_normal((6, 2))
-        fam = LandmarkGaussianFamily(data=data, sigma=0.8)
+        fam = PoolFamily(LandmarkGaussian, data, 0.8)
         full = LandmarkGaussian(sigma=0.8, centers=data)
         from fls.kernels import feature_matrix
 
         f = feature_matrix(full, data)
         assert np.allclose(fam.exact_matrix(data), f.T @ f / 6)
+
+    def test_landmark_pool_sampling_with_replacement(self, rng):
+        data = rng.standard_normal((6, 2))
+        spec = PoolFamily(LandmarkGaussian, data, 0.8).sample(20, seed=4)  # 20 > 6 points
+        assert isinstance(spec, LandmarkGaussian) and spec.sigma == 0.8
+        # the same draw indexes the point rows
+        idx = make_rng(4).integers(6, size=20)
+        assert np.array_equal(spec.centers, data[idx])
+
+    def test_pool_kind_is_a_pool_spec(self, rng):
+        with pytest.raises(InvalidParam, match="pool kind"):
+            PoolFamily(GaussianRFF, rng.standard_normal((6, 2)), 0.8)
 
 
 class TestKernelConvergence:
@@ -260,7 +273,7 @@ class TestHoeffding:
 class TestPerturbation:
     def test_spec_against_itself_is_exact(self, rng):
         pts = two_far_clusters(rng, n_per=10)
-        spec = FlatPoolFamily(flats=landmark_flat_pool(pts, 1), sigma=1.5).sample(
+        spec = PoolFamily(SubspaceKernel, landmark_flat_pool(pts, 1), 1.5).sample(
             60, seed=0
         )
         rec = verify_perturbation(pts, spec, spec)
@@ -272,7 +285,7 @@ class TestPerturbation:
     def test_norms_and_triangle_identity(self, rng):
         # the three terms sum to L - L-hat, so their norms dominate it
         pts = two_far_clusters(rng, n_per=12)
-        fam = FlatPoolFamily(flats=landmark_flat_pool(pts, 1), sigma=1.5)
+        fam = PoolFamily(SubspaceKernel, landmark_flat_pool(pts, 1), 1.5)
         rec = verify_perturbation(pts, fam.sample(200, seed=1), fam.sample(4000, seed=2))
         assert rec.delta < 1.0
         assert rec.bounds_hold
@@ -304,7 +317,7 @@ class TestEigvecConvergence:
         # flat pool onto one global line and the kernel goes rank one
         model = SyntheticModel(dims=[1, 1], ambient=3, pts_per_subspace=20, noise_sigma=0.05)
         pts = gen_synthetic(model, 3).points
-        fam = FlatPoolFamily(flats=landmark_flat_pool(pts, 1), sigma=0.5)
+        fam = PoolFamily(SubspaceKernel, landmark_flat_pool(pts, 1), 0.5)
         records = verify_eigvec_convergence(
             pts, fam, counts=[40, 2000], ref_count=20000, seed=0
         )
@@ -315,7 +328,7 @@ class TestEigvecConvergence:
         # rank-one kernel: spectrum {1, 0, ...}, lambda_2 sits at 0
         pts = rng.standard_normal((12, 3))
         pool = landmark_flat_pool(pts, 1)[:1]
-        fam = FlatPoolFamily(flats=pool, sigma=2.0)
+        fam = PoolFamily(SubspaceKernel, pool, 2.0)
         with pytest.raises(EigengapTooSmall):
             verify_eigvec_convergence(pts, fam, counts=[20], ref_count=100, seed=0)
 
@@ -358,7 +371,7 @@ class TestRotationInvariance:
         x /= np.linalg.norm(x)
         prods = [
             math.exp(-2.0 * flat_distance(x, AffineFlat(np.zeros(4), basis)) ** 2 / 0.81)
-            for basis in haar_frame_batch(4, 2, 300, flats_seed)
+            for basis in haar_frames(make_rng(flats_seed), (300, 4, 2))
         ]
         assert abs(record.estimate - np.mean(prods)) <= 1e-12
         assert abs(record.stderr - np.std(prods, ddof=1) / math.sqrt(300)) <= 1e-12

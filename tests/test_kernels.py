@@ -14,6 +14,7 @@ from fls.errors import (
     DimensionMismatch,
     InvalidParam,
 )
+from fls.evaluation import verify_rotation_invariance
 from fls.kernels import (
     AffineFlat,
     EmbeddingMatrix,
@@ -24,11 +25,11 @@ from fls.kernels import (
     embed,
     feature_matrix,
     gaussian_kernel_matrix,
-    haar_frame_batch,
     sample_gaussian_rff,
 )
 from fls.landmarks import default_sigma
 from fls.linalg import haar_frames
+from fls.rng import make_rng
 
 from oracles import flat_distance, gaussian_kernel
 from test_cli import subprocess_env
@@ -148,31 +149,34 @@ class TestSampling:
         with pytest.raises(InvalidParam):
             sample_gaussian_rff(1.0, 0, 2)
 
+    # the uniform flats of verify_rotation_invariance: a stack of Haar
+    # frames drawn from one seed's stream
     def test_grassmann_orthonormal(self):
-        frames = haar_frame_batch(5, 2, 20, seed=3)
+        frames = haar_frames(make_rng(3), (20, 5, 2))
         assert frames.shape == (20, 5, 2)
         for basis in frames:
             assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-10)
 
     def test_grassmann_first_coordinate_mass(self):
         # Haar lines in R^3: direction uniform on the sphere, E[u1^2] = 1/3
-        frames = haar_frame_batch(3, 1, 3000, seed=2)
+        frames = haar_frames(make_rng(2), (3000, 3, 1))
         assert abs(np.mean(frames[:, 0, 0] ** 2) - 1.0 / 3.0) < 0.02
 
     def test_grassmann_deterministic(self):
-        a = haar_frame_batch(4, 2, 5, seed=9)
-        b = haar_frame_batch(4, 2, 5, seed=9)
-        c = haar_frame_batch(4, 2, 5, seed=10)
+        a = haar_frames(make_rng(9), (5, 4, 2))
+        b = haar_frames(make_rng(9), (5, 4, 2))
+        c = haar_frames(make_rng(10), (5, 4, 2))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_grassmann_bad_params(self):
+        # no flat of the ambient dimension, no empty flat, no empty stack
+        with pytest.raises(InvalidParam, match=r"flat_dim=3 not in \[1, 2\]"):
+            verify_rotation_invariance(3, 3, n_pairs=1, count=5)
+        with pytest.raises(InvalidParam, match=r"flat_dim=0 not in \[1, 2\]"):
+            verify_rotation_invariance(3, 0, n_pairs=1, count=5)
         with pytest.raises(InvalidParam):
-            haar_frame_batch(3, 3, 5)
-        with pytest.raises(InvalidParam):
-            haar_frame_batch(3, 0, 5)
-        with pytest.raises(InvalidParam):
-            haar_frame_batch(3, 1, 0)
+            verify_rotation_invariance(3, 1, n_pairs=1, count=0)
 
 
 def one_distance(x, flat):
