@@ -16,7 +16,8 @@ byte-for-byte for identical flags and seed, except for wall-clock values,
 which are isolated under "timings" keys.  --threads (env FLS_THREADS)
 caps the BLAS worker pools; it is applied through environment variables
 before numpy loads, which is why this module, its value parsers and the
-package __init__ import the numerical modules lazily.
+package __init__ import the numerical modules lazily.  ``main`` called
+where numpy is loaded already sets them too, and warns that they cannot act.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 runtime or
 pipeline failure (the message names the failing stage).
@@ -206,6 +207,9 @@ def _set_threads_env(threads):
     if threads is not None:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(threads)
+        if "numpy" in sys.modules:  # its BLAS pools were sized as it loaded
+            msg = f"warning: --threads {threads} cannot take effect in this process"
+            print(msg + ": numpy is already loaded", file=sys.stderr)
 
 
 def _dump_json(payload) -> str:

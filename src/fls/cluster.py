@@ -28,15 +28,7 @@ from .errors import (
 )
 from .kernels import EmbeddingMatrix, SubspaceKernel, _feature_rows, embed
 from .landmarks import LandmarkConfig, best_fit_flats, default_sigma, select_landmarks
-from .linalg import (
-    ROW_ALIGN,
-    _largest_signs,
-    as_integer,
-    as_points,
-    check_finite,
-    kmeans,
-    round_up,
-)
+from .linalg import _largest_signs, as_integer, as_points, check_finite, kmeans
 from .rng import split
 
 
@@ -94,31 +86,6 @@ def degrees(embedding: EmbeddingMatrix) -> np.ndarray:
 _GRAM_BLOCK_ENTRIES = 2**21
 
 
-def _padded_rows(psi: np.ndarray) -> np.ndarray:
-    """``psi`` as the first rows of a writable C-contiguous array whose
-    further rows, up to a multiple of ROW_ALIGN, are zero: the buffer
-    ``kernels.embed`` allocated (``kernels._feature_rows``), ``psi`` itself
-    when its row count is a multiple already, else one padded copy."""
-    d_rows, n = psi.shape
-    rows = round_up(d_rows, ROW_ALIGN)
-    if psi.flags.c_contiguous and psi.flags.writeable:
-        if rows == d_rows:
-            return psi
-        base = psi.base
-        if (
-            isinstance(base, np.ndarray)
-            and base.shape == (rows, n)
-            and base.dtype == psi.dtype
-            and base.flags.c_contiguous
-            and base.ctypes.data == psi.ctypes.data
-            and base[d_rows:].min() == 0.0 == base[d_rows:].max()
-        ):
-            return base
-    copy = _feature_rows(d_rows, n)
-    copy[...] = psi
-    return copy.base
-
-
 def _scaled_gram(padded: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
     """Scale ``padded`` in place to ``padded`` diag(inv_sqrt) and return its
     Gram matrix, summed over column views of ``_GRAM_BLOCK_ENTRIES`` entries,
@@ -144,21 +111,19 @@ def spectral_embed(
 
     Returns (rows, singular_values) where rows is n x K (or n x (K-1)
     with drop_first, which discards the leading vector).  Rows that are
-    exactly zero stay zero.  ``spectral_embed`` may overwrite
-    ``embedding.data``: it scales Psi to A in place, so a caller that
-    reads Psi afterwards takes a copy first.
+    exactly zero stay zero.  ``spectral_embed`` scales the embedding's
+    padded buffer (``kernels.EmbeddingMatrix``) in place to A, so it may
+    overwrite ``embedding.data``; a caller that reads Psi afterwards
+    takes a copy first.  An embedding without that buffer is scaled in
+    one padded copy, and its data is left as it was.
 
     The D x D Gram matrix A A^T is summed over column views of A, each
     scaled by D^-1/2 just before its GEMM reads it.  Those views span
-    Psi's rows padded with zero rows to a multiple of ``linalg.ROW_ALIGN``,
-    so the Gram matrix has the same bits on any BLAS thread count.
-    ``kernels.embed`` allocates Psi with those pad rows, so A takes Psi's
-    memory; an embedding of a plain array whose D is not a multiple of
-    ROW_ALIGN (or that is read-only or not C-contiguous) is scaled in one
-    padded copy instead, and its data is left as it was.  The Gram
-    eigenpairs are not thread-independent from D = 256 on
-    (``np.linalg.eigh`` and every ``scipy.linalg.eigh`` driver; D = 200
-    agrees), so at D = 400 the output depends on the thread count.  The
+    Psi's rows with their zero pad rows, so the Gram matrix has the same
+    bits on any BLAS thread count.  The Gram eigenpairs are not
+    thread-independent from D = 256 on (``np.linalg.eigh`` and every
+    ``scipy.linalg.eigh`` driver; D = 200 agrees), so at D = 400 the
+    output depends on the thread count.  The
     singular values s are the square roots of its top K eigenvalues, with
     eigenvectors U.  They are resolved only to about sqrt(D eps) s_1, below
     which the right vectors would be noise, so RankDeficient is raised when
@@ -188,7 +153,10 @@ def spectral_embed(
     d_rows = psi.shape[0]
     if n_clusters > min(psi.shape):
         raise InvalidParam(f"n_clusters={n_clusters} not in [1, {min(psi.shape)}]")
-    padded = _padded_rows(psi)
+    padded = embedding._padded
+    if padded is None:
+        padded, rows = _feature_rows(d_rows, psi.shape[1])
+        rows[...] = psi
     gram = _scaled_gram(padded, degrees(embedding) ** -0.5)[:d_rows, :d_rows]
     eigvals, eigvecs = np.linalg.eigh((gram + gram.T) / 2.0)
     order = np.argsort(eigvals)[::-1][:n_clusters]

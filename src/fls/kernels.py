@@ -27,7 +27,7 @@ with the points' monomials.  ``_lifted_wins(d, l)`` picks the cheaper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -155,14 +155,36 @@ class EmbeddingMatrix:
     """Feature embedding of a dataset, stored as a D x n array.
 
     Column i is psi(x_i); the 1/sqrt(D) scaling is already applied, so
-    data.T @ data is the approximate kernel matrix.
+    data.T @ data is the approximate kernel matrix.  Every construction
+    checks that data is finite.
+
+    The padded buffer: ``cluster.spectral_embed`` scales Psi in place to
+    A = Psi D^-1/2 and sums its Gram matrix over whole rows padded with
+    zero rows to a multiple of ``linalg.ROW_ALIGN``, so it needs Psi as
+    the first D rows of a writable C-contiguous array whose further rows
+    are zero.  ``embed`` fills such a buffer (``_feature_rows``) and hands
+    it over, so ``data`` is a view of it.  A plain array is its own
+    buffer when it is writable, C-contiguous and D is a multiple of
+    ROW_ALIGN; otherwise it has none, and ``spectral_embed`` scales one
+    padded copy and leaves ``data`` as it was.  Whenever there is a
+    buffer, ``spectral_embed`` overwrites ``data``.
     """
 
     data: np.ndarray
+    _padded: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         data = as_points(self.data, "embedding")
         object.__setattr__(self, "data", data)
+        aligned = data.shape[0] % ROW_ALIGN == 0 and data.flags.c_contiguous
+        object.__setattr__(self, "_padded", data if aligned and data.flags.writeable else None)
+
+    @classmethod
+    def _of_buffer(cls, buf, count):
+        """The embedding held in the first ``count`` rows of a ``_feature_rows`` buffer."""
+        emb = cls(buf[:count])
+        object.__setattr__(emb, "_padded", buf)
+        return emb
 
     @property
     def n_features(self) -> int:
@@ -184,12 +206,11 @@ def sample_gaussian_rff(sigma: float, n_features: int, dim: int, seed=0) -> Gaus
 
 
 def _feature_rows(count, n):
-    """Uninitialized (count, n) feature array: the first rows of a C-contiguous
-    buffer whose count rounded up to ``linalg.ROW_ALIGN`` rows end in zero
-    rows, so ``cluster.spectral_embed`` scales it in place without a copy."""
+    """A padded buffer (``EmbeddingMatrix``) for ``count`` uninitialized rows
+    of n values, and the view of those rows."""
     buf = np.empty((round_up(count, ROW_ALIGN), n))
     buf[count:] = 0.0
-    return buf[:count]
+    return buf, buf[:count]
 
 
 # Entries of one column block of the projected fill's temporaries: the
@@ -203,10 +224,10 @@ _PROJ_ENTRIES = 2**18
 _BUMP_ENTRIES = 4_000_000
 
 
-def _projected_fill(bases, frames, pts, scale, norm=1.0):
-    """New (D, n) array of norm * exp(-d2 / scale), d2 the squared distance
-    from every point to every flat of one stack: the projected fill.
-    Its rows are padded to ``linalg.ROW_ALIGN`` (``_feature_rows``).
+def _projected_fill(bases, frames, pts, scale, norm=1.0, root=1.0):
+    """New padded buffer (``_feature_rows``) of norm * exp(-d2 / scale) / root,
+    d2 the squared distance from every point to every flat of one stack:
+    the projected fill.
 
     It serves the Gaussian point bumps and the subspace stacks for which
     ``_lifted_wins(d, l)`` is false (high d: the R^80 reference model).
@@ -215,9 +236,9 @@ def _projected_fill(bases, frames, pts, scale, norm=1.0):
 
         d2 = (|x|^2 - 2 b.x + |b|^2) - |F^T x - F^T b|^2
 
-    is clipped at zero, negated, divided by ``scale``, exponentiated and
-    multiplied by ``norm``, all in place.  It runs one column block of
-    m points at a time (whole ``linalg.COL_ALIGN`` columns, at least
+    is clipped at zero, negated, divided by ``scale``, exponentiated,
+    multiplied by ``norm`` and divided by ``root``, all in place.  It runs
+    one column block of m points at a time (whole ``linalg.COL_ALIGN`` columns, at least
     one): one ``aligned_matmul`` of the bases written straight into the
     result, one of the frames.  For l >= 1, m = 2^18 // (D (l + 1)), so
     beside the result only the (D l, m) projection and its (D, m) row
@@ -226,7 +247,7 @@ def _projected_fill(bases, frames, pts, scale, norm=1.0):
     """
     n, d = pts.shape
     g, l = frames.shape[0], frames.shape[2]
-    out = _feature_rows(g, n)
+    buf, out = _feature_rows(g, n)
     x_sq = (pts**2).sum(axis=1)
     entries, per_column = (_PROJ_ENTRIES, g * (l + 1)) if l else (_BUMP_ENTRIES, g)
     chunk = max(COL_ALIGN, entries // max(1, per_column) // COL_ALIGN * COL_ALIGN)
@@ -258,7 +279,9 @@ def _projected_fill(bases, frames, pts, scale, norm=1.0):
         np.exp(dest, out=dest)
         if norm != 1.0:
             dest *= norm
-    return out
+        if root != 1.0:
+            dest /= root
+    return buf
 
 
 # Entries of one lifted monomial block (2 MiB of float64).
@@ -327,8 +350,9 @@ def _lift_monomials(x, lift):
 
 
 def _lifted_fill(flats, pts, scale, shift=0.0):
-    """New (D, n) array of exp(shift - d2 / scale), d2 the squared distance
-    from every point to every flat of a stack with l >= 1.
+    """New padded buffer (``_feature_rows``) of exp(shift - d2 / scale), d2
+    the squared distance from every point to every flat of a stack with
+    l >= 1.
 
     d2 is a quadratic polynomial in x, so one column block of features is
     one ``aligned_matmul`` of the (D, q) coefficients
@@ -337,8 +361,7 @@ def _lifted_fill(flats, pts, scale, shift=0.0):
     and one exp complete it in place, ``_PASS_ENTRIES`` entries at a time.
     Linear flats leave out the d rows of x_i terms, which are zero.
     Beside the result only the coefficients and one monomial block of at
-    most ``_LIFT_ENTRIES`` entries (2 MiB) exist.  The result's rows are
-    padded to ``linalg.ROW_ALIGN`` (``_feature_rows``).
+    most ``_LIFT_ENTRIES`` entries (2 MiB) exist.
     """
     n, d = pts.shape
     coef = _lifted_coefficients(flats.base, flats.basis, scale, shift)
@@ -348,7 +371,7 @@ def _lifted_fill(flats, pts, scale, shift=0.0):
     used = slice(q - coef.shape[1], q)
     chunk = max(COL_ALIGN, _LIFT_ENTRIES // q // COL_ALIGN * COL_ALIGN)
     lift_buf = np.empty(q * min(chunk, n))
-    out = _feature_rows(len(flats), n)
+    buf, out = _feature_rows(len(flats), n)
     for s in range(0, n, chunk):
         e = min(n, s + chunk)
         m = e - s
@@ -360,13 +383,14 @@ def _lifted_fill(flats, pts, scale, shift=0.0):
             piece = out[r : r + rows, s:e]
             np.minimum(piece, shift, out=piece)
             np.exp(piece, out=piece)
-    return out
+    return buf
 
 
-def _gaussian_bumps(centers, pts, sigma, norm=1.0):
-    """norm * exp(-|x - c|^2 / (2 sigma^2)): the projected fill of 0-flats at ``centers``."""
+def _gaussian_bumps(centers, pts, sigma, norm=1.0, root=1.0):
+    """norm * exp(-|x - c|^2 / (2 sigma^2)) / root: the projected fill of
+    0-flats at ``centers``, as its padded buffer."""
     frames = np.empty(centers.shape + (0,))
-    return _projected_fill(centers, frames, pts, 2.0 * sigma**2, norm)
+    return _projected_fill(centers, frames, pts, 2.0 * sigma**2, norm, root)
 
 
 def _spec_points(spec, points):
@@ -378,73 +402,67 @@ def _spec_points(spec, points):
     return pts
 
 
-def _takes_lifted_fill(spec):
-    return isinstance(spec, SubspaceKernel) and _lifted_wins(spec.dim, spec.flats.dim)
+def _fill(spec, points, scaled):
+    """The padded buffer (``EmbeddingMatrix``) of the feature values
+    f(x_i, y_j) of an array or DataSet, divided by sqrt(D) when ``scaled``.
+
+    Subspace features take the lifted fill (``_lifted_fill``) when
+    ``_lifted_wins(d, l)``, which folds the scale into its exponent as
+    -ln sqrt(D); otherwise the projected fill (``_projected_fill``), and
+    landmark features take it with l = 0.  Cosine features are one GEMM.
+    The projected fill and the cosines divide each block by sqrt(D) as it
+    is written, so no pass over the whole array follows.
+    """
+    pts = _spec_points(spec, points)
+    root = math.sqrt(spec.n_features) if scaled else 1.0
+    if isinstance(spec, GaussianRFF):
+        buf, out = _feature_rows(spec.n_features, pts.shape[0])
+        np.matmul(spec.frequencies, pts.T, out=out)
+        out += spec.phases[:, None]
+        np.cos(out, out=out)
+        out *= math.sqrt(2.0)
+        if root != 1.0:
+            out /= root
+        return buf
+    if isinstance(spec, LandmarkGaussian):
+        norm = (2.0 * math.pi * spec.sigma**2) ** (-spec.dim / 2.0)
+        return _gaussian_bumps(spec.centers, pts, spec.sigma, norm, root)
+    if isinstance(spec, SubspaceKernel):
+        flats = spec.flats
+        if _lifted_wins(spec.dim, flats.dim):
+            shift = -0.5 * math.log(spec.n_features) if scaled else 0.0
+            return _lifted_fill(flats, pts, spec.sigma**2, shift)
+        return _projected_fill(flats.base, flats.basis, pts, spec.sigma**2, root=root)
+    raise InvalidParam(f"unknown feature spec type {type(spec).__name__}")
 
 
 def feature_matrix(spec: FeatureSpec, points) -> np.ndarray:
     """Unscaled feature values f(x_i, y_j), shape (D, n), of an array or DataSet.
 
-    The result is one freshly allocated (D, n) array, filled in place;
-    it is the first D rows of a buffer with zero pad rows up to a
-    multiple of ``linalg.ROW_ALIGN`` (at most 7 more rows), which
-    ``cluster.spectral_embed`` uses without a copy.
-    Subspace features take the lifted fill (``_lifted_fill``) when
-    ``_lifted_wins(d, l)``, the projected fill (``_projected_fill``)
-    otherwise; landmark features take the projected fill with l = 0,
-    cosine features one GEMM.  Either fill holds only fixed-size block
-    temporaries beside the result: the lifted one a monomial block of at
-    most 2^18 entries (2 MiB), the projected one a projection and its
-    row sums of at most 2^18 entries (2 MiB) together, nothing for the
-    bumps.  embed() scales by 1/sqrt(D); the raw
-    values are useful when the per-sample spread matters (standard errors
-    of kernel estimates).
+    One freshly allocated array, filled in place (``_fill``): the first D
+    rows of a padded buffer (``EmbeddingMatrix``).  embed() scales by
+    1/sqrt(D); the raw values are useful when the per-sample spread
+    matters (standard errors of kernel estimates).
     """
-    pts = _spec_points(spec, points)
-    if isinstance(spec, GaussianRFF):
-        out = _feature_rows(spec.n_features, pts.shape[0])
-        np.matmul(spec.frequencies, pts.T, out=out)
-        out += spec.phases[:, None]
-        np.cos(out, out=out)
-        out *= math.sqrt(2.0)
-        return out
-    if isinstance(spec, LandmarkGaussian):
-        norm = (2.0 * math.pi * spec.sigma**2) ** (-spec.dim / 2.0)
-        return _gaussian_bumps(spec.centers, pts, spec.sigma, norm)
-    if isinstance(spec, SubspaceKernel):
-        if _takes_lifted_fill(spec):
-            return _lifted_fill(spec.flats, pts, spec.sigma**2)
-        return _projected_fill(spec.flats.base, spec.flats.basis, pts, spec.sigma**2)
-    raise InvalidParam(f"unknown feature spec type {type(spec).__name__}")
+    return _fill(spec, points, scaled=False)[: spec.n_features]
 
 
 def embed(spec: FeatureSpec, points) -> EmbeddingMatrix:
     """Feature embedding psi(X) with the 1/sqrt(D) scaling applied.
 
-    Holds one (D, n) array, the first rows of a buffer padded with zero
-    rows to a multiple of ``linalg.ROW_ALIGN``, which
-    ``cluster.spectral_embed`` scales in place (so it may overwrite the
-    result) without a copy.  On the lifted fill the scaling is folded
-    into the exponent (-ln sqrt(D) in the constant coefficient), so the
-    peak is that array, the (D, q) coefficients and one monomial block
-    of at most 2^18 entries (2 MiB).  Otherwise ``feature_matrix`` fills
-    the array block by block and the scaling divides it in place, with
-    one projected block's temporaries (at most 2^18 entries, 2 MiB)
-    beside it.
+    One (D, n) array, filled in place with its scale (``_fill``), whose
+    padded buffer the result holds (``EmbeddingMatrix``).  Beside it the
+    peak holds one fill's block temporaries of at most 2^18 entries
+    (2 MiB): the lifted fill's monomial block, with its (D, q)
+    coefficients, or the projected fill's projection and row sums.
     """
-    if _takes_lifted_fill(spec):
-        shift = -0.5 * math.log(spec.n_features)
-        values = _lifted_fill(spec.flats, _spec_points(spec, points), spec.sigma**2, shift)
-    else:
-        values = feature_matrix(spec, points)
-        values /= math.sqrt(spec.n_features)
-    return EmbeddingMatrix(data=values)
+    return EmbeddingMatrix._of_buffer(_fill(spec, points, scaled=True), spec.n_features)
 
 
 def gaussian_kernel_matrix(points: np.ndarray, sigma: float) -> np.ndarray:
     """Pairwise exact Gaussian kernel matrix of one point set."""
     pts = as_points(points)
-    return _gaussian_bumps(pts, pts, _check_sigma(sigma))
+    return _gaussian_bumps(pts, pts, _check_sigma(sigma))[: pts.shape[0]]
 
 
 # Largest n of a dense n x n matrix (200 MB of float64), here and in the

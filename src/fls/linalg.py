@@ -158,7 +158,10 @@ def haar_frames(gen: np.random.Generator, shape) -> np.ndarray:
     Each frame is the QR orthonormalization of a Gaussian draw with its
     column signs fixed by the R diagonal, which makes it (and its span)
     Haar-distributed; a square shape gives a Haar orthogonal matrix.
+    A frame wider than it is tall (l > d) raises InvalidParam.
     """
+    if shape[-1] > shape[-2]:
+        raise InvalidParam(f"frames of shape {tuple(shape)} need l <= d")
     q, r = np.linalg.qr(gen.standard_normal(shape))
     return q * _signs(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 

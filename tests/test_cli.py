@@ -787,6 +787,25 @@ class TestEnvAndThreads:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
 
+    def test_threads_flag_warns_once_numpy_is_loaded(self, tmp_path, monkeypatch, capsys):
+        # numpy sized its BLAS pools when this process loaded it, so here
+        # the flag only warns; a fresh process sets it before numpy loads
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "2")  # restored after the test
+        assert "numpy" in sys.modules
+        capsys.readouterr()
+        assert run(gen_args(tmp_path / "x") + ["--threads", "1"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning") == 1
+        assert "--threads 1 cannot take effect in this process" in err
+        proc = subprocess.run(
+            [sys.executable, "-m", "fls.cli", *gen_args(tmp_path / "y"), "--threads", "1"],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
     @pytest.mark.threads
     def test_cluster_output_independent_of_threads(self, tmp_path):

@@ -150,6 +150,16 @@ class TestSpectralEmbed:
         assert np.array_equal(rows, want_rows)
         assert np.array_equal(svals, want_svals)
 
+    @pytest.mark.parametrize("count, writeable", [(10, True), (16, False)])
+    def test_foreign_array_without_a_buffer_is_left_as_it_was(self, rng, count, writeable):
+        # an unaligned D or a read-only array has no padded buffer, so
+        # spectral_embed scales a padded copy and leaves the array untouched
+        psi = positive_embedding(rng, count, 30).data
+        psi.flags.writeable = writeable
+        before = psi.copy()
+        spectral_embed(EmbeddingMatrix(data=psi), 3)
+        assert np.array_equal(psi, before)
+
     def test_gram_path_peak_is_one_block(self, monkeypatch):
         # no second D x n array: Psi is scaled in place, so the peak is n x K arrays
         monkeypatch.setattr(cluster, "_GRAM_BLOCK_ENTRIES", 2**16, raising=False)

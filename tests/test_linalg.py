@@ -111,6 +111,17 @@ def assert_same_kmeans(got, want):
     assert got[2] == want[2]
 
 
+class TestHaarFrames:
+    @pytest.mark.parametrize("shape", [(3, 4), (5, 3, 4), (1, 2)])
+    def test_wide_frames_refused(self, rng, shape):
+        # QR of a wide draw would return square (d, d) frames, not (d, l);
+        # a square shape (l = d) stays valid
+        with pytest.raises(InvalidParam, match="l <= d"):
+            haar_frames(rng, shape)
+        square = shape[:-1] + shape[-2:-1]
+        assert haar_frames(rng, square).shape == square
+
+
 class TestAffineFlat:
     def test_orthonormality_enforced(self, rng):
         with pytest.raises(InvalidParam):
